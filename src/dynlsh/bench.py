@@ -16,17 +16,19 @@ OS entropy.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import math
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse
 
 from .errors import GenerationError, StreamDataError, StreamParseError
-from .hashing import SketchRandomness, minhash_positions
+from .hashing import SketchRandomness, deepest_level, minhash_positions
 from .lsh import amplification_probability
 from .sketch import LevelSketch, similarity_from_level
 from .similarity import jaccard
@@ -118,6 +120,16 @@ class BenchCorpus:
     @property
     def d(self) -> int:
         return self.randomness.d
+
+
+@contextmanager
+def _opened(target: str | os.PathLike | IO[str], mode: str) -> Iterator[IO[str]]:
+    """An open file passes through untouched; a path is opened as ASCII text and closed."""
+    if not isinstance(target, (str, os.PathLike)):
+        yield target
+        return
+    with open(target, mode, encoding="ascii", newline="") as fh:
+        yield fh
 
 
 def _rng(master_seed: int, *spawn_key: int) -> np.random.Generator:
@@ -311,74 +323,82 @@ def write_stream(
     """
     if churn < 0:
         raise GenerationError(f"churn must be non-negative, got {churn!r}")
-    if hasattr(out, "write"):
-        return _write_stream(corpus, out, churn, seed)  # type: ignore[arg-type]
-    with open(out, "w", encoding="ascii") as fh:
-        return _write_stream(corpus, fh, churn, seed)
-
-
-def _write_stream(corpus: GeneratedCorpus, fh: IO[str], churn: float, seed: int) -> int:
     rng = _rng(seed, _TAG_CHURN) if churn > 0 else None
-    fh.write(f"{corpus.n} {corpus.d}\n")
     total = 0
-    for j, items in enumerate(corpus.rows):
-        lines = [f"{j} {i} 1" for i in items]
-        if rng is not None and items.size:
-            extra = int(round(churn * items.size))
-            bounce = rng.choice(items, size=min(extra // 2, items.size), replace=False)
-            cancel = _sample_distinct(rng, corpus.d, extra - extra // 2, exclude=items)
-            lines += [f"{j} {i} 1" for i in cancel]
-            lines += [f"{j} {i} -1" for i in bounce]
-            lines += [f"{j} {i} 1" for i in bounce]
-            lines += [f"{j} {i} -1" for i in cancel]
-        if lines:
-            fh.write("\n".join(lines) + "\n")
-        total += len(lines)
+    with _opened(out, "w") as fh:
+        fh.write(f"{corpus.n} {corpus.d}\n")
+        for j, items in enumerate(corpus.rows):
+            lines = [f"{j} {i} 1" for i in items]
+            if rng is not None and items.size:
+                extra = int(round(churn * items.size))
+                bounce = rng.choice(items, size=min(extra // 2, items.size), replace=False)
+                cancel = _sample_distinct(rng, corpus.d, extra - extra // 2, exclude=items)
+                lines += [f"{j} {i} 1" for i in cancel]
+                lines += [f"{j} {i} -1" for i in bounce]
+                lines += [f"{j} {i} 1" for i in bounce]
+                lines += [f"{j} {i} -1" for i in cancel]
+            if lines:
+                fh.write("\n".join(lines) + "\n")
+            total += len(lines)
     return total
 
 
-def write_manifest(manifest: Iterable[PlantedPair], out: str | os.PathLike | IO[str]) -> None:
-    """CSV manifest: id_a,id_b,target_low,target_high,exact_similarity."""
-    if hasattr(out, "write"):
-        _write_manifest(manifest, out)  # type: ignore[arg-type]
-        return
-    with open(out, "w", encoding="ascii", newline="") as fh:
-        _write_manifest(manifest, fh)
-
-
-def _write_manifest(manifest: Iterable[PlantedPair], fh: IO[str]) -> None:
-    writer = csv.writer(fh)
-    writer.writerow(["id_a", "id_b", "target_low", "target_high", "exact_similarity"])
-    for p in manifest:
-        writer.writerow(
-            [p.id_a, p.id_b, f"{p.target_low:.6f}", f"{p.target_high:.6f}", f"{p.exact_similarity:.6f}"]
-        )
-
-
 def read_manifest(source: str | os.PathLike | IO[str]) -> list[PlantedPair]:
-    """Parse a manifest written by write_manifest."""
-    if hasattr(source, "read"):
-        return _read_manifest(source)  # type: ignore[arg-type]
-    with open(source, "r", encoding="ascii", newline="") as fh:
-        return _read_manifest(fh)
-
-
-def _read_manifest(fh: IO[str]) -> list[PlantedPair]:
-    reader = csv.reader(fh)
-    header = next(reader, None)
-    if header != ["id_a", "id_b", "target_low", "target_high", "exact_similarity"]:
-        raise StreamParseError(f"unexpected manifest header: {header!r}", 1)
-    out = []
-    for line_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        try:
-            out.append(
-                PlantedPair(int(row[0]), int(row[1]), float(row[2]), float(row[3]), float(row[4]))
-            )
-        except (ValueError, IndexError) as exc:
-            raise StreamParseError(f"bad manifest row {row!r}: {exc}", line_no) from exc
+    """Parse a manifest written by write_csv(PlantedPair, ...)."""
+    with _opened(source, "r") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != [f.name for f in dataclasses.fields(PlantedPair)]:
+            raise StreamParseError(f"unexpected manifest header: {header!r}", 1)
+        out = []
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            try:
+                out.append(
+                    PlantedPair(int(row[0]), int(row[1]), float(row[2]), float(row[3]), float(row[4]))
+                )
+            except (ValueError, IndexError) as exc:
+                raise StreamParseError(f"bad manifest row {row!r}: {exc}", line_no) from exc
     return out
+
+
+def _read_updates(
+    source: str | os.PathLike | IO[str],
+) -> tuple[int, Iterator[tuple[np.ndarray, np.ndarray]]]:
+    """Universe size and per-row (items, values) arrays of an update stream.
+
+    The whole stream is parsed up front, so a malformed line raises
+    StreamParseError with its line number before any row is looked at.
+    """
+    with _opened(source, "r") as fh:
+        d, items, values = _parse_stream(fh)
+    rows = (
+        (np.asarray(i, dtype=np.int64), np.asarray(v, dtype=np.int64))
+        for i, v in zip(items, values)
+    )
+    return d, rows
+
+
+def _net_set(j: int, items: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Row j's net set; StreamDataError when some net count leaves {0, 1}."""
+    uniq, inverse = np.unique(items, return_inverse=True)
+    net = np.bincount(inverse, weights=values).astype(np.int64)
+    bad = np.flatnonzero((net != 0) & (net != 1))
+    if bad.size:
+        raise StreamDataError(f"row {j}: item {int(uniq[bad[0]])} has net count {int(net[bad[0]])}")
+    return uniq[net == 1]
+
+
+def read_sets(source: str | os.PathLike | IO[str]) -> tuple[int, list[np.ndarray]]:
+    """Universe size d and the exact net set of every row of an update stream.
+
+    Validates like ingest but builds no sketch: malformed lines raise
+    StreamParseError with their line number, and a row whose net count for
+    some item is outside {0, 1} raises StreamDataError.
+    """
+    d, rows = _read_updates(source)
+    return d, [_net_set(j, items, values) for j, (items, values) in enumerate(rows)]
 
 
 def ingest(
@@ -387,17 +407,23 @@ def ingest(
     """Replay an update stream into one sketch per row.
 
     All sketches share one SketchRandomness built from (d, c_squared,
-    master_seed).  Malformed lines raise StreamParseError with their line
-    number; a row whose net count for some item is outside {0, 1} after
-    full replay raises StreamDataError.  Exact net sets are retained.
+    master_seed), and every update, deletions included, goes through
+    update_many.  Validation and the retained exact net sets are those of
+    read_sets.
     """
-    if hasattr(source, "read"):
-        return _ingest(source, c_squared, master_seed)  # type: ignore[arg-type]
-    with open(source, "r", encoding="ascii") as fh:
-        return _ingest(fh, c_squared, master_seed)
+    d, rows = _read_updates(source)
+    randomness = SketchRandomness(d, c_squared, master_seed)
+    sketches: list[LevelSketch] = []
+    sets: list[np.ndarray] = []
+    for j, (items, values) in enumerate(rows):
+        sketch = LevelSketch(randomness)
+        sketch.update_many(items, values)
+        sketches.append(sketch)
+        sets.append(_net_set(j, items, values))
+    return BenchCorpus(randomness, sketches, sets)
 
 
-def _ingest(fh: IO[str], c_squared: int, master_seed: int) -> BenchCorpus:
+def _parse_stream(fh: IO[str]) -> tuple[int, list[list[int]], list[list[int]]]:
     header = fh.readline()
     parts = header.split()
     if len(parts) != 2:
@@ -428,36 +454,22 @@ def _ingest(fh: IO[str], c_squared: int, master_seed: int) -> BenchCorpus:
             raise StreamParseError(f"value must be +1 or -1, got {v}", line_no)
         items[j].append(i)
         values[j].append(v)
-    randomness = SketchRandomness(d, c_squared, master_seed)
-    sketches: list[LevelSketch] = []
-    sets: list[np.ndarray] = []
-    for j in range(n):
-        sketch = LevelSketch(randomness)
-        if items[j]:
-            arr_i = np.asarray(items[j], dtype=np.int64)
-            arr_v = np.asarray(values[j], dtype=np.int64)
-            sketch.update_many(arr_i, arr_v)
-            uniq, inverse = np.unique(arr_i, return_inverse=True)
-            net = np.bincount(inverse, weights=arr_v).astype(np.int64)
-            bad = np.flatnonzero((net != 0) & (net != 1))
-            if bad.size:
-                raise StreamDataError(
-                    f"row {j}: item {int(uniq[bad[0]])} has net count {int(net[bad[0]])}"
-                )
-            sets.append(uniq[net == 1])
-        else:
-            sets.append(np.empty(0, dtype=np.int64))
-        sketches.append(sketch)
-    return BenchCorpus(randomness, sketches, sets)
+    return d, items, values
 
 
 def alpha_level(alpha: float, max_level: int) -> int:
-    """Sketch level whose tail sampling rate is closest to `alpha` from below.
+    """Level ceil(log2(1/alpha)) - 1 for a sampling rate alpha, clamped to [0, max_level].
 
-    Level k retains items with probability 2^-k, so alpha maps to
-    ceil(log2(1/alpha)) - 1, clamped to the valid range; the -1 keeps the
-    realized rate at or above the requested one.  alpha=1 maps to level 0,
-    which applies no subsampling at all.
+    The rate a report realizes depends on how it reads the level (rates
+    below are before clamping):
+
+    - deviation_report reads the tail of rows >= level, which keeps items
+      at rate 2^-level: twice the largest power of two at or below alpha,
+      so above alpha and at most 2*alpha.  alpha=1 gives level 0, which
+      applies no subsampling at all.
+    - scurve_report and timing_report read the single row `level`, which
+      keeps items at rate 2^-(level+1): the largest power of two at or
+      below alpha (1/2 for alpha=1).
     """
     if not (0.0 < alpha <= 1.0):
         raise ValueError(f"alpha must lie in (0, 1], got {alpha!r}")
@@ -512,7 +524,6 @@ def deviation_report(
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials!r}")
-    max_level = math.ceil(math.log2(d)) if d > 1 else 0
     params = jaccard(d)
     pairs: list[tuple[int, int, float]] = [
         (p.id_a, p.id_b, p.exact_similarity) for p in manifest
@@ -538,7 +549,7 @@ def deviation_report(
     needed = sorted({idx for a, b, _ in pairs for idx in (a, b)})
     rows: list[DeviationRow] = []
     for ci, (c_squared, alpha) in enumerate(grid):
-        level = alpha_level(alpha, max_level)
+        level = alpha_level(alpha, deepest_level(d))
         build_s = query_s = 0.0
         sum_high = sum_low = 0.0
         hits_high = hits_low = 0
@@ -548,8 +559,7 @@ def deviation_report(
             sketches: dict[int, LevelSketch] = {}
             for idx in needed:
                 sk = LevelSketch(randomness)
-                if sets[idx].size:
-                    sk.update_many(sets[idx], 1)
+                sk.update_many(sets[idx], 1)
                 sketches[idx] = sk
             build_s += time.perf_counter() - t0
             t0 = time.perf_counter()
@@ -621,13 +631,12 @@ def scurve_report(
         raise ValueError(f"trials must be positive, got {trials!r}")
     if not (0.0 < bin_width <= 1.0):
         raise ValueError(f"bin_width must lie in (0, 1], got {bin_width!r}")
-    max_level = math.ceil(math.log2(d)) if d > 1 else 0
     n_bins = math.ceil(1.0 / bin_width)
     out: list[ScurveRow] = []
     for gi, (r, l, alpha, c_squared) in enumerate(grid):
         if r < 1 or l < 1:
             raise ValueError(f"banding shape must be positive, got r={r} l={l}")
-        level = alpha_level(alpha, max_level)
+        level = alpha_level(alpha, deepest_level(d))
         hits = np.zeros(n_bins, dtype=np.int64)
         totals = np.zeros(n_bins, dtype=np.int64)
         for t in range(trials):
@@ -644,8 +653,7 @@ def scurve_report(
             def signature_of(idx: int) -> np.ndarray | None:
                 if idx not in signatures:
                     sk = LevelSketch(randomness)
-                    if sets[idx].size:
-                        sk.update_many(sets[idx], 1)
+                    sk.update_many(sets[idx], 1)
                     positions = np.flatnonzero(sk.buckets[level])
                     if positions.size:
                         signatures[idx] = minhash_positions(positions, specs).reshape(l, r)
@@ -724,15 +732,13 @@ def timing_report(
     The ratio is exact over sketch time, or None when fewer than two sets.
     """
     n = len(sets)
-    max_level = math.ceil(math.log2(d)) if d > 1 else 0
-    level = alpha_level(alpha, max_level)
+    level = alpha_level(alpha, deepest_level(d))
     randomness = SketchRandomness(d, c_squared, _child_seed(master_seed, _TAG_TIMING))
     t0 = time.perf_counter()
     patterns = np.zeros((n, c_squared), dtype=np.float32)
     for j, items in enumerate(sets):
         sk = LevelSketch(randomness)
-        if items.size:
-            sk.update_many(items, 1)
+        sk.update_many(items, 1)
         patterns[j] = sk.buckets[level] != 0
     build_s = time.perf_counter() - t0
 
@@ -767,141 +773,31 @@ def timing_report(
     )
 
 
-def _format_cell(value: object) -> str:
+def write_csv(
+    row_type: type,
+    rows: Iterable[object],
+    out: str | os.PathLike | IO[str],
+    params: Mapping[str, object] | None = None,
+    missing: str = "na",
+) -> None:
+    """Write dataclass rows as CSV under a header of row_type's field names.
+
+    With params, a '# key=value ...' echo line comes first so a report is
+    self-describing.  Floats are written as %.6f and None as `missing`.
+    """
+    names = [f.name for f in dataclasses.fields(row_type)]
+    with _opened(out, "w") as fh:
+        if params is not None:
+            fh.write("# " + " ".join(f"{k}={v}" for k, v in params.items()) + "\n")
+        writer = csv.writer(fh)
+        writer.writerow(names)
+        for row in rows:
+            writer.writerow([_format_cell(getattr(row, name), missing) for name in names])
+
+
+def _format_cell(value: object, missing: str) -> str:
     if value is None:
-        return "na"
+        return missing
     if isinstance(value, float):
         return f"{value:.6f}"
     return str(value)
-
-
-def _write_report(
-    out: str | os.PathLike | IO[str],
-    params: Mapping[str, object],
-    header: Sequence[str],
-    rows: Iterable[Sequence[object]],
-) -> None:
-    """Shared CSV shape: one '# key=value ...' echo line, header, data rows."""
-    if hasattr(out, "write"):
-        fh = out
-        close = False
-    else:
-        fh = open(out, "w", encoding="ascii", newline="")
-        close = True
-    try:
-        fh.write("# " + " ".join(f"{k}={v}" for k, v in params.items()) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_format_cell(v) for v in row])
-    finally:
-        if close:
-            fh.close()
-
-
-def write_deviation_csv(
-    rows: Sequence[DeviationRow], out: str | os.PathLike | IO[str], params: Mapping[str, object]
-) -> None:
-    _write_report(
-        out,
-        params,
-        [
-            "c_squared",
-            "alpha",
-            "level",
-            "trials",
-            "n_high",
-            "n_low",
-            "mean_dev_high",
-            "mean_dev_low",
-            "mean_dev_total",
-            "build_seconds",
-            "query_seconds",
-        ],
-        (
-            [
-                r.c_squared,
-                r.alpha,
-                r.level,
-                r.trials,
-                r.n_high,
-                r.n_low,
-                r.mean_dev_high,
-                r.mean_dev_low,
-                r.mean_dev_total,
-                r.build_seconds,
-                r.query_seconds,
-            ]
-            for r in rows
-        ),
-    )
-
-
-def write_scurve_csv(
-    rows: Sequence[ScurveRow], out: str | os.PathLike | IO[str], params: Mapping[str, object]
-) -> None:
-    _write_report(
-        out,
-        params,
-        [
-            "r",
-            "l",
-            "alpha",
-            "c_squared",
-            "level",
-            "bin_low",
-            "bin_high",
-            "n_pairs",
-            "empirical_probability",
-            "theoretical_probability",
-        ],
-        (
-            [
-                row.r,
-                row.l,
-                row.alpha,
-                row.c_squared,
-                row.level,
-                row.bin_low,
-                row.bin_high,
-                row.n_pairs,
-                row.empirical_probability,
-                row.theoretical_probability,
-            ]
-            for row in rows
-        ),
-    )
-
-
-def write_timing_csv(
-    rows: Sequence[TimingRow], out: str | os.PathLike | IO[str], params: Mapping[str, object]
-) -> None:
-    _write_report(
-        out,
-        params,
-        [
-            "c_squared",
-            "alpha",
-            "level",
-            "n",
-            "d",
-            "sketch_build_seconds",
-            "sketch_query_seconds",
-            "exact_query_seconds",
-            "speedup_ratio",
-        ],
-        (
-            [
-                r.c_squared,
-                r.alpha,
-                r.level,
-                r.n,
-                r.d,
-                r.sketch_build_seconds,
-                r.sketch_query_seconds,
-                r.exact_query_seconds,
-                r.speedup_ratio,
-            ]
-            for r in rows
-        ),
-    )

@@ -13,28 +13,29 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import IO, Iterator, Sequence
-from contextlib import contextmanager
+from typing import Sequence
 
 from .bench import (
     DEFAULT_GRID,
     DEFAULT_PLANTED_RANGES,
+    DeviationRow,
+    PlantedPair,
+    ScurveRow,
+    TimingRow,
     deviation_report,
     generate,
     generate_distribution,
     ingest,
     read_manifest,
+    read_sets,
     scurve_report,
     timing_report,
-    write_deviation_csv,
-    write_manifest,
-    write_scurve_csv,
+    write_csv,
     write_stream,
-    write_timing_csv,
 )
 from .distance import DistanceEstimator
 from .errors import GenerationError, StreamDataError, StreamParseError
-from .lsh import LshConfig, LshIndex, write_candidates_csv
+from .lsh import CandidatePair, LshConfig, LshIndex
 from .similarity import jaccard
 
 
@@ -76,20 +77,11 @@ def _parse_scurve_grid(text: str) -> tuple[tuple[int, int, float, int], ...]:
     return tuple(out)
 
 
-@contextmanager
-def _open_out(path: str | None) -> Iterator[IO[str]]:
-    if path is None:
-        yield sys.stdout
-    else:
-        with open(path, "w", encoding="ascii", newline="") as fh:
-            yield fh
-
-
 _ALPHA_HELP = (
     "per-item sampling rate in (0, 1]; mapped to sketch level "
-    "ceil(log2(1/alpha)) - 1 (clamped to the valid range), so the realized "
-    "rate 2^-level is the nearest power of two at or above alpha; 1 means "
-    "no subsampling"
+    "ceil(log2(1/alpha)) - 1 (clamped to the valid range), and the report "
+    "reads that single row, which keeps items at rate 2^-(level+1): the "
+    "largest power of two at or below alpha (1/2 for alpha 1)"
 )
 
 
@@ -110,7 +102,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     stream_path = args.out + ".stream"
     manifest_path = args.out + ".manifest.csv"
     updates = write_stream(corpus, stream_path, churn=args.churn, seed=args.seed)
-    write_manifest(corpus.manifest, manifest_path)
+    write_csv(PlantedPair, corpus.manifest, manifest_path)
     print(
         f"wrote {updates} updates for {corpus.n} rows over universe {corpus.d} "
         f"to {stream_path}; {len(corpus.manifest)} labeled pairs in {manifest_path}"
@@ -134,12 +126,12 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_deviation(args: argparse.Namespace) -> int:
-    corpus = ingest(args.stream, args.buckets, args.seed)
+    d, sets = read_sets(args.stream)
     manifest = read_manifest(args.manifest)
     rows = deviation_report(
-        corpus.sets,
+        sets,
         manifest,
-        corpus.d,
+        d,
         args.grid,
         trials=args.trials,
         split=args.split,
@@ -155,18 +147,17 @@ def _cmd_deviation(args: argparse.Namespace) -> int:
         "low_sample": args.low_sample,
         "seed": args.seed,
     }
-    with _open_out(args.out) as fh:
-        write_deviation_csv(rows, fh, params)
+    write_csv(DeviationRow, rows, args.out or sys.stdout, params)
     return 0
 
 
 def _cmd_scurve(args: argparse.Namespace) -> int:
-    corpus = ingest(args.stream, args.buckets, args.seed)
+    d, sets = read_sets(args.stream)
     manifest = read_manifest(args.manifest)
     rows = scurve_report(
-        corpus.sets,
+        sets,
         manifest,
-        corpus.d,
+        d,
         args.grid,
         trials=args.trials,
         bin_width=args.bin_width,
@@ -180,22 +171,20 @@ def _cmd_scurve(args: argparse.Namespace) -> int:
         "bin_width": args.bin_width,
         "seed": args.seed,
     }
-    with _open_out(args.out) as fh:
-        write_scurve_csv(rows, fh, params)
+    write_csv(ScurveRow, rows, args.out or sys.stdout, params)
     return 0
 
 
 def _cmd_timing(args: argparse.Namespace) -> int:
-    corpus = ingest(args.stream, args.buckets, args.seed)
-    row = timing_report(corpus.sets, corpus.d, args.buckets, args.alpha, args.seed)
+    d, sets = read_sets(args.stream)
+    row = timing_report(sets, d, args.buckets, args.alpha, args.seed)
     params = {
         "stream": args.stream,
         "buckets": args.buckets,
         "alpha": args.alpha,
         "seed": args.seed,
     }
-    with _open_out(args.out) as fh:
-        write_timing_csv([row], fh, params)
+    write_csv(TimingRow, [row], args.out or sys.stdout, params)
     return 0
 
 
@@ -216,8 +205,7 @@ def _cmd_lsh(args: argparse.Namespace) -> int:
     if args.threshold is not None:
         estimator = DistanceEstimator(jaccard(corpus.d), corpus.randomness)
         pairs = index.verify(pairs, estimator, args.threshold)
-    with _open_out(args.out) as fh:
-        write_candidates_csv(pairs, fh)
+    write_csv(CandidatePair, pairs, args.out or sys.stdout, missing="")
     print(f"{len(pairs)} candidate pairs", file=sys.stderr)
     return 0
 
@@ -272,12 +260,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("deviation", help="similarity-estimate deviation per (buckets, alpha)")
     p.add_argument("--stream", required=True)
     p.add_argument("--manifest", required=True)
-    p.add_argument("--buckets", type=int, default=256, help="row width for the ingest pass")
     p.add_argument(
         "--grid",
         type=_parse_deviation_grid,
         default=DEFAULT_GRID,
-        help="buckets:alpha combinations (default 128:0.05,256:0.025,512:0.01,1024:0.005)",
+        help="buckets:alpha combinations (default 128:0.05,256:0.025,512:0.01,1024:0.005); "
+        "each alpha reads the tail of rows from level ceil(log2(1/alpha)) - 1, "
+        "which keeps items at rate 2^-level",
     )
     p.add_argument("--trials", type=int, default=10, help="seed repetitions (default 10)")
     p.add_argument(
@@ -298,12 +287,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("scurve", help="empirical banding curve vs 1-(1-s^r)^l")
     p.add_argument("--stream", required=True)
     p.add_argument("--manifest", required=True)
-    p.add_argument("--buckets", type=int, default=256, help="row width for the ingest pass")
     p.add_argument(
         "--grid",
         type=_parse_scurve_grid,
         default=((10, 40, 0.005, 1024),),
-        help="r:l:alpha:buckets combinations (default 10:40:0.005:1024)",
+        help="r:l:alpha:buckets combinations (default 10:40:0.005:1024); each "
+        "alpha reads the single row ceil(log2(1/alpha)) - 1, which keeps items "
+        "at rate 2^-(level+1)",
     )
     p.add_argument("--trials", type=int, default=5, help="seed repetitions (default 5)")
     p.add_argument("--bin-width", type=float, default=0.05, help="similarity bin width")

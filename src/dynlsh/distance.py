@@ -3,8 +3,8 @@
 The rational distance 1 - S decomposes into a weighted sum of set sizes
 that are all recoverable from linear sketches: |A ^ B| is the number of
 nonzero entries of the difference sketch, |A | B| of the sum sketch, and
-exact cardinalities ride along in the sketches themselves.  For weights
-with x >= y,
+the exact cardinalities |A| and |B| ride along in the sketches themselves.
+For weights with x >= y,
 
     denominator = y*d + (x - y)*|A | B| + (z' - x)*|A ^ B|
 
@@ -12,17 +12,17 @@ and for x < y the complement sets take over:
 
     denominator = (y - x)*|~A | ~B| + x*d + (z' - y)*|A ^ B|
 
-(complement symmetric differences coincide with the original ones).  The
-distance is (z' - z)*|A ^ B| / denominator.  Estimates sharpen by taking
-the median over independently randomized sketch repetitions.
+where |~A | ~B| = d - |A & B| = d - (|A| + |B| - |A | B|) comes from the
+same two merges (complement symmetric differences coincide with the
+original ones).  The distance is (z' - z)*|A ^ B| / denominator, and a root
+similarity raises it to alpha.  Estimates sharpen by taking the median over
+independently randomized sketch repetitions.
 """
 
 from __future__ import annotations
 
 import statistics
 from typing import Callable, Sequence
-
-import numpy as np
 
 from .errors import ConfigMismatchError
 from .hashing import SketchRandomness
@@ -56,10 +56,10 @@ class DistanceEstimator:
     accept a single LevelSketch per side when repetitions == 1, or a
     sequence of sketches aligned with the randomness slots.
 
-    For weights with x < y the complement-set route needs the sketch of the
-    full universe; it is built once per randomness slot on first use and
-    cached.  Raw estimates are returned unclamped; only the additive
-    similarity path clamps (below at 0) for reporting.
+    Every estimate reads one sum and one difference sketch per slot,
+    whatever the weights.  Raw estimates are returned unclamped; only the
+    additive similarity path clamps (below at 0) for reporting, and the
+    root path clamps each shot at 0 before raising it to alpha.
     """
 
     def __init__(
@@ -84,7 +84,6 @@ class DistanceEstimator:
                     f"randomness universe {r.d} does not match params.d {base.d}"
                 )
         self.randomness = slots
-        self._all_ones: list[LevelSketch | None] = [None] * len(slots)
 
     @property
     def repetitions(self) -> int:
@@ -107,15 +106,7 @@ class DistanceEstimator:
                 raise ConfigMismatchError("sketch randomness does not match estimator slot")
         return sketches
 
-    def _ones(self, index: int) -> LevelSketch:
-        ones = self._all_ones[index]
-        if ones is None:
-            ones = LevelSketch(self.randomness[index])
-            ones.update_many(np.arange(ones.d, dtype=np.int64), 1)
-            self._all_ones[index] = ones
-        return ones
-
-    def _distance_once(self, a: LevelSketch, b: LevelSketch, index: int) -> float:
+    def _distance_once(self, a: LevelSketch, b: LevelSketch) -> float:
         # normalize weights by z' so scaled parameterizations reuse the
         # exact same float operations
         p = self._base()
@@ -123,14 +114,11 @@ class DistanceEstimator:
             return 0.0  # then x = y = z = 0: similarity is identically 1
         x, y, z = p.x / p.z_prime, p.y / p.z_prime, p.z / p.z_prime
         sym = l0_estimate(merge(a, b, -1))
+        union = l0_estimate(merge(a, b, 1))
         if x >= y:
-            union = l0_estimate(merge(a, b, 1))
             denom = y * p.d + (x - y) * union + (1.0 - x) * sym
         else:
-            ones = self._ones(index)
-            comp_union = l0_estimate(
-                merge(merge(ones, a, -1), merge(ones, b, -1), 1)
-            )
+            comp_union = p.d - (a.cardinality + b.cardinality - union)
             denom = (y - x) * comp_union + x * p.d + (1.0 - y) * sym
         if denom <= 0.0:
             return 0.0  # vanishing denominator means similarity 1
@@ -140,12 +128,16 @@ class DistanceEstimator:
         self,
         a: LevelSketch | Sequence[LevelSketch],
         b: LevelSketch | Sequence[LevelSketch],
+        alpha: float | None = None,
     ) -> float:
         sa = self._slots(a)
         sb = self._slots(b)
-        return median_amplify(
-            lambda i: self._distance_once(sa[i], sb[i], i), self.repetitions
-        )
+
+        def shot(i: int) -> float:
+            dist = self._distance_once(sa[i], sb[i])
+            return dist if alpha is None else max(dist, 0.0) ** alpha
+
+        return median_amplify(shot, self.repetitions)
 
     def estimate_distance(
         self,
@@ -175,9 +167,8 @@ class DistanceEstimator:
     ) -> float:
         """Estimate (1 - S(A, B))^alpha for a root similarity.
 
-        The denominator uses the intersection form
-        y*d + (x - z')*|A & B| + (z' - y)*|A | B| with |A & B| recovered
-        from the exact cardinalities as |A| + |B| - est(|A | B|).
+        Each slot's shot is the rational distance estimate, clamped below
+        at 0 and raised to alpha; the median is taken over the shots.
         """
         if not isinstance(self.params, RootSimilarity):
             raise ValueError("estimate_root_distance needs RootSimilarity params")
@@ -185,25 +176,7 @@ class DistanceEstimator:
             raise ValueError(
                 "root similarity is not LSH-able (need z' >= ((alpha+1)/2)*max(x, y))"
             )
-        alpha = self.params.alpha
-        p = self._base()
-        sa = self._slots(a)
-        sb = self._slots(b)
-
-        def shot(i: int) -> float:
-            if p.z_prime == 0.0:
-                return 0.0
-            x, y, z = p.x / p.z_prime, p.y / p.z_prime, p.z / p.z_prime
-            sym = l0_estimate(merge(sa[i], sb[i], -1))
-            union = l0_estimate(merge(sa[i], sb[i], 1))
-            inter = sa[i].cardinality + sb[i].cardinality - union
-            denom = y * p.d + (x - 1.0) * inter + (1.0 - y) * union
-            if denom <= 0.0:
-                return 0.0
-            base = (1.0 - z) * sym / denom
-            return max(base, 0.0) ** alpha  # noise below 0 would break the root
-
-        return median_amplify(shot, self.repetitions)
+        return self._distance_median(a, b, self.params.alpha)
 
     def estimate_similarity_additive(
         self,

@@ -7,7 +7,6 @@ identical sketches bit for bit across runs and processes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -151,6 +150,15 @@ def random_hash_spec(rng: np.random.Generator, output_bits: int) -> HashSpec:
     return HashSpec(a, b, output_bits)
 
 
+def deepest_level(d: int) -> int:
+    """Deepest sketch level over universe [0, d): ceil(log2 d), 0 when d == 1.
+
+    Integer arithmetic keeps it exact at every d; the float log2 rounds
+    2^k + 1 down to k for k >= 49.
+    """
+    return (d - 1).bit_length()
+
+
 def _derived_rng(master_seed: int, spawn_key: tuple[int, ...]) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=spawn_key))
 
@@ -188,7 +196,7 @@ class SketchRandomness:
         self.d = d
         self.c_squared = c_squared
         self.master_seed = master_seed
-        self.max_level = math.ceil(math.log2(d)) if d > 1 else 0
+        self.max_level = deepest_level(d)
         self.num_levels = self.max_level + 1
         self.bucket_bits = c_squared.bit_length() - 1
         rng = _derived_rng(master_seed, (_TAG_LEVEL,))

@@ -13,17 +13,16 @@ distance estimate.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import IO, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .distance import DistanceEstimator
 from .errors import ConfigMismatchError
-from .hashing import SketchRandomness, minhash_positions, random_hash_spec
+from .hashing import SketchRandomness, deepest_level, minhash_positions, random_hash_spec
 from .sketch import LevelSketch
 
 DEFAULT_PAIR_CAP = 10_000
@@ -105,7 +104,7 @@ def level_grid(r1: float, d: int) -> tuple[int, ...]:
     """
     if not (0.0 < r1 < 1.0):
         raise ValueError(f"r1 must lie in (0, 1), got {r1!r}")
-    max_level = math.ceil(math.log2(d)) if d > 1 else 0
+    max_level = deepest_level(d)
     step = math.log2(1.0 / r1)
     if step < 1.0:
         return tuple(range(max_level + 1))
@@ -341,18 +340,3 @@ def minhash_pair_collides(
     sig_b = minhash_positions(np.intersect1d(union, b_items), specs).reshape(l, r)
     return bool(np.any(np.all(sig_a == sig_b, axis=1)))
 
-
-def write_candidates_csv(pairs: Iterable[CandidatePair], out: IO[str]) -> None:
-    """Emit the stable candidate schema: id_a,id_b,level,repetition,verified_distance."""
-    writer = csv.writer(out)
-    writer.writerow(["id_a", "id_b", "level", "repetition", "verified_distance"])
-    for p in pairs:
-        writer.writerow(
-            [
-                p.id_a,
-                p.id_b,
-                p.level,
-                p.repetition,
-                "" if p.verified_distance is None else f"{p.verified_distance:.6f}",
-            ]
-        )

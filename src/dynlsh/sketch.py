@@ -14,56 +14,20 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from .errors import ConfigMismatchError, CounterOverflowError, ItemRangeError
-from .hashing import SketchRandomness
+from .hashing import SketchRandomness, deepest_level
 from .similarity import RationalSimilarity
 
-_INT64_MAX = np.iinfo(np.int64).max
 # merge precheck bound: values this large cannot arise from counting real
 # streams, and refusing them keeps entrywise addition overflow-free
 _MERGE_GUARD = 1 << 62
 
 _WIRE_VERSION = 1
 _HEADER = struct.Struct("<BQQQq")  # version, d, c_squared, num_levels, s
-
-
-@dataclass(frozen=True)
-class SketchConfig:
-    """Sizing knobs for a sketch family.
-
-    c_squared is the bucket-row width (power of two); epsilon, delta and r1
-    are the accuracy, failure probability, and similarity threshold the
-    family is sized for.  They do not change sketch contents, only which
-    levels downstream consumers probe.
-    """
-
-    d: int
-    c_squared: int = 256
-    epsilon: float = 0.5
-    delta: float = 0.1
-    r1: float = 0.5
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.d, int) or self.d < 1:
-            raise ValueError(f"universe size d must be a positive integer, got {self.d!r}")
-        if (
-            not isinstance(self.c_squared, int)
-            or self.c_squared < 2
-            or self.c_squared & (self.c_squared - 1)
-        ):
-            raise ValueError(f"c_squared must be a power of two >= 2, got {self.c_squared!r}")
-        for name in ("epsilon", "delta", "r1"):
-            v = getattr(self, name)
-            if not (0.0 < v < 1.0):
-                raise ValueError(f"{name} must lie in (0, 1), got {v!r}")
-
-    def randomness(self, master_seed: int) -> SketchRandomness:
-        return SketchRandomness(self.d, self.c_squared, master_seed)
 
 
 class LevelSketch:
@@ -121,6 +85,8 @@ class LevelSketch:
 
     def update(self, item: int, value: int) -> None:
         """Apply one signed update: value +1 inserts item, -1 deletes it."""
+        if not isinstance(item, (int, np.integer)) or not isinstance(value, (int, np.integer)):
+            raise TypeError(f"item and value must be integers, got {item!r} and {value!r}")
         if value not in (1, -1):
             raise ValueError(f"update value must be +1 or -1, got {value!r}")
         if not (0 <= item < self.randomness.d):
@@ -134,13 +100,20 @@ class LevelSketch:
 
         values is a scalar +1/-1 applied to every item, or an array of
         +1/-1 aligned with items.  Equivalent to calling update in a loop.
+        Items and values of a non-integer dtype raise TypeError.
         """
-        arr = np.asarray(items, dtype=np.int64)
+        arr = np.asarray(items)
         if arr.size == 0:
             return
+        vals = np.asarray(values)
+        if arr.dtype.kind not in "iu" or vals.dtype.kind not in "iu":
+            raise TypeError(
+                f"items and values must have an integer dtype, got {arr.dtype} and {vals.dtype}"
+            )
+        arr = arr.astype(np.int64, copy=False)
         if arr.min() < 0 or arr.max() >= self.randomness.d:
             raise ItemRangeError(f"items outside universe [0, {self.randomness.d})")
-        vals = np.broadcast_to(np.asarray(values, dtype=np.int64), arr.shape)
+        vals = np.broadcast_to(vals.astype(np.int64, copy=False), arr.shape)
         if not np.isin(vals, (1, -1)).all():
             raise ValueError("update values must be +1 or -1")
         rnd = self.randomness
@@ -294,10 +267,9 @@ def sample_level(
         if top == 0.0:
             raise ValueError("all-zero similarity weights admit no sampling level")
         arg = (epsilon / 5.0) ** 2 * delta * r * size_hint / top
-    max_level = math.ceil(math.log2(params.d)) if params.d > 1 else 0
     if arg < 1.0:
         return 0
-    return min(int(math.floor(math.log2(arg))), max_level)
+    return min(int(math.floor(math.log2(arg))), deepest_level(params.d))
 
 
 def lsb_sampling_level(level: int, max_level: int) -> int:
@@ -358,6 +330,8 @@ def sketch_from_bytes(data: bytes, randomness: SketchRandomness) -> LevelSketch:
     payload = data[8 : 8 + length]
     if len(payload) != length:
         raise ValueError("truncated sketch: payload shorter than prefix")
+    if len(data) != 8 + length:
+        raise ValueError(f"{len(data) - 8 - length} bytes after the declared payload")
     if length < _HEADER.size:
         raise ValueError("truncated sketch: payload shorter than header")
     version, d, c2, num_levels, cardinality = _HEADER.unpack_from(payload, 0)

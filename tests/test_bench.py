@@ -10,9 +10,12 @@ from numpy.testing import assert_allclose
 from dynlsh import (
     DEFAULT_PLANTED_RANGES,
     GenerationError,
+    DeviationRow,
     PlantedPair,
+    ScurveRow,
     StreamDataError,
     StreamParseError,
+    TimingRow,
     alpha_level,
     deviation_report,
     flip_probabilities,
@@ -21,13 +24,11 @@ from dynlsh import (
     ingest,
     planted_partner,
     read_manifest,
+    read_sets,
     scurve_report,
     timing_report,
-    write_deviation_csv,
-    write_manifest,
-    write_scurve_csv,
+    write_csv,
     write_stream,
-    write_timing_csv,
 )
 
 
@@ -167,6 +168,20 @@ class TestStreamRoundTrip:
         assert all(x == y for x, y in zip(a.sketches, b.sketches))
         assert all(np.array_equal(x, y) for x, y in zip(a.sets, b.sets))
 
+    def test_read_sets_equals_ingest_sets(self):
+        corpus = generate(40, 2000, (0.02, 0.06), DEFAULT_PLANTED_RANGES[:2], every=10, seed=77003)
+        buf = io.StringIO()
+        write_stream(corpus, buf, churn=0.5, seed=77003)
+        buf.seek(0)
+        d, sets = read_sets(buf)
+        buf.seek(0)
+        back = ingest(buf, 64, 77003)
+        assert d == back.d == 2000
+        assert len(sets) == back.n
+        assert all(np.array_equal(x, y) for x, y in zip(sets, back.sets))
+        with pytest.raises(StreamDataError):
+            read_sets(io.StringIO("1 10\n0 3 -1\n"))
+
     def test_negative_churn_rejected(self):
         corpus = generate(5, 100, (0.05, 0.1), (), seed=8)
         with pytest.raises(GenerationError):
@@ -177,7 +192,7 @@ class TestManifestFile:
     def test_round_trip_preserves_ids_and_values(self):
         corpus = generate(400, 2000, (0.02, 0.05), DEFAULT_PLANTED_RANGES, every=40, seed=9)
         buf = io.StringIO()
-        write_manifest(corpus.manifest, buf)
+        write_csv(PlantedPair, corpus.manifest, buf)
         buf.seek(0)
         back = read_manifest(buf)
         assert len(back) == len(corpus.manifest)
@@ -389,7 +404,7 @@ class TestReportCsv:
         rows = deviation_report(sets, manifest, 2000, [(64, 1.0)], trials=1,
                                 low_sample=0, master_seed=1)
         buf = io.StringIO()
-        write_deviation_csv(rows, buf, {"stream": "demo", "seed": 1})
+        write_csv(DeviationRow, rows, buf, {"stream": "demo", "seed": 1})
         lines = buf.getvalue().splitlines()
         assert lines[0] == "# stream=demo seed=1"
         assert lines[1] == (
@@ -408,7 +423,7 @@ class TestReportCsv:
             1000, [(1, 1, 1.0, 64)], trials=1, master_seed=2,
         )
         buf = io.StringIO()
-        write_scurve_csv(rows, buf, {"trials": 1})
+        write_csv(ScurveRow, rows, buf, {"trials": 1})
         lines = buf.getvalue().splitlines()
         assert lines[0] == "# trials=1"
         assert lines[1] == (
@@ -420,7 +435,7 @@ class TestReportCsv:
     def test_timing_csv_uses_na_for_missing_ratio(self):
         row = timing_report([np.arange(64)], 1000, 64, 0.05, master_seed=7)
         buf = io.StringIO()
-        write_timing_csv([row], buf, {"n": 1})
+        write_csv(TimingRow, [row], buf, {"n": 1})
         lines = buf.getvalue().splitlines()
         assert lines[1] == (
             "c_squared,alpha,level,n,d,sketch_build_seconds,"
@@ -431,5 +446,5 @@ class TestReportCsv:
     def test_writers_accept_paths(self, tmp_path):
         row = timing_report([np.arange(64)], 1000, 64, 0.05, master_seed=8)
         target = tmp_path / "timing.csv"
-        write_timing_csv([row], target, {"x": "y"})
+        write_csv(TimingRow, [row], target, {"x": "y"})
         assert target.read_text().startswith("# x=y\n")

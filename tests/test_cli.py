@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dynlsh import PlantedPair, read_manifest, write_manifest
+from dynlsh import PlantedPair, read_manifest, write_csv
 from dynlsh.cli import main
 
 
@@ -26,7 +26,7 @@ def tiny_stream(tmp_path):
 @pytest.fixture
 def tiny_manifest(tmp_path):
     path = tmp_path / "tiny.manifest.csv"
-    write_manifest([PlantedPair(0, 1, 0.9, 1.0, 1.0)], path)
+    write_csv(PlantedPair, [PlantedPair(0, 1, 0.9, 1.0, 1.0)], path)
     return path
 
 
@@ -200,13 +200,20 @@ class TestParser:
             run(["ingest", "--stream", tiny_stream, "--seed", -1])
 
     def test_module_entry_point(self, tiny_stream):
+        import os
         import subprocess
         import sys
 
+        import dynlsh
+
+        # the child imports the same dynlsh as this process, installed or not
+        src = os.path.dirname(os.path.dirname(dynlsh.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "dynlsh", "ingest", "--stream", str(tiny_stream)],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("ingested 3 rows")

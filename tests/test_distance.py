@@ -1,5 +1,7 @@
 """Distance estimation from sketches: median amplification and accuracy."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -191,6 +193,21 @@ class TestEstimateDistance:
                                           [build(r, B) for r in slots])
             hits += abs(value - exact) <= 0.5 * exact + 0.02
         assert hits == 40
+
+    def test_complement_route_memory_does_not_grow_with_d(self):
+        """The x < y route reads only the two sketches, never the universe."""
+        d = 2**22
+        slots = make_slots(d, 64, 74800, repetitions=3)
+        est = DistanceEstimator(RationalSimilarity(0.0, 1.0, 0.0, 1.0, d), slots)
+        a = [build(r, [1, 2, 3]) for r in slots]
+        b = [build(r, [3, 4]) for r in slots]
+        tracemalloc.start()
+        try:
+            est.estimate_distance(a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestRootDistance:

@@ -223,6 +223,9 @@ class TestSketchRandomness:
         assert len(rnd.bucket_specs) == 11
         assert all(s.output_bits == 8 for s in rnd.bucket_specs)
         assert rnd.level_spec.output_bits == 64
+        # ceil(log2 d) exactly, also where float log2 rounds 2^49 + 1 down to 49
+        for d, deepest in ((1, 0), (2, 1), (1024, 10), (1025, 11), (2**49 + 1, 50)):
+            assert SketchRandomness(d, 2, 0).max_level == deepest
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -20,7 +20,7 @@ from dynlsh import (
     level_grid,
     minhash_pair_collides,
     sensitivity_report,
-    write_candidates_csv,
+    write_csv,
 )
 
 
@@ -342,12 +342,14 @@ class TestUncompressedBanding:
 class TestCandidateCsv:
     def test_schema_and_formatting(self):
         out = io.StringIO()
-        write_candidates_csv(
+        write_csv(
+            CandidatePair,
             [
                 CandidatePair("a", "b", 3, 1, verified_distance=0.25),
                 CandidatePair(4, 9, 0, 0),
             ],
             out,
+            missing="",
         )
         assert out.getvalue().splitlines() == [
             "id_a,id_b,level,repetition,verified_distance",

@@ -12,7 +12,6 @@ from dynlsh import (
     ItemRangeError,
     LevelSketch,
     RationalSimilarity,
-    SketchConfig,
     SketchRandomness,
     anderberg,
     hamming,
@@ -112,6 +111,25 @@ class TestUpdates:
             sk.update_many([0, 2048], 1)
         with pytest.raises(ValueError):
             sk.update_many([0, 1], np.asarray([1, 3]))
+
+    def test_non_integer_items_rejected(self, randomness):
+        sk = LevelSketch(randomness)
+        with pytest.raises(TypeError):
+            sk.update_many([3.7, 5.2])
+        with pytest.raises(TypeError):
+            sk.update(3.0, 1)
+        assert sk == LevelSketch(randomness)
+
+    def test_non_integer_values_rejected(self, randomness):
+        sk = LevelSketch(randomness)
+        with pytest.raises(TypeError):
+            sk.update_many([3, 5], 1.5)
+        with pytest.raises(TypeError):
+            sk.update_many([3, 5], np.asarray([1.0, -1.0]))
+        with pytest.raises(TypeError):
+            sk.update(3, 1.0)
+        assert sk == LevelSketch(randomness)
+        sk.update_many([], 1.5)  # an empty batch returns before any check
 
     def test_nonzero_mass_bounded_by_set_size(self, randomness):
         rng = np.random.default_rng(73102)
@@ -229,21 +247,6 @@ class TestObjectProtocol:
         other = SketchRandomness(1024, 64, 43)
         assert LevelSketch(randomness) != LevelSketch(other)
 
-    def test_config_validation_and_randomness_factory(self):
-        cfg = SketchConfig(d=512, c_squared=128)
-        rnd = cfg.randomness(7)
-        assert (rnd.d, rnd.c_squared, rnd.master_seed) == (512, 128, 7)
-        with pytest.raises(ValueError):
-            SketchConfig(d=0)
-        with pytest.raises(ValueError):
-            SketchConfig(d=16, c_squared=48)
-        with pytest.raises(ValueError):
-            SketchConfig(d=16, epsilon=1.0)
-        with pytest.raises(ValueError):
-            SketchConfig(d=16, delta=0.0)
-        with pytest.raises(ValueError):
-            SketchConfig(d=16, r1=1.5)
-
 
 class TestSerialization:
     def test_round_trip_is_bit_exact(self, randomness):
@@ -267,6 +270,11 @@ class TestSerialization:
         data = sketch_to_bytes(build(randomness, [1]))
         with pytest.raises(ValueError, match="truncated"):
             sketch_from_bytes(data[:-4], randomness)
+
+    def test_trailing_bytes_rejected(self, randomness):
+        data = sketch_to_bytes(build(randomness, [1]))
+        with pytest.raises(ValueError, match="after the declared payload"):
+            sketch_from_bytes(data + b"junk", randomness)
 
     def test_unknown_version_rejected(self, randomness):
         data = bytearray(sketch_to_bytes(build(randomness, [1])))
