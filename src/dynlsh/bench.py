@@ -783,12 +783,13 @@ def write_csv(
     """Write dataclass rows as CSV under a header of row_type's field names.
 
     With params, a '# key=value ...' echo line comes first so a report is
-    self-describing.  Floats are written as %.6f and None as `missing`.
+    self-describing.  Every line, the echo line included, ends in CRLF as
+    csv.writer rows do.  Floats are written as %.6f and None as `missing`.
     """
     names = [f.name for f in dataclasses.fields(row_type)]
     with _opened(out, "w") as fh:
         if params is not None:
-            fh.write("# " + " ".join(f"{k}={v}" for k, v in params.items()) + "\n")
+            fh.write("# " + " ".join(f"{k}={v}" for k, v in params.items()) + "\r\n")
         writer = csv.writer(fh)
         writer.writerow(names)
         for row in rows:

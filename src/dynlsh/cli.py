@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import dataclass
 from typing import Sequence
 
 from .bench import (
@@ -110,6 +111,14 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
+@dataclass(frozen=True)
+class CardinalityRow:
+    """One row of the ingest --out table: row index and net cardinality."""
+
+    row: int
+    cardinality: int
+
+
 def _cmd_ingest(args: argparse.Namespace) -> int:
     corpus = ingest(args.stream, args.buckets, args.seed)
     cards = [sk.cardinality for sk in corpus.sketches]
@@ -117,11 +126,9 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     hi = max(cards) if cards else 0
     print(f"ingested {corpus.n} rows over universe {corpus.d}; cardinality range [{lo}, {hi}]")
     if args.out is not None:
-        with open(args.out, "w", encoding="ascii", newline="") as fh:
-            fh.write(f"# stream={args.stream} buckets={args.buckets} seed={args.seed}\n")
-            fh.write("row,cardinality\n")
-            for j, c in enumerate(cards):
-                fh.write(f"{j},{c}\n")
+        params = {"stream": args.stream, "buckets": args.buckets, "seed": args.seed}
+        rows = [CardinalityRow(j, c) for j, c in enumerate(cards)]
+        write_csv(CardinalityRow, rows, args.out, params)
     return 0
 
 

@@ -183,6 +183,8 @@ class SketchRandomness:
         "bucket_bits",
         "level_spec",
         "bucket_specs",
+        "_bucket_a",
+        "_bucket_b",
         "_minhash_cache",
     )
 
@@ -211,6 +213,8 @@ class SketchRandomness:
         self.bucket_specs = tuple(
             random_hash_spec(rng, self.bucket_bits) for _ in range(self.num_levels)
         )
+        self._bucket_a = np.array([s.a for s in self.bucket_specs], dtype=np.uint64)
+        self._bucket_b = np.array([s.b for s in self.bucket_specs], dtype=np.uint64)
         self._minhash_cache: dict[tuple[int, int, int], HashSpec] = {}
 
     def __repr__(self) -> str:
@@ -245,11 +249,8 @@ class SketchRandomness:
         k = lsb_array(h, WORD_BITS)
         return np.minimum(k, self.max_level)
 
-    def level_of(self, item: int) -> int:
-        return int(self.levels_of(np.asarray([item], dtype=np.uint64))[0])
-
-    def buckets_of(self, level: int, items: np.ndarray) -> np.ndarray:
-        """Bucket index per item for one level's row.
+    def buckets_of(self, levels: int | np.ndarray, items: np.ndarray) -> np.ndarray:
+        """Bucket index per item in its row; levels is one level or one per item.
 
         Items reaching a level agree on the low bits of the level hash,
         which makes them an arithmetic progression with power-of-two
@@ -257,10 +258,9 @@ class SketchRandomness:
         taking the high bits, otherwise resonant multipliers would crowd
         whole rows into a few buckets.
         """
-        return mixed_hash_array(self.bucket_specs[level], items)
-
-    def bucket_of(self, level: int, item: int) -> int:
-        return int(self.buckets_of(level, np.asarray([item], dtype=np.uint64))[0])
+        keys = np.asarray(items, dtype=np.uint64)
+        mixed = mix64(keys * self._bucket_a[levels] + self._bucket_b[levels])
+        return mixed >> np.uint64(WORD_BITS - self.bucket_bits)
 
     def minhash_spec(self, level: int, repetition: int, band: int) -> HashSpec:
         """Signature seed for one (level, repetition, band) slot, cached.

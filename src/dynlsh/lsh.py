@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from itertools import combinations, islice
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -48,7 +49,6 @@ class LshConfig:
     delta: float = 0.1
     bands_r: int = 1
     repetitions_l: int = 1
-    verify_threshold: float | None = None
     sampling_p: float | None = None
 
     def __post_init__(self) -> None:
@@ -204,17 +204,13 @@ class LshIndex:
         self._sketches[set_id] = sketch
 
     def _remove(self, set_id: SetId) -> None:
-        for level, repetition, sig in self._postings.pop(set_id, ()):
-            table = self._tables.get((level, repetition))
-            if table is None:
-                continue
-            ids = table.get(sig)
-            if ids is None:
-                continue
+        for level, repetition, sig in self._postings.pop(set_id):
+            table = self._tables[(level, repetition)]
+            ids = table[sig]
             ids.remove(set_id)
             if not ids:
                 del table[sig]
-        self._sketches.pop(set_id, None)
+        del self._sketches[set_id]
 
     def candidates(self) -> list[CandidatePair]:
         """All distinct pairs sharing a signature in some table.
@@ -242,17 +238,8 @@ class LshIndex:
                         RuntimeWarning,
                         stacklevel=2,
                     )
-                emitted = 0
-                for i in range(len(members)):
-                    if emitted >= self.pair_cap:
-                        break
-                    for j in range(i + 1, len(members)):
-                        if emitted >= self.pair_cap:
-                            break
-                        emitted += 1
-                        key = (members[i], members[j])
-                        if key in seen:
-                            continue
+                for key in islice(combinations(members, 2), self.pair_cap):
+                    if key not in seen:
                         seen.add(key)
                         out.append(CandidatePair(key[0], key[1], level, repetition))
         return out

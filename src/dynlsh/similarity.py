@@ -108,7 +108,7 @@ def pair_counts(params: RationalSimilarity, a: ItemSet, b: ItemSet) -> tuple[int
     return inter, sym, comp
 
 
-def _similarity_from_counts(params: RationalSimilarity, inter: int, sym: int, comp: int) -> float:
+def _similarity_from_counts(params: RationalSimilarity, inter: int, sym: int, comp: float) -> float:
     num = params.x * inter + params.y * comp + params.z * sym
     den = params.x * inter + params.y * comp + params.z_prime * sym
     if den == 0.0:

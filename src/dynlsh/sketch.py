@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigMismatchError, CounterOverflowError, ItemRangeError
 from .hashing import SketchRandomness, deepest_level
-from .similarity import RationalSimilarity
+from .similarity import RationalSimilarity, _similarity_from_counts
 
 # merge precheck bound: values this large cannot arise from counting real
 # streams, and refusing them keeps entrywise addition overflow-free
@@ -84,23 +84,19 @@ class LevelSketch:
         raise TypeError("LevelSketch is mutable and unhashable")
 
     def update(self, item: int, value: int) -> None:
-        """Apply one signed update: value +1 inserts item, -1 deletes it."""
+        """Apply one signed update, +1 inserts and -1 deletes; a one-item update_many."""
         if not isinstance(item, (int, np.integer)) or not isinstance(value, (int, np.integer)):
             raise TypeError(f"item and value must be integers, got {item!r} and {value!r}")
-        if value not in (1, -1):
-            raise ValueError(f"update value must be +1 or -1, got {value!r}")
-        if not (0 <= item < self.randomness.d):
-            raise ItemRangeError(f"item {item} outside universe [0, {self.randomness.d})")
-        k = self.randomness.level_of(item)
-        self._buckets[k, self.randomness.bucket_of(k, item)] += value
-        self._cardinality += value
+        self.update_many([item], value)
 
     def update_many(self, items: Iterable[int], values: int | np.ndarray = 1) -> None:
         """Apply a batch of signed updates in one vectorized pass.
 
         values is a scalar +1/-1 applied to every item, or an array of
-        +1/-1 aligned with items.  Equivalent to calling update in a loop.
-        Items and values of a non-integer dtype raise TypeError.
+        +1/-1 aligned with items.  Each item is hashed once, to level
+        k = lsb(h(i)) and bucket h_k(i), and one np.add.at adds every value
+        to its counter.  Non-integer dtypes raise TypeError; a rejected
+        batch leaves the sketch untouched.
         """
         arr = np.asarray(items)
         if arr.size == 0:
@@ -114,17 +110,13 @@ class LevelSketch:
         if arr.min() < 0 or arr.max() >= self.randomness.d:
             raise ItemRangeError(f"items outside universe [0, {self.randomness.d})")
         vals = np.broadcast_to(vals.astype(np.int64, copy=False), arr.shape)
-        if not np.isin(vals, (1, -1)).all():
+        if not (np.abs(vals) == 1).all():
             raise ValueError("update values must be +1 or -1")
         rnd = self.randomness
         keys = arr.astype(np.uint64)
-        ks = rnd.levels_of(keys)
-        flat = np.empty(arr.shape, dtype=np.int64)
-        for k in np.unique(ks):
-            mask = ks == k
-            flat[mask] = int(k) * rnd.c_squared + rnd.buckets_of(int(k), keys[mask]).astype(np.int64)
-        counts = np.bincount(flat, weights=vals.astype(np.float64), minlength=self._buckets.size)
-        self._buckets += counts.astype(np.int64).reshape(self._buckets.shape)
+        levels = rnd.levels_of(keys)
+        flat = levels * rnd.c_squared + rnd.buckets_of(levels, keys).astype(np.int64)
+        np.add.at(self._buckets.reshape(-1), flat, vals)
         self._cardinality += int(vals.sum())
 
 
@@ -148,25 +140,20 @@ def merge(a: LevelSketch, b: LevelSketch, sign: int = 1) -> LevelSketch:
     return out
 
 
-def _pattern_counts(
-    rows_a: np.ndarray, rows_b: np.ndarray
-) -> tuple[int, int]:
-    na = rows_a != 0
-    nb = rows_b != 0
+def _similarity_on_rows(
+    a: LevelSketch, b: LevelSketch, level: int, rows: slice, universe: float,
+    params: RationalSimilarity,
+) -> float:
+    """Similarity of the nonzero patterns of buckets[rows], universe standing in for d."""
+    if a.randomness != b.randomness:
+        raise ConfigMismatchError("sketches must share randomness")
+    if not (0 <= level < a.randomness.num_levels):
+        raise ValueError(f"level {level} outside [0, {a.randomness.num_levels})")
+    na = a.buckets[rows] != 0
+    nb = b.buckets[rows] != 0
     inter = int(np.count_nonzero(na & nb))
     sym = int(np.count_nonzero(na ^ nb))
-    return inter, sym
-
-
-def _similarity_on_counts(
-    params: RationalSimilarity, inter: int, sym: int, universe: float
-) -> float:
-    comp = max(universe - inter - sym, 0.0)
-    num = params.x * inter + params.y * comp + params.z * sym
-    den = params.x * inter + params.y * comp + params.z_prime * sym
-    if den <= 0.0:
-        return 1.0
-    return num / den
+    return _similarity_from_counts(params, inter, sym, max(universe - inter - sym, 0.0))
 
 
 def similarity_at_level(
@@ -178,13 +165,8 @@ def similarity_at_level(
     (the expected row population) for the universe size in the
     complement term.  Result is always in [0, 1].
     """
-    if a.randomness != b.randomness:
-        raise ConfigMismatchError("sketches must share randomness")
-    if not (0 <= level < a.randomness.num_levels):
-        raise ValueError(f"level {level} outside [0, {a.randomness.num_levels})")
-    inter, sym = _pattern_counts(a.buckets[level], b.buckets[level])
     universe = a.randomness.d * 2.0 ** -(level + 1)
-    return _similarity_on_counts(params, inter, sym, universe)
+    return _similarity_on_rows(a, b, level, slice(level, level + 1), universe, params)
 
 
 def similarity_from_level(
@@ -196,13 +178,8 @@ def similarity_from_level(
     universe substitute is d * 2^-level; level 0 therefore compares the
     complete (collision-compressed) sets with no subsampling at all.
     """
-    if a.randomness != b.randomness:
-        raise ConfigMismatchError("sketches must share randomness")
-    if not (0 <= level < a.randomness.num_levels):
-        raise ValueError(f"level {level} outside [0, {a.randomness.num_levels})")
-    inter, sym = _pattern_counts(a.buckets[level:], b.buckets[level:])
     universe = a.randomness.d * 2.0 ** -level
-    return _similarity_on_counts(params, inter, sym, universe)
+    return _similarity_on_rows(a, b, level, slice(level, None), universe, params)
 
 
 _KNOWN_LEVEL_RULES: tuple[tuple[tuple[float, float, float, float], str], ...] = (

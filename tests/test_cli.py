@@ -87,6 +87,20 @@ class TestIngest:
         assert lines[1] == "row,cardinality"
         assert lines[2:] == ["0,10", "1,10", "2,10"]
 
+    def test_csv_lines_all_end_in_crlf(self, tiny_stream, tiny_manifest, tmp_path):
+        cards, dev = tmp_path / "cards.csv", tmp_path / "dev.csv"
+        assert run(["ingest", "--stream", tiny_stream, "--out", cards]) == 0
+        assert run(["deviation", "--stream", tiny_stream, "--manifest", tiny_manifest,
+                    "--grid", "64:1.0", "--trials", 1, "--low-sample", 1,
+                    "--out", dev]) == 0
+        for target in (cards, dev):
+            data = target.read_bytes()
+            assert data.startswith(b"# stream=")
+            lines = data.split(b"\n")
+            assert lines.pop() == b""
+            assert len(lines) >= 3
+            assert all(line.endswith(b"\r") for line in lines)
+
     def test_malformed_stream_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.stream"
         bad.write_text("1 10\n0 99 1\n")

@@ -254,6 +254,17 @@ class TestSketchRandomness:
             assert b.min() >= 0
             assert b.max() < 64
 
+    def test_per_item_levels_match_each_rows_mixed_hash(self):
+        rnd = SketchRandomness(2**14, 256, 72003)
+        rng = np.random.default_rng(72003)
+        items = rng.integers(0, 2**14, size=5000)
+        levels = rng.integers(0, rnd.num_levels, size=items.size)
+        got = rnd.buckets_of(levels, items)
+        for k in range(rnd.num_levels):
+            rows = levels == k
+            assert_array_equal(got[rows], mixed_hash_array(rnd.bucket_specs[k], items[rows]))
+            assert_array_equal(rnd.buckets_of(k, items), mixed_hash_array(rnd.bucket_specs[k], items))
+
     def test_minhash_spec_is_cached_and_seed_stable(self):
         rnd = SketchRandomness(4096, 64, 3)
         again = SketchRandomness(4096, 64, 3)

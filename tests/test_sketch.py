@@ -15,8 +15,10 @@ from dynlsh import (
     SketchRandomness,
     anderberg,
     hamming,
+    hash_key,
     jaccard,
     l0_estimate,
+    lsb,
     lsb_sampling_level,
     merge,
     rogers_tanimoto,
@@ -31,6 +33,18 @@ from dynlsh import (
 @pytest.fixture
 def randomness():
     return SketchRandomness(d=1024, c_squared=64, master_seed=42)
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def _splitmix64(z):
+    """The splitmix64 finalizer on one Python int, as mix64 applies it."""
+    z ^= z >> 30
+    z = (z * 0xBF58476D1CE4E5B9) & _MASK64
+    z ^= z >> 27
+    z = (z * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
 
 
 def build(randomness, items):
@@ -74,6 +88,25 @@ class TestUpdates:
             looped.update(int(i), int(v))
         assert batched == looped
 
+    @pytest.mark.parametrize("d", [1, 2, 1025, 2**14])
+    def test_update_many_matches_python_reference(self, d):
+        """One vectorized pass equals per-item lsb level and splitmix64 bucket."""
+        rnd = SketchRandomness(d=d, c_squared=64, master_seed=73102)
+        rng = np.random.default_rng(d)
+        pool = rng.integers(0, d, size=40)  # a small pool forces duplicate items
+        sk = LevelSketch(rnd)
+        expected = np.zeros_like(sk.buckets)
+        for n in (1, 7, 300):
+            items = rng.choice(pool, size=n)
+            values = rng.choice([1, -1], size=n)
+            sk.update_many(items, values)
+            for i, v in zip(items.tolist(), values.tolist()):
+                k = min(lsb(hash_key(rnd.level_spec, i)), rnd.max_level)
+                spec = rnd.bucket_specs[k]
+                expected[k, _splitmix64((spec.a * i + spec.b) & _MASK64) >> (64 - spec.output_bits)] += v
+        assert_array_equal(sk.buckets, expected)
+        assert sk.cardinality == int(expected.sum())
+
     def test_update_many_scalar_broadcast(self, randomness):
         a = LevelSketch(randomness)
         a.update_many([3, 9, 40], 1)
@@ -111,6 +144,12 @@ class TestUpdates:
             sk.update_many([0, 2048], 1)
         with pytest.raises(ValueError):
             sk.update_many([0, 1], np.asarray([1, 3]))
+        # |int64 min| wraps back to int64 min, which must not pass as +-1
+        with pytest.raises(ValueError):
+            sk.update(3, np.iinfo(np.int64).min)
+        with pytest.raises(ValueError):
+            sk.update_many([0, 1], np.asarray([1, np.iinfo(np.int64).min]))
+        assert sk == LevelSketch(randomness)
 
     def test_non_integer_items_rejected(self, randomness):
         sk = LevelSketch(randomness)
