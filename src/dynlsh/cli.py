@@ -209,11 +209,13 @@ def _cmd_lsh(args: argparse.Namespace) -> int:
     for j, sketch in enumerate(corpus.sketches):
         index.insert(j, sketch)
     pairs = index.candidates()
+    summary = f"{len(pairs)} candidate pairs"
     if args.threshold is not None:
         estimator = DistanceEstimator(jaccard(corpus.d), corpus.randomness)
         pairs = index.verify(pairs, estimator, args.threshold)
+        summary = f"{len(pairs)} kept of {summary}"
     write_csv(CandidatePair, pairs, args.out or sys.stdout, missing="")
-    print(f"{len(pairs)} candidate pairs", file=sys.stderr)
+    print(summary, file=sys.stderr)
     return 0
 
 

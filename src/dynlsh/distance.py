@@ -17,12 +17,21 @@ same two merges (complement symmetric differences coincide with the
 original ones).  The distance is (z' - z)*|A ^ B| / denominator, and a root
 similarity raises it to alpha.  Estimates sharpen by taking the median over
 independently randomized sketch repetitions.
+
+Both l0 estimates read only the per-row nonzero counts of the two merges,
+so a pair's distance is a function of those counts and |A| + |B|;
+DistanceEstimator.distances_from_counts evaluates it for many pairs at
+once, and a single estimate goes through it too.  The counts need no
+merged sketch: A - B is nonzero where the counters differ and A + B where
+they are not opposite.
 """
 
 from __future__ import annotations
 
 import statistics
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .errors import ConfigMismatchError
 from .hashing import SketchRandomness
@@ -32,7 +41,7 @@ from .similarity import (
     is_metric,
     is_root_lshable,
 )
-from .sketch import LevelSketch, l0_estimate, merge
+from .sketch import LevelSketch, l0_from_row_counts
 
 
 def median_amplify(shot: Callable[[int], float], repetitions: int) -> float:
@@ -56,10 +65,10 @@ class DistanceEstimator:
     accept a single LevelSketch per side when repetitions == 1, or a
     sequence of sketches aligned with the randomness slots.
 
-    Every estimate reads one sum and one difference sketch per slot,
-    whatever the weights.  Raw estimates are returned unclamped; only the
-    additive similarity path clamps (below at 0) for reporting, and the
-    root path clamps each shot at 0 before raising it to alpha.
+    Every estimate reads the supports of one sum and one difference sketch
+    per slot, whatever the weights.  Raw estimates are returned unclamped;
+    only the additive similarity path clamps (below at 0) for reporting,
+    and the root path clamps each shot at 0 before raising it to alpha.
     """
 
     def __init__(
@@ -106,23 +115,50 @@ class DistanceEstimator:
                 raise ConfigMismatchError("sketch randomness does not match estimator slot")
         return sketches
 
-    def _distance_once(self, a: LevelSketch, b: LevelSketch) -> float:
+    def require_metric(self) -> None:
+        """Raise ValueError unless the weights are rational and metric."""
+        if isinstance(self.params, RootSimilarity):
+            raise ValueError("use estimate_root_distance for root similarities")
+        if not is_metric(self._base()):
+            raise ValueError(
+                "weights are not metric (need z' >= max(x, y, z)); "
+                "the additive similarity path remains available at the "
+                "caller's own risk"
+            )
+
+    def distances_from_counts(
+        self, sym_nz: np.ndarray, union_nz: np.ndarray, cardinality_sum: np.ndarray
+    ) -> np.ndarray:
+        """Single-slot distance estimates of n pairs from exact counts.
+
+        sym_nz and union_nz are (n, num_levels) per-row nonzero counts of
+        each pair's difference and sum sketches, cardinality_sum is
+        |A| + |B| per pair.  Returns n unclamped float64 distances, each
+        bit-identical to the estimate of that pair alone.
+        """
+        p = self._base()
+        n = len(sym_nz)
+        if p.z_prime == 0.0:
+            return np.zeros(n)  # then x = y = z = 0: similarity is identically 1
         # normalize weights by z' so scaled parameterizations reuse the
         # exact same float operations
-        p = self._base()
-        if p.z_prime == 0.0:
-            return 0.0  # then x = y = z = 0: similarity is identically 1
         x, y, z = p.x / p.z_prime, p.y / p.z_prime, p.z / p.z_prime
-        sym = l0_estimate(merge(a, b, -1))
-        union = l0_estimate(merge(a, b, 1))
+        c_squared = self.randomness[0].c_squared
+        estimates = l0_from_row_counts(np.concatenate([sym_nz, union_nz]), c_squared)
+        sym, union = estimates[:n], estimates[n:]
         if x >= y:
             denom = y * p.d + (x - y) * union + (1.0 - x) * sym
         else:
-            comp_union = p.d - (a.cardinality + b.cardinality - union)
+            comp_union = p.d - (cardinality_sum - union)
             denom = (y - x) * comp_union + x * p.d + (1.0 - y) * sym
-        if denom <= 0.0:
-            return 0.0  # vanishing denominator means similarity 1
-        return (1.0 - z) * sym / denom
+        # a vanishing denominator means similarity 1, so distance 0
+        return np.divide((1.0 - z) * sym, denom, out=np.zeros(n), where=~(denom <= 0.0))
+
+    def _distance_once(self, a: LevelSketch, b: LevelSketch) -> float:
+        sym_nz = np.count_nonzero(a.buckets != b.buckets, axis=1)
+        union_nz = np.count_nonzero(a.buckets != -b.buckets, axis=1)
+        card = np.array([a.cardinality + b.cardinality])
+        return float(self.distances_from_counts(sym_nz[None, :], union_nz[None, :], card)[0])
 
     def _distance_median(
         self,
@@ -149,15 +185,7 @@ class DistanceEstimator:
         Identical sketches give exactly 0.0: the difference sketch is
         all-zero, so the symmetric-difference estimate is exactly zero.
         """
-        p = self._base()
-        if isinstance(self.params, RootSimilarity):
-            raise ValueError("use estimate_root_distance for root similarities")
-        if not is_metric(p):
-            raise ValueError(
-                "weights are not metric (need z' >= max(x, y, z)); "
-                "the additive similarity path remains available at the "
-                "caller's own risk"
-            )
+        self.require_metric()
         return self._distance_median(a, b)
 
     def estimate_root_distance(

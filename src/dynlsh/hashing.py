@@ -99,14 +99,15 @@ def lsb(value: int, width: int = WORD_BITS) -> int:
 
 
 def lsb_array(values: np.ndarray, width: int) -> np.ndarray:
-    """Vectorized lsb over a uint64 array."""
+    """Vectorized lsb over a uint64 array, as int64; width where a value is 0.
+
+    v & -v isolates the lowest set bit, a power of two that float64 holds
+    exactly, so its biased exponent field is 1023 + lsb (and 0 for v == 0).
+    """
     v = np.asarray(values, dtype=np.uint64)
-    iso = v & (np.zeros_like(v) - v)  # isolates lowest set bit (two's complement)
-    out = np.full(v.shape, width, dtype=np.int64)
-    nz = iso != 0
-    # isolated bits are exact powers of two, so float64 log2 is exact
-    out[nz] = np.log2(iso[nz].astype(np.float64)).astype(np.int64)
-    return out
+    iso = v & (np.uint64(0) - v)  # two's complement isolates the lowest set bit
+    exponent = iso.astype(np.float64).view(np.int64) >> 52
+    return np.where(exponent == 0, width, exponent - 1023)
 
 
 def minhash_signature(buckets: np.ndarray, spec: HashSpec) -> int | None:

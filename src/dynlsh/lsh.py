@@ -22,11 +22,16 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .distance import DistanceEstimator
-from .errors import ConfigMismatchError
+from .errors import ConfigMismatchError, StaleIndexError
 from .hashing import SketchRandomness, deepest_level, minhash_positions, random_hash_spec
 from .sketch import LevelSketch
 
 DEFAULT_PAIR_CAP = 10_000
+
+# verify scores pairs in chunks that read at most this many snapshot
+# entries (one per nonzero counter of either side, plus one per pair), so
+# each of its int64 work arrays stays within a quarter of a MiB
+_VERIFY_CHUNK_ENTRIES = 1 << 15
 
 SetId = int | str
 
@@ -159,8 +164,11 @@ class LshIndex:
 
     Tables are keyed by (level, repetition); each maps a signature tuple to
     the ids inserted under it.  Re-inserting an existing id replaces its
-    postings.  Single-writer: concurrent inserts are not supported, reads
-    may proceed in parallel once building is done.
+    postings.  The index keeps a reference to each inserted sketch, not a
+    copy: mutating it afterwards makes candidates() and verify() raise
+    StaleIndexError until it is re-inserted.  Single-writer: concurrent
+    inserts are not supported, reads may proceed in parallel once building
+    is done.
     """
 
     def __init__(
@@ -178,6 +186,7 @@ class LshIndex:
         self._tables: dict[tuple[int, int], dict[tuple[int, ...], list[SetId]]] = {}
         self._postings: dict[SetId, list[tuple[int, int, tuple[int, ...]]]] = {}
         self._sketches: dict[SetId, LevelSketch] = {}
+        self._mutations: dict[SetId, int] = {}  # sketch.mutations at insert
 
     def __len__(self) -> int:
         return len(self._sketches)
@@ -202,6 +211,7 @@ class LshIndex:
                 postings.append((level, repetition, sig))
         self._postings[set_id] = postings
         self._sketches[set_id] = sketch
+        self._mutations[set_id] = sketch.mutations
 
     def _remove(self, set_id: SetId) -> None:
         for level, repetition, sig in self._postings.pop(set_id):
@@ -211,6 +221,14 @@ class LshIndex:
             if not ids:
                 del table[sig]
         del self._sketches[set_id]
+        del self._mutations[set_id]
+
+    def _check_unchanged(self, ids: Iterable[SetId]) -> None:
+        for set_id in ids:
+            if self._sketches[set_id].mutations != self._mutations[set_id]:
+                raise StaleIndexError(
+                    f"sketch {set_id!r} was mutated after it was indexed; re-insert it"
+                )
 
     def candidates(self) -> list[CandidatePair]:
         """All distinct pairs sharing a signature in some table.
@@ -220,7 +238,9 @@ class LshIndex:
         order, and each pair is reported once, tagged with its first
         colliding table.  Buckets whose pair expansion exceeds pair_cap
         contribute only the first pair_cap pairs and raise a warning.
+        Raises StaleIndexError if an indexed sketch changed since insert.
         """
+        self._check_unchanged(self._sketches)
         seen: set[tuple[SetId, SetId]] = set()
         out: list[CandidatePair] = []
         for level, repetition in sorted(self._tables):
@@ -252,19 +272,132 @@ class LshIndex:
     ) -> list[CandidatePair]:
         """Keep pairs whose estimated distance is at most threshold.
 
-        Each surviving pair carries its estimate in verified_distance.
-        The estimator must be built on this index's randomness.
+        Each surviving pair, in input order, carries in verified_distance
+        the value estimator.estimate_distance gives it, bit for bit.  The
+        estimator needs metric rational weights and exactly one randomness
+        slot, this index's; pairs naming an unindexed id raise KeyError and
+        a sketch mutated since insert raises StaleIndexError, all before
+        any pair is scored.
+
+        All pairs are scored in one batched pass.  A pair's estimate needs
+        only the per-row nonzero counts of A + B and A - B and |A| + |B|,
+        and by linearity those counts follow from the two sparse supports:
+        a position in both supports drops out of A - B when the counters
+        are equal and out of A + B when they are opposite.  So verify
+        snapshots the referenced sketches as sorted nonzero positions and
+        values, and counts shared, equal and opposite positions per pair
+        and row, chunk by chunk, without building any merge.
         """
+        estimator.require_metric()
+        if estimator.repetitions != 1 or estimator.randomness[0] != self.randomness:
+            raise ConfigMismatchError(
+                "verify needs an estimator with one randomness slot equal to the "
+                f"index's; got {estimator.repetitions} slot(s)"
+            )
+        pairs = list(pairs)
+        row_of: dict[SetId, int] = {}
+        n = len(pairs)
+        rows_a = np.fromiter((row_of.setdefault(p.id_a, len(row_of)) for p in pairs), np.int64, n)
+        rows_b = np.fromiter((row_of.setdefault(p.id_b, len(row_of)) for p in pairs), np.int64, n)
+        for set_id in row_of:
+            if set_id not in self._sketches:
+                raise KeyError(f"pair references unindexed id {set_id!r}")
+        self._check_unchanged(row_of)
+        if not n:
+            return []
+        snap = _SparseSnapshot([self._sketches[set_id] for set_id in row_of], self.randomness)
         kept: list[CandidatePair] = []
-        for pair in pairs:
-            a = self._sketches.get(pair.id_a)
-            b = self._sketches.get(pair.id_b)
-            if a is None or b is None:
-                raise KeyError(f"pair references unindexed ids {pair.id_a!r}, {pair.id_b!r}")
-            dist = estimator.estimate_distance(a, b)
-            if dist <= threshold:
-                kept.append(replace(pair, verified_distance=dist))
+        cost = np.cumsum(snap.length[rows_a] + snap.length[rows_b] + 1)
+        start = 0
+        while start < n:
+            done = cost[start - 1] if start else 0
+            stop = max(int(np.searchsorted(cost, done + _VERIFY_CHUNK_ENTRIES, "right")), start + 1)
+            sym_nz, union_nz, cards = snap.pair_counts(rows_a[start:stop], rows_b[start:stop])
+            dist = estimator.distances_from_counts(sym_nz, union_nz, cards)
+            kept += [
+                replace(pairs[start + j], verified_distance=float(dist[j]))
+                for j in np.flatnonzero(dist <= threshold).tolist()
+            ]
+            start = stop
         return kept
+
+
+def _narrowest_signed(bound: int) -> np.dtype:
+    """The smallest signed integer dtype holding -bound .. bound (else int64)."""
+    for dtype in (np.int8, np.int16, np.int32):
+        if bound <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
+
+
+class _SparseSnapshot:
+    """Sketches as CSR arrays: sorted flat nonzero positions and their values.
+
+    Sketch i owns entries offset[i] : offset[i] + length[i] of position and
+    value; nz holds its per-row nonzero counts and card its cardinality.
+    Positions and values are stored in the narrowest signed dtype that
+    holds them and their negations.
+    """
+
+    def __init__(self, sketches: Sequence[LevelSketch], randomness: SketchRandomness) -> None:
+        self.num_levels = randomness.num_levels
+        self.width = randomness.num_levels * randomness.c_squared
+        self.bucket_bits = randomness.bucket_bits
+        self.nz = np.array([np.count_nonzero(sk.buckets, axis=1) for sk in sketches])
+        self.card = np.array([sk.cardinality for sk in sketches], dtype=np.int64)
+        self.length = self.nz.sum(axis=1)
+        self.offset = np.cumsum(self.length) - self.length
+        total = int(self.length.sum())
+        peak = max(max(int(sk.buckets.max()), -int(sk.buckets.min())) for sk in sketches)
+        self.position = np.empty(total, dtype=_narrowest_signed(self.width))
+        self.value = np.empty(total, dtype=_narrowest_signed(peak))
+        stops = self.offset + self.length
+        for sk, start, stop in zip(sketches, self.offset.tolist(), stops.tolist()):
+            flat = sk.buckets.reshape(-1)
+            nonzero = np.flatnonzero(flat)
+            self.position[start:stop] = nonzero
+            self.value[start:stop] = flat[nonzero]
+
+    def _gather(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Entry indices of the sketches in rows, concatenated, and their keys.
+
+        A key is pair * width + position, so keys ascend across the chunk.
+        """
+        lengths = self.length[rows]
+        ends = np.cumsum(lengths)
+        entry = np.arange(ends[-1]) + np.repeat(self.offset[rows] - (ends - lengths), lengths)
+        pair = np.repeat(np.arange(rows.size), lengths)
+        return entry, pair * self.width + self.position[entry]
+
+    def pair_counts(
+        self, rows_a: np.ndarray, rows_b: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-row nonzero counts of A - B and A + B, and |A| + |B|, per pair."""
+        n, levels = rows_a.size, self.num_levels
+        # every count is symmetric in A and B, so look up each entry of the
+        # smaller support (side a below) among the larger one (side b)
+        swap = self.length[rows_a] > self.length[rows_b]
+        entry_a, key_a = self._gather(np.where(swap, rows_b, rows_a))
+        entry_b, key_b = self._gather(np.where(swap, rows_a, rows_b))
+        if key_b.size:
+            hit = np.minimum(np.searchsorted(key_b, key_a), key_b.size - 1)
+            shared = np.flatnonzero(key_b[hit] == key_a)
+        else:
+            hit = shared = np.zeros(0, dtype=np.int64)
+        value_a = self.value[entry_a[shared]]
+        value_b = self.value[entry_b[hit[shared]]]
+        key = key_a[shared]
+        cells = (key // self.width) * levels + ((key % self.width) >> self.bucket_bits)
+        size = n * levels
+        common = np.bincount(cells, minlength=size)
+        equal = np.bincount(cells[value_a == value_b], minlength=size)
+        opposite = np.bincount(cells[value_a == -value_b], minlength=size)
+        both = self.nz[rows_a] + self.nz[rows_b] - common.reshape(n, levels)
+        return (
+            both - equal.reshape(n, levels),
+            both - opposite.reshape(n, levels),
+            self.card[rows_a] + self.card[rows_b],
+        )
 
 
 def sensitivity_report(

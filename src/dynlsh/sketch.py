@@ -34,17 +34,20 @@ class LevelSketch:
     """One set's sketch: cardinality counter plus level/bucket counter matrix.
 
     Instances are cheap to copy and merge; mutation happens only through
-    update/update_many.  A sketch is bound to the SketchRandomness it was
-    built with, and only sketches sharing equal randomness may be compared
-    or merged.  Not safe for concurrent mutation.
+    update/update_many, and each applied batch bumps `mutations`, so a
+    holder such as LshIndex can tell that a sketch changed under it.  A
+    sketch is bound to the SketchRandomness it was built with, and only
+    sketches sharing equal randomness may be compared or merged.  Not safe
+    for concurrent mutation.
     """
 
-    __slots__ = ("randomness", "_buckets", "_cardinality")
+    __slots__ = ("randomness", "_buckets", "_cardinality", "_mutations")
 
     def __init__(self, randomness: SketchRandomness) -> None:
         self.randomness = randomness
         self._buckets = np.zeros((randomness.num_levels, randomness.c_squared), dtype=np.int64)
         self._cardinality = 0
+        self._mutations = 0
 
     @property
     def buckets(self) -> np.ndarray:
@@ -55,6 +58,11 @@ class LevelSketch:
     def cardinality(self) -> int:
         """Net number of insertions minus deletions."""
         return self._cardinality
+
+    @property
+    def mutations(self) -> int:
+        """Number of update batches applied since this object was created."""
+        return self._mutations
 
     @property
     def d(self) -> int:
@@ -69,6 +77,7 @@ class LevelSketch:
         out.randomness = self.randomness
         out._buckets = self._buckets.copy()
         out._cardinality = self._cardinality
+        out._mutations = 0
         return out
 
     def __eq__(self, other: object) -> bool:
@@ -118,6 +127,7 @@ class LevelSketch:
         flat = levels * rnd.c_squared + rnd.buckets_of(levels, keys).astype(np.int64)
         np.add.at(self._buckets.reshape(-1), flat, vals)
         self._cardinality += int(vals.sum())
+        self._mutations += 1
 
 
 def merge(a: LevelSketch, b: LevelSketch, sign: int = 1) -> LevelSketch:
@@ -137,6 +147,7 @@ def merge(a: LevelSketch, b: LevelSketch, sign: int = 1) -> LevelSketch:
     out.randomness = a.randomness
     out._buckets = a.buckets + sign * b.buckets
     out._cardinality = a.cardinality + sign * b.cardinality
+    out._mutations = 0
     return out
 
 
@@ -271,18 +282,32 @@ def l0_estimate(sketch: LevelSketch) -> float:
     c^2 and is accepted.
     """
     nz = np.count_nonzero(sketch.buckets, axis=1)
-    if not nz.any():
-        return 0.0
-    c2 = sketch.c_squared
-    suffix_max = np.maximum.accumulate(nz[::-1])[::-1]
-    eligible = np.flatnonzero(suffix_max <= c2 / 2)
-    if eligible.size:
-        k = int(eligible[0])
-    else:
-        k = int(len(nz) - 1)  # every tail saturates; use the deepest row
-    rows = np.minimum(nz[k:], c2 - 1)  # keep the log argument positive
-    corrected = np.log1p(-rows / c2).sum() / math.log1p(-1.0 / c2)
-    return float(2.0**k * corrected)
+    return float(l0_from_row_counts(nz[None, :], sketch.c_squared)[0])
+
+
+def l0_from_row_counts(nz: np.ndarray, c_squared: int) -> np.ndarray:
+    """l0_estimate of many sketches at once, from their per-row nonzero counts.
+
+    nz is an (n, num_levels) integer array, one sketch per row; returns n
+    float64 estimates.  Sketches are grouped by their chosen level k, so
+    each tail sum is a reduction over contiguous rows of one length and
+    every estimate carries the same float operations, in the same order,
+    as it would alone.
+    """
+    nz = np.asarray(nz, dtype=np.int64)
+    suffix_max = np.maximum.accumulate(nz[:, ::-1], axis=1)[:, ::-1]
+    eligible = suffix_max <= c_squared / 2  # once true, true for every deeper level
+    # the first eligible level; when every tail saturates, the deepest row
+    level = np.where(eligible[:, -1], eligible.argmax(axis=1), nz.shape[1] - 1)
+    # per-row occupancy inversion terms; keep the log argument positive
+    terms = np.log1p(-np.minimum(nz, c_squared - 1) / c_squared)
+    out = np.empty(nz.shape[0])
+    scale = math.log1p(-1.0 / c_squared)
+    for k in set(level.tolist()):
+        sel = level == k
+        out[sel] = 2.0**k * (terms[sel, k:].sum(axis=1) / scale)
+    out[suffix_max[:, 0] == 0] = 0.0  # the all-zero sketch estimates exactly 0.0
+    return out
 
 
 def sketch_to_bytes(sketch: LevelSketch) -> bytes:
@@ -328,4 +353,5 @@ def sketch_from_bytes(data: bytes, randomness: SketchRandomness) -> LevelSketch:
         np.frombuffer(body, dtype="<i8").astype(np.int64).reshape(num_levels, c2)
     )
     out._cardinality = int(cardinality)
+    out._mutations = 0
     return out

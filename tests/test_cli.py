@@ -1,5 +1,7 @@
 """End-to-end runs of the console entry point on temporary files."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -192,6 +194,8 @@ class TestLsh:
         assert rc == 0
         lines = target.read_text().splitlines()
         kept = [line for line in lines[1:] if line]
+        summary = capsys.readouterr().err.strip()
+        assert re.fullmatch(rf"{len(kept)} kept of \d+ candidate pairs", summary), summary
         assert kept, "the identical pair must survive verification"
         for line in kept:
             cells = line.split(",")

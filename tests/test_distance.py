@@ -18,7 +18,9 @@ from dynlsh import (
     exact_similarity,
     hamming,
     jaccard,
+    l0_estimate,
     median_amplify,
+    merge,
     sorensen_dice,
 )
 
@@ -29,6 +31,19 @@ def build(randomness, items):
     if arr.size:
         sk.update_many(arr, 1)
     return sk
+
+
+def _distance_reference(p, a, b):
+    """One-slot distance from the two merged sketches, in scalar float math."""
+    x, y, z = p.x / p.z_prime, p.y / p.z_prime, p.z / p.z_prime
+    sym = l0_estimate(merge(a, b, -1))
+    union = l0_estimate(merge(a, b, 1))
+    if x >= y:
+        denom = y * p.d + (x - y) * union + (1.0 - x) * sym
+    else:
+        comp_union = p.d - (a.cardinality + b.cardinality - union)
+        denom = (y - x) * comp_union + x * p.d + (1.0 - y) * sym
+    return 0.0 if denom <= 0.0 else (1.0 - z) * sym / denom
 
 
 def make_slots(d, c_squared, seed, repetitions=9):
@@ -102,6 +117,22 @@ class TestConstruction:
 
 
 class TestEstimateDistance:
+    def test_matches_the_merge_reference_bit_for_bit(self):
+        rng = np.random.default_rng(75100)
+        d = 2**12
+        rnd = SketchRandomness(d, 64, 75100)
+        sketches = [LevelSketch(rnd)]
+        for size in (1, 40, 400, 3000):
+            sk = LevelSketch(rnd)
+            sk.update_many(rng.choice(d, size=size, replace=False), 1)
+            sketches.append(sk)
+        for params in (jaccard(d), hamming(d), RationalSimilarity(0.5, 1.0, 0.0, 1.0, d)):
+            est = DistanceEstimator(params, rnd)
+            for a in sketches:
+                for b in sketches:
+                    want = _distance_reference(params, a, b)
+                    assert est.estimate_distance(a, b).hex() == want.hex()
+
     def test_identical_sets_give_exact_zero(self):
         slots = make_slots(4096, 128, 3)
         est = DistanceEstimator(jaccard(4096), slots)

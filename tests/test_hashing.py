@@ -123,6 +123,16 @@ class TestLsb:
         for v, o in zip(values, out):
             assert lsb(int(v), 64) == int(o)
 
+    def test_array_matches_scalar_on_extremes_and_the_full_range(self):
+        rng = np.random.default_rng(72009)
+        values = rng.integers(0, 2**64, size=4000, dtype=np.uint64, endpoint=False)
+        values[:4] = [0, 1, 2**63, 2**64 - 1]
+        values[4:68] = [1 << k for k in range(64)]
+        for width in (64, 12):
+            out = lsb_array(values, width)
+            assert out.dtype == np.int64
+            assert out.tolist() == [lsb(int(v), width) for v in values]
+
     def test_geometric_split_over_uniform_keys(self):
         rng = np.random.default_rng(72008)
         values = rng.integers(0, 2**64, size=10**6, dtype=np.uint64)

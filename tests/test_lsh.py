@@ -2,10 +2,15 @@
 
 import io
 import math
+import struct
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import dynlsh.lsh
 from dynlsh import (
     CandidatePair,
     ConfigMismatchError,
@@ -13,13 +18,21 @@ from dynlsh import (
     LevelSketch,
     LshConfig,
     LshIndex,
+    RationalSimilarity,
+    RootSimilarity,
     SketchRandomness,
+    StaleIndexError,
     amplification_probability,
     candidate_levels,
+    hamming,
     jaccard,
     level_grid,
+    merge,
     minhash_pair_collides,
     sensitivity_report,
+    sketch_from_bytes,
+    sketch_to_bytes,
+    sorensen_dice,
     write_csv,
 )
 
@@ -275,6 +288,131 @@ class TestVerify:
         index, estimator = planted_index
         with pytest.raises(KeyError):
             index.verify([CandidatePair("hi_a", "ghost", 0, 0)], estimator, 1.0)
+
+    def test_estimator_checked_up_front_even_without_pairs(self, planted_index):
+        index, _ = planted_index
+        rnd = index.randomness
+        with pytest.raises(ValueError, match="root"):
+            index.verify([], DistanceEstimator(RootSimilarity(jaccard(2**16), 0.5), rnd), 1.0)
+        with pytest.raises(ValueError, match="not metric"):
+            index.verify([], DistanceEstimator(sorensen_dice(2**16), rnd), 1.0)
+        slots = [rnd, rnd.spawn(1), rnd.spawn(2)]
+        with pytest.raises(ConfigMismatchError, match="one randomness slot.*got 3"):
+            index.verify([], DistanceEstimator(jaccard(2**16), slots), 1.0)
+        foreign = SketchRandomness(2**16, 1024, 1)
+        with pytest.raises(ConfigMismatchError, match="one randomness slot"):
+            index.verify([], DistanceEstimator(jaccard(2**16), foreign), 1.0)
+
+    def test_mutating_an_indexed_sketch_is_loud(self, planted_index):
+        index, estimator = planted_index
+        sketch = index._sketches["hi_a"]
+        sketch.update_many([1, 2, 3], 1)
+        with pytest.raises(StaleIndexError, match="'hi_a'"):
+            index.candidates()
+        with pytest.raises(StaleIndexError):
+            index.verify([CandidatePair("hi_a", "hi_b", 0, 0)], estimator, 1.0)
+        # pairs that do not read the changed sketch still verify
+        assert len(index.verify([CandidatePair("hi_b", "lo", 0, 0)], estimator, 1.0)) == 1
+        index.insert("hi_a", sketch)  # re-inserting refreshes postings and record
+        index.candidates()
+        assert len(index.verify([CandidatePair("hi_a", "hi_b", 0, 0)], estimator, 1.0)) == 1
+
+
+def _crafted(rnd, counters, cardinality):
+    """A sketch with arbitrary counters, through the wire format.
+
+    Streams over [0, d) never put two distinct items into the deepest row,
+    so only crafted counters reach rows that saturate at every level.
+    """
+    raw = bytearray(sketch_to_bytes(LevelSketch(rnd)))
+    struct.pack_into("<q", raw, 33, cardinality)  # after length, version, d, c2, levels
+    raw[41:] = np.asarray(counters, dtype="<i8").tobytes()
+    return sketch_from_bytes(bytes(raw), rnd)
+
+
+def _no_level_eligible(sketch):
+    """True when even the deepest row holds more than c^2/2 nonzero buckets."""
+    return np.count_nonzero(sketch.buckets[-1]) > sketch.c_squared / 2
+
+
+def _verify_case(d, c2, seed, base, other, cut, weights):
+    """Related sketches over one family, every ordered pair of them, an estimator."""
+    rnd = SketchRandomness(d, c2, seed)
+    rng = np.random.default_rng(seed)
+    shape = (rnd.num_levels, c2)
+
+    def sketch(updates):
+        # an index holds sets, so the net cardinality must not go negative;
+        # top it up on item 0, leaving the negative counters elsewhere
+        net = sum(v for _, v in updates)
+        sk = LevelSketch(rnd)
+        for item, value in updates + [(0, 1)] * max(-net, 0):
+            sk.update(item, value)
+        return sk
+
+    zero_sum = base + [(0, -v) for _, v in base]  # cardinality 0, so negating stays a set
+    sketches = [
+        sketch(zero_sum),
+        sketch([(i, -v) for i, v in zero_sum]),  # a_i = -b_i on every bucket
+        sketch(base),
+        sketch(base[:cut] + other),  # a_i = b_i on the buckets of base[:cut]
+        sketch(other + [(i, -1) for i, _ in base]),  # deletions of absent items
+        LevelSketch(rnd),  # empty
+        _crafted(rnd, rng.choice([-2, -1, 1, 2], size=shape), 5),  # every row saturated
+        _crafted(rnd, rng.integers(-2, 3, size=shape), 3),
+    ]
+    n = len(sketches)
+    pairs = [CandidatePair(i, j, 0, 0) for i in range(n) for j in range(n)]
+    params = {
+        "jaccard": jaccard(d),
+        "hamming": hamming(d),
+        "x<y": RationalSimilarity(0.5, 1.0, 0.0, 1.0, d),
+    }[weights]
+    return rnd, sketches, pairs, DistanceEstimator(params, rnd)
+
+
+@st.composite
+def verify_cases(draw):
+    d = draw(st.sampled_from([1, 2, 3, 64, 1000, 2**16]))
+    update = st.tuples(st.integers(0, d - 1), st.sampled_from([-1, 1]))
+    base = draw(st.lists(update, max_size=400))
+    return _verify_case(
+        d,
+        draw(st.sampled_from([2, 4, 64])),
+        draw(st.integers(0, 2**32)),
+        base,
+        draw(st.lists(update, max_size=400)),
+        draw(st.integers(0, len(base))),
+        draw(st.sampled_from(["jaccard", "hamming", "x<y"])),
+    )
+
+
+class TestBatchedVerify:
+    @settings(max_examples=60, deadline=None)
+    @given(case=verify_cases(), chunk=st.sampled_from([1, 7, 100, 1 << 16]))
+    @example(case=_verify_case(1, 2, 5, [(0, 1), (0, -1), (0, -1)], [(0, 1)], 1, "x<y"), chunk=1)
+    @example(case=_verify_case(1, 2, 6, [(0, 1)], [], 1, "jaccard"), chunk=7)
+    def test_batched_distances_equal_per_pair_estimates_bit_for_bit(self, case, chunk):
+        rnd, sketches, pairs, estimator = case
+        index = LshIndex(LshConfig(r1=0.5, r2=0.1), rnd)
+        for j, sk in enumerate(sketches):
+            index.insert(j, sk)
+        want = [estimator.estimate_distance(sketches[p.id_a], sketches[p.id_b]) for p in pairs]
+        with mock.patch.object(dynlsh.lsh, "_VERIFY_CHUNK_ENTRIES", chunk):
+            kept = index.verify(pairs, estimator, math.inf)
+            assert [(p.id_a, p.id_b) for p in kept] == [(p.id_a, p.id_b) for p in pairs]
+            assert [p.verified_distance.hex() for p in kept] == [w.hex() for w in want]
+            threshold = sorted(want)[len(want) // 2]  # ties sit exactly on it
+            kept = index.verify(pairs, estimator, threshold)
+        assert [(p.id_a, p.id_b) for p in kept] == [
+            (p.id_a, p.id_b) for p, w in zip(pairs, want) if w <= threshold
+        ]
+
+    def test_crafted_counters_leave_no_level_eligible(self):
+        rnd = SketchRandomness(1000, 4, 1)
+        sk = _crafted(rnd, np.ones((rnd.num_levels, 4)), 0)
+        assert _no_level_eligible(sk)
+        assert _no_level_eligible(merge(sk, sk, 1))
 
 
 class TestSensitivityReport:

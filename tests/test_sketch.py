@@ -1,10 +1,14 @@
 """Level sketch mechanics: linear updates, deletions, merge, readouts."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
+
+from dynlsh.sketch import l0_from_row_counts
 
 from dynlsh import (
     ConfigMismatchError,
@@ -287,6 +291,26 @@ class TestObjectProtocol:
         assert LevelSketch(randomness) != LevelSketch(other)
 
 
+class TestMutationCounter:
+    def test_each_applied_batch_counts_once(self, randomness):
+        sk = LevelSketch(randomness)
+        assert sk.mutations == 0
+        sk.update_many([1, 2, 3], 1)
+        sk.update(4, -1)
+        assert sk.mutations == 2
+        sk.update_many([], 1)  # an empty batch changes nothing
+        with pytest.raises(ItemRangeError):
+            sk.update_many([5, 10**6], 1)  # a rejected batch changes nothing
+        assert sk.mutations == 2
+
+    def test_derived_sketches_start_at_zero(self, randomness):
+        sk = build(randomness, [5, 6])
+        sk.update(7, 1)
+        assert sk.copy().mutations == 0
+        assert merge(sk, sk, -1).mutations == 0
+        assert sketch_from_bytes(sketch_to_bytes(sk), randomness).mutations == 0
+
+
 class TestSerialization:
     def test_round_trip_is_bit_exact(self, randomness):
         sk = build(randomness, [0, 5, 99, 1000])
@@ -440,6 +464,37 @@ class TestL0Estimate:
         diff = merge(a, b, -1)
         estimate = l0_estimate(diff)
         assert abs(estimate - 2000) / 2000 <= 0.15
+
+
+    def test_batched_inversion_matches_the_scalar_reference_bit_for_bit(self):
+        rng = np.random.default_rng(73300)
+        for d, c2 in ((1, 2), (1000, 2), (1000, 64), (2**16, 1024)):
+            rnd = SketchRandomness(d, c2, 73300)
+            sketches = [LevelSketch(rnd)]
+            for size in (1, 10, 300, 5000):
+                sk = LevelSketch(rnd)
+                sk.update_many(rng.integers(0, d, size=size), rng.choice([-1, 1], size=size))
+                sketches += [sk, merge(sk, sketches[-1], 1)]
+            saturated = np.ones((rnd.num_levels, c2), dtype=np.int64)  # no level eligible
+            counters = [sk.buckets for sk in sketches] + [saturated]
+            nz = np.array([np.count_nonzero(b, axis=1) for b in counters])
+            want = [_l0_reference(b) for b in counters]
+            assert [float(v).hex() for v in l0_from_row_counts(nz, c2)] == [w.hex() for w in want]
+            assert [l0_estimate(sk).hex() for sk in sketches] == [w.hex() for w in want[:-1]]
+
+
+def _l0_reference(buckets):
+    """l0_estimate on one counter matrix, written as a plain one-sketch scan."""
+    nz = np.count_nonzero(buckets, axis=1)
+    if not nz.any():
+        return 0.0
+    c2 = buckets.shape[1]
+    suffix_max = np.maximum.accumulate(nz[::-1])[::-1]
+    eligible = np.flatnonzero(suffix_max <= c2 / 2)
+    k = int(eligible[0]) if eligible.size else int(len(nz) - 1)
+    rows = np.minimum(nz[k:], c2 - 1)
+    corrected = np.log1p(-rows / c2).sum() / math.log1p(-1.0 / c2)
+    return float(2.0**k * corrected)
 
 
 class TestLowSimilarityOvershoot:
