@@ -20,6 +20,7 @@ import dataclasses
 import math
 import os
 import time
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Mapping, Sequence
@@ -79,6 +80,12 @@ _TAG_DEVIATION = 12
 _TAG_SCURVE = 13
 _TAG_TIMING = 14
 _TAG_LOW_PAIRS = 15
+
+# Rows per np.loadtxt call when parsing a stream body: a (rows, 3) int64
+# chunk of 768 KiB, large enough that the per-call cost vanishes.
+_PARSE_CHUNK_ROWS = 1 << 15
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -366,18 +373,90 @@ def read_manifest(source: str | os.PathLike | IO[str]) -> list[PlantedPair]:
 def _read_updates(
     source: str | os.PathLike | IO[str],
 ) -> tuple[int, Iterator[tuple[np.ndarray, np.ndarray]]]:
-    """Universe size and per-row (items, values) arrays of an update stream.
+    """Universe size and per-row (items, values) int64 arrays of an update stream.
 
     The whole stream is parsed up front, so a malformed line raises
     StreamParseError with its line number before any row is looked at.
+    The body is first parsed vectorized (_parse_fast); when that pass cannot
+    vouch for every line, the stream is read again by _parse_stream, which
+    alone decides what is valid and raises every error.  A path or a
+    seekable handle is parsed from the handle and rewound for that second
+    read; only a non-seekable handle is first read into a list of lines.
     """
     with _opened(source, "r") as fh:
-        d, items, values = _parse_stream(fh)
-    rows = (
-        (np.asarray(i, dtype=np.int64), np.asarray(v, dtype=np.int64))
-        for i, v in zip(items, values)
+        seekable = fh.seekable()
+        start = fh.tell() if seekable else 0
+        lines = fh if seekable else list(fh)
+        parsed = _parse_fast(iter(lines))
+        if parsed is None:
+            if seekable:
+                fh.seek(start)
+            d, items, values = _parse_stream(iter(lines))
+            return d, (
+                (np.asarray(i, dtype=np.int64), np.asarray(v, dtype=np.int64))
+                for i, v in zip(items, values)
+            )
+    d, bounds, items, values = parsed
+    return d, (
+        (items[lo:hi].astype(np.int64), values[lo:hi].astype(np.int64))
+        for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())
     )
-    return d, rows
+
+
+def _parse_fast(
+    lines: Iterator[str],
+) -> tuple[int, np.ndarray, np.ndarray, np.ndarray] | None:
+    """Vectorized parse of a stream that _parse_stream would accept, else None.
+
+    Returns (d, bounds, items, values): the updates grouped by row with one
+    stable argsort, so row j's updates, in stream order, are
+    items[bounds[j]:bounds[j + 1]], and likewise for values.  The body goes
+    through np.loadtxt in chunks of _PARSE_CHUNK_ROWS rows, and each checked
+    chunk is kept in the narrowest dtype its ranges allow, so the (updates, 3)
+    int64 table never exists.  loadtxt iterates the same lines that
+    _parse_stream does, splits them on the same whitespace and takes a
+    subset of the tokens int() takes, and the range checks are the loop's;
+    any failure at all returns None.
+    """
+    try:
+        n, d = _parse_header(next(lines, ""))
+        row_dtype = np.min_scalar_type(min(n, _INT64_MAX))  # bounds run to n
+        item_dtype = np.min_scalar_type(min(d, _INT64_MAX) - 1)
+        row_parts: list[np.ndarray] = [np.empty(0, row_dtype)]
+        item_parts: list[np.ndarray] = [np.empty(0, item_dtype)]
+        value_parts: list[np.ndarray] = [np.empty(0, np.int8)]
+        with warnings.catch_warnings():
+            # blank lines inside a chunk and an empty chunk only warn
+            warnings.simplefilter("ignore", UserWarning)
+            while True:
+                chunk = np.loadtxt(
+                    lines, dtype=np.int64, ndmin=2, comments=None, max_rows=_PARSE_CHUNK_ROWS
+                )
+                if len(chunk):
+                    j, i, v = chunk.T  # ValueError unless the lines had 3 tokens
+                    if not (
+                        int(j.min()) >= 0 and int(j.max()) < n
+                        and int(i.min()) >= 0 and int(i.max()) < d
+                        and bool((np.abs(v) == 1).all())
+                    ):
+                        return None
+                    row_parts.append(j.astype(row_dtype))
+                    item_parts.append(i.astype(item_dtype))
+                    value_parts.append(v.astype(np.int8))
+                if len(chunk) < _PARSE_CHUNK_ROWS:
+                    break
+        # each list of parts is dropped once joined, to keep the peak low
+        row_of = np.concatenate(row_parts)
+        del row_parts
+        order = np.argsort(row_of, kind="stable")
+        bounds = np.searchsorted(row_of[order], np.arange(n + 1, dtype=row_dtype))
+        del row_of
+        item_col = np.concatenate(item_parts)[order]
+        del item_parts
+        value_col = np.concatenate(value_parts)[order]
+    except Exception:  # whatever went wrong, the line loop names the error
+        return None
+    return d, bounds, item_col, value_col
 
 
 def _net_set(j: int, items: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -423,8 +502,8 @@ def ingest(
     return BenchCorpus(randomness, sketches, sets)
 
 
-def _parse_stream(fh: IO[str]) -> tuple[int, list[list[int]], list[list[int]]]:
-    header = fh.readline()
+def _parse_header(header: str) -> tuple[int, int]:
+    """(n, d) from a stream's first line, or StreamParseError at line 1."""
     parts = header.split()
     if len(parts) != 2:
         raise StreamParseError(f"expected header 'n d', got {header.rstrip()!r}", 1)
@@ -434,9 +513,23 @@ def _parse_stream(fh: IO[str]) -> tuple[int, list[list[int]], list[list[int]]]:
         raise StreamParseError(f"non-integer header {header.rstrip()!r}", 1) from exc
     if n < 0 or d < 1:
         raise StreamParseError(f"header requires n >= 0 and d >= 1, got n={n} d={d}", 1)
+    return n, d
+
+
+def _parse_stream(lines: Iterator[str]) -> tuple[int, list[list[int]], list[list[int]]]:
+    """The line loop, and the one specification of a valid update stream.
+
+    A header `n d` (n >= 0, d >= 1), then lines of three whitespace-separated
+    tokens `j i v` that int() accepts, with 0 <= j < n, 0 <= i < d and
+    v in {+1, -1}; blank lines are skipped.  The first line breaking a rule
+    raises StreamParseError with its 1-based number.  Returns d and the
+    per-row item and value lists in stream order.  _parse_fast may only
+    accept what this accepts.
+    """
+    n, d = _parse_header(next(lines, ""))
     items: list[list[int]] = [[] for _ in range(n)]
     values: list[list[int]] = [[] for _ in range(n)]
-    for line_no, line in enumerate(fh, start=2):
+    for line_no, line in enumerate(lines, start=2):
         parts = line.split()
         if not parts:
             continue

@@ -164,11 +164,11 @@ class LshIndex:
 
     Tables are keyed by (level, repetition); each maps a signature tuple to
     the ids inserted under it.  Re-inserting an existing id replaces its
-    postings.  The index keeps a reference to each inserted sketch, not a
-    copy: mutating it afterwards makes candidates() and verify() raise
-    StaleIndexError until it is re-inserted.  Single-writer: concurrent
-    inserts are not supported, reads may proceed in parallel once building
-    is done.
+    postings, and remove() drops an id with all of them.  The index keeps a
+    reference to each inserted sketch, not a copy: mutating it afterwards
+    makes candidates() and verify() raise StaleIndexError until it is
+    re-inserted or removed.  Single-writer: concurrent inserts are not
+    supported, reads may proceed in parallel once building is done.
     """
 
     def __init__(
@@ -199,7 +199,7 @@ class LshIndex:
         if sketch.randomness != self.randomness:
             raise ConfigMismatchError("sketch randomness does not match the index")
         if set_id in self._postings:
-            self._remove(set_id)
+            self.remove(set_id)
         postings: list[tuple[int, int, tuple[int, ...]]] = []
         for level in candidate_levels(sketch.cardinality, self.cfg, self.grid):
             sigs = _banded_signatures(sketch, level, self.cfg, self.randomness)
@@ -213,13 +213,19 @@ class LshIndex:
         self._sketches[set_id] = sketch
         self._mutations[set_id] = sketch.mutations
 
-    def _remove(self, set_id: SetId) -> None:
+    def remove(self, set_id: SetId) -> None:
+        """Drop set_id and its postings, as if it had never been inserted.
+
+        Raises KeyError for an id that is not indexed.
+        """
         for level, repetition, sig in self._postings.pop(set_id):
             table = self._tables[(level, repetition)]
             ids = table[sig]
             ids.remove(set_id)
             if not ids:
                 del table[sig]
+                if not table:
+                    del self._tables[(level, repetition)]
         del self._sketches[set_id]
         del self._mutations[set_id]
 

@@ -26,8 +26,8 @@ from .similarity import RationalSimilarity, _similarity_from_counts
 # streams, and refusing them keeps entrywise addition overflow-free
 _MERGE_GUARD = 1 << 62
 
-_WIRE_VERSION = 1
-_HEADER = struct.Struct("<BQQQq")  # version, d, c_squared, num_levels, s
+_WIRE_VERSION = 2
+_HEADER = struct.Struct("<BQQQqQ")  # version, d, c_squared, num_levels, s, master_seed
 
 
 class LevelSketch:
@@ -313,19 +313,25 @@ def l0_from_row_counts(nz: np.ndarray, c_squared: int) -> np.ndarray:
 def sketch_to_bytes(sketch: LevelSketch) -> bytes:
     """Serialize to the length-prefixed wire layout.
 
-    Layout, little-endian: u64 payload length, then the payload of
-    u8 version, u64 d, u64 c_squared, u64 num_levels, i64 cardinality,
-    followed by num_levels * c_squared row-major i64 counters.
+    Layout (version 2), little-endian: u64 payload length, then the payload
+    of u8 version, u64 d, u64 c_squared, u64 num_levels, i64 cardinality,
+    u64 master_seed, followed by num_levels * c_squared row-major i64
+    counters.
     """
     rnd = sketch.randomness
     payload = _HEADER.pack(
-        _WIRE_VERSION, rnd.d, rnd.c_squared, rnd.num_levels, sketch.cardinality
+        _WIRE_VERSION, rnd.d, rnd.c_squared, rnd.num_levels, sketch.cardinality, rnd.master_seed
     ) + np.ascontiguousarray(sketch.buckets, dtype="<i8").tobytes()
     return struct.pack("<Q", len(payload)) + payload
 
 
 def sketch_from_bytes(data: bytes, randomness: SketchRandomness) -> LevelSketch:
-    """Inverse of sketch_to_bytes; validates the header against randomness."""
+    """Inverse of sketch_to_bytes; validates the header against randomness.
+
+    Only version 2 is read.  A sketch whose shape or master_seed differs
+    from randomness raises ConfigMismatchError: its counters hash items
+    differently, so any comparison with it would be meaningless.
+    """
     if len(data) < 8:
         raise ValueError("truncated sketch: missing length prefix")
     (length,) = struct.unpack_from("<Q", data, 0)
@@ -336,12 +342,16 @@ def sketch_from_bytes(data: bytes, randomness: SketchRandomness) -> LevelSketch:
         raise ValueError(f"{len(data) - 8 - length} bytes after the declared payload")
     if length < _HEADER.size:
         raise ValueError("truncated sketch: payload shorter than header")
-    version, d, c2, num_levels, cardinality = _HEADER.unpack_from(payload, 0)
+    version, d, c2, num_levels, cardinality, seed = _HEADER.unpack_from(payload, 0)
     if version != _WIRE_VERSION:
         raise ValueError(f"unsupported sketch version {version}")
     if (d, c2, num_levels) != (randomness.d, randomness.c_squared, randomness.num_levels):
         raise ConfigMismatchError(
             "serialized sketch shape does not match the supplied randomness"
+        )
+    if seed != randomness.master_seed:
+        raise ConfigMismatchError(
+            f"serialized sketch has master_seed {seed}, expected {randomness.master_seed}"
         )
     body = payload[_HEADER.size :]
     expected = num_levels * c2 * 8

@@ -213,6 +213,18 @@ class TestLshIndex:
         assert index.candidates() == []
         assert len(index) == 2
 
+    def test_remove_drops_the_id_and_its_postings(self, small_corpus):
+        cfg, rnd, items = small_corpus
+        index = LshIndex(cfg, rnd)
+        index.insert("a", build(rnd, items))
+        index.insert("b", build(rnd, items))
+        index.remove("b")
+        assert "b" not in index
+        assert len(index) == 1
+        assert index.candidates() == []
+        with pytest.raises(KeyError):
+            index.remove("b")
+
     def test_pair_cap_truncates_with_warning(self, small_corpus):
         cfg, rnd, items = small_corpus
         index = LshIndex(cfg, rnd, pair_cap=1)
@@ -240,6 +252,56 @@ class TestLshIndex:
         for pair in index.candidates():
             for member in (pair.id_a, pair.id_b):
                 assert pair.level in candidate_levels(cards[member], cfg, index.grid)
+
+
+_CHURN_RND = SketchRandomness(4096, 256, 76600)
+_CHURN_CFG = LshConfig(r1=0.5, r2=0.1, sampling_p=0.05)
+
+
+def _churn_pool():
+    """Sketches that collide in various ways: equal, nested, unrelated, empty."""
+    rng = np.random.default_rng(76600)
+    base = rng.choice(4096, size=160, replace=False)
+    sets = [base, base, base[:140], base[:90], rng.choice(4096, size=150, replace=False), []]
+    return [build(_CHURN_RND, s) for s in sets]
+
+
+_CHURN_POOL = _churn_pool()
+
+
+class TestRemove:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        ops=st.lists(
+            st.tuples(st.booleans(), st.integers(0, 5), st.integers(0, len(_CHURN_POOL) - 1)),
+            max_size=40,
+        )
+    )
+    def test_any_history_equals_a_fresh_build_of_the_survivors(self, ops):
+        """Insert, remove and re-insert in any order leave no trace behind."""
+        index = LshIndex(_CHURN_CFG, _CHURN_RND)
+        live: dict[int, int] = {}
+        for insert, set_id, which in ops:
+            if insert:
+                index.insert(set_id, _CHURN_POOL[which])
+                live[set_id] = which
+            elif set_id in live:
+                index.remove(set_id)
+                del live[set_id]
+            else:
+                with pytest.raises(KeyError):
+                    index.remove(set_id)
+        fresh = LshIndex(_CHURN_CFG, _CHURN_RND)
+        for set_id in sorted(live):
+            fresh.insert(set_id, _CHURN_POOL[live[set_id]])
+        assert len(index) == len(live) and all(set_id in index for set_id in live)
+        assert index.candidates() == fresh.candidates()
+        # the same tables, up to the order of ids within a bucket
+        assert _sorted_tables(index) == _sorted_tables(fresh)
+
+
+def _sorted_tables(index):
+    return {key: {sig: sorted(ids) for sig, ids in table.items()} for key, table in index._tables.items()}
 
 
 class TestVerify:
@@ -325,8 +387,10 @@ def _crafted(rnd, counters, cardinality):
     so only crafted counters reach rows that saturate at every level.
     """
     raw = bytearray(sketch_to_bytes(LevelSketch(rnd)))
-    struct.pack_into("<q", raw, 33, cardinality)  # after length, version, d, c2, levels
-    raw[41:] = np.asarray(counters, dtype="<i8").tobytes()
+    counters_at = len(raw) - rnd.num_levels * rnd.c_squared * 8  # length prefix + header
+    cardinality_at = 8 + struct.calcsize("<BQQQ")  # after length, version, d, c2, levels
+    struct.pack_into("<q", raw, cardinality_at, cardinality)
+    raw[counters_at:] = np.asarray(counters, dtype="<i8").tobytes()
     return sketch_from_bytes(bytes(raw), rnd)
 
 

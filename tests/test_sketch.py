@@ -1,6 +1,7 @@
 """Level sketch mechanics: linear updates, deletions, merge, readouts."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -349,6 +350,37 @@ class TestSerialization:
         data = sketch_to_bytes(build(randomness, [1]))
         with pytest.raises(ConfigMismatchError):
             sketch_from_bytes(data, SketchRandomness(1024, 128, 42))
+
+    def test_seed_mismatch_rejected(self, randomness):
+        """Same d and c^2, other seed: the counters hash items differently."""
+        data = sketch_to_bytes(build(randomness, [1, 2, 3]))
+        with pytest.raises(ConfigMismatchError, match="master_seed 42, expected 43"):
+            sketch_from_bytes(data, SketchRandomness(1024, 64, 43))
+
+    def test_version_one_bytes_rejected(self, randomness):
+        sk = build(randomness, [1])
+        payload = struct.pack("<BQQQq", 1, 1024, 64, randomness.num_levels, 1)
+        payload += sk.buckets.astype("<i8").tobytes()
+        with pytest.raises(ValueError, match="unsupported sketch version 1"):
+            sketch_from_bytes(struct.pack("<Q", len(payload)) + payload, randomness)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        d=st.integers(1, 5000),
+        c2=st.sampled_from([2, 64]),
+        data=st.data(),
+    )
+    def test_round_trip_keeps_the_seed(self, seed, d, c2, data):
+        rnd = SketchRandomness(d, c2, seed)
+        sk = LevelSketch(rnd)
+        items = data.draw(st.lists(st.integers(0, d - 1), max_size=50))
+        if items:
+            sk.update_many(items, data.draw(st.sampled_from([1, -1])))
+        raw = sketch_to_bytes(sk)
+        assert sketch_from_bytes(raw, SketchRandomness(d, c2, seed)) == sk
+        with pytest.raises(ConfigMismatchError, match="master_seed"):
+            sketch_from_bytes(raw, SketchRandomness(d, c2, seed ^ 1))
 
 
 class TestLevelReadouts:
