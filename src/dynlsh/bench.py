@@ -382,12 +382,16 @@ def _read_updates(
     alone decides what is valid and raises every error.  A path or a
     seekable handle is parsed from the handle and rewound for that second
     read; only a non-seekable handle is first read into a list of lines.
+    A path is decoded as ASCII; text from a handle reaches the vectorized
+    pass only while it stays ASCII, because np.loadtxt can crash the process
+    on rejected lines that end in astral-plane characters.
     """
     with _opened(source, "r") as fh:
         seekable = fh.seekable()
         start = fh.tell() if seekable else 0
         lines = fh if seekable else list(fh)
-        parsed = _parse_fast(iter(lines))
+        from_path = isinstance(source, (str, os.PathLike))
+        parsed = _parse_fast(iter(lines) if from_path else _ascii_only(lines))
         if parsed is None:
             if seekable:
                 fh.seek(start)
@@ -403,6 +407,14 @@ def _read_updates(
     )
 
 
+def _ascii_only(lines: Iterable[str]) -> Iterator[str]:
+    """The lines, up to the first that is not ASCII; there, ValueError."""
+    for line in lines:
+        if not line.isascii():
+            raise ValueError("non-ASCII line")
+        yield line
+
+
 def _parse_fast(
     lines: Iterator[str],
 ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray] | None:
@@ -415,8 +427,9 @@ def _parse_fast(
     chunk is kept in the narrowest dtype its ranges allow, so the (updates, 3)
     int64 table never exists.  loadtxt iterates the same lines that
     _parse_stream does, splits them on the same whitespace and takes a
-    subset of the tokens int() takes, and the range checks are the loop's;
-    any failure at all returns None.
+    subset of the tokens int() takes (numpy 1.23 to at least 1.26 parse a
+    float token with only a DeprecationWarning, which is raised here), and
+    the range checks are the loop's; any failure at all returns None.
     """
     try:
         n, d = _parse_header(next(lines, ""))
@@ -428,6 +441,9 @@ def _parse_fast(
         with warnings.catch_warnings():
             # blank lines inside a chunk and an empty chunk only warn
             warnings.simplefilter("ignore", UserWarning)
+            # numpy 1.23 to at least 1.26 read an int64 token such as "3.7"
+            # as 3 and only warn; as an error it sends the stream to the line loop
+            warnings.simplefilter("error", DeprecationWarning)
             while True:
                 chunk = np.loadtxt(
                     lines, dtype=np.int64, ndmin=2, comments=None, max_rows=_PARSE_CHUNK_ROWS
