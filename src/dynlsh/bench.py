@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
-import scipy.sparse
 
 from .errors import GenerationError, StreamDataError, StreamParseError
 from .hashing import SketchRandomness, deepest_level, minhash_positions
@@ -752,11 +751,7 @@ def scurve_report(
             randomness = SketchRandomness(
                 d, c_squared, _child_seed(master_seed, _TAG_SCURVE, gi, t)
             )
-            specs = [
-                randomness.minhash_spec(level, rep, band)
-                for rep in range(l)
-                for band in range(r)
-            ]
+            arrays = randomness.minhash_arrays(level, l, r)
             signatures: dict[int, np.ndarray | None] = {}
 
             def signature_of(idx: int) -> np.ndarray | None:
@@ -764,10 +759,8 @@ def scurve_report(
                     sk = LevelSketch(randomness)
                     sk.update_many(sets[idx], 1)
                     positions = np.flatnonzero(sk.buckets[level])
-                    if positions.size:
-                        signatures[idx] = minhash_positions(positions, specs).reshape(l, r)
-                    else:
-                        signatures[idx] = None
+                    sig = minhash_positions(positions, arrays).reshape(l, r)
+                    signatures[idx] = sig if positions.size else None
                 return signatures[idx]
 
             for p in manifest:
@@ -840,6 +833,8 @@ def timing_report(
     Set construction and sketch building are excluded from query times.
     The ratio is exact over sketch time, or None when fewer than two sets.
     """
+    import scipy.sparse  # imported here: it is most of the package's import time
+
     n = len(sets)
     level = alpha_level(alpha, deepest_level(d))
     randomness = SketchRandomness(d, c_squared, _child_seed(master_seed, _TAG_TIMING))

@@ -44,7 +44,7 @@ from .similarity import (
 from .sketch import LevelSketch, l0_from_row_counts
 
 
-def median_amplify(shot: Callable[[int], float], repetitions: int) -> float:
+def _median_amplify(shot: Callable[[int], float], repetitions: int) -> float:
     """Median of shot(0), ..., shot(repetitions - 1); repetitions must be odd.
 
     With an odd count the median is always one of the observed values, so a
@@ -173,7 +173,7 @@ class DistanceEstimator:
             dist = self._distance_once(sa[i], sb[i])
             return dist if alpha is None else max(dist, 0.0) ** alpha
 
-        return median_amplify(shot, self.repetitions)
+        return _median_amplify(shot, self.repetitions)
 
     def estimate_distance(
         self,

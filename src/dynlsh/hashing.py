@@ -123,24 +123,28 @@ def minhash_signature(buckets: np.ndarray, spec: HashSpec) -> int | None:
     return int(positions[int(np.argmin(values))])
 
 
-def minhash_positions(positions: np.ndarray, specs: Sequence[HashSpec]) -> np.ndarray:
+def minhash_positions(
+    positions: np.ndarray, specs: Sequence[HashSpec] | tuple[np.ndarray, np.ndarray]
+) -> np.ndarray:
     """minhash over the same position set under many specs at once.
 
-    Returns an int64 array of minimizing positions, one per spec; all -1
-    when the position set is empty.  Ties break toward the lowest position,
-    matching minhash_signature.
+    specs is HashSpecs sharing output_bits, or the uint64 (a, b) arrays of
+    64-bit specs that SketchRandomness.minhash_arrays caches.  Returns int64
+    minimizing positions, one per spec, all -1 for an empty position set;
+    ties break toward the lowest position, matching minhash_signature.
     """
-    n = len(specs)
+    if len(specs) == 2 and isinstance(specs[0], np.ndarray):
+        (a, b), shift = specs, 0
+    else:
+        if len({s.output_bits for s in specs}) != 1:
+            raise ValueError("all specs must share output_bits")
+        (a, b), shift = _spec_arrays(specs), WORD_BITS - specs[0].output_bits
     pos = np.asarray(positions, dtype=np.uint64)
     if pos.size == 0:
-        return np.full(n, -1, dtype=np.int64)
-    a = np.fromiter((s.a for s in specs), dtype=np.uint64, count=n)
-    b = np.fromiter((s.b for s in specs), dtype=np.uint64, count=n)
-    shifts = {s.output_bits for s in specs}
-    if len(shifts) != 1:
-        raise ValueError("all specs must share output_bits")
-    shift = np.uint64(WORD_BITS - shifts.pop())
-    values = (a[:, None] * pos[None, :] + b[:, None]) >> shift
+        return np.full(a.size, -1, dtype=np.int64)
+    values = a[:, None] * pos + b[:, None]
+    if shift:
+        values >>= np.uint64(shift)
     return pos[np.argmin(values, axis=1)].astype(np.int64)
 
 
@@ -160,6 +164,13 @@ def deepest_level(d: int) -> int:
     return (d - 1).bit_length()
 
 
+def _spec_arrays(specs: Sequence[HashSpec]) -> tuple[np.ndarray, np.ndarray]:
+    """The specs' multipliers a and offsets b as read-only uint64 arrays."""
+    a, b = (np.array([getattr(s, f) for s in specs], dtype=np.uint64) for f in "ab")
+    a.flags.writeable = b.flags.writeable = False
+    return a, b
+
+
 def _derived_rng(master_seed: int, spawn_key: tuple[int, ...]) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=spawn_key))
 
@@ -169,10 +180,11 @@ class SketchRandomness:
 
     Holds the level-assignment function h : [d] -> [2^ceil(log2 d)], one
     bucket function per level h_k : [d] -> [c^2], and lazily derived
-    min-hash seeds per (level, repetition, band) triple.  Instances are
-    immutable after construction and safe to share across threads; two
-    instances compare equal iff they were built from the same
-    (d, c_squared, master_seed) and therefore hash identically.
+    min-hash seeds per (level, repetition, band) triple, also cached per
+    level as read-only arrays for index inserts.  Instances are immutable
+    after construction (their hash arrays are read-only) and safe to share
+    across threads; two instances compare equal iff they were built from
+    the same (d, c_squared, master_seed) and therefore hash identically.
     """
 
     __slots__ = (
@@ -187,6 +199,7 @@ class SketchRandomness:
         "_bucket_a",
         "_bucket_b",
         "_minhash_cache",
+        "_minhash_arrays",
     )
 
     def __init__(self, d: int, c_squared: int, master_seed: int) -> None:
@@ -214,9 +227,9 @@ class SketchRandomness:
         self.bucket_specs = tuple(
             random_hash_spec(rng, self.bucket_bits) for _ in range(self.num_levels)
         )
-        self._bucket_a = np.array([s.a for s in self.bucket_specs], dtype=np.uint64)
-        self._bucket_b = np.array([s.b for s in self.bucket_specs], dtype=np.uint64)
+        self._bucket_a, self._bucket_b = _spec_arrays(self.bucket_specs)
         self._minhash_cache: dict[tuple[int, int, int], HashSpec] = {}
+        self._minhash_arrays: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
 
     def __repr__(self) -> str:
         return (
@@ -271,12 +284,18 @@ class SketchRandomness:
         previously issued seeds.
         """
         key = (level, repetition, band)
-        spec = self._minhash_cache.get(key)
-        if spec is None:
-            rng = _derived_rng(self.master_seed, (_TAG_MINHASH, level, repetition, band))
-            spec = random_hash_spec(rng, WORD_BITS)
-            self._minhash_cache[key] = spec
-        return spec
+        if key not in self._minhash_cache:
+            rng = _derived_rng(self.master_seed, (_TAG_MINHASH, *key))
+            self._minhash_cache[key] = random_hash_spec(rng, WORD_BITS)
+        return self._minhash_cache[key]
+
+    def minhash_arrays(self, level: int, repetitions: int, bands: int) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (a, b) whose entry t * bands + q is minhash_spec(level, t, q)'s, cached."""
+        key = (level, repetitions, bands)
+        if key not in self._minhash_arrays:
+            slots = [(t, q) for t in range(repetitions) for q in range(bands)]
+            self._minhash_arrays[key] = _spec_arrays([self.minhash_spec(level, *tq) for tq in slots])
+        return self._minhash_arrays[key]
 
     def spawn(self, index: int) -> "SketchRandomness":
         """Independent child randomness for repetition `index`."""

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from itertools import combinations, islice
 from typing import Iterable, Mapping, Sequence
 
@@ -80,7 +80,7 @@ class LshConfig:
         return (self.epsilon / 5.0) ** 2 * self.r1 * self.delta
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CandidatePair:
     """An unordered candidate pair, canonicalized so id_a < id_b.
 
@@ -93,6 +93,23 @@ class CandidatePair:
     level: int
     repetition: int
     verified_distance: float | None = None
+
+
+# The frozen __init__ sets each field through object.__setattr__; candidates()
+# builds its pairs by writing the slots directly instead, at half the cost.
+_set_a, _set_b, _set_level, _set_repetition, _set_distance = (
+    getattr(CandidatePair, f.name).__set__ for f in fields(CandidatePair)
+)
+
+
+def _new_pair(id_a: SetId, id_b: SetId, level: int, repetition: int) -> CandidatePair:
+    pair = object.__new__(CandidatePair)
+    _set_a(pair, id_a)
+    _set_b(pair, id_b)
+    _set_level(pair, level)
+    _set_repetition(pair, repetition)
+    _set_distance(pair, None)
+    return pair
 
 
 def amplification_probability(s: float, r: int, l: int) -> float:
@@ -143,32 +160,20 @@ def candidate_levels(cardinality: int, cfg: LshConfig, grid: Sequence[int]) -> t
     return tuple(k for k in grid if lo <= k <= hi)
 
 
-def _banded_signatures(
-    sketch: LevelSketch, level: int, cfg: LshConfig, randomness: SketchRandomness
-) -> list[tuple[int, ...]] | None:
-    """One signature tuple per repetition, or None when the row is empty."""
-    positions = np.flatnonzero(sketch.buckets[level])
-    if positions.size == 0:
-        return None  # every min-hash would be the empty sentinel
-    specs = [
-        randomness.minhash_spec(level, t, q)
-        for t in range(cfg.repetitions_l)
-        for q in range(cfg.bands_r)
-    ]
-    sigs = minhash_positions(positions, specs).reshape(cfg.repetitions_l, cfg.bands_r)
-    return [tuple(int(v) for v in row) for row in sigs]
-
-
 class LshIndex:
     """Signature tables over inserted sketches.
 
     Tables are keyed by (level, repetition); each maps a signature tuple to
-    the ids inserted under it.  Re-inserting an existing id replaces its
-    postings, and remove() drops an id with all of them.  The index keeps a
-    reference to each inserted sketch, not a copy: mutating it afterwards
-    makes candidates() and verify() raise StaleIndexError until it is
-    re-inserted or removed.  Single-writer: concurrent inserts are not
-    supported, reads may proceed in parallel once building is done.
+    the ids inserted under it.  insert scans a sketch's nonzero counters
+    once, over the rows from its first to its last admissible level, and
+    takes each admissible row's l * r min-hashes in one pass under that
+    level's cached multipliers (SketchRandomness.minhash_arrays).
+    Re-inserting an existing id replaces its postings, and remove() drops
+    an id with all of them.  The index keeps a reference to each inserted
+    sketch, not a copy: mutating it afterwards makes candidates() and
+    verify() raise StaleIndexError until it is re-inserted or removed.
+    Single-writer: concurrent inserts are not supported, reads may proceed
+    in parallel once building is done.
     """
 
     def __init__(
@@ -201,14 +206,20 @@ class LshIndex:
         if set_id in self._postings:
             self.remove(set_id)
         postings: list[tuple[int, int, tuple[int, ...]]] = []
-        for level in candidate_levels(sketch.cardinality, self.cfg, self.grid):
-            sigs = _banded_signatures(sketch, level, self.cfg, self.randomness)
-            if sigs is None:
-                continue
-            for repetition, sig in enumerate(sigs):
-                table = self._tables.setdefault((level, repetition), {})
-                table.setdefault(sig, []).append(set_id)
-                postings.append((level, repetition, sig))
+        levels = candidate_levels(sketch.cardinality, self.cfg, self.grid)
+        if levels:
+            l, r, low = self.cfg.repetitions_l, self.cfg.bands_r, levels[0]
+            width = self.randomness.c_squared
+            flat = np.flatnonzero(sketch.buckets[low : levels[-1] + 1])
+            cuts = flat.searchsorted([(k - low + e) * width for k in levels for e in (0, 1)]).tolist()
+            for level, start, stop in zip(levels, cuts[::2], cuts[1::2]):
+                if start == stop:
+                    continue  # an empty row: every min-hash would be the sentinel
+                arrays = self.randomness.minhash_arrays(level, l, r)
+                sigs = minhash_positions(flat[start:stop] - (level - low) * width, arrays)
+                for repetition, sig in enumerate(map(tuple, sigs.reshape(l, r).tolist())):
+                    self._tables.setdefault((level, repetition), {}).setdefault(sig, []).append(set_id)
+                    postings.append((level, repetition, sig))
         self._postings[set_id] = postings
         self._sketches[set_id] = sketch
         self._mutations[set_id] = sketch.mutations
@@ -249,25 +260,25 @@ class LshIndex:
         self._check_unchanged(self._sketches)
         seen: set[tuple[SetId, SetId]] = set()
         out: list[CandidatePair] = []
+        see, emit, cap = seen.add, out.append, self.pair_cap
         for level, repetition in sorted(self._tables):
             table = self._tables[(level, repetition)]
-            for sig in sorted(table):
+            for sig in sorted(sig for sig, ids in table.items() if len(ids) > 1):
                 ids = table[sig]
-                if len(ids) < 2:
-                    continue
-                members = sorted(ids)
-                total = len(members) * (len(members) - 1) // 2
-                if total > self.pair_cap:
+                keys = combinations(sorted(ids), 2)
+                total = len(ids) * (len(ids) - 1) // 2
+                if total > cap:
                     warnings.warn(
                         f"bucket at level {level} repetition {repetition} expands to "
-                        f"{total} pairs; emitting the first {self.pair_cap}",
+                        f"{total} pairs; emitting the first {cap}",
                         RuntimeWarning,
                         stacklevel=2,
                     )
-                for key in islice(combinations(members, 2), self.pair_cap):
+                    keys = islice(keys, cap)
+                for key in keys:
                     if key not in seen:
-                        seen.add(key)
-                        out.append(CandidatePair(key[0], key[1], level, repetition))
+                        see(key)
+                        emit(_new_pair(key[0], key[1], level, repetition))
         return out
 
     def verify(
@@ -425,10 +436,7 @@ def sensitivity_report(
     index = LshIndex(single, randomness, pair_cap=max(1, n * (n - 1) // 2))
     for set_id, sketch in sketches.items():
         index.insert(set_id, sketch)
-    hits = {
-        (p.id_a, p.id_b) if p.id_a < p.id_b else (p.id_b, p.id_a)
-        for p in index.candidates()
-    }
+    hits = {(p.id_a, p.id_b) for p in index.candidates()}  # canonical: id_a < id_b
     high_total = high_hit = low_total = low_hit = 0
     for pair, sim in exact_similarities.items():
         key = pair if pair[0] < pair[1] else (pair[1], pair[0])
@@ -458,11 +466,10 @@ def minhash_pair_collides(
     the banding curve without sketch effects.
     """
     rng = np.random.default_rng(np.random.SeedSequence(master_seed))
-    a_items = np.asarray(a_items, dtype=np.uint64)
-    b_items = np.asarray(b_items, dtype=np.uint64)
-    union = np.union1d(a_items, b_items)
     specs = [random_hash_spec(rng, 64) for _ in range(r * l)]
-    sig_a = minhash_positions(np.intersect1d(union, a_items), specs).reshape(l, r)
-    sig_b = minhash_positions(np.intersect1d(union, b_items), specs).reshape(l, r)
+    sig_a, sig_b = (
+        minhash_positions(np.unique(np.asarray(items, dtype=np.uint64)), specs).reshape(l, r)
+        for items in (a_items, b_items)
+    )
     return bool(np.any(np.all(sig_a == sig_b, axis=1)))
 

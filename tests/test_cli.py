@@ -235,3 +235,23 @@ class TestParser:
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("ingested 3 rows")
+
+    def test_import_leaves_scipy_unloaded(self):
+        """Only timing_report needs scipy, and it imports scipy itself."""
+        import os
+        import subprocess
+        import sys
+
+        import dynlsh
+
+        src = os.path.dirname(os.path.dirname(dynlsh.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = "import sys, dynlsh, dynlsh.cli; print('scipy' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

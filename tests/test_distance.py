@@ -19,10 +19,10 @@ from dynlsh import (
     hamming,
     jaccard,
     l0_estimate,
-    median_amplify,
     merge,
     sorensen_dice,
 )
+from dynlsh.distance import _median_amplify
 
 
 def build(randomness, items):
@@ -60,17 +60,17 @@ def planted_pair(rng, d, m, similarity):
 
 class TestMedianAmplify:
     def test_single_repetition_is_identity(self):
-        assert median_amplify(lambda i: 7.5, 1) == 7.5
+        assert _median_amplify(lambda i: 7.5, 1) == 7.5
 
     def test_median_of_fixed_values(self):
         values = [3.0, 1.0, 2.0, 9.0, 2.5]
-        assert median_amplify(lambda i: values[i], 5) == 2.5
+        assert _median_amplify(lambda i: values[i], 5) == 2.5
 
     def test_even_or_nonpositive_repetitions_rejected(self):
         with pytest.raises(ValueError):
-            median_amplify(lambda i: 0.0, 4)
+            _median_amplify(lambda i: 0.0, 4)
         with pytest.raises(ValueError):
-            median_amplify(lambda i: 0.0, 0)
+            _median_amplify(lambda i: 0.0, 0)
 
     def test_three_quarter_shots_amplify_past_95_percent(self):
         """A 0.75-correct shot taken 9 times is right at least 95% of the
@@ -81,7 +81,7 @@ class TestMedianAmplify:
         good = 0
         for _ in range(10**4):
             vals = np.where(rng.random(9) < 0.75, 1.0, 0.0)
-            good += median_amplify(lambda i: vals[i], 9) == 1.0
+            good += _median_amplify(lambda i: vals[i], 9) == 1.0
         assert good / 10**4 >= 0.95
 
 

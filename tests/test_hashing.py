@@ -283,6 +283,45 @@ class TestSketchRandomness:
         assert again.minhash_spec(2, 1, 0) == spec
         assert rnd.minhash_spec(2, 1, 1) != spec
 
+    def test_minhash_arrays_hold_every_slots_spec(self):
+        """Entry t * bands + q is minhash_spec(level, t, q), so the seeds
+        are the ones minhash_spec has always derived (one pinned below)."""
+        rnd = SketchRandomness(2**16, 1024, 7)
+        pinned = rnd.minhash_spec(3, 7, 2)
+        assert (pinned.a, pinned.b) == (10882494683655123221, 17554896456916323559)
+        for level in (0, 3, rnd.max_level):
+            for reps, bands in ((1, 1), (8, 3), (2, 5)):
+                a, b = rnd.minhash_arrays(level, reps, bands)
+                assert a.dtype == b.dtype == np.uint64
+                assert a.shape == b.shape == (reps * bands,)
+                slots = [rnd.minhash_spec(level, t, q) for t in range(reps) for q in range(bands)]
+                assert a.tolist() == [s.a for s in slots]
+                assert b.tolist() == [s.b for s in slots]
+                assert rnd.minhash_arrays(level, reps, bands)[0] is a
+
+    def test_hash_arrays_are_read_only(self):
+        rnd = SketchRandomness(4096, 64, 3)
+        assert rnd._bucket_a.tolist() == [s.a for s in rnd.bucket_specs]
+        assert rnd._bucket_b.tolist() == [s.b for s in rnd.bucket_specs]
+        for arr in (rnd._bucket_a, rnd._bucket_b, *rnd.minhash_arrays(2, 3, 2)):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+            with pytest.raises(ValueError):
+                arr += np.uint64(1)
+
+    def test_positions_under_cached_arrays_match_specs(self):
+        rnd = SketchRandomness(4096, 256, 72012)
+        positions = np.sort(np.random.default_rng(72012).choice(256, size=40, replace=False))
+        specs = [rnd.minhash_spec(4, t, q) for t in range(3) for q in range(2)]
+        assert_array_equal(
+            minhash_positions(positions, rnd.minhash_arrays(4, 3, 2)),
+            minhash_positions(positions, specs),
+        )
+        assert_array_equal(
+            minhash_positions(np.empty(0, dtype=np.int64), rnd.minhash_arrays(4, 3, 2)),
+            np.full(6, -1),
+        )
+
     def test_spawn_changes_every_spec(self):
         rnd = SketchRandomness(4096, 64, 3)
         child = rnd.spawn(0)

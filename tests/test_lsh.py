@@ -1,8 +1,10 @@
 """Candidate generation: level grids, admissible windows, banded tables."""
 
 import io
+import itertools
 import math
 import struct
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -29,6 +31,7 @@ from dynlsh import (
     level_grid,
     merge,
     minhash_pair_collides,
+    minhash_signature,
     sensitivity_report,
     sketch_from_bytes,
     sketch_to_bytes,
@@ -302,6 +305,133 @@ class TestRemove:
 
 def _sorted_tables(index):
     return {key: {sig: sorted(ids) for sig, ids in table.items()} for key, table in index._tables.items()}
+
+
+def _reference_postings(index, sketch):
+    """insert's postings rebuilt slot by slot through minhash_signature."""
+    cfg, rnd = index.cfg, index.randomness
+    out = []
+    for level in candidate_levels(sketch.cardinality, cfg, index.grid):
+        row = sketch.buckets[level]
+        if not row.any():
+            continue  # an empty admissible row posts nothing
+        for t in range(cfg.repetitions_l):
+            sig = tuple(minhash_signature(row, rnd.minhash_spec(level, t, q)) for q in range(cfg.bands_r))
+            out.append((level, t, sig))
+    return out
+
+
+_POSTING_RND = SketchRandomness(512, 16, 76800)
+
+# (item, multiplicity) lists, so a large cardinality can sit on few
+# counters and leave admissible rows empty; the flag adds +1 on one item
+# and -1 on another, nonzero counters that leave the cardinality as is
+_POSTING_SETS = st.tuples(
+    st.lists(st.tuples(st.integers(0, 511), st.integers(1, 20)), max_size=30),
+    st.booleans(),
+)
+
+
+def _posting_sketch(spec):
+    counts, cancelled = spec
+    items = [item for item, count in counts for _ in range(count)]
+    values = [1] * len(items)
+    if cancelled:
+        items, values = items + [510, 511], values + [1, -1]
+    sketch = LevelSketch(_POSTING_RND)
+    if items:
+        sketch.update_many(np.asarray(items, dtype=np.int64), np.asarray(values, dtype=np.int64))
+    return sketch
+
+
+class TestInsertPostings:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        r1=st.sampled_from([0.3, 0.5, 0.7]),
+        shape=st.tuples(st.integers(1, 3), st.integers(1, 8)),
+        p=st.sampled_from([0.05, 0.3, 0.9]),
+        ops=st.lists(
+            st.tuples(st.booleans(), st.integers(0, 3), _POSTING_SETS), min_size=1, max_size=12
+        ),
+    )
+    @example(
+        r1=0.5,
+        shape=(3, 8),
+        p=0.9,
+        ops=[
+            (True, 0, ([(5, 20)], False)),  # one counter, three admissible rows
+            (True, 1, ([], True)),  # cardinality 0, nonzero rows
+            (True, 2, ([], False)),  # the empty set
+            (True, 3, ([(5, 20)], False)),
+            (False, 0, ([], False)),
+            (True, 0, ([(5, 20), (9, 1), (77, 3)], False)),
+        ],
+    )
+    def test_postings_equal_a_per_slot_reference(self, r1, shape, p, ops):
+        """Postings and tables match minhash_signature under minhash_spec
+        for every slot, across level grids with gaps (r1 = 0.3), shapes
+        from 1 x 1 to 3 x 8, and removals and re-insertions."""
+        bands, reps = shape
+        cfg = LshConfig(r1=r1, r2=r1 / 4, bands_r=bands, repetitions_l=reps, sampling_p=p)
+        index = LshIndex(cfg, _POSTING_RND)
+        live = {}
+        for insert, set_id, spec in ops:
+            if insert:
+                live[set_id] = _posting_sketch(spec)
+                index.insert(set_id, live[set_id])
+            elif set_id in live:
+                index.remove(set_id)
+                del live[set_id]
+        expected_tables = {}
+        for set_id in sorted(live):
+            postings = _reference_postings(index, live[set_id])
+            assert index._postings[set_id] == postings
+            for level, t, sig in postings:
+                expected_tables.setdefault((level, t), {}).setdefault(sig, []).append(set_id)
+        assert _sorted_tables(index) == expected_tables
+
+
+class TestCandidateOrder:
+    def test_pair_cap_keeps_the_first_pairs_in_combinations_order(self, small_corpus):
+        cfg, rnd, items = small_corpus
+        cfg = LshConfig(r1=cfg.r1, r2=cfg.r2, sampling_p=cfg.sampling_p, bands_r=2, repetitions_l=3)
+        index = LshIndex(cfg, rnd, pair_cap=2)
+        for name in ("d", "b", "c", "a"):
+            index.insert(name, build(rnd, items))
+        first = min(index._tables)
+        with pytest.warns(RuntimeWarning, match="expands to 6 pairs; emitting the first 2"):
+            pairs = index.candidates()
+        assert pairs == [CandidatePair("a", "b", *first), CandidatePair("a", "c", *first)]
+        index.pair_cap = 6
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pairs = index.candidates()
+        assert [(p.id_a, p.id_b) for p in pairs] == list(itertools.combinations("abcd", 2))
+        assert {(p.level, p.repetition) for p in pairs} == {first}
+
+    def test_each_pair_keeps_its_first_table_in_level_repetition_order(self):
+        cfg = LshConfig(r1=0.5, r2=0.1, sampling_p=0.05, repetitions_l=4)
+        rnd = SketchRandomness(4096, 64, 76900)
+        base = np.random.default_rng(76900).choice(4096, size=1600, replace=False)
+        index = LshIndex(cfg, rnd)
+        # larger sets first, so deeper tables exist before shallower ones
+        for i, size in enumerate((1600, 1500, 1400, 700, 650, 600, 300, 280, 260)):
+            index.insert(i, build(rnd, base[:size]))
+        assert list(index._tables) != sorted(index._tables)
+        tables_of = {}  # pair -> tables holding it, in scan order
+        for key in sorted(index._tables):
+            table = index._tables[key]
+            for sig in sorted(table):
+                for pair in itertools.combinations(sorted(table[sig]), 2):
+                    tables_of.setdefault(pair, []).append(key)
+        pairs = index.candidates()
+        assert [(p.id_a, p.id_b) for p in pairs] == list(tables_of)
+        assert {(p.id_a, p.id_b): (p.level, p.repetition) for p in pairs} == {
+            pair: keys[0] for pair, keys in tables_of.items()
+        }
+        # the case under test: pairs seen in several tables, some first at a later repetition
+        assert any(len(keys) > 1 for keys in tables_of.values())
+        assert any(p.repetition > 0 for p in pairs)
 
 
 class TestVerify:
