@@ -13,10 +13,6 @@ class CounterOverflowError(OverflowError):
     """A signed 64-bit sketch counter would overflow."""
 
 
-class StaleIndexError(RuntimeError):
-    """An indexed sketch was mutated after it was inserted; re-insert it."""
-
-
 class StreamParseError(ValueError):
     """A stream file line could not be parsed.
 

@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .distance import DistanceEstimator
-from .errors import ConfigMismatchError, StaleIndexError
+from .errors import ConfigMismatchError
 from .hashing import SketchRandomness, deepest_level, minhash_positions, random_hash_spec
 from .sketch import LevelSketch
 
@@ -161,17 +161,18 @@ def candidate_levels(cardinality: int, cfg: LshConfig, grid: Sequence[int]) -> t
 
 
 class LshIndex:
-    """Signature tables over inserted sketches.
+    """Signature tables over a frozen sparse copy of each inserted set.
 
     Tables are keyed by (level, repetition); each maps a signature tuple to
-    the ids inserted under it.  insert scans a sketch's nonzero counters
-    once, over the rows from its first to its last admissible level, and
-    takes each admissible row's l * r min-hashes in one pass under that
-    level's cached multipliers (SketchRandomness.minhash_arrays).
-    Re-inserting an existing id replaces its postings, and remove() drops
-    an id with all of them.  The index keeps a reference to each inserted
-    sketch, not a copy: mutating it afterwards makes candidates() and
-    verify() raise StaleIndexError until it is re-inserted or removed.
+    the ids inserted under it.  insert scans a sketch's counters once: the
+    nonzero positions, split by row with searchsorted, give both the set's
+    stored entry (sorted flat positions, their values, the row cuts and
+    the cardinality) and each admissible row's l * r min-hashes,
+    taken in one pass under that level's cached multipliers
+    (SketchRandomness.minhash_arrays).  The index keeps no reference to the
+    caller's sketch, so changing or dropping it afterwards changes nothing
+    here; re-insert to update.  Re-inserting an existing id replaces its
+    entry and postings, and remove() drops an id with all of them.
     Single-writer: concurrent inserts are not supported, reads may proceed
     in parallel once building is done.
     """
@@ -190,39 +191,50 @@ class LshIndex:
         self.grid = level_grid(cfg.r1, randomness.d)
         self._tables: dict[tuple[int, int], dict[tuple[int, ...], list[SetId]]] = {}
         self._postings: dict[SetId, list[tuple[int, int, tuple[int, ...]]]] = {}
-        self._sketches: dict[SetId, LevelSketch] = {}
-        self._mutations: dict[SetId, int] = {}  # sketch.mutations at insert
+        # per id, the sparse form of its sketch at insert: sorted flat nonzero
+        # positions and their counters, each in the narrowest signed dtype
+        # that holds it and its negation; the row cuts, so row k's entries
+        # are cuts[k] : cuts[k + 1]; and the cardinality
+        self._entries: dict[SetId, tuple[np.ndarray, np.ndarray, np.ndarray, int]] = {}
+        self._row_starts = np.arange(randomness.num_levels + 1) * randomness.c_squared
+        self._position_dtype = _narrowest_signed(randomness.num_levels * randomness.c_squared)
 
     def __len__(self) -> int:
-        return len(self._sketches)
+        return len(self._entries)
 
     def __contains__(self, set_id: SetId) -> bool:
-        return set_id in self._sketches
+        return set_id in self._entries
 
     def insert(self, set_id: SetId, sketch: LevelSketch) -> None:
-        """Index a sketch under set_id, replacing any previous postings."""
+        """Index a sparse copy of the sketch under set_id, replacing any previous one."""
         if sketch.randomness != self.randomness:
             raise ConfigMismatchError("sketch randomness does not match the index")
         if set_id in self._postings:
             self.remove(set_id)
+        flat = sketch.buckets.reshape(-1)
+        nonzero = np.flatnonzero(flat != 0)
+        row_cuts = nonzero.searchsorted(self._row_starts)
+        cuts = row_cuts.tolist()
         postings: list[tuple[int, int, tuple[int, ...]]] = []
-        levels = candidate_levels(sketch.cardinality, self.cfg, self.grid)
-        if levels:
-            l, r, low = self.cfg.repetitions_l, self.cfg.bands_r, levels[0]
-            width = self.randomness.c_squared
-            flat = np.flatnonzero(sketch.buckets[low : levels[-1] + 1])
-            cuts = flat.searchsorted([(k - low + e) * width for k in levels for e in (0, 1)]).tolist()
-            for level, start, stop in zip(levels, cuts[::2], cuts[1::2]):
-                if start == stop:
-                    continue  # an empty row: every min-hash would be the sentinel
-                arrays = self.randomness.minhash_arrays(level, l, r)
-                sigs = minhash_positions(flat[start:stop] - (level - low) * width, arrays)
-                for repetition, sig in enumerate(map(tuple, sigs.reshape(l, r).tolist())):
-                    self._tables.setdefault((level, repetition), {}).setdefault(sig, []).append(set_id)
-                    postings.append((level, repetition, sig))
+        l, r, width = self.cfg.repetitions_l, self.cfg.bands_r, self.randomness.c_squared
+        for level in candidate_levels(sketch.cardinality, self.cfg, self.grid):
+            start, stop = cuts[level], cuts[level + 1]
+            if start == stop:
+                continue  # an empty row: every min-hash would be the sentinel
+            arrays = self.randomness.minhash_arrays(level, l, r)
+            sigs = minhash_positions(nonzero[start:stop] - level * width, arrays)
+            for repetition, sig in enumerate(map(tuple, sigs.reshape(l, r).tolist())):
+                self._tables.setdefault((level, repetition), {}).setdefault(sig, []).append(set_id)
+                postings.append((level, repetition, sig))
+        values = flat[nonzero]
+        peak = max(int(values.max(initial=0)), -int(values.min(initial=0)))
         self._postings[set_id] = postings
-        self._sketches[set_id] = sketch
-        self._mutations[set_id] = sketch.mutations
+        self._entries[set_id] = (
+            nonzero.astype(self._position_dtype),
+            values.astype(_narrowest_signed(peak)),
+            row_cuts,
+            sketch.cardinality,
+        )
 
     def remove(self, set_id: SetId) -> None:
         """Drop set_id and its postings, as if it had never been inserted.
@@ -237,15 +249,7 @@ class LshIndex:
                 del table[sig]
                 if not table:
                     del self._tables[(level, repetition)]
-        del self._sketches[set_id]
-        del self._mutations[set_id]
-
-    def _check_unchanged(self, ids: Iterable[SetId]) -> None:
-        for set_id in ids:
-            if self._sketches[set_id].mutations != self._mutations[set_id]:
-                raise StaleIndexError(
-                    f"sketch {set_id!r} was mutated after it was indexed; re-insert it"
-                )
+        del self._entries[set_id]
 
     def candidates(self) -> list[CandidatePair]:
         """All distinct pairs sharing a signature in some table.
@@ -255,9 +259,7 @@ class LshIndex:
         order, and each pair is reported once, tagged with its first
         colliding table.  Buckets whose pair expansion exceeds pair_cap
         contribute only the first pair_cap pairs and raise a warning.
-        Raises StaleIndexError if an indexed sketch changed since insert.
         """
-        self._check_unchanged(self._sketches)
         seen: set[tuple[SetId, SetId]] = set()
         out: list[CandidatePair] = []
         see, emit, cap = seen.add, out.append, self.pair_cap
@@ -290,20 +292,20 @@ class LshIndex:
         """Keep pairs whose estimated distance is at most threshold.
 
         Each surviving pair, in input order, carries in verified_distance
-        the value estimator.estimate_distance gives it, bit for bit.  The
-        estimator needs metric rational weights and exactly one randomness
-        slot, this index's; pairs naming an unindexed id raise KeyError and
-        a sketch mutated since insert raises StaleIndexError, all before
-        any pair is scored.
+        the value estimator.estimate_distance gives the two sketches as
+        they were inserted, bit for bit.  The estimator needs metric
+        rational weights and exactly one randomness slot, this index's;
+        pairs naming an unindexed id raise KeyError before any pair is
+        scored.
 
         All pairs are scored in one batched pass.  A pair's estimate needs
         only the per-row nonzero counts of A + B and A - B and |A| + |B|,
         and by linearity those counts follow from the two sparse supports:
         a position in both supports drops out of A - B when the counters
         are equal and out of A + B when they are opposite.  So verify
-        snapshots the referenced sketches as sorted nonzero positions and
-        values, and counts shared, equal and opposite positions per pair
-        and row, chunk by chunk, without building any merge.
+        concatenates the stored entries of the ids its pairs name, and
+        counts shared, equal and opposite positions per pair and row, chunk
+        by chunk, without building any merge or reading a dense sketch.
         """
         estimator.require_metric()
         if estimator.repetitions != 1 or estimator.randomness[0] != self.randomness:
@@ -317,12 +319,11 @@ class LshIndex:
         rows_a = np.fromiter((row_of.setdefault(p.id_a, len(row_of)) for p in pairs), np.int64, n)
         rows_b = np.fromiter((row_of.setdefault(p.id_b, len(row_of)) for p in pairs), np.int64, n)
         for set_id in row_of:
-            if set_id not in self._sketches:
+            if set_id not in self._entries:
                 raise KeyError(f"pair references unindexed id {set_id!r}")
-        self._check_unchanged(row_of)
         if not n:
             return []
-        snap = _SparseSnapshot([self._sketches[set_id] for set_id in row_of], self.randomness)
+        snap = _SparseSnapshot([self._entries[set_id] for set_id in row_of], self.randomness)
         kept: list[CandidatePair] = []
         cost = np.cumsum(snap.length[rows_a] + snap.length[rows_b] + 1)
         start = 0
@@ -348,32 +349,25 @@ def _narrowest_signed(bound: int) -> np.dtype:
 
 
 class _SparseSnapshot:
-    """Sketches as CSR arrays: sorted flat nonzero positions and their values.
+    """LshIndex entries concatenated into CSR arrays.
 
-    Sketch i owns entries offset[i] : offset[i] + length[i] of position and
-    value; nz holds its per-row nonzero counts and card its cardinality.
-    Positions and values are stored in the narrowest signed dtype that
-    holds them and their negations.
+    Entry i owns items offset[i] : offset[i] + length[i] of position and
+    value, widened to the widest dtype among the entries; nz and card
+    stack the per-row nonzero counts and the cardinalities.
     """
 
-    def __init__(self, sketches: Sequence[LevelSketch], randomness: SketchRandomness) -> None:
+    def __init__(self, entries: Sequence[tuple], randomness: SketchRandomness) -> None:
         self.num_levels = randomness.num_levels
         self.width = randomness.num_levels * randomness.c_squared
         self.bucket_bits = randomness.bucket_bits
-        self.nz = np.array([np.count_nonzero(sk.buckets, axis=1) for sk in sketches])
-        self.card = np.array([sk.cardinality for sk in sketches], dtype=np.int64)
-        self.length = self.nz.sum(axis=1)
+        position, value, cuts, card = zip(*entries)
+        self.position = np.concatenate(position)
+        self.value = np.concatenate(value)
+        cuts = np.stack(cuts)
+        self.nz = np.diff(cuts, axis=1)
+        self.card = np.array(card, dtype=np.int64)
+        self.length = cuts[:, -1]
         self.offset = np.cumsum(self.length) - self.length
-        total = int(self.length.sum())
-        peak = max(max(int(sk.buckets.max()), -int(sk.buckets.min())) for sk in sketches)
-        self.position = np.empty(total, dtype=_narrowest_signed(self.width))
-        self.value = np.empty(total, dtype=_narrowest_signed(peak))
-        stops = self.offset + self.length
-        for sk, start, stop in zip(sketches, self.offset.tolist(), stops.tolist()):
-            flat = sk.buckets.reshape(-1)
-            nonzero = np.flatnonzero(flat)
-            self.position[start:stop] = nonzero
-            self.value[start:stop] = flat[nonzero]
 
     def _gather(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Entry indices of the sketches in rows, concatenated, and their keys.

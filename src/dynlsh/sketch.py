@@ -34,20 +34,19 @@ class LevelSketch:
     """One set's sketch: cardinality counter plus level/bucket counter matrix.
 
     Instances are cheap to copy and merge; mutation happens only through
-    update/update_many, and each applied batch bumps `mutations`, so a
-    holder such as LshIndex can tell that a sketch changed under it.  A
+    update/update_many.  LshIndex.insert takes a sparse copy, so a sketch
+    changed after insert must be re-inserted to update the index.  A
     sketch is bound to the SketchRandomness it was built with, and only
     sketches sharing equal randomness may be compared or merged.  Not safe
     for concurrent mutation.
     """
 
-    __slots__ = ("randomness", "_buckets", "_cardinality", "_mutations")
+    __slots__ = ("randomness", "_buckets", "_cardinality")
 
     def __init__(self, randomness: SketchRandomness) -> None:
         self.randomness = randomness
         self._buckets = np.zeros((randomness.num_levels, randomness.c_squared), dtype=np.int64)
         self._cardinality = 0
-        self._mutations = 0
 
     @property
     def buckets(self) -> np.ndarray:
@@ -58,11 +57,6 @@ class LevelSketch:
     def cardinality(self) -> int:
         """Net number of insertions minus deletions."""
         return self._cardinality
-
-    @property
-    def mutations(self) -> int:
-        """Number of update batches applied since this object was created."""
-        return self._mutations
 
     @property
     def d(self) -> int:
@@ -77,7 +71,6 @@ class LevelSketch:
         out.randomness = self.randomness
         out._buckets = self._buckets.copy()
         out._cardinality = self._cardinality
-        out._mutations = 0
         return out
 
     def __eq__(self, other: object) -> bool:
@@ -127,7 +120,6 @@ class LevelSketch:
         flat = levels * rnd.c_squared + rnd.buckets_of(levels, keys).astype(np.int64)
         np.add.at(self._buckets.reshape(-1), flat, vals)
         self._cardinality += int(vals.sum())
-        self._mutations += 1
 
 
 def merge(a: LevelSketch, b: LevelSketch, sign: int = 1) -> LevelSketch:
@@ -147,7 +139,6 @@ def merge(a: LevelSketch, b: LevelSketch, sign: int = 1) -> LevelSketch:
     out.randomness = a.randomness
     out._buckets = a.buckets + sign * b.buckets
     out._cardinality = a.cardinality + sign * b.cardinality
-    out._mutations = 0
     return out
 
 
@@ -228,10 +219,9 @@ def sample_level(
     (eps/5)^2*delta*r*size_hint / max(x+y, z'+y, z+y) with size_hint read
     as a stand-in for the pair's denominator.
 
-    The returned value counts levels in units of halvings of the universe;
-    to probe a bucket row keep the tail semantics of similarity_from_level,
-    or subtract one (see lsb_sampling_level) for single-row reads, whose
-    retention probability at row k is 2^-(k+1).
+    The returned value counts levels in units of halvings of the universe:
+    it is a tail level for similarity_from_level, whose rows >= k retain
+    each item with probability exactly 2^-k.
     """
     for name in ("epsilon", "delta", "r"):
         v = {"epsilon": epsilon, "delta": delta, "r": r}[name]
@@ -258,16 +248,6 @@ def sample_level(
     if arg < 1.0:
         return 0
     return min(int(math.floor(math.log2(arg))), deepest_level(params.d))
-
-
-def lsb_sampling_level(level: int, max_level: int) -> int:
-    """Convert a sample_level value to a single-row index.
-
-    Row k retains items with probability 2^-(k+1), one halving deeper than
-    the tail at k, so single-row consumers read row (level - 1), clamped
-    to the valid range.
-    """
-    return max(0, min(level - 1, max_level))
 
 
 def l0_estimate(sketch: LevelSketch) -> float:
@@ -363,5 +343,4 @@ def sketch_from_bytes(data: bytes, randomness: SketchRandomness) -> LevelSketch:
         np.frombuffer(body, dtype="<i8").astype(np.int64).reshape(num_levels, c2)
     )
     out._cardinality = int(cardinality)
-    out._mutations = 0
     return out

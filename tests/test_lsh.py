@@ -1,5 +1,6 @@
 """Candidate generation: level grids, admissible windows, banded tables."""
 
+import gc
 import io
 import itertools
 import math
@@ -23,7 +24,6 @@ from dynlsh import (
     RationalSimilarity,
     RootSimilarity,
     SketchRandomness,
-    StaleIndexError,
     amplification_probability,
     candidate_levels,
     hamming,
@@ -436,18 +436,21 @@ class TestCandidateOrder:
 
 class TestVerify:
     @pytest.fixture
-    def planted_index(self):
-        cfg = LshConfig(r1=0.5, r2=0.1, sampling_p=0.05)
-        rnd = SketchRandomness(2**16, 1024, 76600)
+    def planted_items(self):
         rng = np.random.default_rng(76600)
         m = 512
         inter = round(2 * m * 0.9 / 1.9)
         pool = rng.choice(2**16, size=2 * m - inter, replace=False)
         far = rng.choice(np.setdiff1d(np.arange(2**16), pool), size=m, replace=False)
+        return {"hi_a": pool[:m], "hi_b": pool[m - inter :], "lo": far}
+
+    @pytest.fixture
+    def planted_index(self, planted_items):
+        cfg = LshConfig(r1=0.5, r2=0.1, sampling_p=0.05)
+        rnd = SketchRandomness(2**16, 1024, 76600)
         index = LshIndex(cfg, rnd)
-        index.insert("hi_a", build(rnd, pool[:m]))
-        index.insert("hi_b", build(rnd, pool[m - inter :]))
-        index.insert("lo", build(rnd, far))
+        for set_id, items in planted_items.items():
+            index.insert(set_id, build(rnd, items))
         return index, DistanceEstimator(jaccard(2**16), rnd)
 
     def test_threshold_separates_planted_pairs(self, planted_index):
@@ -464,10 +467,9 @@ class TestVerify:
         assert len(kept) == 1
         assert kept[0].verified_distance is not None
 
-    def test_zero_threshold_keeps_only_identical(self, planted_index):
+    def test_zero_threshold_keeps_only_identical(self, planted_index, planted_items):
         index, estimator = planted_index
-        dup = index._sketches["hi_a"].copy()
-        index.insert("hi_a_twin", dup)
+        index.insert("hi_a_twin", build(index.randomness, planted_items["hi_a"]))
         queries = [
             CandidatePair("hi_a", "hi_a_twin", 0, 0),
             CandidatePair("hi_a", "hi_b", 0, 0),
@@ -495,19 +497,38 @@ class TestVerify:
         with pytest.raises(ConfigMismatchError, match="one randomness slot"):
             index.verify([], DistanceEstimator(jaccard(2**16), foreign), 1.0)
 
-    def test_mutating_an_indexed_sketch_is_loud(self, planted_index):
-        index, estimator = planted_index
-        sketch = index._sketches["hi_a"]
-        sketch.update_many([1, 2, 3], 1)
-        with pytest.raises(StaleIndexError, match="'hi_a'"):
-            index.candidates()
-        with pytest.raises(StaleIndexError):
-            index.verify([CandidatePair("hi_a", "hi_b", 0, 0)], estimator, 1.0)
-        # pairs that do not read the changed sketch still verify
-        assert len(index.verify([CandidatePair("hi_b", "lo", 0, 0)], estimator, 1.0)) == 1
-        index.insert("hi_a", sketch)  # re-inserting refreshes postings and record
-        index.candidates()
-        assert len(index.verify([CandidatePair("hi_a", "hi_b", 0, 0)], estimator, 1.0)) == 1
+    def test_the_index_keeps_its_own_copy(self, planted_items):
+        """Mutating or dropping a sketch after insert changes nothing indexed;
+        only re-inserting it does."""
+        cfg = LshConfig(r1=0.5, r2=0.1, sampling_p=0.05)
+        rnd = SketchRandomness(2**16, 1024, 76600)
+        estimator = DistanceEstimator(jaccard(2**16), rnd)
+        sketches = {set_id: build(rnd, items) for set_id, items in planted_items.items()}
+        index = LshIndex(cfg, rnd)
+        for set_id, sketch in sketches.items():
+            index.insert(set_id, sketch)
+        queries = [CandidatePair(a, b, 0, 0) for a, b in itertools.combinations(sorted(sketches), 2)]
+        want = [estimator.estimate_distance(sketches[p.id_a], sketches[p.id_b]) for p in queries]
+        before, postings = index.candidates(), dict(index._postings)
+        assert before
+
+        changed = sketches["hi_a"]
+        changed.update_many(planted_items["lo"], 1)
+        changed.update_many(planted_items["hi_a"], -1)  # now the sketch of "lo"
+        assert estimator.estimate_distance(changed, sketches["lo"]) == 0.0
+        del sketches["hi_b"]
+        gc.collect()
+
+        assert index.candidates() == before
+        assert index._postings == postings
+        kept = index.verify(queries, estimator, math.inf)
+        assert [p.verified_distance.hex() for p in kept] == [w.hex() for w in want]
+        assert min(want) > 0.0
+
+        index.insert("hi_a", changed)  # re-inserting updates the index
+        assert index._postings["hi_a"] == index._postings["lo"]
+        [kept] = index.verify([CandidatePair("hi_a", "lo", 0, 0)], estimator, math.inf)
+        assert kept.verified_distance == 0.0
 
 
 def _crafted(rnd, counters, cardinality):

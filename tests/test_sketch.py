@@ -24,7 +24,6 @@ from dynlsh import (
     jaccard,
     l0_estimate,
     lsb,
-    lsb_sampling_level,
     merge,
     rogers_tanimoto,
     sample_level,
@@ -275,6 +274,34 @@ class TestMerge:
             merge(a, b, 1)
 
 
+def _same_sketch(x, y):
+    return x.cardinality == y.cardinality and np.array_equal(x.buckets, y.buckets)
+
+
+class TestMergeAlgebra:
+    @given(
+        st.lists(
+            st.lists(st.tuples(st.integers(0, 63), st.sampled_from([-1, 1])), max_size=40),
+            min_size=3,
+            max_size=3,
+        ),
+        st.sampled_from([1, -1]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_merge_is_commutative_and_associative(self, streams, sign):
+        """a + b = b + a, a - b = 0 - (b - a), and (a + s*b) + s*c =
+        a + s*(b + c) for s = +-1, over signed streams sharing one randomness."""
+        rnd = SketchRandomness(64, 16, 99)
+        a, b, c = (LevelSketch(rnd) for _ in streams)
+        for sk, updates in zip((a, b, c), streams):
+            if updates:
+                items, values = zip(*updates)
+                sk.update_many(np.array(items), np.array(values))
+        assert _same_sketch(merge(a, b), merge(b, a))
+        assert _same_sketch(merge(a, b, -1), merge(LevelSketch(rnd), merge(b, a, -1), -1))
+        assert _same_sketch(merge(merge(a, b, sign), c, sign), merge(a, merge(b, c), sign))
+
+
 class TestObjectProtocol:
     def test_copy_is_independent(self, randomness):
         sk = build(randomness, [5, 6])
@@ -290,26 +317,6 @@ class TestObjectProtocol:
     def test_equality_requires_same_randomness(self, randomness):
         other = SketchRandomness(1024, 64, 43)
         assert LevelSketch(randomness) != LevelSketch(other)
-
-
-class TestMutationCounter:
-    def test_each_applied_batch_counts_once(self, randomness):
-        sk = LevelSketch(randomness)
-        assert sk.mutations == 0
-        sk.update_many([1, 2, 3], 1)
-        sk.update(4, -1)
-        assert sk.mutations == 2
-        sk.update_many([], 1)  # an empty batch changes nothing
-        with pytest.raises(ItemRangeError):
-            sk.update_many([5, 10**6], 1)  # a rejected batch changes nothing
-        assert sk.mutations == 2
-
-    def test_derived_sketches_start_at_zero(self, randomness):
-        sk = build(randomness, [5, 6])
-        sk.update(7, 1)
-        assert sk.copy().mutations == 0
-        assert merge(sk, sk, -1).mutations == 0
-        assert sketch_from_bytes(sketch_to_bytes(sk), randomness).mutations == 0
 
 
 class TestSerialization:
@@ -453,11 +460,6 @@ class TestSampleLevel:
             sample_level(jaccard(16), 0.5, 0.1, 0.4, 0)
         with pytest.raises(ValueError):
             sample_level(RationalSimilarity(0.0, 0.0, 0.0, 0.0, 16), 0.5, 0.1, 0.4, 8)
-
-    def test_single_row_conversion(self):
-        assert lsb_sampling_level(5, 20) == 4
-        assert lsb_sampling_level(0, 20) == 0
-        assert lsb_sampling_level(25, 20) == 20
 
 
 class TestL0Estimate:
