@@ -23,12 +23,13 @@ import time
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import islice
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import GenerationError, StreamDataError, StreamParseError
-from .hashing import SketchRandomness, deepest_level, minhash_positions
+from .hashing import SketchRandomness, deepest_level, derived_rng, derived_seed, minhash_positions
 from .lsh import amplification_probability
 from .sketch import LevelSketch, similarity_from_level
 from .similarity import jaccard
@@ -80,9 +81,10 @@ _TAG_SCURVE = 13
 _TAG_TIMING = 14
 _TAG_LOW_PAIRS = 15
 
-# Rows per np.loadtxt call when parsing a stream body: a (rows, 3) int64
-# chunk of 768 KiB, large enough that the per-call cost vanishes.
-_PARSE_CHUNK_ROWS = 1 << 15
+# Lines per chunk of a stream body: each chunk's text is held while it is
+# parsed, and its (rows, 3) int64 table of 384 KiB is large enough that the
+# per-call cost of np.loadtxt vanishes.
+_PARSE_CHUNK_ROWS = 1 << 14
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
@@ -130,21 +132,16 @@ class BenchCorpus:
 
 @contextmanager
 def _opened(target: str | os.PathLike | IO[str], mode: str) -> Iterator[IO[str]]:
-    """An open file passes through untouched; a path is opened as ASCII text and closed."""
+    """An open file passes through untouched; a path is opened as ASCII text and closed.
+
+    A byte outside ASCII reads as a lone surrogate, which no parser here
+    accepts, so it fails as a parse error on its line rather than in decoding.
+    """
     if not isinstance(target, (str, os.PathLike)):
         yield target
         return
-    with open(target, mode, encoding="ascii", newline="") as fh:
+    with open(target, mode, encoding="ascii", errors="surrogateescape", newline="") as fh:
         yield fh
-
-
-def _rng(master_seed: int, *spawn_key: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=spawn_key))
-
-
-def _child_seed(master_seed: int, *spawn_key: int) -> int:
-    seq = np.random.SeedSequence(master_seed, spawn_key=spawn_key)
-    return int(seq.generate_state(1, np.uint64)[0])
 
 
 def _sample_distinct(
@@ -233,6 +230,17 @@ def planted_partner(
     return np.union1d(keep, adds), realized
 
 
+def _random_row(
+    rng: np.random.Generator, density_range: tuple[float, float], cols: int
+) -> np.ndarray:
+    """A random row of size density_range times cols, drawn uniformly, and at least 1."""
+    lo, hi = density_range
+    if not (0.0 < lo <= hi <= 1.0):
+        raise GenerationError(f"density range must satisfy 0 < low <= high <= 1, got {density_range!r}")
+    m = min(max(int(round(rng.uniform(lo, hi) * cols)), 1), cols)
+    return _sample_distinct(rng, cols, m)
+
+
 def generate(
     rows: int,
     cols: int,
@@ -250,17 +258,10 @@ def generate(
     """
     if rows < 1 or cols < 1:
         raise GenerationError(f"need positive corpus shape, got rows={rows} cols={cols}")
-    lo, hi = density_range
-    if not (0.0 < lo <= hi <= 1.0):
-        raise GenerationError(f"density range must satisfy 0 < low <= high <= 1, got {density_range!r}")
     if every < 1:
         raise GenerationError(f"every must be positive, got {every!r}")
-    rng = _rng(seed, _TAG_GENERATE)
-    out: list[np.ndarray] = []
-    for _ in range(rows):
-        m = int(round(rng.uniform(lo, hi) * cols))
-        m = min(max(m, 1), cols)
-        out.append(_sample_distinct(rng, cols, m))
+    rng = derived_rng(seed, _TAG_GENERATE)
+    out = [_random_row(rng, density_range, cols) for _ in range(rows)]
     manifest: list[PlantedPair] = []
     if planted_ranges:
         for t in range(rows // every):
@@ -289,21 +290,16 @@ def generate_distribution(
         raise GenerationError(f"need at least one pair, got {pairs!r}")
     if not histogram:
         raise GenerationError("histogram must be non-empty")
-    rng = _rng(seed, _TAG_GENERATE, 1)
+    rng = derived_rng(seed, _TAG_GENERATE, 1)
     weights = np.array([w for _, _, w in histogram], dtype=np.float64)
     if (weights < 0).any() or weights.sum() <= 0:
         raise GenerationError("histogram weights must be non-negative and not all zero")
     weights /= weights.sum()
-    lo, hi = density_range
-    if not (0.0 < lo <= hi <= 1.0):
-        raise GenerationError(f"density range must satisfy 0 < low <= high <= 1, got {density_range!r}")
     bases: list[np.ndarray] = []
     partners: list[np.ndarray] = []
     manifest: list[PlantedPair] = []
     for t in range(pairs):
-        m = int(round(rng.uniform(lo, hi) * cols))
-        m = min(max(m, 1), cols)
-        base = _sample_distinct(rng, cols, m)
+        base = _random_row(rng, density_range, cols)
         which = int(rng.choice(len(weights), p=weights))
         b_lo, b_hi, _ = histogram[which]
         partner, realized = planted_partner(rng, base, cols, (b_lo, b_hi))
@@ -329,7 +325,7 @@ def write_stream(
     """
     if churn < 0:
         raise GenerationError(f"churn must be non-negative, got {churn!r}")
-    rng = _rng(seed, _TAG_CHURN) if churn > 0 else None
+    rng = derived_rng(seed, _TAG_CHURN) if churn > 0 else None
     total = 0
     with _opened(out, "w") as fh:
         fh.write(f"{corpus.n} {corpus.d}\n")
@@ -374,104 +370,73 @@ def _read_updates(
 ) -> tuple[int, Iterator[tuple[np.ndarray, np.ndarray]]]:
     """Universe size and per-row (items, values) int64 arrays of an update stream.
 
-    The whole stream is parsed up front, so a malformed line raises
-    StreamParseError with its line number before any row is looked at.
-    The body is first parsed vectorized (_parse_fast); when that pass cannot
-    vouch for every line, the stream is read again by _parse_stream, which
-    alone decides what is valid and raises every error.  A path or a
-    seekable handle is parsed from the handle and rewound for that second
-    read; only a non-seekable handle is first read into a list of lines.
-    A path is decoded as ASCII; text from a handle reaches the vectorized
-    pass only while it stays ASCII, because np.loadtxt can crash the process
-    on rejected lines that end in astral-plane characters.
+    The source is read once, in chunks of _PARSE_CHUNK_ROWS lines, and
+    parsed whole before any row is looked at, so a malformed line raises
+    StreamParseError with its line number first.  Each chunk goes through
+    _parse_chunk and is kept in the narrowest dtypes its ranges allow, so
+    the (updates, 3) int64 table never exists.  The updates are then grouped by
+    row with one stable argsort, so row j's updates keep their stream order.
     """
     with _opened(source, "r") as fh:
-        seekable = fh.seekable()
-        start = fh.tell() if seekable else 0
-        lines = fh if seekable else list(fh)
-        from_path = isinstance(source, (str, os.PathLike))
-        parsed = _parse_fast(iter(lines) if from_path else _ascii_only(lines))
-        if parsed is None:
-            if seekable:
-                fh.seek(start)
-            d, items, values = _parse_stream(iter(lines))
-            return d, (
-                (np.asarray(i, dtype=np.int64), np.asarray(v, dtype=np.int64))
-                for i, v in zip(items, values)
-            )
-    d, bounds, items, values = parsed
-    return d, (
-        (items[lo:hi].astype(np.int64), values[lo:hi].astype(np.int64))
-        for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())
-    )
-
-
-def _ascii_only(lines: Iterable[str]) -> Iterator[str]:
-    """The lines, up to the first that is not ASCII; there, ValueError."""
-    for line in lines:
-        if not line.isascii():
-            raise ValueError("non-ASCII line")
-        yield line
-
-
-def _parse_fast(
-    lines: Iterator[str],
-) -> tuple[int, np.ndarray, np.ndarray, np.ndarray] | None:
-    """Vectorized parse of a stream that _parse_stream would accept, else None.
-
-    Returns (d, bounds, items, values): the updates grouped by row with one
-    stable argsort, so row j's updates, in stream order, are
-    items[bounds[j]:bounds[j + 1]], and likewise for values.  The body goes
-    through np.loadtxt in chunks of _PARSE_CHUNK_ROWS rows, and each checked
-    chunk is kept in the narrowest dtype its ranges allow, so the (updates, 3)
-    int64 table never exists.  loadtxt iterates the same lines that
-    _parse_stream does, splits them on the same whitespace and takes a
-    subset of the tokens int() takes (numpy 1.23 to at least 1.26 parse a
-    float token with only a DeprecationWarning, which is raised here), and
-    the range checks are the loop's; any failure at all returns None.
-    """
-    try:
+        lines = iter(fh)
         n, d = _parse_header(next(lines, ""))
         row_dtype = np.min_scalar_type(min(n, _INT64_MAX))  # bounds run to n
         item_dtype = np.min_scalar_type(min(d, _INT64_MAX) - 1)
         row_parts: list[np.ndarray] = [np.empty(0, row_dtype)]
         item_parts: list[np.ndarray] = [np.empty(0, item_dtype)]
         value_parts: list[np.ndarray] = [np.empty(0, np.int8)]
-        with warnings.catch_warnings():
-            # blank lines inside a chunk and an empty chunk only warn
-            warnings.simplefilter("ignore", UserWarning)
-            # numpy 1.23 to at least 1.26 read an int64 token such as "3.7"
-            # as 3 and only warn; as an error it sends the stream to the line loop
-            warnings.simplefilter("error", DeprecationWarning)
-            while True:
-                chunk = np.loadtxt(
-                    lines, dtype=np.int64, ndmin=2, comments=None, max_rows=_PARSE_CHUNK_ROWS
-                )
-                if len(chunk):
-                    j, i, v = chunk.T  # ValueError unless the lines had 3 tokens
-                    if not (
-                        int(j.min()) >= 0 and int(j.max()) < n
-                        and int(i.min()) >= 0 and int(i.max()) < d
-                        and bool((np.abs(v) == 1).all())
-                    ):
-                        return None
-                    row_parts.append(j.astype(row_dtype))
-                    item_parts.append(i.astype(item_dtype))
-                    value_parts.append(v.astype(np.int8))
-                if len(chunk) < _PARSE_CHUNK_ROWS:
-                    break
-        # each list of parts is dropped once joined, to keep the peak low
-        row_of = np.concatenate(row_parts)
-        del row_parts
-        order = np.argsort(row_of, kind="stable")
-        bounds = np.searchsorted(row_of[order], np.arange(n + 1, dtype=row_dtype))
-        del row_of
-        item_col = np.concatenate(item_parts)[order]
-        del item_parts
-        value_col = np.concatenate(value_parts)[order]
-    except Exception:  # whatever went wrong, the line loop names the error
-        return None
-    return d, bounds, item_col, value_col
+        line_no = 2
+        while chunk := list(islice(lines, _PARSE_CHUNK_ROWS)):
+            j, i, v = _parse_chunk(chunk, n, d, line_no)
+            line_no += len(chunk)
+            del chunk  # not held while the next chunk is read
+            row_parts.append(j.astype(row_dtype))
+            item_parts.append(i.astype(item_dtype))
+            value_parts.append(v.astype(np.int8))
+    # each list of parts is dropped once joined, to keep the peak low
+    row_of = np.concatenate(row_parts)
+    del row_parts
+    order = np.argsort(row_of, kind="stable")
+    bounds = np.searchsorted(row_of[order], np.arange(n + 1, dtype=row_dtype)).tolist()
+    del row_of
+    items = np.concatenate(item_parts)[order]
+    del item_parts
+    values = np.concatenate(value_parts)[order]
+    return d, (
+        (items[lo:hi].astype(np.int64), values[lo:hi].astype(np.int64))
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    )
+
+
+def _parse_chunk(lines: list[str], n: int, d: int, first_line: int) -> np.ndarray:
+    """The (3, updates) int64 rows, items and values of body lines, as _parse_lines reads them.
+
+    An ASCII chunk goes through np.loadtxt, which splits on the same
+    whitespace as the line loop and takes a subset of the tokens int()
+    takes (numpy 1.23 to at least 1.26 parse a float token with only a
+    DeprecationWarning, raised here), and then through the loop's range
+    checks.  Any other chunk, or one that fails, goes to _parse_lines, which
+    names the error.  Non-ASCII text never reaches loadtxt, which can crash
+    the process on rejected lines that end in astral-plane characters.
+    """
+    if "".join(lines).isascii():
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a chunk of blank lines warns
+                warnings.simplefilter("error", DeprecationWarning)
+                table = np.loadtxt(lines, dtype=np.int64, ndmin=2, comments=None)
+            # ValueError unless every line had 3 tokens; only blank lines give no table
+            j, i, v = columns = table.T if table.size else np.empty((3, 0), np.int64)
+        except (ValueError, DeprecationWarning):
+            pass
+        else:
+            if not j.size or (
+                int(j.min()) >= 0 and int(j.max()) < n
+                and int(i.min()) >= 0 and int(i.max()) < d
+                and bool((np.abs(v) == 1).all())
+            ):
+                return columns
+    return _parse_lines(lines, n, d, first_line)
 
 
 def _net_set(j: int, items: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -531,20 +496,21 @@ def _parse_header(header: str) -> tuple[int, int]:
     return n, d
 
 
-def _parse_stream(lines: Iterator[str]) -> tuple[int, list[list[int]], list[list[int]]]:
-    """The line loop, and the one specification of a valid update stream.
+def _parse_lines(lines: Iterable[str], n: int, d: int, first_line: int) -> np.ndarray:
+    """The line loop, and the one specification of a valid update-stream body.
 
-    A header `n d` (n >= 0, d >= 1), then lines of three whitespace-separated
-    tokens `j i v` that int() accepts, with 0 <= j < n, 0 <= i < d and
-    v in {+1, -1}; blank lines are skipped.  The first line breaking a rule
-    raises StreamParseError with its 1-based number.  Returns d and the
-    per-row item and value lists in stream order.  _parse_fast may only
+    After a header `n d` (see _parse_header), each line holds three
+    whitespace-separated tokens `j i v` that int() accepts, with 0 <= j < n,
+    0 <= i < d and v in {+1, -1}; blank lines are skipped.  The first line
+    breaking a rule raises StreamParseError with its 1-based number, the
+    first of `lines` being line first_line.  Returns the (3, updates) int64
+    array of rows, items and values in stream order.  _parse_chunk may only
     accept what this accepts.
     """
-    n, d = _parse_header(next(lines, ""))
-    items: list[list[int]] = [[] for _ in range(n)]
-    values: list[list[int]] = [[] for _ in range(n)]
-    for line_no, line in enumerate(lines, start=2):
+    rows: list[int] = []
+    items: list[int] = []
+    values: list[int] = []
+    for line_no, line in enumerate(lines, start=first_line):
         parts = line.split()
         if not parts:
             continue
@@ -560,9 +526,10 @@ def _parse_stream(lines: Iterator[str]) -> tuple[int, list[list[int]], list[list
             raise StreamParseError(f"item {i} outside [0, {d})", line_no)
         if v not in (1, -1):
             raise StreamParseError(f"value must be +1 or -1, got {v}", line_no)
-        items[j].append(i)
-        values[j].append(v)
-    return d, items, values
+        rows.append(j)
+        items.append(i)
+        values.append(v)
+    return np.array([rows, items, values], dtype=np.int64)
 
 
 def alpha_level(alpha: float, max_level: int) -> int:
@@ -638,7 +605,7 @@ def deviation_report(
     ]
     taken = {(min(p.id_a, p.id_b), max(p.id_a, p.id_b)) for p in manifest}
     if low_sample > 0 and len(sets) >= 2:
-        rng = _rng(master_seed, _TAG_LOW_PAIRS)
+        rng = derived_rng(master_seed, _TAG_LOW_PAIRS)
         limit = len(sets) * (len(sets) - 1) // 2
         want = min(low_sample, limit - len(taken))
         while want > 0:
@@ -662,7 +629,7 @@ def deviation_report(
         sum_high = sum_low = 0.0
         hits_high = hits_low = 0
         for t in range(trials):
-            randomness = SketchRandomness(d, c_squared, _child_seed(master_seed, _TAG_DEVIATION, ci, t))
+            randomness = SketchRandomness(d, c_squared, derived_seed(master_seed, _TAG_DEVIATION, ci, t))
             t0 = time.perf_counter()
             sketches: dict[int, LevelSketch] = {}
             for idx in needed:
@@ -749,7 +716,7 @@ def scurve_report(
         totals = np.zeros(n_bins, dtype=np.int64)
         for t in range(trials):
             randomness = SketchRandomness(
-                d, c_squared, _child_seed(master_seed, _TAG_SCURVE, gi, t)
+                d, c_squared, derived_seed(master_seed, _TAG_SCURVE, gi, t)
             )
             arrays = randomness.minhash_arrays(level, l, r)
             signatures: dict[int, np.ndarray | None] = {}
@@ -837,7 +804,7 @@ def timing_report(
 
     n = len(sets)
     level = alpha_level(alpha, deepest_level(d))
-    randomness = SketchRandomness(d, c_squared, _child_seed(master_seed, _TAG_TIMING))
+    randomness = SketchRandomness(d, c_squared, derived_seed(master_seed, _TAG_TIMING))
     t0 = time.perf_counter()
     patterns = np.zeros((n, c_squared), dtype=np.float32)
     for j, items in enumerate(sets):

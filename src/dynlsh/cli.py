@@ -5,8 +5,9 @@ ingest (replay a stream into sketches and sanity-check it), deviation
 (similarity-estimate deviation report), scurve (empirical banding curve),
 timing (sketch vs exact all-pairs wall clock), and lsh (end-to-end
 candidate generation with optional verification).  All reports are CSV
-with a leading parameter echo line; exit status is 0 on success and 2 on
-parse, data, or generation errors.
+with a leading parameter echo line; exit status is 0 on success and 2,
+with an `error:` line, on parse, data, generation or file errors and on
+option values the library rejects.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .bench import (
     write_stream,
 )
 from .distance import DistanceEstimator
-from .errors import GenerationError, StreamDataError, StreamParseError
+from .errors import GenerationError
 from .lsh import CandidatePair, LshConfig, LshIndex
 from .similarity import jaccard
 
@@ -340,7 +341,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (StreamParseError, StreamDataError, GenerationError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # the package's parse, data and generation errors too
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -171,8 +171,15 @@ def _spec_arrays(specs: Sequence[HashSpec]) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _derived_rng(master_seed: int, spawn_key: tuple[int, ...]) -> np.random.Generator:
+def derived_rng(master_seed: int, *spawn_key: int) -> np.random.Generator:
+    """The generator at spawn_key under master_seed."""
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=spawn_key))
+
+
+def derived_seed(master_seed: int, *spawn_key: int) -> int:
+    """A 64-bit master seed for a child family, at spawn_key under master_seed."""
+    seq = np.random.SeedSequence(master_seed, spawn_key=spawn_key)
+    return int(seq.generate_state(1, np.uint64)[0])
 
 
 class SketchRandomness:
@@ -215,7 +222,7 @@ class SketchRandomness:
         self.max_level = deepest_level(d)
         self.num_levels = self.max_level + 1
         self.bucket_bits = c_squared.bit_length() - 1
-        rng = _derived_rng(master_seed, (_TAG_LEVEL,))
+        rng = derived_rng(master_seed, _TAG_LEVEL)
         # The level function keeps the full product width: for odd a the
         # map key -> (a*key + b) mod 2^j is a bijection on the low j bits,
         # so lsb(hash) is exactly geometric for keys uniform over a
@@ -223,7 +230,7 @@ class SketchRandomness:
         # output's low bits poorly mixed whenever a has many leading
         # zeros, which hollows out entire levels.
         self.level_spec = random_hash_spec(rng, WORD_BITS)
-        rng = _derived_rng(master_seed, (_TAG_BUCKET,))
+        rng = derived_rng(master_seed, _TAG_BUCKET)
         self.bucket_specs = tuple(
             random_hash_spec(rng, self.bucket_bits) for _ in range(self.num_levels)
         )
@@ -285,7 +292,7 @@ class SketchRandomness:
         """
         key = (level, repetition, band)
         if key not in self._minhash_cache:
-            rng = _derived_rng(self.master_seed, (_TAG_MINHASH, *key))
+            rng = derived_rng(self.master_seed, _TAG_MINHASH, *key)
             self._minhash_cache[key] = random_hash_spec(rng, WORD_BITS)
         return self._minhash_cache[key]
 
@@ -299,9 +306,5 @@ class SketchRandomness:
 
     def spawn(self, index: int) -> "SketchRandomness":
         """Independent child randomness for repetition `index`."""
-        seed = int(
-            np.random.SeedSequence(
-                self.master_seed, spawn_key=(_TAG_CHILD, index)
-            ).generate_state(1, np.uint64)[0]
-        )
+        seed = derived_seed(self.master_seed, _TAG_CHILD, index)
         return SketchRandomness(self.d, self.c_squared, seed)

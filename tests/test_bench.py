@@ -210,6 +210,13 @@ class TestManifestFile:
             # values cross the file as %.6f decimals
             assert abs(orig.exact_similarity - copy.exact_similarity) <= 5e-7
 
+    def test_non_ascii_byte_in_a_file_names_its_line(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"id_a,id_b,target_low,target_high,exact_similarity\r\n0\xa0,1,0.4,0.6,0.5\r\n")
+        with pytest.raises(StreamParseError) as info:
+            read_manifest(path)
+        assert info.value.line_number == 2
+
     def test_unexpected_header_rejected_at_line_one(self):
         buf = io.StringIO("id_a,id_b,wrong\n")
         with pytest.raises(StreamParseError) as info:
@@ -302,7 +309,7 @@ def faulty_streams(draw):
     elif fault in ("x", "1_0"):
         tokens[k] = fault
     elif fault == "2**64":
-        # not as the header's row count: the line loop would allocate 2**64 rows
+        # not as the header's row count: the reference's grouping would allocate 2**64 rows
         tokens[max(k, 1) if at == 0 else k] = str(2**64)
     elif fault == "1.0":
         tokens[k] += ".0"
@@ -331,16 +338,30 @@ def faulty_streams(draw):
 
 
 class _Unseekable:
-    """A line source that cannot be rewound, like a pipe."""
+    """A line source that cannot be rewound and is read at most once, like a pipe."""
 
     def __init__(self, fh):
         self._fh = fh
-
-    def seekable(self):
-        return False
+        self.lines_read = 0
+        self._iterated = False
 
     def __iter__(self):
-        return iter(self._fh)
+        assert not self._iterated, "the source was iterated twice"
+        self._iterated = True
+        for line in self._fh:
+            self.lines_read += 1
+            yield line
+
+
+def _line_loop(fh):
+    """(d, per-row (items, values) lists) of a whole stream by the header parse and the line loop."""
+    lines = iter(fh)
+    n, d = dynlsh.bench._parse_header(next(lines, ""))
+    rows = [([], []) for _ in range(n)]
+    for j, i, v in dynlsh.bench._parse_lines(lines, n, d, 2).T.tolist():
+        rows[j][0].append(i)
+        rows[j][1].append(v)
+    return d, rows
 
 
 def _outcome(parse):
@@ -361,34 +382,39 @@ def _rows_are_int64(parse):
 
 
 class TestVectorizedIngest:
-    """_read_updates parses vectorized but must answer exactly as the line loop."""
+    """_read_updates parses chunks vectorized but must answer exactly as the line loop."""
 
     @settings(max_examples=400, deadline=None)
-    @given(text=faulty_streams(), source=st.sampled_from(["\n", "", None, "path", "pipe"]))
-    @example(text="1 10\n0 1_0 1\n", source="\n")
-    @example(text="2 10\n0 1 1\r0 2 1\n", source="\n")
-    @example(text="2 10\n0 1 1\r0 2 1\n", source="")
-    @example(text="2 10\n0 1 1\r\r\n1 2 -1\n", source="\n")
-    @example(text="1 10\n0 1 1\x850 2 1\n", source="pipe")
-    @example(text="1 10\n0 5 +1\n0 007 -1\n", source="path")
-    def test_fast_parse_answers_as_the_line_loop(self, text, source):
-        if source == "path":
-            with tempfile.TemporaryDirectory() as tmp:
-                path = Path(tmp) / "s.stream"
-                path.write_text(text, encoding="utf-8", newline="")
-                opened = lambda: open(path, encoding="ascii", newline="")
-                self._check(lambda: path, opened)
-        elif source == "pipe":
-            self._check(lambda: _Unseekable(io.StringIO(text)), lambda: io.StringIO(text))
-        else:
-            self._check(lambda: io.StringIO(text, newline=source), lambda: io.StringIO(text, newline=source))
+    @given(
+        text=faulty_streams(),
+        source=st.sampled_from(["\n", "", None, "path", "pipe"]),
+        chunk_rows=st.sampled_from([3, dynlsh.bench._PARSE_CHUNK_ROWS]),
+    )
+    @example(text="1 10\n0 1_0 1\n", source="\n", chunk_rows=3)
+    @example(text="2 10\n0 1 1\r0 2 1\n", source="\n", chunk_rows=3)
+    @example(text="2 10\n0 1 1\r0 2 1\n", source="", chunk_rows=3)
+    @example(text="2 10\n0 1 1\r\r\n1 2 -1\n", source="\n", chunk_rows=3)
+    @example(text="1 10\n0 1 1\x850 2 1\n", source="pipe", chunk_rows=3)
+    @example(text="1 10\n0 5 +1\n0 007 -1\n", source="path", chunk_rows=3)
+    @example(text="2 10\n0 1 1\n1 2 1\n0 3 1\n\n\n1 4 -1\n0 x 1\n", source="pipe", chunk_rows=3)
+    def test_fast_parse_answers_as_the_line_loop(self, text, source, chunk_rows):
+        with mock.patch.object(dynlsh.bench, "_PARSE_CHUNK_ROWS", chunk_rows):
+            if source == "path":
+                with tempfile.TemporaryDirectory() as tmp:
+                    path = Path(tmp) / "s.stream"
+                    path.write_text(text, encoding="utf-8", newline="")
+                    opened = lambda: open(path, encoding="ascii", errors="surrogateescape", newline="")
+                    self._check(lambda: path, opened)
+            elif source == "pipe":
+                self._check(lambda: _Unseekable(io.StringIO(text)), lambda: io.StringIO(text))
+            else:
+                self._check(lambda: io.StringIO(text, newline=source), lambda: io.StringIO(text, newline=source))
 
     @staticmethod
     def _check(source, reference):
         def loop():
             with reference() as fh:
-                d, items, values = dynlsh.bench._parse_stream(iter(fh))
-            return d, zip(items, values)
+                return _line_loop(fh)
 
         want = _outcome(loop)
         assert _outcome(lambda: dynlsh.bench._read_updates(source())) == want
@@ -403,7 +429,7 @@ class TestVectorizedIngest:
                 _, rows = dynlsh.bench._read_updates(source)
                 assert [(i.tolist(), v.tolist()) for i, v in rows] == empty
         # the vectorized pass itself takes empty bodies, and lets no warning out
-        with mock.patch.object(dynlsh.bench, "_parse_stream", side_effect=AssertionError("loop used")):
+        with mock.patch.object(dynlsh.bench, "_parse_lines", side_effect=AssertionError("loop used")):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 _, rows = dynlsh.bench._read_updates(io.StringIO(text))
@@ -415,7 +441,7 @@ class TestVectorizedIngest:
         path = tmp_path / "c.stream"
         write_stream(corpus, path, churn=0.5, seed=4)
         want = read_sets(path)[1]
-        with mock.patch.object(dynlsh.bench, "_parse_stream", side_effect=AssertionError("loop used")):
+        with mock.patch.object(dynlsh.bench, "_parse_lines", side_effect=AssertionError("loop used")):
             with mock.patch.object(dynlsh.bench, "_PARSE_CHUNK_ROWS", 7):  # many chunks
                 d, sets = read_sets(path)
             assert d == 500
@@ -431,6 +457,20 @@ class TestVectorizedIngest:
             j, i, _ = map(int, line.split())
             by_row.setdefault(j, []).append(i)
         assert items == [by_row.get(j, []) for j in range(len(corpus.rows))]
+
+    def test_a_pipe_is_read_once_and_stops_at_the_faulty_chunk(self):
+        """A one-shot source with a fault in its third chunk gives the loop's error and line."""
+        body = [f"{j} {i} 1" for j in range(3) for i in range(8)]
+        body[9] = "1 x 1"  # line 11: the third chunk of 4 lines holds lines 10 to 13
+        text = "3 10\n" + "\n".join(body) + "\n"
+        with pytest.raises(StreamParseError) as want:
+            _line_loop(io.StringIO(text))
+        source = _Unseekable(io.StringIO(text))
+        with mock.patch.object(dynlsh.bench, "_PARSE_CHUNK_ROWS", 4):
+            with pytest.raises(StreamParseError) as got:
+                dynlsh.bench._read_updates(source)
+        assert (str(got.value), got.value.line_number) == (str(want.value), 11)
+        assert source.lines_read == 1 + 3 * 4  # the header and three chunks, each once
 
     def test_an_int_parsed_via_float_sends_the_stream_to_the_loop(self):
         """numpy 1.23 to at least 1.26 read the int64 token "3.7" as 3 and only warn."""
@@ -467,24 +507,22 @@ class TestVectorizedIngest:
 
             return real(recorded(), **kwargs)
 
-        def loop():
-            d, items, values = dynlsh.bench._parse_stream(iter(io.StringIO(text)))
-            return d, zip(items, values)
-
         for source in (io.StringIO(text), _Unseekable(io.StringIO(text))):
             with mock.patch.object(np, "loadtxt", spy):
                 got = _outcome(lambda: dynlsh.bench._read_updates(source))
-            assert got == _outcome(loop)
+            assert got == _outcome(lambda: _line_loop(io.StringIO(text)))
         assert all(line.isascii() for line in seen)
 
     def test_read_sets_memory_is_under_half_of_per_update_lists(self, tmp_path):
         """Peak traced memory of read_sets against the line loop's Python lists.
 
-        The line loop keeps one Python int per item and a list slot per item
-        and value; read_sets, when it was that loop, peaked at 48.9 B per
-        update on this stream (9.8 MB for 200,889 updates, d = 10^4; the
-        loop alone 44.6 B).  The chunked vectorized parse keeps narrow-dtype
-        columns and peaks at about 15.6 B per update on the same stream.
+        The line loop used to group rows itself, keeping one Python int per
+        item and a list slot per item and value; read_sets, when it was that
+        loop, peaked at 48.9 B per update on this stream (9.8 MB for 200,889
+        updates, d = 10^4; the per-row lists alone 44.5 B), and the comparator
+        builds those lists.  The chunked parse holds one chunk of text at a
+        time and keeps narrow-dtype columns, peaking at about 15.6 B per
+        update on the same stream.
         """
         corpus = generate(270, 10**4, (0.02, 0.05), DEFAULT_PLANTED_RANGES, 20, 3)
         path = tmp_path / "c.stream"
@@ -501,7 +539,13 @@ class TestVectorizedIngest:
 
         def loop():
             with open(path, encoding="ascii", newline="") as fh:
-                dynlsh.bench._parse_stream(iter(fh))
+                lines = iter(fh)
+                n, _ = dynlsh.bench._parse_header(next(lines))
+                items, values = [[] for _ in range(n)], [[] for _ in range(n)]
+                for line in lines:
+                    j, i, v = map(int, line.split())
+                    items[j].append(i)
+                    values[j].append(v)
 
         lists = peak(loop)
         fast = peak(lambda: read_sets(path))

@@ -112,6 +112,13 @@ class TestIngest:
         assert err.startswith("error:")
         assert "line 2" in err
 
+    def test_non_ascii_byte_exits_2_naming_its_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.stream"
+        bad.write_bytes(b"2 10\n0 1 1\n1 2 1\xc3\xa9\n")
+        rc = run(["ingest", "--stream", bad])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: line 3: non-integer update")
+
     def test_unbalanced_deletes_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.stream"
         bad.write_text("1 10\n0 3 -1\n")
@@ -209,6 +216,20 @@ class TestLsh:
 
 
 class TestParser:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["ingest", "--buckets", 3], "c_squared must be a power of two"),
+            (["lsh", "--r1", 2], "need 0 < r2 < r1 < 1"),
+            (["timing", "--alpha", 0], "alpha must lie in (0, 1]"),
+        ],
+    )
+    def test_invalid_option_value_exits_2(self, tiny_stream, capsys, argv, message):
+        rc = run([argv[0], "--stream", tiny_stream, *argv[1:]])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             run(["frobnicate"])
