@@ -29,7 +29,8 @@ from typing import IO, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import GenerationError, StreamDataError, StreamParseError
-from .hashing import SketchRandomness, deepest_level, derived_rng, derived_seed, minhash_positions
+from .hashing import MAX_UNIVERSE, SketchRandomness, deepest_level, derived_rng, derived_seed
+from .hashing import minhash_positions
 from .lsh import amplification_probability
 from .sketch import LevelSketch, similarity_from_level
 from .similarity import jaccard
@@ -86,7 +87,10 @@ _TAG_LOW_PAIRS = 15
 # per-call cost of np.loadtxt vanishes.
 _PARSE_CHUNK_ROWS = 1 << 14
 
-_INT64_MAX = int(np.iinfo(np.int64).max)
+# The most rows a stream header may declare.  The parse holds nothing per
+# declared row, but read_sets and ingest return one set or sketch per row,
+# so a count no caller could hold is refused before any row is made.
+_MAX_ROWS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -375,13 +379,14 @@ def _read_updates(
     StreamParseError with its line number first.  Each chunk goes through
     _parse_chunk and is kept in the narrowest dtypes its ranges allow, so
     the (updates, 3) int64 table never exists.  The updates are then grouped by
-    row with one stable argsort, so row j's updates keep their stream order.
+    row with one stable argsort, so row j's updates keep their stream order,
+    and the rows are cut lazily by _group_rows.
     """
     with _opened(source, "r") as fh:
         lines = iter(fh)
         n, d = _parse_header(next(lines, ""))
-        row_dtype = np.min_scalar_type(min(n, _INT64_MAX))  # bounds run to n
-        item_dtype = np.min_scalar_type(min(d, _INT64_MAX) - 1)
+        row_dtype = np.min_scalar_type(n)
+        item_dtype = np.min_scalar_type(d - 1)
         row_parts: list[np.ndarray] = [np.empty(0, row_dtype)]
         item_parts: list[np.ndarray] = [np.empty(0, item_dtype)]
         value_parts: list[np.ndarray] = [np.empty(0, np.int8)]
@@ -397,15 +402,31 @@ def _read_updates(
     row_of = np.concatenate(row_parts)
     del row_parts
     order = np.argsort(row_of, kind="stable")
-    bounds = np.searchsorted(row_of[order], np.arange(n + 1, dtype=row_dtype)).tolist()
-    del row_of
+    row_of = row_of[order]
     items = np.concatenate(item_parts)[order]
     del item_parts
     values = np.concatenate(value_parts)[order]
-    return d, (
-        (items[lo:hi].astype(np.int64), values[lo:hi].astype(np.int64))
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-    )
+    return d, _group_rows(n, row_of, items, values)
+
+
+def _group_rows(
+    n: int, row_of: np.ndarray, items: np.ndarray, values: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Rows 0..n-1 as int64 (items, values) pairs, from updates sorted by row id.
+
+    Only rows that have updates are located, so the bounds cost O(updates)
+    whatever n is; a row without updates is yielded empty when reached.
+    """
+    starts = np.flatnonzero(row_of[1:] != row_of[:-1]) + 1
+    bounds = [0, *starts.tolist(), row_of.size] if row_of.size else [0]
+    j = 0
+    for row, lo, hi in zip(row_of[bounds[:-1]].tolist(), bounds[:-1], bounds[1:]):
+        for _ in range(row - j):
+            yield np.empty(0, np.int64), np.empty(0, np.int64)
+        yield items[lo:hi].astype(np.int64), values[lo:hi].astype(np.int64)
+        j = row + 1
+    for _ in range(n - j):
+        yield np.empty(0, np.int64), np.empty(0, np.int64)
 
 
 def _parse_chunk(lines: list[str], n: int, d: int, first_line: int) -> np.ndarray:
@@ -483,7 +504,12 @@ def ingest(
 
 
 def _parse_header(header: str) -> tuple[int, int]:
-    """(n, d) from a stream's first line, or StreamParseError at line 1."""
+    """(n, d) from a stream's first line, or StreamParseError at line 1.
+
+    The header is `n d` with 0 <= n <= 2^24 rows and 1 <= d <= 2^63 items:
+    every row becomes a set or a sketch, items are int64, and a sketch's
+    levels run to ceil(log2 d) <= 63.
+    """
     parts = header.split()
     if len(parts) != 2:
         raise StreamParseError(f"expected header 'n d', got {header.rstrip()!r}", 1)
@@ -491,8 +517,10 @@ def _parse_header(header: str) -> tuple[int, int]:
         n, d = int(parts[0]), int(parts[1])
     except ValueError as exc:
         raise StreamParseError(f"non-integer header {header.rstrip()!r}", 1) from exc
-    if n < 0 or d < 1:
-        raise StreamParseError(f"header requires n >= 0 and d >= 1, got n={n} d={d}", 1)
+    if not (0 <= n <= _MAX_ROWS and 1 <= d <= MAX_UNIVERSE):
+        raise StreamParseError(
+            f"header requires 0 <= n <= 2^24 and 1 <= d <= 2^63, got n={n} d={d}", 1
+        )
     return n, d
 
 

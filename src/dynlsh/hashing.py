@@ -12,6 +12,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import ItemRangeError
+
 WORD_BITS = 64
 _MASK64 = (1 << 64) - 1
 
@@ -20,6 +22,13 @@ _TAG_LEVEL = 0
 _TAG_BUCKET = 1
 _TAG_MINHASH = 2
 _TAG_CHILD = 3
+
+# the splitmix64 finalizer's shifts and multipliers, as mix64 applies them
+_MIX_SHIFTS = tuple(np.uint64(k) for k in (30, 27, 31))
+_MIX_MULTS = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
+
+# the largest universe: items are int64, and 2^max_level must fit in uint64
+MAX_UNIVERSE = 1 << 63
 
 
 @dataclass(frozen=True)
@@ -50,9 +59,16 @@ def hash_key(spec: HashSpec, key: int) -> int:
 
 def hash_array(spec: HashSpec, keys: np.ndarray) -> np.ndarray:
     """Evaluate spec on a uint64 array; wraps modulo 2^64 like hash_key."""
-    keys = np.asarray(keys, dtype=np.uint64)
-    out = keys * np.uint64(spec.a) + np.uint64(spec.b)
-    return out >> np.uint64(WORD_BITS - spec.output_bits)
+    out = _affine(keys, np.uint64(spec.a), np.uint64(spec.b))
+    out >>= np.uint64(WORD_BITS - spec.output_bits)
+    return out
+
+
+def _affine(keys: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * keys + b modulo 2^64 as a new uint64 array; a, b are uint64 scalars or per-key arrays."""
+    out = np.asarray(keys, dtype=np.uint64) * a
+    out += b
+    return out
 
 
 def mix64(values: np.ndarray) -> np.ndarray:
@@ -64,12 +80,16 @@ def mix64(values: np.ndarray) -> np.ndarray:
     as a fixed stride, no longer shows up as arithmetic structure in the
     output bits.
     """
-    z = np.asarray(values, dtype=np.uint64).copy()
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
+    return _mix64_inplace(np.array(values, dtype=np.uint64))
+
+
+def _mix64_inplace(z: np.ndarray) -> np.ndarray:
+    """mix64 on a uint64 array the caller owns, overwriting and returning it."""
+    z ^= z >> _MIX_SHIFTS[0]
+    z *= _MIX_MULTS[0]
+    z ^= z >> _MIX_SHIFTS[1]
+    z *= _MIX_MULTS[1]
+    z ^= z >> _MIX_SHIFTS[2]
     return z
 
 
@@ -82,9 +102,9 @@ def mixed_hash_array(spec: HashSpec, keys: np.ndarray) -> np.ndarray:
     rational multiple of 2^64.  Mixing first makes the surviving high bits
     insensitive to such input structure.
     """
-    keys = np.asarray(keys, dtype=np.uint64)
-    out = mix64(keys * np.uint64(spec.a) + np.uint64(spec.b))
-    return out >> np.uint64(WORD_BITS - spec.output_bits)
+    out = _mix64_inplace(_affine(keys, np.uint64(spec.a), np.uint64(spec.b)))
+    out >>= np.uint64(WORD_BITS - spec.output_bits)
+    return out
 
 
 def lsb(value: int, width: int = WORD_BITS) -> int:
@@ -96,18 +116,6 @@ def lsb(value: int, width: int = WORD_BITS) -> int:
     if value == 0:
         return width
     return (value & -value).bit_length() - 1
-
-
-def lsb_array(values: np.ndarray, width: int) -> np.ndarray:
-    """Vectorized lsb over a uint64 array, as int64; width where a value is 0.
-
-    v & -v isolates the lowest set bit, a power of two that float64 holds
-    exactly, so its biased exponent field is 1023 + lsb (and 0 for v == 0).
-    """
-    v = np.asarray(values, dtype=np.uint64)
-    iso = v & (np.uint64(0) - v)  # two's complement isolates the lowest set bit
-    exponent = iso.astype(np.float64).view(np.int64) >> 52
-    return np.where(exponent == 0, width, exponent - 1023)
 
 
 def minhash_signature(buckets: np.ndarray, spec: HashSpec) -> int | None:
@@ -198,20 +206,25 @@ class SketchRandomness:
         "d",
         "c_squared",
         "master_seed",
+        "_item_bound",
         "max_level",
         "num_levels",
         "bucket_bits",
         "level_spec",
         "bucket_specs",
+        "_level_a",
+        "_level_b",
+        "_clamp_bit",
         "_bucket_a",
         "_bucket_b",
+        "_bucket_shift",
         "_minhash_cache",
         "_minhash_arrays",
     )
 
     def __init__(self, d: int, c_squared: int, master_seed: int) -> None:
-        if not isinstance(d, int) or d < 1:
-            raise ValueError(f"universe size d must be a positive integer, got {d!r}")
+        if not isinstance(d, int) or not 1 <= d <= MAX_UNIVERSE:
+            raise ValueError(f"universe size d must be an integer in [1, 2^63], got {d!r}")
         if not isinstance(c_squared, int) or c_squared < 2 or c_squared & (c_squared - 1):
             raise ValueError(f"c_squared must be a power of two >= 2, got {c_squared!r}")
         if not (0 <= master_seed <= _MASK64):
@@ -219,6 +232,7 @@ class SketchRandomness:
         self.d = d
         self.c_squared = c_squared
         self.master_seed = master_seed
+        self._item_bound = np.uint64(d)  # item_keys compares uint64 to uint64, exact on numpy 1.x too
         self.max_level = deepest_level(d)
         self.num_levels = self.max_level + 1
         self.bucket_bits = c_squared.bit_length() - 1
@@ -230,11 +244,15 @@ class SketchRandomness:
         # output's low bits poorly mixed whenever a has many leading
         # zeros, which hollows out entire levels.
         self.level_spec = random_hash_spec(rng, WORD_BITS)
+        self._level_a = np.uint64(self.level_spec.a)
+        self._level_b = np.uint64(self.level_spec.b)
+        self._clamp_bit = np.uint64(1 << self.max_level)
         rng = derived_rng(master_seed, _TAG_BUCKET)
         self.bucket_specs = tuple(
             random_hash_spec(rng, self.bucket_bits) for _ in range(self.num_levels)
         )
         self._bucket_a, self._bucket_b = _spec_arrays(self.bucket_specs)
+        self._bucket_shift = np.uint64(WORD_BITS - self.bucket_bits)
         self._minhash_cache: dict[tuple[int, int, int], HashSpec] = {}
         self._minhash_arrays: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
 
@@ -256,32 +274,51 @@ class SketchRandomness:
     def __hash__(self) -> int:
         return hash((self.d, self.c_squared, self.master_seed))
 
+    def item_keys(self, items: np.ndarray) -> np.ndarray:
+        """Integer items as the uint64 keys the hashes take; ItemRangeError outside [0, d).
+
+        A negative item wraps to at least 2^63 >= d, so one max checks both ends.
+        """
+        keys = np.asarray(items).astype(np.uint64, copy=False)
+        if keys.size and keys.max() >= self._item_bound:
+            raise ItemRangeError(f"items outside universe [0, {self.d})")
+        return keys
+
     def levels_of(self, items: np.ndarray) -> np.ndarray:
-        """Level index per item: lsb of the level hash, zero hash -> deepest.
+        """Level index per item as int64: lsb of the level hash, clamped to max_level.
 
         Only the low max_level bits ever decide an unclamped level, so the
         split across levels 0..max_level-1 is exactly 1/2, 1/4, ... for
         keys uniform over a power-of-two universe, with the remaining
-        2^-max_level mass clamped onto the deepest level.  Keys whose ids
-        share a common power-of-two stride collapse onto few levels;
-        scramble such ids before sketching.
+        2^-max_level mass (a zero hash included) clamped onto the deepest
+        level.  Keys whose ids share a common power-of-two stride collapse
+        onto few levels; scramble such ids before sketching.
+
+        The clamp is one bit: lsb(h | 2^max_level) = min(lsb(h), max_level),
+        and the or-ed hash is never 0.  h & -h then isolates a power of two
+        that float64 holds exactly, whose biased exponent is 1023 + lsb.
         """
-        h = hash_array(self.level_spec, items)
-        k = lsb_array(h, WORD_BITS)
-        return np.minimum(k, self.max_level)
+        h = _affine(items, self._level_a, self._level_b)
+        h |= self._clamp_bit
+        h &= np.negative(h)  # two's complement keeps only the lowest set bit
+        levels = h.astype(np.float64).view(np.int64)
+        levels >>= 52
+        levels -= 1023
+        return levels
 
     def buckets_of(self, levels: int | np.ndarray, items: np.ndarray) -> np.ndarray:
-        """Bucket index per item in its row; levels is one level or one per item.
+        """Bucket index per item in its row, as uint64; levels is one level or one per item.
 
         Items reaching a level agree on the low bits of the level hash,
         which makes them an arithmetic progression with power-of-two
         stride; the bucket hash therefore mixes its affine product before
         taking the high bits, otherwise resonant multipliers would crowd
-        whole rows into a few buckets.
+        whole rows into a few buckets.  The product is mixed and shifted
+        in place, so the result is the only item-sized array kept.
         """
-        keys = np.asarray(items, dtype=np.uint64)
-        mixed = mix64(keys * self._bucket_a[levels] + self._bucket_b[levels])
-        return mixed >> np.uint64(WORD_BITS - self.bucket_bits)
+        z = _mix64_inplace(_affine(items, self._bucket_a[levels], self._bucket_b[levels]))
+        z >>= self._bucket_shift
+        return z
 
     def minhash_spec(self, level: int, repetition: int, band: int) -> HashSpec:
         """Signature seed for one (level, repetition, band) slot, cached.

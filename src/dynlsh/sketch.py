@@ -18,7 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ConfigMismatchError, CounterOverflowError, ItemRangeError
+from .errors import ConfigMismatchError, CounterOverflowError
 from .hashing import SketchRandomness, deepest_level
 from .similarity import RationalSimilarity, _similarity_from_counts
 
@@ -95,7 +95,7 @@ class LevelSketch:
         """Apply a batch of signed updates in one vectorized pass.
 
         values is a scalar +1/-1 applied to every item, or an array of
-        +1/-1 aligned with items.  Each item is hashed once, to level
+        +1/-1 broadcastable to items.  Each item is hashed once, to level
         k = lsb(h(i)) and bucket h_k(i), and one np.add.at adds every value
         to its counter.  Non-integer dtypes raise TypeError; a rejected
         batch leaves the sketch untouched.
@@ -108,18 +108,19 @@ class LevelSketch:
             raise TypeError(
                 f"items and values must have an integer dtype, got {arr.dtype} and {vals.dtype}"
             )
-        arr = arr.astype(np.int64, copy=False)
-        if arr.min() < 0 or arr.max() >= self.randomness.d:
-            raise ItemRangeError(f"items outside universe [0, {self.randomness.d})")
-        vals = np.broadcast_to(vals.astype(np.int64, copy=False), arr.shape)
-        if not (np.abs(vals) == 1).all():
-            raise ValueError("update values must be +1 or -1")
         rnd = self.randomness
-        keys = arr.astype(np.uint64)
+        keys = rnd.item_keys(arr)
+        if vals.shape != keys.shape:
+            vals = np.broadcast_to(vals, keys.shape)
+        plus, minus = np.count_nonzero(vals == 1), np.count_nonzero(vals == -1)
+        if plus + minus != vals.size:
+            raise ValueError("update values must be +1 or -1")
         levels = rnd.levels_of(keys)
-        flat = levels * rnd.c_squared + rnd.buckets_of(levels, keys).astype(np.int64)
-        np.add.at(self._buckets.reshape(-1), flat, vals)
-        self._cardinality += int(vals.sum())
+        flat = rnd.buckets_of(levels, keys).view(np.int64)
+        levels *= rnd.c_squared
+        flat += levels
+        np.add.at(self._buckets.reshape(-1), flat, vals.astype(np.int64, copy=False))
+        self._cardinality += plus - minus
 
 
 def merge(a: LevelSketch, b: LevelSketch, sign: int = 1) -> LevelSketch:

@@ -1,6 +1,7 @@
 """Corpus generation, stream files, and the measurement reports."""
 
 import io
+import itertools
 import math
 import tempfile
 import tracemalloc
@@ -235,6 +236,11 @@ class TestIngestParsing:
         assert corpus.n == 2
         assert all(s.cardinality == 0 for s in corpus.sketches)
         assert all(s.size == 0 for s in corpus.sets)
+        _, sets = read_sets(io.StringIO("6 10\n3 1 1\n1 2 1\n3 4 1\n\n3 1 -1\n"))
+        assert [s.tolist() for s in sets] == [[], [2], [], [4], [], []]
+        _, sets = read_sets(io.StringIO("1000 10\n999 7 1\n"))
+        assert len(sets) == 1000
+        assert [s.tolist() for s in sets[-2:]] == [[], [7]]
 
     def test_single_update(self):
         corpus = ingest(io.StringIO("1 10\n0 5 1\n"), 16, 0)
@@ -253,6 +259,12 @@ class TestIngestParsing:
             ("a b\n", 1),
             ("-1 10\n", 1),
             ("2 0\n", 1),
+            ("16777217 10\n", 1),
+            ("4294967297 10\n", 1),
+            ("100000000000 10\n0 1 1\n", 1),
+            ("9223372036854775807 10\n0 1 1\n", 1),
+            ("1 9223372036854775809\n", 1),
+            ("1 18446744073709551616\n0 9223372036854775808 1\n", 1),
             ("1 10\n0 1\n", 2),
             ("1 10\n0 x 1\n", 2),
             ("1 10\n5 0 1\n", 2),
@@ -265,6 +277,29 @@ class TestIngestParsing:
         with pytest.raises(StreamParseError) as info:
             ingest(io.StringIO(text), 16, 0)
         assert info.value.line_number == line
+
+    def test_row_count_at_the_limit_is_parsed_lazily(self):
+        """The parse holds nothing per declared row, so n = 2^24 costs what its body costs."""
+        n = dynlsh.bench._MAX_ROWS
+        tracemalloc.start()
+        try:
+            _, rows = dynlsh.bench._read_updates(io.StringIO(f"{n} 10\n1 3 1\n{n - 1} 7 -1\n"))
+            first = [(i.tolist(), v.tolist()) for i, v in itertools.islice(rows, 3)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert first == [([], []), ([3], [1]), ([], [])]
+        assert peak < 1 << 20
+        with pytest.raises(StreamParseError, match="n <= 2\\^24"):
+            dynlsh.bench._read_updates(io.StringIO(f"{n + 1} 10\n"))
+
+    def test_largest_universe(self):
+        d = 2**63
+        _, sets = read_sets(io.StringIO(f"2 {d}\n1 {d - 1} 1\n0 0 1\n1 7 1\n"))
+        assert [s.tolist() for s in sets] == [[0], [7, d - 1]]
+        corpus = ingest(io.StringIO(f"1 {d}\n0 {d - 1} 1\n"), 16, 0)
+        assert corpus.sketches[0].randomness.max_level == 63
+        assert corpus.sketches[0].cardinality == 1
 
     def test_double_insert_is_a_data_error(self):
         with pytest.raises(StreamDataError, match="row 0: item 4 has net count 2"):
@@ -309,8 +344,7 @@ def faulty_streams(draw):
     elif fault in ("x", "1_0"):
         tokens[k] = fault
     elif fault == "2**64":
-        # not as the header's row count: the reference's grouping would allocate 2**64 rows
-        tokens[max(k, 1) if at == 0 else k] = str(2**64)
+        tokens[k] = str(2**64)
     elif fault == "1.0":
         tokens[k] += ".0"
     elif fault in ("+1", "007", "-"):

@@ -112,6 +112,16 @@ class TestIngest:
         assert err.startswith("error:")
         assert "line 2" in err
 
+    @pytest.mark.parametrize(
+        "text", ["1 18446744073709551616\n0 9223372036854775808 1\n", "100000000000 10\n0 1 1\n"]
+    )
+    def test_oversized_header_exits_2(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.stream"
+        bad.write_text(text)
+        rc = run(["ingest", "--stream", bad])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: line 1: header requires")
+
     def test_non_ascii_byte_exits_2_naming_its_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.stream"
         bad.write_bytes(b"2 10\n0 1 1\n1 2 1\xc3\xa9\n")

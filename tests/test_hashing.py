@@ -6,11 +6,11 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from dynlsh import (
     HashSpec,
+    ItemRangeError,
     SketchRandomness,
     hash_array,
     hash_key,
     lsb,
-    lsb_array,
     minhash_positions,
     minhash_signature,
     mix64,
@@ -114,32 +114,6 @@ class TestLsb:
         assert lsb(6) == 1
         assert lsb(0, 12) == 12
         assert lsb(0) == 64
-
-    def test_array_matches_scalar(self):
-        rng = np.random.default_rng(72007)
-        values = rng.integers(0, 2**63, size=2000, dtype=np.uint64)
-        values[:5] = [0, 1, 2, 2**62, 2**63 - 1]
-        out = lsb_array(values, 64)
-        for v, o in zip(values, out):
-            assert lsb(int(v), 64) == int(o)
-
-    def test_array_matches_scalar_on_extremes_and_the_full_range(self):
-        rng = np.random.default_rng(72009)
-        values = rng.integers(0, 2**64, size=4000, dtype=np.uint64, endpoint=False)
-        values[:4] = [0, 1, 2**63, 2**64 - 1]
-        values[4:68] = [1 << k for k in range(64)]
-        for width in (64, 12):
-            out = lsb_array(values, width)
-            assert out.dtype == np.int64
-            assert out.tolist() == [lsb(int(v), width) for v in values]
-
-    def test_geometric_split_over_uniform_keys(self):
-        rng = np.random.default_rng(72008)
-        values = rng.integers(0, 2**64, size=10**6, dtype=np.uint64)
-        out = lsb_array(values, 64)
-        for k in range(9):
-            frac = float((out == k).mean())
-            assert abs(frac - 2.0 ** -(k + 1)) <= 0.1 * 2.0 ** -(k + 1)
 
 
 class TestMinhash:
@@ -246,6 +220,25 @@ class TestSketchRandomness:
             SketchRandomness(16, 1, 0)
         with pytest.raises(ValueError):
             SketchRandomness(16, 256, -1)
+        with pytest.raises(ValueError):
+            SketchRandomness(2**63 + 1, 256, 0)  # items are int64
+        assert SketchRandomness(2**63, 2, 0).max_level == 63
+
+    @pytest.mark.parametrize("d", [1, 1024, 2**63])
+    def test_item_keys_check_both_ends_of_the_universe(self, d):
+        rnd = SketchRandomness(d, 64, 72003)
+        keys = rnd.item_keys(np.array([0, d - 1], dtype=np.uint64))
+        assert keys.dtype == np.uint64
+        assert keys.tolist() == [0, d - 1]
+        assert rnd.item_keys(np.empty(0, dtype=np.int64)).size == 0
+        for items in (
+            np.array([-1]),
+            np.array([-(2**63)]),
+            np.array([d], dtype=np.uint64),
+            np.array([2**64 - 1], dtype=np.uint64),
+        ):
+            with pytest.raises(ItemRangeError):
+                rnd.item_keys(items)
 
     def test_levels_are_clamped_and_geometric(self):
         rnd = SketchRandomness(2**20, 256, 72002)
@@ -255,6 +248,24 @@ class TestSketchRandomness:
         for k in range(9):
             frac = float((levels == k).mean())
             assert abs(frac - 2.0 ** -(k + 1)) <= 0.1 * 2.0 ** -(k + 1)
+
+    @pytest.mark.parametrize("d", [1, 2, 1025, 2**20, 2**63])
+    def test_levels_match_the_scalar_lsb(self, d):
+        rnd = SketchRandomness(d, 64, 72010)
+        spec = rnd.level_spec
+        inv = pow(spec.a, -1, 2**64)
+        keys = np.random.default_rng(72010).integers(0, d, size=3000, dtype=np.uint64).tolist()
+        # the key whose level hash is exactly 0, and keys whose hash has
+        # its lowest set bit at each position from max_level - 2 upwards
+        bits = range(max(rnd.max_level - 2, 0), 64)
+        keys.append((-spec.b * inv) % 2**64)
+        keys += [((1 << k) - spec.b) * inv % 2**64 for k in bits]
+        want = [min(lsb(hash_key(spec, k)), rnd.max_level) for k in keys]
+        got = rnd.levels_of(np.array(keys, dtype=np.uint64))
+        assert got.dtype == np.int64
+        assert got.tolist() == want
+        assert want[3000] == rnd.max_level
+        assert want[3001:] == [min(k, rnd.max_level) for k in bits]
 
     def test_buckets_of_range(self):
         rnd = SketchRandomness(4096, 64, 3)

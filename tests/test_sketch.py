@@ -51,6 +51,14 @@ def _splitmix64(z):
     return z ^ (z >> 31)
 
 
+def build_multiset(randomness, items, value):
+    """The sketch after update(i, value) for each item in turn, duplicates included."""
+    sk = LevelSketch(randomness)
+    for i in items:
+        sk.update(int(i), value)
+    return sk
+
+
 def build(randomness, items):
     sk = LevelSketch(randomness)
     arr = np.asarray(sorted(items), dtype=np.int64)
@@ -92,7 +100,7 @@ class TestUpdates:
             looped.update(int(i), int(v))
         assert batched == looped
 
-    @pytest.mark.parametrize("d", [1, 2, 1025, 2**14])
+    @pytest.mark.parametrize("d", [1, 2, 1025, 2**14, 2**63])
     def test_update_many_matches_python_reference(self, d):
         """One vectorized pass equals per-item lsb level and splitmix64 bucket."""
         rnd = SketchRandomness(d=d, c_squared=64, master_seed=73102)
@@ -154,6 +162,86 @@ class TestUpdates:
         with pytest.raises(ValueError):
             sk.update_many([0, 1], np.asarray([1, np.iinfo(np.int64).min]))
         assert sk == LevelSketch(randomness)
+
+    @pytest.mark.parametrize("d", [1024, 2**63])
+    def test_items_outside_the_universe_rejected(self, d):
+        sk = LevelSketch(SketchRandomness(d=d, c_squared=64, master_seed=73103))
+        for items in (
+            np.array([3, -1]),
+            np.array([-(2**63)]),
+            np.array([0, 2**63], dtype=np.uint64),
+            np.array([2**64 - 1], dtype=np.uint64),
+            [2**63],
+        ):
+            with pytest.raises(ItemRangeError):
+                sk.update_many(items, 1)
+            with pytest.raises(ItemRangeError):
+                sk.update_many(items, np.ones(len(items), dtype=np.int64))
+        sk.update_many(np.array([0, d - 1], dtype=np.uint64), 1)
+        assert sk.cardinality == 2
+
+    def test_unbroadcastable_values_rejected(self, randomness):
+        sk = LevelSketch(randomness)
+        for values in (np.ones(2, dtype=np.int64), np.ones(4, dtype=np.int8), np.ones((3, 2), dtype=np.int64)):
+            with pytest.raises(ValueError):
+                sk.update_many([1, 2, 3], values)
+        assert sk == LevelSketch(randomness)
+
+    def test_narrow_dtypes_count_as_int64(self, randomness):
+        rng = np.random.default_rng(73104)
+        items = rng.integers(0, 1024, size=200)
+        signs = rng.choice([1, -1], size=200)
+        want = LevelSketch(randomness)
+        want.update_many(items, signs.astype(np.int64))
+        for values in (signs.astype(np.int8), signs.astype(np.int16)):
+            got = LevelSketch(randomness)
+            got.update_many(items, values)
+            assert got == want
+        ones = LevelSketch(randomness)
+        ones.update_many(items, np.ones(200, dtype=np.uint8))
+        assert ones == build_multiset(randomness, items, 1)
+        minus = LevelSketch(randomness)
+        minus.update_many(items, np.int8(-1))
+        assert minus == build_multiset(randomness, items, -1)
+        for item_dtype in (np.int16, np.uint16, np.uint64):
+            got = LevelSketch(randomness)
+            got.update_many(items.astype(item_dtype), signs)
+            assert got == want
+
+    def test_bool_items_and_values_rejected(self, randomness):
+        sk = LevelSketch(randomness)
+        for items, values in (
+            (np.array([True, False]), 1),
+            ([True], 1),
+            ([1, 2], True),
+            ([1, 2], np.array([True, True])),
+            ([1, 2], np.True_),
+        ):
+            with pytest.raises(TypeError):
+                sk.update_many(items, values)
+        with pytest.raises(TypeError):
+            sk.update(True, 1)
+        with pytest.raises(TypeError):
+            sk.update(3, True)
+        assert sk == LevelSketch(randomness)
+
+    def test_rejected_batch_leaves_the_sketch_untouched(self, randomness):
+        sk = build(randomness, range(0, 1024, 3))
+        before = sk.copy()
+        rejected = (
+            ([1, 2, -5], 1, ItemRangeError),
+            ([1, 2, 1024], np.array([1, -1, 1]), ItemRangeError),
+            ([1, 2, 3], np.array([1, -1, 0]), ValueError),
+            ([1, 2, 3], np.array([1, -1]), ValueError),
+            ([1, 2, 3], -2, ValueError),
+            ([1, 2, 3], np.array([1.0, 1.0, 1.0]), TypeError),
+            ([1.0, 2.0], 1, TypeError),
+        )
+        for items, values, error in rejected:
+            with pytest.raises(error):
+                sk.update_many(items, values)
+            assert sk == before
+            assert sk.cardinality == before.cardinality
 
     def test_non_integer_items_rejected(self, randomness):
         sk = LevelSketch(randomness)
