@@ -5,18 +5,19 @@ cardinality s: levels k in [log2(r1^2*p*s), log2(p*s)] drawn from a grid
 spaced by log2(1/r1), where p = (eps/5)^2 * r1 * delta.  At each admissible
 level the index takes min-hash signatures of the nonzero bucket pattern,
 concatenates r of them per repetition (AND), and keeps l independent
-repetitions (OR).  Pairs sharing a signature in any table become
-candidates with probability 1 - (1 - s^r)^l for per-signature match
-probability s; a verification pass can then re-check candidates against a
-distance estimate.
+repetitions (OR).  Pairs sharing a (level, repetition, signature) bucket,
+found by one sort over all sets' signature rows, become candidates with
+probability 1 - (1 - s^r)^l for per-signature match probability s; a
+verification pass can then re-check candidates against a distance estimate.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections import deque
 from dataclasses import dataclass, fields, replace
-from itertools import combinations, islice
+from itertools import chain, repeat
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -95,21 +96,7 @@ class CandidatePair:
     verified_distance: float | None = None
 
 
-# The frozen __init__ sets each field through object.__setattr__; candidates()
-# builds its pairs by writing the slots directly instead, at half the cost.
-_set_a, _set_b, _set_level, _set_repetition, _set_distance = (
-    getattr(CandidatePair, f.name).__set__ for f in fields(CandidatePair)
-)
-
-
-def _new_pair(id_a: SetId, id_b: SetId, level: int, repetition: int) -> CandidatePair:
-    pair = object.__new__(CandidatePair)
-    _set_a(pair, id_a)
-    _set_b(pair, id_b)
-    _set_level(pair, level)
-    _set_repetition(pair, repetition)
-    _set_distance(pair, None)
-    return pair
+_SLOT_SETTERS = tuple(getattr(CandidatePair, f.name).__set__ for f in fields(CandidatePair))
 
 
 def amplification_probability(s: float, r: int, l: int) -> float:
@@ -161,20 +148,18 @@ def candidate_levels(cardinality: int, cfg: LshConfig, grid: Sequence[int]) -> t
 
 
 class LshIndex:
-    """Signature tables over a frozen sparse copy of each inserted set.
+    """One record per id: a frozen sparse copy of its set and its signatures.
 
-    Tables are keyed by (level, repetition); each maps a signature tuple to
-    the ids inserted under it.  insert scans a sketch's counters once: the
-    nonzero positions, split by row with searchsorted, give both the set's
-    stored entry (sorted flat positions, their values, the row cuts and
-    the cardinality) and each admissible row's l * r min-hashes,
-    taken in one pass under that level's cached multipliers
-    (SketchRandomness.minhash_arrays).  The index keeps no reference to the
-    caller's sketch, so changing or dropping it afterwards changes nothing
-    here; re-insert to update.  Re-inserting an existing id replaces its
-    entry and postings, and remove() drops an id with all of them.
-    Single-writer: concurrent inserts are not supported, reads may proceed
-    in parallel once building is done.
+    insert scans a sketch's counters once; the nonzero positions, split by
+    row with searchsorted, give the sparse entry (sorted flat positions,
+    their values, the row cuts, the cardinality) and each admissible
+    nonempty row's l * r min-hashes under that level's cached multipliers
+    (SketchRandomness.minhash_arrays).  No tables are kept: candidates()
+    groups the records' signature rows by sorting, and remove() is one dict
+    delete.  candidates() ranks all ids with one sort, so ids must be
+    mutually orderable: mixing int and str ids raises TypeError even when
+    the two kinds never share a bucket.  The index keeps no reference to
+    the caller's sketch; re-insert to update.  Single-writer.
     """
 
     def __init__(
@@ -189,13 +174,12 @@ class LshIndex:
         self.randomness = randomness
         self.pair_cap = pair_cap
         self.grid = level_grid(cfg.r1, randomness.d)
-        self._tables: dict[tuple[int, int], dict[tuple[int, ...], list[SetId]]] = {}
-        self._postings: dict[SetId, list[tuple[int, int, tuple[int, ...]]]] = {}
-        # per id, the sparse form of its sketch at insert: sorted flat nonzero
-        # positions and their counters, each in the narrowest signed dtype
-        # that holds it and its negation; the row cuts, so row k's entries
-        # are cuts[k] : cuts[k + 1]; and the cardinality
-        self._entries: dict[SetId, tuple[np.ndarray, np.ndarray, np.ndarray, int]] = {}
+        # per id: sorted flat nonzero positions and their counters, each in
+        # the narrowest signed dtype holding it and its negation; row cuts
+        # (row k is cuts[k] : cuts[k + 1]); cardinality; the admissible
+        # nonempty levels; (levels * l) x r min-hashes, row i * l + t for
+        # repetition t at the i-th level
+        self._entries: dict[SetId, tuple] = {}
         self._row_starts = np.arange(randomness.num_levels + 1) * randomness.c_squared
         self._position_dtype = _narrowest_signed(randomness.num_levels * randomness.c_squared)
 
@@ -209,78 +193,85 @@ class LshIndex:
         """Index a sparse copy of the sketch under set_id, replacing any previous one."""
         if sketch.randomness != self.randomness:
             raise ConfigMismatchError("sketch randomness does not match the index")
-        if set_id in self._postings:
-            self.remove(set_id)
         flat = sketch.buckets.reshape(-1)
         nonzero = np.flatnonzero(flat != 0)
         row_cuts = nonzero.searchsorted(self._row_starts)
         cuts = row_cuts.tolist()
-        postings: list[tuple[int, int, tuple[int, ...]]] = []
         l, r, width = self.cfg.repetitions_l, self.cfg.bands_r, self.randomness.c_squared
-        for level in candidate_levels(sketch.cardinality, self.cfg, self.grid):
-            start, stop = cuts[level], cuts[level + 1]
-            if start == stop:
-                continue  # an empty row: every min-hash would be the sentinel
+        admissible = candidate_levels(sketch.cardinality, self.cfg, self.grid)
+        # an empty row posts nothing: every min-hash would be the sentinel
+        levels = tuple(k for k in admissible if cuts[k] < cuts[k + 1])
+        sigs = np.empty((len(levels) * l, r), self._position_dtype)
+        for i, level in enumerate(levels):
+            row = nonzero[cuts[level] : cuts[level + 1]] - level * width
             arrays = self.randomness.minhash_arrays(level, l, r)
-            sigs = minhash_positions(nonzero[start:stop] - level * width, arrays)
-            for repetition, sig in enumerate(map(tuple, sigs.reshape(l, r).tolist())):
-                self._tables.setdefault((level, repetition), {}).setdefault(sig, []).append(set_id)
-                postings.append((level, repetition, sig))
+            sigs[i * l : (i + 1) * l] = minhash_positions(row, arrays).reshape(l, r)
         values = flat[nonzero]
         peak = max(int(values.max(initial=0)), -int(values.min(initial=0)))
-        self._postings[set_id] = postings
         self._entries[set_id] = (
             nonzero.astype(self._position_dtype),
             values.astype(_narrowest_signed(peak)),
             row_cuts,
             sketch.cardinality,
+            levels,
+            sigs,
         )
 
     def remove(self, set_id: SetId) -> None:
-        """Drop set_id and its postings, as if it had never been inserted.
-
-        Raises KeyError for an id that is not indexed.
-        """
-        for level, repetition, sig in self._postings.pop(set_id):
-            table = self._tables[(level, repetition)]
-            ids = table[sig]
-            ids.remove(set_id)
-            if not ids:
-                del table[sig]
-                if not table:
-                    del self._tables[(level, repetition)]
+        """Drop set_id, as if it had never been inserted; KeyError if it is not indexed."""
         del self._entries[set_id]
 
     def candidates(self) -> list[CandidatePair]:
         """All distinct pairs sharing a signature in some table.
 
         Deterministic for a fixed master seed and content: tables are
-        scanned in (level, repetition) order and buckets in signature
-        order, and each pair is reported once, tagged with its first
-        colliding table.  Buckets whose pair expansion exceeds pair_cap
-        contribute only the first pair_cap pairs and raise a warning.
+        scanned in (level, repetition) order, buckets in signature order,
+        a bucket's pairs in combinations order over its sorted ids, and
+        each pair is reported once, tagged with its first colliding table.
+        Buckets whose pair expansion exceeds pair_cap contribute only the
+        first pair_cap pairs and raise a warning.  The scan is one lexsort
+        of all record rows by (level, repetition, signatures, id rank).
         """
-        seen: set[tuple[SetId, SetId]] = set()
-        out: list[CandidatePair] = []
-        see, emit, cap = seen.add, out.append, self.pair_cap
-        for level, repetition in sorted(self._tables):
-            table = self._tables[(level, repetition)]
-            for sig in sorted(sig for sig, ids in table.items() if len(ids) > 1):
-                ids = table[sig]
-                keys = combinations(sorted(ids), 2)
-                total = len(ids) * (len(ids) - 1) // 2
-                if total > cap:
-                    warnings.warn(
-                        f"bucket at level {level} repetition {repetition} expands to "
-                        f"{total} pairs; emitting the first {cap}",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                    keys = islice(keys, cap)
-                for key in keys:
-                    if key not in seen:
-                        see(key)
-                        emit(_new_pair(key[0], key[1], level, repetition))
+        ids = list(self._entries)
+        by_rank = sorted(range(len(ids)), key=ids.__getitem__)
+        rank = np.argsort(by_rank)  # the inverse permutation: each id's rank
+        records, l, cap = self._entries.values(), self.cfg.repetitions_l, self.pair_cap
+        level = np.repeat(np.fromiter(chain.from_iterable(e[4] for e in records), np.int64), l)
+        if not level.size:
+            return []
+        rank = np.repeat(rank, [e[5].shape[0] for e in records])
+        sigs = np.concatenate([e[5] for e in records])
+        keys = np.column_stack((level, np.arange(level.size) % l, sigs))  # a level's l rows: t = 0..l-1
+        order = np.lexsort((rank, *keys.T[::-1]))
+        keys, rank = keys[order], rank[order]
+        starts = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1), True])
+        sizes = np.diff(starts)
+        starts, sizes = starts[:-1][sizes > 1], sizes[sizes > 1]
+        totals = sizes * (sizes - 1) // 2
+        over = np.flatnonzero(totals > cap)
+        for (lvl, rep), total in zip(keys[starts[over], :2].tolist(), totals[over].tolist()):
+            message = f"bucket at level {lvl} repetition {rep} expands to {total} pairs"
+            warnings.warn(f"{message}; emitting the first {cap}", RuntimeWarning, stacklevel=2)
+        emitted = np.minimum(totals, cap)
+        slot = np.cumsum(emitted) - emitted  # where each bucket's pairs start in scan order
+        pairs = np.empty((2, int(emitted.sum())), np.int64)
+        for k in np.unique(sizes).tolist():
+            first = _first_pairs(k, min(k * (k - 1) // 2, cap))
+            same = sizes == k
+            at = slot[same, None] + np.arange(first.shape[1])
+            pairs[:, at] = starts[same, None] + first[:, None]
+        members = rank[pairs]
+        # each pair at its first sighting, in scan order
+        _, kept = np.unique(members[0] * len(ids) + members[1], return_index=True)
+        kept.sort()
+        tables = keys[starts[np.repeat(np.arange(sizes.size), emitted)[kept]], :2]
+        named = np.fromiter(ids, object, len(ids))[by_rank]
+        # the frozen __init__ costs twice as much as writing the slots, and
+        # map writes each slot column without a Python-level loop
+        out = list(map(object.__new__, repeat(CandidatePair, kept.size)))
+        columns = (*named[members[:, kept]].tolist(), *tables.T.tolist(), repeat(None))
+        for set_slot, column in zip(_SLOT_SETTERS, columns):
+            deque(map(set_slot, out, column), maxlen=0)
         return out
 
     def verify(
@@ -340,6 +331,15 @@ class LshIndex:
         return kept
 
 
+def _first_pairs(k: int, n: int) -> np.ndarray:
+    """The first n pairs of combinations(range(k), 2) as a 2 x n array, in O(n + k)."""
+    row_length = np.arange(k - 1, 0, -1)  # row i holds the pairs (i, i + 1 .. k - 1)
+    ends = np.cumsum(row_length)
+    rows = int(np.searchsorted(ends, n)) + 1
+    first = np.repeat(np.arange(rows), row_length[:rows])[:n]
+    return np.stack((first, np.arange(n) - (ends - row_length)[first] + first + 1))
+
+
 def _narrowest_signed(bound: int) -> np.dtype:
     """The smallest signed integer dtype holding -bound .. bound (else int64)."""
     for dtype in (np.int8, np.int16, np.int32):
@@ -360,7 +360,7 @@ class _SparseSnapshot:
         self.num_levels = randomness.num_levels
         self.width = randomness.num_levels * randomness.c_squared
         self.bucket_bits = randomness.bucket_bits
-        position, value, cuts, card = zip(*entries)
+        position, value, cuts, card, *_ = zip(*entries)
         self.position = np.concatenate(position)
         self.value = np.concatenate(value)
         cuts = np.stack(cuts)

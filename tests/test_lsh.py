@@ -5,6 +5,7 @@ import io
 import itertools
 import math
 import struct
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -299,12 +300,61 @@ class TestRemove:
             fresh.insert(set_id, _CHURN_POOL[live[set_id]])
         assert len(index) == len(live) and all(set_id in index for set_id in live)
         assert index.candidates() == fresh.candidates()
-        # the same tables, up to the order of ids within a bucket
-        assert _sorted_tables(index) == _sorted_tables(fresh)
+        # the same signature records, whatever order the ids came in
+        assert _all_postings(index) == _all_postings(fresh)
 
 
-def _sorted_tables(index):
-    return {key: {sig: sorted(ids) for sig, ids in table.items()} for key, table in index._tables.items()}
+def _postings(index, set_id):
+    """The (level, repetition, signature) postings of an id's record."""
+    *_, levels, sigs = index._entries[set_id]
+    assert sigs.shape == (len(levels) * index.cfg.repetitions_l, index.cfg.bands_r)
+    rows = map(tuple, sigs.tolist())
+    return [(level, t, next(rows)) for level in levels for t in range(index.cfg.repetitions_l)]
+
+
+def _all_postings(index):
+    return {set_id: _postings(index, set_id) for set_id in index._entries}
+
+
+def _tables(postings_of):
+    """(level, repetition) -> signature -> ids, from each id's postings."""
+    tables = {}
+    for set_id, postings in postings_of.items():
+        for level, t, sig in postings:
+            tables.setdefault((level, t), {}).setdefault(sig, []).append(set_id)
+    return tables
+
+
+def _reference_candidates(postings_of, pair_cap):
+    """candidates() as a scan over dict tables: tables in (level, repetition)
+    order, buckets in signature order, each bucket's first pair_cap pairs in
+    combinations order over its sorted ids, each pair at its first sighting."""
+    tables = _tables(postings_of)
+    seen, out = set(), []
+    for key in sorted(tables):
+        table = tables[key]
+        for sig in sorted(sig for sig, ids in table.items() if len(ids) > 1):
+            ids = table[sig]
+            total = len(ids) * (len(ids) - 1) // 2
+            if total > pair_cap:
+                warnings.warn(
+                    f"bucket at level {key[0]} repetition {key[1]} expands to "
+                    f"{total} pairs; emitting the first {pair_cap}",
+                    RuntimeWarning,
+                )
+            for pair in itertools.islice(itertools.combinations(sorted(ids), 2), pair_cap):
+                if pair not in seen:
+                    seen.add(pair)
+                    out.append(CandidatePair(*pair, *key))
+    return out
+
+
+def _warning_texts(call):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = call()
+    assert all(w.category is RuntimeWarning for w in caught)
+    return result, [str(w.message) for w in caught]
 
 
 def _reference_postings(index, sketch):
@@ -368,7 +418,7 @@ class TestInsertPostings:
         ],
     )
     def test_postings_equal_a_per_slot_reference(self, r1, shape, p, ops):
-        """Postings and tables match minhash_signature under minhash_spec
+        """Each record's postings match minhash_signature under minhash_spec
         for every slot, across level grids with gaps (r1 = 0.3), shapes
         from 1 x 1 to 3 x 8, and removals and re-insertions."""
         bands, reps = shape
@@ -382,13 +432,9 @@ class TestInsertPostings:
             elif set_id in live:
                 index.remove(set_id)
                 del live[set_id]
-        expected_tables = {}
-        for set_id in sorted(live):
-            postings = _reference_postings(index, live[set_id])
-            assert index._postings[set_id] == postings
-            for level, t, sig in postings:
-                expected_tables.setdefault((level, t), {}).setdefault(sig, []).append(set_id)
-        assert _sorted_tables(index) == expected_tables
+        assert _all_postings(index) == {
+            set_id: _reference_postings(index, sketch) for set_id, sketch in live.items()
+        }
 
 
 class TestCandidateOrder:
@@ -398,7 +444,7 @@ class TestCandidateOrder:
         index = LshIndex(cfg, rnd, pair_cap=2)
         for name in ("d", "b", "c", "a"):
             index.insert(name, build(rnd, items))
-        first = min(index._tables)
+        first = min((level, t) for level, t, _ in _postings(index, "a"))
         with pytest.warns(RuntimeWarning, match="expands to 6 pairs; emitting the first 2"):
             pairs = index.candidates()
         assert pairs == [CandidatePair("a", "b", *first), CandidatePair("a", "c", *first)]
@@ -414,13 +460,14 @@ class TestCandidateOrder:
         rnd = SketchRandomness(4096, 64, 76900)
         base = np.random.default_rng(76900).choice(4096, size=1600, replace=False)
         index = LshIndex(cfg, rnd)
-        # larger sets first, so deeper tables exist before shallower ones
+        # larger sets first, so the first records post at deeper levels
         for i, size in enumerate((1600, 1500, 1400, 700, 650, 600, 300, 280, 260)):
             index.insert(i, build(rnd, base[:size]))
-        assert list(index._tables) != sorted(index._tables)
+        tables = _tables(_all_postings(index))
+        assert list(tables) != sorted(tables)
         tables_of = {}  # pair -> tables holding it, in scan order
-        for key in sorted(index._tables):
-            table = index._tables[key]
+        for key in sorted(tables):
+            table = tables[key]
             for sig in sorted(table):
                 for pair in itertools.combinations(sorted(table[sig]), 2):
                     tables_of.setdefault(pair, []).append(key)
@@ -432,6 +479,86 @@ class TestCandidateOrder:
         # the case under test: pairs seen in several tables, some first at a later repetition
         assert any(len(keys) > 1 for keys in tables_of.values())
         assert any(p.repetition > 0 for p in pairs)
+
+
+# sets that recur whole and fill their admissible rows, so buckets hold
+# several ids at every shape and pair_cap truncates some of them
+_SHARED_SETS = st.sampled_from(
+    [
+        ([(i, 1) for i in range(0, 240, 3)], False),
+        ([(i, 1) for i in range(0, 240, 4)], False),  # shares a quarter with the first
+        ([(i, 2) for i in range(300, 360)], True),
+    ]
+)
+
+
+class TestCandidateReference:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        r1=st.sampled_from([0.3, 0.5, 0.7]),
+        shape=st.tuples(st.integers(1, 3), st.integers(1, 8)),
+        p=st.sampled_from([0.05, 0.3, 0.9]),
+        pair_cap=st.sampled_from([1, 2, 6, 10**6]),
+        first_ids=st.permutations(range(8)),
+        first_sets=st.lists(st.one_of(_SHARED_SETS, _POSTING_SETS), min_size=2, max_size=8),
+        ops=st.lists(
+            st.tuples(st.booleans(), st.integers(0, 7), st.one_of(_SHARED_SETS, _POSTING_SETS)),
+            max_size=12,
+        ),
+    )
+    def test_candidates_equal_the_dict_table_scan(
+        self, r1, shape, p, pair_cap, first_ids, first_sets, ops
+    ):
+        """Same pairs (ids, table and order) and the same pair_cap warnings,
+        in the same order, as scanning dict tables built slot by slot through
+        minhash_signature, after any insert/remove/re-insert history that
+        starts with up to 8 inserts in shuffled id order."""
+        bands, reps = shape
+        cfg = LshConfig(r1=r1, r2=r1 / 4, bands_r=bands, repetitions_l=reps, sampling_p=p)
+        index = LshIndex(cfg, _POSTING_RND, pair_cap=pair_cap)
+        live = {}
+        for insert, set_id, spec in [(True, *first) for first in zip(first_ids, first_sets)] + ops:
+            if insert:
+                live[set_id] = _posting_sketch(spec)
+                index.insert(set_id, live[set_id])
+            elif set_id in live:
+                index.remove(set_id)
+                del live[set_id]
+        postings_of = {set_id: _reference_postings(index, sketch) for set_id, sketch in live.items()}
+        want = _warning_texts(lambda: _reference_candidates(postings_of, pair_cap))
+        assert _warning_texts(index.candidates) == want
+
+    def test_a_capped_bucket_expands_only_the_pairs_it_emits(self, small_corpus):
+        """5,000 ids in one bucket under pair_cap=100: the first 100 pairs in
+        combinations order, without building the 12,497,500 (a few MiB at
+        most, where all index pairs would take about 200 MB)."""
+        cfg, rnd, items = small_corpus
+        index = LshIndex(cfg, rnd, pair_cap=100)
+        sketch = build(rnd, items[:8])  # admissible at level 0 only
+        for set_id in range(5000):
+            index.insert(set_id, sketch)
+        tracemalloc.start()
+        try:
+            with pytest.warns(RuntimeWarning, match="expands to 12497500 pairs; emitting the first 100"):
+                pairs = index.candidates()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        first = itertools.islice(itertools.combinations(range(5000), 2), 100)
+        assert pairs == [CandidatePair(a, b, 0, 0) for a, b in first]
+        assert peak < 4 * 2**20
+
+    def test_ids_must_be_mutually_orderable(self, small_corpus):
+        """candidates() ranks every indexed id, not only those sharing a bucket."""
+        cfg, rnd, items = small_corpus
+        index = LshIndex(cfg, rnd)
+        index.insert(1, build(rnd, items))
+        index.insert(2, build(rnd, items))
+        index.insert("a", LevelSketch(rnd))  # posts nothing, so it shares no bucket
+        with pytest.raises(TypeError):
+            index.candidates()
+        index.remove("a")
+        assert [(p.id_a, p.id_b) for p in index.candidates()] == [(1, 2)]
 
 
 class TestVerify:
@@ -509,7 +636,7 @@ class TestVerify:
             index.insert(set_id, sketch)
         queries = [CandidatePair(a, b, 0, 0) for a, b in itertools.combinations(sorted(sketches), 2)]
         want = [estimator.estimate_distance(sketches[p.id_a], sketches[p.id_b]) for p in queries]
-        before, postings = index.candidates(), dict(index._postings)
+        before, postings = index.candidates(), _all_postings(index)
         assert before
 
         changed = sketches["hi_a"]
@@ -520,13 +647,13 @@ class TestVerify:
         gc.collect()
 
         assert index.candidates() == before
-        assert index._postings == postings
+        assert _all_postings(index) == postings
         kept = index.verify(queries, estimator, math.inf)
         assert [p.verified_distance.hex() for p in kept] == [w.hex() for w in want]
         assert min(want) > 0.0
 
         index.insert("hi_a", changed)  # re-inserting updates the index
-        assert index._postings["hi_a"] == index._postings["lo"]
+        assert _postings(index, "hi_a") == _postings(index, "lo")
         [kept] = index.verify([CandidatePair("hi_a", "lo", 0, 0)], estimator, math.inf)
         assert kept.verified_distance == 0.0
 
