@@ -66,6 +66,9 @@ SIMILARITY_HISTOGRAM: tuple[tuple[float, float, int], ...] = (
     (0.75, 0.80, 23185),
 )
 
+# draws planted_partner makes before it keeps a partner outside its interval
+_PARTNER_ATTEMPTS = 32
+
 DEFAULT_GRID: tuple[tuple[int, float], ...] = (
     (128, 0.05),
     (256, 0.025),
@@ -205,12 +208,11 @@ def planted_partner(
     base: np.ndarray,
     d: int,
     interval: tuple[float, float],
-    max_attempts: int = 32,
 ) -> tuple[np.ndarray, float]:
     """A partner row for `base` with Jaccard similarity inside `interval`.
 
     Flips bits at the rates from flip_probabilities targeting the interval
-    midpoint, resampling up to max_attempts times until the realized
+    midpoint, resampling up to _PARTNER_ATTEMPTS times until the realized
     similarity lands inside; the last attempt is kept either way and the
     realized value is returned alongside the row.
     """
@@ -222,7 +224,7 @@ def planted_partner(
     keep = base
     adds = np.empty(0, dtype=np.int64)
     realized = 1.0
-    for _ in range(max_attempts):
+    for _ in range(_PARTNER_ATTEMPTS):
         keep = base[rng.random(m) >= p_del]
         n_add = int(rng.binomial(d - m, p_add))
         adds = _sample_distinct(rng, d, n_add, exclude=base)
@@ -282,22 +284,17 @@ def generate_distribution(
     cols: int,
     density_range: tuple[float, float] = (0.01, 0.05),
     seed: int = 0,
-    histogram: Sequence[tuple[float, float, int]] = SIMILARITY_HISTOGRAM,
 ) -> GeneratedCorpus:
-    """Corpus of planted pairs whose targets follow a similarity histogram.
+    """Corpus of planted pairs whose targets follow SIMILARITY_HISTOGRAM.
 
-    Draws each pair's target interval from `histogram` proportionally to
+    Draws each pair's target interval from the histogram proportionally to
     its weight, then plants the pair like generate() does.  Base rows get
     ids [0, pairs) and partners [pairs, 2*pairs).
     """
     if pairs < 1:
         raise GenerationError(f"need at least one pair, got {pairs!r}")
-    if not histogram:
-        raise GenerationError("histogram must be non-empty")
     rng = derived_rng(seed, _TAG_GENERATE, 1)
-    weights = np.array([w for _, _, w in histogram], dtype=np.float64)
-    if (weights < 0).any() or weights.sum() <= 0:
-        raise GenerationError("histogram weights must be non-negative and not all zero")
+    weights = np.array([w for _, _, w in SIMILARITY_HISTOGRAM], dtype=np.float64)
     weights /= weights.sum()
     bases: list[np.ndarray] = []
     partners: list[np.ndarray] = []
@@ -305,7 +302,7 @@ def generate_distribution(
     for t in range(pairs):
         base = _random_row(rng, density_range, cols)
         which = int(rng.choice(len(weights), p=weights))
-        b_lo, b_hi, _ = histogram[which]
+        b_lo, b_hi, _ = SIMILARITY_HISTOGRAM[which]
         partner, realized = planted_partner(rng, base, cols, (b_lo, b_hi))
         bases.append(base)
         partners.append(partner)
@@ -360,11 +357,11 @@ def read_manifest(source: str | os.PathLike | IO[str]) -> list[PlantedPair]:
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(row) != 5:
+                raise StreamParseError(f"bad manifest row {row!r}: expected 5 fields", line_no)
             try:
-                out.append(
-                    PlantedPair(int(row[0]), int(row[1]), float(row[2]), float(row[3]), float(row[4]))
-                )
-            except (ValueError, IndexError) as exc:
+                out.append(PlantedPair(int(row[0]), int(row[1]), *map(float, row[2:])))
+            except ValueError as exc:
                 raise StreamParseError(f"bad manifest row {row!r}: {exc}", line_no) from exc
     return out
 

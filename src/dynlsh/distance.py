@@ -21,15 +21,15 @@ independently randomized sketch repetitions.
 Both l0 estimates read only the per-row nonzero counts of the two merges,
 so a pair's distance is a function of those counts and |A| + |B|;
 DistanceEstimator.distances_from_counts evaluates it for many pairs at
-once, and a single estimate goes through it too.  The counts need no
-merged sketch: A - B is nonzero where the counters differ and A + B where
-they are not opposite.
+once, and each estimate scores all of its slots in one such call.  The
+counts need no merged sketch: A - B is nonzero where the counters differ
+and A + B where they are not opposite.
 """
 
 from __future__ import annotations
 
 import statistics
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -44,17 +44,6 @@ from .similarity import (
 from .sketch import LevelSketch, l0_from_row_counts
 
 
-def _median_amplify(shot: Callable[[int], float], repetitions: int) -> float:
-    """Median of shot(0), ..., shot(repetitions - 1); repetitions must be odd.
-
-    With an odd count the median is always one of the observed values, so a
-    per-shot success probability above 1/2 amplifies exponentially.
-    """
-    if repetitions < 1 or repetitions % 2 == 0:
-        raise ValueError(f"repetitions must be a positive odd integer, got {repetitions!r}")
-    return statistics.median(shot(i) for i in range(repetitions))
-
-
 class DistanceEstimator:
     """Estimates rational (or root) distances between sketched sets.
 
@@ -65,10 +54,11 @@ class DistanceEstimator:
     accept a single LevelSketch per side when repetitions == 1, or a
     sequence of sketches aligned with the randomness slots.
 
-    Every estimate reads the supports of one sum and one difference sketch
-    per slot, whatever the weights.  Raw estimates are returned unclamped;
-    only the additive similarity path clamps (below at 0) for reporting,
-    and the root path clamps each shot at 0 before raising it to alpha.
+    Every estimate counts per-row nonzeros of one sum and one difference
+    sketch per slot, scores all slots in one distances_from_counts call
+    and returns the median shot.  Shots are unclamped; only the additive
+    similarity path clamps (below at 0) for reporting, and the root path
+    clamps each shot at 0 before raising it to alpha.
     """
 
     def __init__(
@@ -154,26 +144,19 @@ class DistanceEstimator:
         # a vanishing denominator means similarity 1, so distance 0
         return np.divide((1.0 - z) * sym, denom, out=np.zeros(n), where=~(denom <= 0.0))
 
-    def _distance_once(self, a: LevelSketch, b: LevelSketch) -> float:
-        sym_nz = np.count_nonzero(a.buckets != b.buckets, axis=1)
-        union_nz = np.count_nonzero(a.buckets != -b.buckets, axis=1)
-        card = np.array([a.cardinality + b.cardinality])
-        return float(self.distances_from_counts(sym_nz[None, :], union_nz[None, :], card)[0])
-
-    def _distance_median(
+    def _shots(
         self,
         a: LevelSketch | Sequence[LevelSketch],
         b: LevelSketch | Sequence[LevelSketch],
-        alpha: float | None = None,
-    ) -> float:
-        sa = self._slots(a)
-        sb = self._slots(b)
-
-        def shot(i: int) -> float:
-            dist = self._distance_once(sa[i], sb[i])
-            return dist if alpha is None else max(dist, 0.0) ** alpha
-
-        return _median_amplify(shot, self.repetitions)
+    ) -> list[float]:
+        """Every slot's unclamped distance estimate, from one distances_from_counts call."""
+        sym_nz, union_nz, card = [], [], []
+        for x, y in zip(self._slots(a), self._slots(b)):
+            sym_nz.append(np.count_nonzero(x.buckets != y.buckets, axis=1))
+            union_nz.append(np.count_nonzero(x.buckets != -y.buckets, axis=1))
+            card.append(x.cardinality + y.cardinality)
+        shots = self.distances_from_counts(np.array(sym_nz), np.array(union_nz), np.array(card))
+        return shots.tolist()
 
     def estimate_distance(
         self,
@@ -186,7 +169,7 @@ class DistanceEstimator:
         all-zero, so the symmetric-difference estimate is exactly zero.
         """
         self.require_metric()
-        return self._distance_median(a, b)
+        return statistics.median(self._shots(a, b))
 
     def estimate_root_distance(
         self,
@@ -204,7 +187,8 @@ class DistanceEstimator:
             raise ValueError(
                 "root similarity is not LSH-able (need z' >= ((alpha+1)/2)*max(x, y))"
             )
-        return self._distance_median(a, b, self.params.alpha)
+        alpha = self.params.alpha
+        return statistics.median([max(s, 0.0) ** alpha for s in self._shots(a, b)])
 
     def estimate_similarity_additive(
         self,
@@ -219,4 +203,4 @@ class DistanceEstimator:
         """
         if isinstance(self.params, RootSimilarity):
             raise ValueError("additive similarity applies to rational params only")
-        return max(0.0, 1.0 - self._distance_median(a, b))
+        return max(0.0, 1.0 - statistics.median(self._shots(a, b)))

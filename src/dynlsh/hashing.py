@@ -23,7 +23,7 @@ _TAG_BUCKET = 1
 _TAG_MINHASH = 2
 _TAG_CHILD = 3
 
-# the splitmix64 finalizer's shifts and multipliers, as mix64 applies them
+# the splitmix64 finalizer's shifts and multipliers, as _mix64_inplace applies them
 _MIX_SHIFTS = tuple(np.uint64(k) for k in (30, 27, 31))
 _MIX_MULTS = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
 
@@ -52,18 +52,6 @@ class HashSpec:
             raise ValueError(f"output_bits must lie in [1, {WORD_BITS}], got {self.output_bits!r}")
 
 
-def hash_key(spec: HashSpec, key: int) -> int:
-    """Evaluate spec on one key."""
-    return ((spec.a * key + spec.b) & _MASK64) >> (WORD_BITS - spec.output_bits)
-
-
-def hash_array(spec: HashSpec, keys: np.ndarray) -> np.ndarray:
-    """Evaluate spec on a uint64 array; wraps modulo 2^64 like hash_key."""
-    out = _affine(keys, np.uint64(spec.a), np.uint64(spec.b))
-    out >>= np.uint64(WORD_BITS - spec.output_bits)
-    return out
-
-
 def _affine(keys: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a * keys + b modulo 2^64 as a new uint64 array; a, b are uint64 scalars or per-key arrays."""
     out = np.asarray(keys, dtype=np.uint64) * a
@@ -71,20 +59,12 @@ def _affine(keys: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def mix64(values: np.ndarray) -> np.ndarray:
-    """Fixed avalanche bijection on uint64 (the splitmix64 finalizer).
-
-    Post-composing a bijection leaves the joint distribution of any two
-    distinct hash values unchanged, so collision probabilities survive
-    exactly; what changes is that arithmetic structure in the input, such
-    as a fixed stride, no longer shows up as arithmetic structure in the
-    output bits.
-    """
-    return _mix64_inplace(np.array(values, dtype=np.uint64))
-
-
 def _mix64_inplace(z: np.ndarray) -> np.ndarray:
-    """mix64 on a uint64 array the caller owns, overwriting and returning it."""
+    """The splitmix64 finalizer in place on a uint64 array the caller owns; returns it.
+
+    A bijection, so it keeps the collision law of the hash before it while
+    hiding input structure such as a stride.
+    """
     z ^= z >> _MIX_SHIFTS[0]
     z *= _MIX_MULTS[0]
     z ^= z >> _MIX_SHIFTS[1]
@@ -93,53 +73,15 @@ def _mix64_inplace(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def mixed_hash_array(spec: HashSpec, keys: np.ndarray) -> np.ndarray:
-    """Like hash_array, but the affine product is mixed before the shift.
-
-    Plain multiply-shift sends an arithmetic progression of keys to an
-    arithmetic progression of products, and the high bits of a progression
-    can collapse onto a handful of values when its step sits near a simple
-    rational multiple of 2^64.  Mixing first makes the surviving high bits
-    insensitive to such input structure.
-    """
-    out = _mix64_inplace(_affine(keys, np.uint64(spec.a), np.uint64(spec.b)))
-    out >>= np.uint64(WORD_BITS - spec.output_bits)
-    return out
-
-
-def lsb(value: int, width: int = WORD_BITS) -> int:
-    """Index of the least significant set bit; width for value == 0.
-
-    With width equal to a hash function's output_bits this assigns the
-    all-zero output to the deepest level instead of leaving it undefined.
-    """
-    if value == 0:
-        return width
-    return (value & -value).bit_length() - 1
-
-
-def minhash_signature(buckets: np.ndarray, spec: HashSpec) -> int | None:
-    """Position of the hash-minimal nonzero bucket; None for an all-zero row.
-
-    Only the zero/nonzero pattern matters, so the signature is invariant
-    under scaling counters by any positive integer.
-    """
-    positions = np.flatnonzero(np.asarray(buckets))
-    if positions.size == 0:
-        return None
-    values = hash_array(spec, positions.astype(np.uint64))
-    return int(positions[int(np.argmin(values))])
-
-
 def minhash_positions(
     positions: np.ndarray, specs: Sequence[HashSpec] | tuple[np.ndarray, np.ndarray]
 ) -> np.ndarray:
-    """minhash over the same position set under many specs at once.
+    """Min-hash of one position set under many specs at once.
 
     specs is HashSpecs sharing output_bits, or the uint64 (a, b) arrays of
     64-bit specs that SketchRandomness.minhash_arrays caches.  Returns int64
     minimizing positions, one per spec, all -1 for an empty position set;
-    ties break toward the lowest position, matching minhash_signature.
+    ties break toward the first position given, the lowest when sorted.
     """
     if len(specs) == 2 and isinstance(specs[0], np.ndarray):
         (a, b), shift = specs, 0

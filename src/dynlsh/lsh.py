@@ -68,7 +68,7 @@ class LshConfig:
                 raise ValueError(f"{name} must lie in (0, 1), got {v!r}")
         for name in ("bands_r", "repetitions_l"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
+            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
         if self.sampling_p is not None and not (0.0 < self.sampling_p < 1.0):
             raise ValueError(f"sampling_p must lie in (0, 1), got {self.sampling_p!r}")

@@ -185,11 +185,13 @@ def similarity_from_level(
     return _similarity_on_rows(a, b, level, slice(level, None), universe, params)
 
 
-_KNOWN_LEVEL_RULES: tuple[tuple[tuple[float, float, float, float], str], ...] = (
-    ((1.0, 0.0, 0.0, 1.0), "jaccard"),
-    ((1.0, 1.0, 0.0, 1.0), "hamming"),
-    ((1.0, 0.0, 0.0, 2.0), "anderberg"),
-    ((1.0, 1.0, 0.0, 2.0), "rogers_tanimoto"),
+# Jaccard, Hamming, Anderberg and Rogers-Tanimoto: weights (x, y, z, z')
+# up to scale, whether the budget scales d instead of size_hint, divisor
+_LEVEL_RULES: tuple[tuple[tuple[float, float, float, float], bool, float], ...] = (
+    ((1.0, 0.0, 0.0, 1.0), False, 1.0),
+    ((1.0, 1.0, 0.0, 1.0), True, 2.0),
+    ((1.0, 0.0, 0.0, 2.0), False, 3.0),
+    ((1.0, 1.0, 0.0, 2.0), True, 3.0),
 )
 
 
@@ -231,18 +233,12 @@ def sample_level(
     if size_hint < 1:
         raise ValueError(f"size_hint must be positive, got {size_hint!r}")
     budget = epsilon * epsilon * delta * r
-    if _matches_scaled(params, _KNOWN_LEVEL_RULES[0][0]):
-        arg = budget * size_hint
-    elif _matches_scaled(params, _KNOWN_LEVEL_RULES[1][0]):
-        arg = budget * params.d / 2.0
-    elif _matches_scaled(params, _KNOWN_LEVEL_RULES[2][0]):
-        arg = budget * size_hint / 3.0
-    elif _matches_scaled(params, _KNOWN_LEVEL_RULES[3][0]):
-        arg = budget * params.d / 3.0
+    for weights, reads_d, divisor in _LEVEL_RULES:
+        if _matches_scaled(params, weights):
+            arg = budget * (params.d if reads_d else size_hint) / divisor
+            break
     else:
-        top = max(
-            params.x + params.y, params.z_prime + params.y, params.z + params.y
-        )
+        top = max(params.x + params.y, params.z_prime + params.y, params.z + params.y)
         if top == 0.0:
             raise ValueError("all-zero similarity weights admit no sampling level")
         arg = (epsilon / 5.0) ** 2 * delta * r * size_hint / top

@@ -1,0 +1,52 @@
+"""Scalar reference twins of the package's hashes, for checking its array code.
+
+Each function works on Python ints, one key at a time, with none of the
+package's numpy code, so a test that compares the two checks the package
+against an independent statement of the same maths.
+"""
+
+import numpy as np
+
+_MASK64 = (1 << 64) - 1
+
+
+def hash_key(spec, key):
+    """Multiply-shift: ((a * key + b) mod 2^64) >> (64 - output_bits)."""
+    return ((spec.a * key + spec.b) & _MASK64) >> (64 - spec.output_bits)
+
+
+def hash_array(spec, keys):
+    """hash_key over each key, as a uint64 array."""
+    return np.array([hash_key(spec, int(k)) for k in keys], dtype=np.uint64)
+
+
+def mix64(z):
+    """The splitmix64 finalizer on one 64-bit int."""
+    z ^= z >> 30
+    z = (z * 0xBF58476D1CE4E5B9) & _MASK64
+    z ^= z >> 27
+    z = (z * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def mixed_hash_array(spec, keys):
+    """Like hash_array, with the affine product mixed by mix64 before the shift."""
+    shift = 64 - spec.output_bits
+    return np.array(
+        [mix64((spec.a * int(k) + spec.b) & _MASK64) >> shift for k in keys], dtype=np.uint64
+    )
+
+
+def lsb(value, width=64):
+    """Index of the least significant set bit; width for value == 0."""
+    if value == 0:
+        return width
+    return (value & -value).bit_length() - 1
+
+
+def minhash_signature(buckets, spec):
+    """Position of the hash-minimal nonzero bucket, the lowest on ties; None for an all-zero row."""
+    positions = np.flatnonzero(np.asarray(buckets)).tolist()
+    if not positions:
+        return None
+    return min(positions, key=lambda p: hash_key(spec, p))

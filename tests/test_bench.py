@@ -224,6 +224,13 @@ class TestManifestFile:
             read_manifest(buf)
         assert info.value.line_number == 1
 
+    @pytest.mark.parametrize("row", ["1,2,0.1,0.2,0.3,junk", "1,2,0.1,0.2"])
+    def test_row_without_five_fields_rejected(self, row):
+        buf = io.StringIO(f"id_a,id_b,target_low,target_high,exact_similarity\r\n{row}\r\n")
+        with pytest.raises(StreamParseError, match="expected 5 fields") as info:
+            read_manifest(buf)
+        assert info.value.line_number == 2
+
 
 class TestIngestParsing:
     def test_header_only_stream(self):

@@ -1,5 +1,6 @@
-"""Distance estimation from sketches: median amplification and accuracy."""
+"""Distance estimation from sketches: per-slot shots, their median, and accuracy."""
 
+import statistics
 import tracemalloc
 
 import numpy as np
@@ -22,7 +23,6 @@ from dynlsh import (
     merge,
     sorensen_dice,
 )
-from dynlsh.distance import _median_amplify
 
 
 def build(randomness, items):
@@ -58,38 +58,13 @@ def planted_pair(rng, d, m, similarity):
     return pool[:m], pool[m - inter :]
 
 
-class TestMedianAmplify:
-    def test_single_repetition_is_identity(self):
-        assert _median_amplify(lambda i: 7.5, 1) == 7.5
-
-    def test_median_of_fixed_values(self):
-        values = [3.0, 1.0, 2.0, 9.0, 2.5]
-        assert _median_amplify(lambda i: values[i], 5) == 2.5
-
-    def test_even_or_nonpositive_repetitions_rejected(self):
-        with pytest.raises(ValueError):
-            _median_amplify(lambda i: 0.0, 4)
-        with pytest.raises(ValueError):
-            _median_amplify(lambda i: 0.0, 0)
-
-    def test_three_quarter_shots_amplify_past_95_percent(self):
-        """A 0.75-correct shot taken 9 times is right at least 95% of the
-        time; the exact binomial tail is about 0.951 and this frozen
-        stream lands at 0.9542.
-        """
-        rng = np.random.default_rng(74001)
-        good = 0
-        for _ in range(10**4):
-            vals = np.where(rng.random(9) < 0.75, 1.0, 0.0)
-            good += _median_amplify(lambda i: vals[i], 9) == 1.0
-        assert good / 10**4 >= 0.95
-
-
 class TestConstruction:
     def test_even_slot_count_rejected(self):
         slots = make_slots(1024, 64, 1, repetitions=2)
         with pytest.raises(ValueError):
             DistanceEstimator(jaccard(1024), slots)
+        with pytest.raises(ValueError):
+            DistanceEstimator(jaccard(1024), [])
 
     def test_mixed_slot_shapes_rejected(self):
         slots = [SketchRandomness(1024, 64, 0), SketchRandomness(1024, 128, 1),
@@ -132,6 +107,28 @@ class TestEstimateDistance:
                 for b in sketches:
                     want = _distance_reference(params, a, b)
                     assert est.estimate_distance(a, b).hex() == want.hex()
+
+    def test_many_slots_give_the_median_of_the_single_slot_estimates(self):
+        """Nine slots scored in one pass equal the median of nine one-slot estimators, bit for bit."""
+        rng = np.random.default_rng(75200)
+        d = 2**12
+        slots = make_slots(d, 64, 75200)
+        A = rng.choice(d, size=500, replace=False)
+        B = np.concatenate([A[:300], rng.choice(d, size=150, replace=False)])
+        a = [build(r, A) for r in slots]
+        b = [build(r, np.unique(B)) for r in slots]
+        root = RootSimilarity(jaccard(d), 0.5)
+        for params, method in (
+            (jaccard(d), "estimate_distance"),
+            (hamming(d), "estimate_distance"),
+            (root, "estimate_root_distance"),
+        ):
+            singles = [
+                getattr(DistanceEstimator(params, r), method)(x, y) for r, x, y in zip(slots, a, b)
+            ]
+            assert len(set(singles)) > 1  # the slots disagree, so the median picks one
+            got = getattr(DistanceEstimator(params, slots), method)(a, b)
+            assert got.hex() == statistics.median(singles).hex()
 
     def test_identical_sets_give_exact_zero(self):
         slots = make_slots(4096, 128, 3)

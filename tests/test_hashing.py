@@ -7,39 +7,27 @@ from numpy.testing import assert_allclose, assert_array_equal
 from dynlsh import (
     HashSpec,
     ItemRangeError,
+    LevelSketch,
     SketchRandomness,
-    hash_array,
-    hash_key,
-    lsb,
     minhash_positions,
-    minhash_signature,
-    mix64,
-    mixed_hash_array,
     random_hash_spec,
 )
+from dynlsh.hashing import _mix64_inplace
+from oracles import hash_array, hash_key, lsb, minhash_signature, mixed_hash_array
 
 
 class TestHashSpec:
     def test_identity_spec_is_identity(self):
+        """Under a = 1, b = 0 every position hashes to itself, so the min-hash is the least."""
         spec = HashSpec(a=1, b=0, output_bits=64)
-        assert hash_key(spec, 5) == 5
-        assert hash_key(spec, 2**63) == 2**63
-
-    def test_array_matches_scalar(self):
-        rng = np.random.default_rng(72004)
-        spec = random_hash_spec(rng, 17)
-        keys = rng.integers(0, 2**63, size=500, dtype=np.uint64)
-        values = hash_array(spec, keys)
-        assert values.dtype == np.uint64
-        for k, v in zip(keys[:50], values[:50]):
-            assert hash_key(spec, int(k)) == int(v)
+        positions = np.array([9, 5, 2**63, 6], dtype=np.uint64)
+        assert minhash_positions(positions, [spec]).tolist() == [5]
 
     def test_output_range(self):
-        rng = np.random.default_rng(72005)
-        spec = random_hash_spec(rng, 8)
-        keys = rng.integers(0, 2**63, size=10_000, dtype=np.uint64)
-        assert hash_array(spec, keys).max() < 256
-        assert mixed_hash_array(spec, keys).max() < 256
+        rnd = SketchRandomness(2**63, 256, 72005)
+        keys = np.random.default_rng(72005).integers(0, 2**63, size=10_000, dtype=np.uint64)
+        for level in (0, 31, rnd.max_level):
+            assert rnd.buckets_of(level, keys).max() < 256
 
     def test_even_multiplier_rejected(self):
         with pytest.raises(ValueError):
@@ -64,79 +52,91 @@ class TestHashSpec:
 
 class TestCollisionLaw:
     def test_pairwise_collision_rate_near_uniform(self):
-        """Random distinct key pairs collide at about 2^-bits.
+        """Random distinct key pairs collide in a row's bucket hash at about 2^-bits.
 
-        40 fresh specs, 10^5 pairs each; both the raw multiply-shift and
-        the mixed variant must sit within 3e-4 of 1/1024.
+        40 fresh randomness families, 10^5 pairs each, in a 1024-bucket
+        row: the rate must sit within 3e-4 of 1/1024.
         """
-        for fn in (hash_array, mixed_hash_array):
-            rng = np.random.default_rng(72001)
-            collisions = 0
-            total = 0
-            for _ in range(40):
-                spec = random_hash_spec(rng, 10)
-                keys = rng.integers(0, 2**63, size=(100_000, 2), dtype=np.uint64)
-                keys = keys[keys[:, 0] != keys[:, 1]]
-                h = fn(spec, keys.ravel()).reshape(-1, 2)
-                collisions += int((h[:, 0] == h[:, 1]).sum())
-                total += len(h)
-            assert abs(collisions / total - 2**-10) < 3e-4
+        rng = np.random.default_rng(72001)
+        collisions = 0
+        total = 0
+        for seed in range(40):
+            rnd = SketchRandomness(2**63, 1024, 72001 + seed)
+            keys = rng.integers(0, 2**63, size=(100_000, 2), dtype=np.uint64)
+            keys = keys[keys[:, 0] != keys[:, 1]]
+            h = rnd.buckets_of(seed, keys.ravel()).reshape(-1, 2)
+            collisions += int((h[:, 0] == h[:, 1]).sum())
+            total += len(h)
+        assert abs(collisions / total - 2**-10) < 3e-4
 
 
 class TestMix:
     def test_zero_is_a_fixed_point(self):
-        assert mix64(np.zeros(1, dtype=np.uint64))[0] == 0
+        assert _mix64_inplace(np.zeros(1, dtype=np.uint64))[0] == 0
 
     def test_bijective_on_large_sample(self):
         rng = np.random.default_rng(72006)
         keys = np.unique(rng.integers(0, 2**63, size=10**6, dtype=np.uint64))
-        assert len(np.unique(mix64(keys))) == len(keys)
+        assert len(np.unique(_mix64_inplace(keys.copy()))) == len(keys)
 
     def test_strided_keys_collapse_without_mixing(self):
-        """Regression: an arithmetic progression of keys whose product step
-        sits near 2^64/3 crowds the plain top bits into a handful of
-        buckets, while the mixed variant stays near uniform occupancy.
+        """Regression: items whose bucket products step by about 2^64/3
+        crowd the plain multiply-shift top bits into a handful of buckets,
+        while buckets_of, which mixes first, stays near uniform occupancy.
         """
-        a = 0x9E3779B97F4A7C15
-        stride = (round(2**64 / 3) * pow(a, -1, 2**64)) % 2**64
-        spec = HashSpec(a, 12345, 10)
+        rnd = SketchRandomness(2**63, 1024, 72007)
+        spec = rnd.bucket_specs[3]
+        stride = (round(2**64 / 3) * pow(spec.a, -1, 2**64)) % 2**64
         keys = np.arange(4096, dtype=np.uint64) * np.uint64(stride) + np.uint64(77)
+        # items lie in [0, 2^63); dropping a key's top bit flips its product's top bit
+        keys &= np.uint64(2**63 - 1)
         assert len(np.unique(hash_array(spec, keys))) <= 8
-        occupied = len(np.unique(mixed_hash_array(spec, keys)))
+        occupied = len(np.unique(rnd.buckets_of(3, keys)))
         # 1024 * (1 - (1 - 1/1024)^4096) is about 1005
         assert occupied > 900
 
 
 class TestLsb:
     def test_known_values(self):
-        assert lsb(1) == 0
-        assert lsb(4) == 2
-        assert lsb(6) == 1
-        assert lsb(0, 12) == 12
-        assert lsb(0) == 64
+        """levels_of maps level hashes 1, 4, 6, 0, 2^19, 2^20 and 2^40 to
+        their lowest set bit, clamped to max_level = 20."""
+        rnd = SketchRandomness(2**20, 64, 72008)
+        spec = rnd.level_spec
+        inv = pow(spec.a, -1, 2**64)
+        keys = [(h - spec.b) * inv % 2**64 for h in (1, 4, 6, 0, 2**19, 2**20, 2**40)]
+        levels = rnd.levels_of(np.array(keys, dtype=np.uint64))
+        assert levels.tolist() == [0, 2, 1, 20, 19, 20, 20]
 
 
 class TestMinhash:
     def test_all_zero_row_has_no_signature(self):
-        spec = HashSpec(a=1, b=0, output_bits=64)
-        assert minhash_signature(np.zeros(16, dtype=np.int64), spec) is None
+        """A row whose updates cancel has no nonzero position, so every slot reads -1."""
+        rnd = SketchRandomness(1024, 64, 72009)
+        sketch = LevelSketch(rnd)
+        sketch.update_many([3, 3], [1, -1])
+        for level in range(rnd.num_levels):
+            row = np.flatnonzero(sketch.buckets[level])
+            assert minhash_positions(row, rnd.minhash_arrays(level, 2, 3)).tolist() == [-1] * 6
 
     def test_single_nonzero_bucket_wins_under_every_seed(self):
         rng = np.random.default_rng(72009)
         row = np.zeros(64, dtype=np.int64)
         row[37] = -2  # sign and magnitude must not matter
-        for _ in range(100):
-            assert minhash_signature(row, random_hash_spec(rng, 64)) == 37
+        specs = [random_hash_spec(rng, 64) for _ in range(100)]
+        assert minhash_positions(np.flatnonzero(row), specs).tolist() == [37] * 100
 
     def test_signature_depends_only_on_support(self):
         rng = np.random.default_rng(72010)
-        spec = random_hash_spec(rng, 64)
+        specs = [random_hash_spec(rng, 64) for _ in range(10)]
         row_a = np.zeros(128, dtype=np.int64)
         row_b = np.zeros(128, dtype=np.int64)
         support = rng.choice(128, size=20, replace=False)
         row_a[support] = 1
         row_b[support] = rng.choice([-3, 2, 9], size=20)
-        assert minhash_signature(row_a, spec) == minhash_signature(row_b, spec)
+        assert_array_equal(
+            minhash_positions(np.flatnonzero(row_a), specs),
+            minhash_positions(np.flatnonzero(row_b), specs),
+        )
 
     def test_positions_agree_with_signature(self):
         rng = np.random.default_rng(72011)
@@ -175,10 +175,9 @@ class TestMinhash:
         p[pa] = 1
         q[qa] = 1
         exact = len(np.intersect1d(pa, qa)) / len(np.union1d(pa, qa))
-        hits = 0
-        for _ in range(10**4):
-            spec = random_hash_spec(rng, 64)
-            hits += minhash_signature(p, spec) == minhash_signature(q, spec)
+        specs = [random_hash_spec(rng, 64) for _ in range(10**4)]
+        sig_p, sig_q = (minhash_positions(np.flatnonzero(row), specs) for row in (p, q))
+        hits = int((sig_p == sig_q).sum())
         assert_allclose(exact, 1 / 3, rtol=1e-12)
         assert abs(hits / 10**4 - exact) <= 0.03
 

@@ -32,13 +32,13 @@ from dynlsh import (
     level_grid,
     merge,
     minhash_pair_collides,
-    minhash_signature,
     sensitivity_report,
     sketch_from_bytes,
     sketch_to_bytes,
     sorensen_dice,
     write_csv,
 )
+from oracles import minhash_signature
 
 
 def build(randomness, items):
@@ -136,6 +136,11 @@ class TestLshConfig:
             LshConfig(r1=0.5, r2=0.1, bands_r=0)
         with pytest.raises(ValueError):
             LshConfig(r1=0.5, r2=0.1, repetitions_l=-1)
+        for flag in (True, False):  # bool is an int subclass, but not a count
+            with pytest.raises(ValueError):
+                LshConfig(r1=0.5, r2=0.1, bands_r=flag)
+            with pytest.raises(ValueError):
+                LshConfig(r1=0.5, r2=0.1, repetitions_l=flag)
         with pytest.raises(ValueError):
             LshConfig(r1=0.5, r2=0.1, sampling_p=1.0)
 

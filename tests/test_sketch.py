@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from dynlsh.sketch import l0_from_row_counts
+from oracles import hash_key, lsb, mixed_hash_array
 
 from dynlsh import (
     ConfigMismatchError,
@@ -20,10 +21,8 @@ from dynlsh import (
     SketchRandomness,
     anderberg,
     hamming,
-    hash_key,
     jaccard,
     l0_estimate,
-    lsb,
     merge,
     rogers_tanimoto,
     sample_level,
@@ -37,18 +36,6 @@ from dynlsh import (
 @pytest.fixture
 def randomness():
     return SketchRandomness(d=1024, c_squared=64, master_seed=42)
-
-
-_MASK64 = (1 << 64) - 1
-
-
-def _splitmix64(z):
-    """The splitmix64 finalizer on one Python int, as mix64 applies it."""
-    z ^= z >> 30
-    z = (z * 0xBF58476D1CE4E5B9) & _MASK64
-    z ^= z >> 27
-    z = (z * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
 
 
 def build_multiset(randomness, items, value):
@@ -114,8 +101,7 @@ class TestUpdates:
             sk.update_many(items, values)
             for i, v in zip(items.tolist(), values.tolist()):
                 k = min(lsb(hash_key(rnd.level_spec, i)), rnd.max_level)
-                spec = rnd.bucket_specs[k]
-                expected[k, _splitmix64((spec.a * i + spec.b) & _MASK64) >> (64 - spec.output_bits)] += v
+                expected[k, mixed_hash_array(rnd.bucket_specs[k], [i])[0]] += v
         assert_array_equal(sk.buckets, expected)
         assert sk.cardinality == int(expected.sum())
 
