@@ -602,6 +602,14 @@ class DeviationRow:
     query_seconds: float
 
 
+def _manifest_pairs(manifest: Sequence[PlantedPair], n: int) -> list[tuple[int, int, float]]:
+    """(id_a, id_b, exact_similarity) per pair; StreamDataError for a row outside [0, n)."""
+    for p in manifest:
+        if not (0 <= p.id_a < n and 0 <= p.id_b < n):
+            raise StreamDataError(f"manifest pair ({p.id_a}, {p.id_b}) is outside rows 0..{n - 1}")
+    return [(p.id_a, p.id_b, p.exact_similarity) for p in manifest]
+
+
 def deviation_report(
     sets: Sequence[np.ndarray],
     manifest: Sequence[PlantedPair],
@@ -625,10 +633,8 @@ def deviation_report(
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials!r}")
     params = jaccard(d)
-    pairs: list[tuple[int, int, float]] = [
-        (p.id_a, p.id_b, p.exact_similarity) for p in manifest
-    ]
-    taken = {(min(p.id_a, p.id_b), max(p.id_a, p.id_b)) for p in manifest}
+    pairs = _manifest_pairs(manifest, len(sets))
+    taken = {(min(a, b), max(a, b)) for a, b, _ in pairs}
     if low_sample > 0 and len(sets) >= 2:
         rng = derived_rng(master_seed, _TAG_LOW_PAIRS)
         limit = len(sets) * (len(sets) - 1) // 2
@@ -731,6 +737,7 @@ def scurve_report(
         raise ValueError(f"trials must be positive, got {trials!r}")
     if not (0.0 < bin_width <= 1.0):
         raise ValueError(f"bin_width must lie in (0, 1], got {bin_width!r}")
+    pairs = _manifest_pairs(manifest, len(sets))
     n_bins = math.ceil(1.0 / bin_width)
     out: list[ScurveRow] = []
     for gi, (r, l, alpha, c_squared) in enumerate(grid):
@@ -755,15 +762,14 @@ def scurve_report(
                     signatures[idx] = sig if positions.size else None
                 return signatures[idx]
 
-            for p in manifest:
-                sig_a = signature_of(p.id_a)
-                sig_b = signature_of(p.id_b)
+            for a, b, exact in pairs:
+                sig_a, sig_b = signature_of(a), signature_of(b)
                 collide = (
                     sig_a is not None
                     and sig_b is not None
                     and bool(np.any(np.all(sig_a == sig_b, axis=1)))
                 )
-                idx = min(int(p.exact_similarity / bin_width), n_bins - 1)
+                idx = min(int(exact / bin_width), n_bins - 1)
                 totals[idx] += 1
                 hits[idx] += collide
         for idx in np.flatnonzero(totals):

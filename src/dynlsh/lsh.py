@@ -29,10 +29,9 @@ from .sketch import LevelSketch
 
 DEFAULT_PAIR_CAP = 10_000
 
-# verify scores pairs in chunks that read at most this many snapshot
-# entries (one per nonzero counter of either side, plus one per pair), so
-# each of its int64 work arrays stays within a quarter of a MiB
-_VERIFY_CHUNK_ENTRIES = 1 << 15
+# verify scores pairs in chunks of at most this many dense scratch cells
+# (pairs x levels x c^2); a side has at most one entry per cell, so this bounds all work arrays
+_VERIFY_CHUNK_CELLS = 1 << 20
 
 SetId = int | str
 
@@ -294,9 +293,10 @@ class LshIndex:
         and by linearity those counts follow from the two sparse supports:
         a position in both supports drops out of A - B when the counters
         are equal and out of A + B when they are opposite.  So verify
-        concatenates the stored entries of the ids its pairs name, and
-        counts shared, equal and opposite positions per pair and row, chunk
-        by chunk, without building any merge or reading a dense sketch.
+        concatenates the stored entries of the ids its pairs name and, a
+        chunk of pairs at a time, scatters side a's counters into a zeroed
+        dense row per pair, reads them back at side b's positions and counts
+        shared, equal and opposite positions per pair and row.
         """
         estimator.require_metric()
         if estimator.repetitions != 1 or estimator.randomness[0] != self.randomness:
@@ -316,18 +316,14 @@ class LshIndex:
             return []
         snap = _SparseSnapshot([self._entries[set_id] for set_id in row_of], self.randomness)
         kept: list[CandidatePair] = []
-        cost = np.cumsum(snap.length[rows_a] + snap.length[rows_b] + 1)
-        start = 0
-        while start < n:
-            done = cost[start - 1] if start else 0
-            stop = max(int(np.searchsorted(cost, done + _VERIFY_CHUNK_ENTRIES, "right")), start + 1)
-            sym_nz, union_nz, cards = snap.pair_counts(rows_a[start:stop], rows_b[start:stop])
-            dist = estimator.distances_from_counts(sym_nz, union_nz, cards)
+        step = max(1, _VERIFY_CHUNK_CELLS // snap.width)
+        for start in range(0, n, step):
+            chunk = slice(start, start + step)
+            dist = estimator.distances_from_counts(*snap.pair_counts(rows_a[chunk], rows_b[chunk]))
             kept += [
                 replace(pairs[start + j], verified_distance=float(dist[j]))
                 for j in np.flatnonzero(dist <= threshold).tolist()
             ]
-            start = stop
         return kept
 
 
@@ -372,7 +368,8 @@ class _SparseSnapshot:
     def _gather(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Entry indices of the sketches in rows, concatenated, and their keys.
 
-        A key is pair * width + position, so keys ascend across the chunk.
+        A key is pair * width + position: its cell in a chunk's dense
+        scratch, unique within one side of the chunk.
         """
         lengths = self.length[rows]
         ends = np.cumsum(lengths)
@@ -385,19 +382,14 @@ class _SparseSnapshot:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-row nonzero counts of A - B and A + B, and |A| + |B|, per pair."""
         n, levels = rows_a.size, self.num_levels
-        # every count is symmetric in A and B, so look up each entry of the
-        # smaller support (side a below) among the larger one (side b)
-        swap = self.length[rows_a] > self.length[rows_b]
-        entry_a, key_a = self._gather(np.where(swap, rows_b, rows_a))
-        entry_b, key_b = self._gather(np.where(swap, rows_a, rows_b))
-        if key_b.size:
-            hit = np.minimum(np.searchsorted(key_b, key_a), key_b.size - 1)
-            shared = np.flatnonzero(key_b[hit] == key_a)
-        else:
-            hit = shared = np.zeros(0, dtype=np.int64)
-        value_a = self.value[entry_a[shared]]
-        value_b = self.value[entry_b[hit[shared]]]
-        key = key_a[shared]
+        entry_a, key_a = self._gather(rows_a)
+        entry_b, key_b = self._gather(rows_b)
+        # stored counters are never zero: a nonzero read-back is a shared position
+        scratch = np.zeros(n * self.width, self.value.dtype)
+        scratch[key_a] = self.value[entry_a]
+        value_a = scratch[key_b]
+        shared = np.flatnonzero(value_a)
+        value_a, value_b, key = value_a[shared], self.value[entry_b[shared]], key_b[shared]
         cells = (key // self.width) * levels + ((key % self.width) >> self.bucket_bits)
         size = n * levels
         common = np.bincount(cells, minlength=size)

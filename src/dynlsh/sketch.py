@@ -133,7 +133,8 @@ def merge(a: LevelSketch, b: LevelSketch, sign: int = 1) -> LevelSketch:
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
     if a.randomness != b.randomness:
         raise ConfigMismatchError("cannot merge sketches built with different randomness")
-    peak = int(np.abs(a.buckets).max(initial=0)) + int(np.abs(b.buckets).max(initial=0))
+    # Python ints: np.abs leaves -2**63 negative, which would slip past the guard
+    peak = sum(max(int(x.buckets.max(initial=0)), -int(x.buckets.min(initial=0))) for x in (a, b))
     if peak >= _MERGE_GUARD:
         raise CounterOverflowError("merge would risk 64-bit counter overflow")
     out = LevelSketch.__new__(LevelSketch)

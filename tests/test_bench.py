@@ -657,6 +657,15 @@ class TestDeviationReport:
         with pytest.raises(ValueError):
             deviation_report([np.arange(5)], [], 100, [(64, 1.0)], trials=0)
 
+    @pytest.mark.parametrize("bad", [7, -1])
+    def test_manifest_row_outside_the_stream_rejected(self, bad):
+        sets = [np.arange(5), np.arange(3, 8), np.arange(10, 15)]
+        manifest = [PlantedPair(0, bad, 0.0, 1.0, 0.5)]
+        with mock.patch.object(dynlsh.bench, "LevelSketch") as built:
+            with pytest.raises(StreamDataError, match=rf"pair \(0, {bad}\) is outside rows 0\.\.2"):
+                deviation_report(sets, manifest, 100, [(64, 1.0)], trials=1)
+        built.assert_not_called()
+
 
 class TestScurveReport:
     def test_single_band_identical_pair_tops_out(self):
@@ -693,6 +702,15 @@ class TestScurveReport:
             scurve_report([np.arange(5)], [], 100, [(1, 1, 1.0, 64)], trials=0)
         with pytest.raises(ValueError):
             scurve_report([np.arange(5)], [], 100, [(1, 1, 1.0, 64)], bin_width=0.0)
+
+    @pytest.mark.parametrize("bad", [7, -1])
+    def test_manifest_row_outside_the_stream_rejected(self, bad):
+        sets = [np.arange(5), np.arange(3, 8), np.arange(10, 15)]
+        manifest = [PlantedPair(bad, 1, 0.0, 1.0, 0.5)]
+        with mock.patch.object(dynlsh.bench, "LevelSketch") as built:
+            with pytest.raises(StreamDataError, match=rf"pair \({bad}, 1\) is outside rows 0\.\.2"):
+                scurve_report(sets, manifest, 100, [(1, 1, 1.0, 64)], trials=1)
+        built.assert_not_called()
 
 
 class TestTimingReport:

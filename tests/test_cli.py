@@ -159,6 +159,13 @@ class TestDeviation:
             run(["deviation", "--stream", tiny_stream, "--manifest", tiny_manifest,
                  "--grid", "64"])
 
+    def test_manifest_row_outside_the_stream_exits_2(self, tiny_stream, tmp_path, capsys):
+        manifest = tmp_path / "bad.manifest.csv"
+        write_csv(PlantedPair, [PlantedPair(0, 7, 0.9, 1.0, 1.0)], manifest)
+        rc = run(["deviation", "--stream", tiny_stream, "--manifest", manifest])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: manifest pair (0, 7) is outside rows 0..2\n")
+
 
 class TestScurve:
     def test_report_to_stdout(self, tiny_stream, tiny_manifest, capsys):

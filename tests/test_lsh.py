@@ -745,7 +745,8 @@ class TestBatchedVerify:
         for j, sk in enumerate(sketches):
             index.insert(j, sk)
         want = [estimator.estimate_distance(sketches[p.id_a], sketches[p.id_b]) for p in pairs]
-        with mock.patch.object(dynlsh.lsh, "_VERIFY_CHUNK_ENTRIES", chunk):
+        cells = chunk * rnd.num_levels * rnd.c_squared  # chunk pairs per chunk
+        with mock.patch.object(dynlsh.lsh, "_VERIFY_CHUNK_CELLS", cells):
             kept = index.verify(pairs, estimator, math.inf)
             assert [(p.id_a, p.id_b) for p in kept] == [(p.id_a, p.id_b) for p in pairs]
             assert [p.verified_distance.hex() for p in kept] == [w.hex() for w in want]
@@ -754,6 +755,27 @@ class TestBatchedVerify:
         assert [(p.id_a, p.id_b) for p in kept] == [
             (p.id_a, p.id_b) for p, w in zip(pairs, want) if w <= threshold
         ]
+
+    def test_working_memory_stays_bounded(self):
+        """31,200 pairs of width-69,632 sketches: verify's peak stays under 4 MiB.
+
+        The dense scratch row is as wide as a whole sketch, so a chunk size
+        that ignored the width would read tens of MiB here.
+        """
+        rnd = SketchRandomness(2**16, 4096, 5)
+        index = LshIndex(LshConfig(r1=0.5, r2=0.1), rnd)
+        for j in range(40):
+            index.insert(j, build(rnd, [j]))
+        pairs = [CandidatePair(a, b, 0, 0) for a, b in itertools.combinations(range(40), 2)] * 40
+        estimator = DistanceEstimator(jaccard(2**16), rnd)
+        tracemalloc.start()
+        try:
+            kept = index.verify(pairs, estimator, -1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert kept == []
+        assert peak < 4 * 2**20
 
     def test_crafted_counters_leave_no_level_eligible(self):
         rnd = SketchRandomness(1000, 4, 1)

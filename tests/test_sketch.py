@@ -347,6 +347,16 @@ class TestMerge:
         with pytest.raises(CounterOverflowError):
             merge(a, b, 1)
 
+    def test_counter_overflow_guard_sees_the_most_negative_counter(self):
+        # np.abs(-2**63) stays negative; the guard must still count it
+        rnd = SketchRandomness(16, 4, 1)
+        raw = bytearray(sketch_to_bytes(LevelSketch(rnd)))
+        struct.pack_into("<q", raw, len(raw) - rnd.num_levels * rnd.c_squared * 8, -(2**63))
+        t = sketch_from_bytes(bytes(raw), rnd)
+        assert t.buckets[0, 0] == -(2**63)
+        with pytest.raises(CounterOverflowError):
+            merge(t, t)
+
 
 def _same_sketch(x, y):
     return x.cardinality == y.cardinality and np.array_equal(x.buckets, y.buckets)
