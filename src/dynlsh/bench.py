@@ -157,7 +157,10 @@ def _sample_distinct(
     """Draw `count` distinct item ids from [0, d), avoiding `exclude`.
 
     Uses batched rejection with first-occurrence dedup so the result is
-    unbiased; cheap compared to permuting [0, d) when count << d.
+    unbiased; cheap compared to permuting [0, d) when count << d.  Ids
+    below 2**16 are deduped as uint16 keys, whose stable sort is a radix
+    sort; any stable sort finds the same first occurrences, so the result
+    does not depend on the key dtype.
     """
     n_excluded = 0 if exclude is None else exclude.size
     if count > d - n_excluded:
@@ -171,7 +174,7 @@ def _sample_distinct(
     while pool.size < count:
         need = count - pool.size
         draw = rng.integers(0, d, size=need + need // 4 + 16, dtype=np.int64)
-        _, first = np.unique(draw, return_index=True)
+        _, first = np.unique(draw.astype(np.uint16) if d <= 1 << 16 else draw, return_index=True)
         draw = draw[np.sort(first)]  # deduped, original order preserved
         if exclude is not None and exclude.size:
             draw = draw[~np.isin(draw, exclude)]
@@ -319,30 +322,28 @@ def write_stream(
     """Serialize a corpus as an update stream; returns the update count.
 
     The format is a header line `n d` followed by one `j i v` update per
-    line with v in {+1, -1}.  With churn > 0, each row additionally gets
-    round(churn * size) noise updates that cancel out: half are inserts of
-    non-members later deleted, half delete a member and re-insert it.  Net
-    row contents are identical to the churn-free stream.
+    line with v in {+1, -1}.  Churn must be finite and non-negative; with
+    churn > 0 each row also gets round(churn * size) noise updates that
+    cancel out: half are inserts of non-members later deleted, half delete
+    a member and re-insert it.  Net rows equal the churn-free stream's.
     """
-    if churn < 0:
-        raise GenerationError(f"churn must be non-negative, got {churn!r}")
+    if not 0 <= churn < math.inf:
+        raise GenerationError(f"churn must be finite and non-negative, got {churn!r}")
     rng = derived_rng(seed, _TAG_CHURN) if churn > 0 else None
     total = 0
     with _opened(out, "w") as fh:
         fh.write(f"{corpus.n} {corpus.d}\n")
         for j, items in enumerate(corpus.rows):
-            lines = [f"{j} {i} 1" for i in items]
+            runs = [(items, 1)]
             if rng is not None and items.size:
                 extra = int(round(churn * items.size))
                 bounce = rng.choice(items, size=min(extra // 2, items.size), replace=False)
                 cancel = _sample_distinct(rng, corpus.d, extra - extra // 2, exclude=items)
-                lines += [f"{j} {i} 1" for i in cancel]
-                lines += [f"{j} {i} -1" for i in bounce]
-                lines += [f"{j} {i} 1" for i in bounce]
-                lines += [f"{j} {i} -1" for i in cancel]
-            if lines:
-                fh.write("\n".join(lines) + "\n")
-            total += len(lines)
+                runs += [(cancel, 1), (bounce, -1), (bounce, 1), (cancel, -1)]
+            for run, v in runs:
+                if run.size:
+                    fh.write(f"{j} " + f" {v}\n{j} ".join(map(str, run.tolist())) + f" {v}\n")
+                    total += run.size
     return total
 
 

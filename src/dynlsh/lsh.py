@@ -295,8 +295,9 @@ class LshIndex:
         are equal and out of A + B when they are opposite.  So verify
         concatenates the stored entries of the ids its pairs name and, a
         chunk of pairs at a time, scatters side a's counters into a zeroed
-        dense row per pair, reads them back at side b's positions and counts
-        shared, equal and opposite positions per pair and row.
+        dense row per pair (one scratch per call, re-zeroed where written),
+        reads them back at side b's positions and counts shared, equal and
+        opposite positions per pair and row.
         """
         estimator.require_metric()
         if estimator.repetitions != 1 or estimator.randomness[0] != self.randomness:
@@ -317,9 +318,11 @@ class LshIndex:
         snap = _SparseSnapshot([self._entries[set_id] for set_id in row_of], self.randomness)
         kept: list[CandidatePair] = []
         step = max(1, _VERIFY_CHUNK_CELLS // snap.width)
+        scratch = np.zeros(min(n, step) * snap.width, snap.value.dtype)
         for start in range(0, n, step):
             chunk = slice(start, start + step)
-            dist = estimator.distances_from_counts(*snap.pair_counts(rows_a[chunk], rows_b[chunk]))
+            counts = snap.pair_counts(rows_a[chunk], rows_b[chunk], scratch)
+            dist = estimator.distances_from_counts(*counts)
             kept += [
                 replace(pairs[start + j], verified_distance=float(dist[j]))
                 for j in np.flatnonzero(dist <= threshold).tolist()
@@ -378,16 +381,16 @@ class _SparseSnapshot:
         return entry, pair * self.width + self.position[entry]
 
     def pair_counts(
-        self, rows_a: np.ndarray, rows_b: np.ndarray
+        self, rows_a: np.ndarray, rows_b: np.ndarray, scratch: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-row nonzero counts of A - B and A + B, and |A| + |B|, per pair."""
         n, levels = rows_a.size, self.num_levels
         entry_a, key_a = self._gather(rows_a)
         entry_b, key_b = self._gather(rows_b)
         # stored counters are never zero: a nonzero read-back is a shared position
-        scratch = np.zeros(n * self.width, self.value.dtype)
         scratch[key_a] = self.value[entry_a]
         value_a = scratch[key_b]
+        scratch[key_a] = 0  # zeroed again for the next chunk
         shared = np.flatnonzero(value_a)
         value_a, value_b, key = value_a[shared], self.value[entry_b[shared]], key_b[shared]
         cells = (key // self.width) * levels + ((key % self.width) >> self.bucket_bits)

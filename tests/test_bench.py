@@ -1,5 +1,6 @@
 """Corpus generation, stream files, and the measurement reports."""
 
+import hashlib
 import io
 import itertools
 import math
@@ -194,8 +195,53 @@ class TestStreamRoundTrip:
 
     def test_negative_churn_rejected(self):
         corpus = generate(5, 100, (0.05, 0.1), (), seed=8)
-        with pytest.raises(GenerationError):
-            write_stream(corpus, io.StringIO(), churn=-0.1)
+        for churn in (-0.1, math.nan, math.inf):
+            with pytest.raises(GenerationError, match="finite and non-negative"):
+                write_stream(corpus, io.StringIO(), churn=churn)
+
+
+# sha256 of _generator_outputs, recorded before generation was last optimised:
+# the generator's text output is part of its contract, byte for byte.
+_GENERATOR_DIGESTS = {
+    ("generate", 500): "52cbaed41cbd5cfe51a5d4641df49d1a641ec695f41d2ad5c343e941f5f29e42",
+    ("generate", 10_000): "dc54e1a8ebb7360bf3a1f2fb77a6c07c9e1042a64b9438d93eb37a9235e64eeb",
+    ("generate", 2**16): "9d0da06d3926ca48b23cd0de23f89233606a68f371dcc7c439136dd66436866b",
+    ("generate", 2**16 + 1): "661844e5a7aab9fb5d8c2b8ae70cf921fb6c0365118ee1da3e1ffba3dc0f97a4",
+    ("generate", 2**20): "703ba94cf353518bb03211b1a4dc56f5d5828dfa8e9ab83d226f3c92bc3a39d2",
+    ("generate_distribution", 500): "3e141b230524c3b249b581fe809b8c07592449262a68c617caca9a8b533c87f2",
+    ("generate_distribution", 10_000): "457589f1a40205e9d4903d2b5c8cd9ed933481dc65ca88f14cae9792eff65a20",
+    ("generate_distribution", 2**16): "aa9590ed934ea3def92cfda29ad7b2dd75febc28a3232670611e013c9949bde6",
+    ("generate_distribution", 2**16 + 1): "a5df07c073596efda6e4d7cf1d34f45e6e8e3e6ce918e5e0cb599f7967a4e421",
+    ("generate_distribution", 2**20): "4803304acab6779ba427500eabd18c324ebf8fb988e0c467af881c6073c6e361",
+}
+
+
+def _generator_outputs(kind, d):
+    """Stream text at churn 0, 0.5 and 1, then the manifest CSV, for seeds 7 and 71."""
+    density = (10 / d, min(0.2, 400 / d))  # 10 to at most 400 items per base row
+    for seed in (7, 71):
+        if kind == "generate":
+            corpus = generate(30, d, density, DEFAULT_PLANTED_RANGES, every=5, seed=seed)
+        else:
+            corpus = generate_distribution(12, d, density, seed=seed)
+        for churn in (0.0, 0.5, 1.0):
+            buf = io.StringIO()
+            write_stream(corpus, buf, churn=churn, seed=seed)
+            yield buf.getvalue()
+        buf = io.StringIO()
+        write_csv(PlantedPair, corpus.manifest, buf)
+        yield buf.getvalue()
+
+
+class TestGeneratorDigests:
+    @pytest.mark.parametrize("kind", ["generate", "generate_distribution"])
+    @pytest.mark.parametrize("d", [500, 10_000, 2**16, 2**16 + 1, 2**20])
+    def test_outputs_are_byte_identical_to_the_recorded_digests(self, kind, d):
+        """Both sides of the 16-bit dedup cut-off, with and without churn."""
+        digest = hashlib.sha256()
+        for text in _generator_outputs(kind, d):
+            digest.update(text.encode("ascii"))
+        assert digest.hexdigest() == _GENERATOR_DIGESTS[kind, d]
 
 
 class TestManifestFile:

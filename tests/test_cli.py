@@ -71,6 +71,14 @@ class TestGenerate:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("churn", ["nan", "inf"])
+    def test_churn_that_is_not_finite_exits_2(self, tmp_path, capsys, churn):
+        rc = run(["generate", "--rows", 20, "--cols", 1000, "--churn", churn,
+                  "--out", tmp_path / "t"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "t.stream").exists()
+
 
 class TestIngest:
     def test_summary_line(self, tiny_stream, capsys):
