@@ -162,6 +162,20 @@ class TestDeviation:
         assert first[0] == "64"
         assert first[6] == "0.000000"  # identical planted pair deviates by zero
 
+    @pytest.mark.parametrize(
+        "grid, echoed",
+        [([], "128:0.05,256:0.025,512:0.01,1024:0.005"), (["--grid", "64:1.0"], "64:1.0")],
+    )
+    def test_echo_line_names_every_option(self, tiny_stream, tiny_manifest, tmp_path, grid, echoed):
+        target = tmp_path / "dev.csv"
+        rc = run(["deviation", "--stream", tiny_stream, "--manifest", tiny_manifest, *grid,
+                  "--out", target])
+        assert rc == 0
+        assert target.read_text().splitlines()[0] == (
+            f"# stream={tiny_stream} manifest={tiny_manifest} grid={echoed} "
+            "trials=10 split=0.2 low_sample=2000 seed=0"
+        )
+
     def test_bad_grid_string_is_an_argparse_error(self, tiny_stream, tiny_manifest):
         with pytest.raises(SystemExit):
             run(["deviation", "--stream", tiny_stream, "--manifest", tiny_manifest,
@@ -183,9 +197,21 @@ class TestScurve:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].startswith("# stream=")
         assert "grid=2:2:1.0:64" in lines[0]
+        assert lines[0] == (
+            f"# stream={tiny_stream} manifest={tiny_manifest} grid=2:2:1.0:64 "
+            "trials=2 bin_width=0.05 seed=4"
+        )
         assert lines[1].startswith("r,l,alpha,c_squared,level,bin_low,")
         assert len(lines) == 3  # the single identical pair fills one bin
         assert lines[2].startswith("2,2,")
+
+    def test_default_grid_echo_line(self, tiny_stream, tiny_manifest, capsys):
+        rc = run(["scurve", "--stream", tiny_stream, "--manifest", tiny_manifest])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines()[0] == (
+            f"# stream={tiny_stream} manifest={tiny_manifest} grid=10:40:0.005:1024 "
+            "trials=5 bin_width=0.05 seed=0"
+        )
 
     def test_bad_grid_string_is_an_argparse_error(self, tiny_stream, tiny_manifest):
         with pytest.raises(SystemExit):
