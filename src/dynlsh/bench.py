@@ -479,26 +479,36 @@ def read_sets(source: str | os.PathLike | IO[str]) -> tuple[int, list[np.ndarray
     return d, [_net_set(j, items, values) for j, (items, values) in enumerate(rows)]
 
 
-def ingest(
+def sketch_rows(
     source: str | os.PathLike | IO[str], c_squared: int, master_seed: int
-) -> BenchCorpus:
-    """Replay an update stream into one sketch per row.
+) -> tuple[SketchRandomness, Iterator[tuple[LevelSketch, np.ndarray]]]:
+    """Shared SketchRandomness and a lazy iterator of each row's (sketch, net set).
 
-    All sketches share one SketchRandomness built from (d, c_squared,
-    master_seed), and every update, deletions included, goes through
-    update_many.  Validation and the retained exact net sets are those of
-    read_sets.
+    The stream is parsed whole first, so a malformed line raises before any
+    row; the randomness comes from (d, c_squared, master_seed).  Each row's
+    updates, deletions included, go through update_many on a fresh sketch,
+    and _net_set validates the row as read_sets does, so a bad net count
+    raises StreamDataError when its row is reached.
     """
     d, rows = _read_updates(source)
     randomness = SketchRandomness(d, c_squared, master_seed)
-    sketches: list[LevelSketch] = []
-    sets: list[np.ndarray] = []
-    for j, (items, values) in enumerate(rows):
-        sketch = LevelSketch(randomness)
-        sketch.update_many(items, values)
-        sketches.append(sketch)
-        sets.append(_net_set(j, items, values))
-    return BenchCorpus(randomness, sketches, sets)
+
+    def replay() -> Iterator[tuple[LevelSketch, np.ndarray]]:
+        for j, (items, values) in enumerate(rows):
+            sketch = LevelSketch(randomness)
+            sketch.update_many(items, values)
+            yield sketch, _net_set(j, items, values)
+
+    return randomness, replay()
+
+
+def ingest(
+    source: str | os.PathLike | IO[str], c_squared: int, master_seed: int
+) -> BenchCorpus:
+    """Replay an update stream into one sketch per row, as sketch_rows does, and keep them all."""
+    randomness, rows = sketch_rows(source, c_squared, master_seed)
+    kept = list(rows)
+    return BenchCorpus(randomness, [sketch for sketch, _ in kept], [net for _, net in kept])
 
 
 def _parse_header(header: str) -> tuple[int, int]:

@@ -27,10 +27,10 @@ from .bench import (
     deviation_report,
     generate,
     generate_distribution,
-    ingest,
     read_manifest,
     read_sets,
     scurve_report,
+    sketch_rows,
     timing_report,
     write_csv,
     write_stream,
@@ -87,6 +87,15 @@ _ALPHA_HELP = (
 )
 
 
+def _echo(args: argparse.Namespace) -> dict[str, object]:
+    """A report's `# key=value` echo: every option but --out, in parser order, grids as a:b,c:d."""
+    return {
+        key: ",".join(":".join(map(str, t)) for t in value) if isinstance(value, tuple) else value
+        for key, value in vars(args).items()
+        if key not in ("command", "func", "out")
+    }
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=_seed_value, default=0, help="64-bit master seed (default 0)")
     sub.add_argument("--out", default=None, help="output path (default: stdout for reports)")
@@ -121,15 +130,16 @@ class CardinalityRow:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    corpus = ingest(args.stream, args.buckets, args.seed)
-    cards = [sk.cardinality for sk in corpus.sketches]
-    lo = min(cards) if cards else 0
-    hi = max(cards) if cards else 0
-    print(f"ingested {corpus.n} rows over universe {corpus.d}; cardinality range [{lo}, {hi}]")
+    randomness, rows = sketch_rows(args.stream, args.buckets, args.seed)
+    cards = [sketch.cardinality for sketch, _ in rows]
+    lo, hi = min(cards, default=0), max(cards, default=0)
+    print(
+        f"ingested {len(cards)} rows over universe {randomness.d}; "
+        f"cardinality range [{lo}, {hi}]"
+    )
     if args.out is not None:
-        params = {"stream": args.stream, "buckets": args.buckets, "seed": args.seed}
-        rows = [CardinalityRow(j, c) for j, c in enumerate(cards)]
-        write_csv(CardinalityRow, rows, args.out, params)
+        table = [CardinalityRow(j, c) for j, c in enumerate(cards)]
+        write_csv(CardinalityRow, table, args.out, _echo(args))
     return 0
 
 
@@ -146,16 +156,7 @@ def _cmd_deviation(args: argparse.Namespace) -> int:
         low_sample=args.low_sample,
         master_seed=args.seed,
     )
-    params = {
-        "stream": args.stream,
-        "manifest": args.manifest,
-        "grid": ",".join(f"{c}:{a}" for c, a in args.grid),
-        "trials": args.trials,
-        "split": args.split,
-        "low_sample": args.low_sample,
-        "seed": args.seed,
-    }
-    write_csv(DeviationRow, rows, args.out or sys.stdout, params)
+    write_csv(DeviationRow, rows, args.out or sys.stdout, _echo(args))
     return 0
 
 
@@ -171,33 +172,19 @@ def _cmd_scurve(args: argparse.Namespace) -> int:
         bin_width=args.bin_width,
         master_seed=args.seed,
     )
-    params = {
-        "stream": args.stream,
-        "manifest": args.manifest,
-        "grid": ",".join(f"{r}:{l}:{a}:{c}" for r, l, a, c in args.grid),
-        "trials": args.trials,
-        "bin_width": args.bin_width,
-        "seed": args.seed,
-    }
-    write_csv(ScurveRow, rows, args.out or sys.stdout, params)
+    write_csv(ScurveRow, rows, args.out or sys.stdout, _echo(args))
     return 0
 
 
 def _cmd_timing(args: argparse.Namespace) -> int:
     d, sets = read_sets(args.stream)
     row = timing_report(sets, d, args.buckets, args.alpha, args.seed)
-    params = {
-        "stream": args.stream,
-        "buckets": args.buckets,
-        "alpha": args.alpha,
-        "seed": args.seed,
-    }
-    write_csv(TimingRow, [row], args.out or sys.stdout, params)
+    write_csv(TimingRow, [row], args.out or sys.stdout, _echo(args))
     return 0
 
 
 def _cmd_lsh(args: argparse.Namespace) -> int:
-    corpus = ingest(args.stream, args.buckets, args.seed)
+    randomness, rows = sketch_rows(args.stream, args.buckets, args.seed)
     cfg = LshConfig(
         r1=args.r1,
         r2=args.r2,
@@ -206,13 +193,13 @@ def _cmd_lsh(args: argparse.Namespace) -> int:
         bands_r=args.bands,
         repetitions_l=args.reps,
     )
-    index = LshIndex(cfg, corpus.randomness)
-    for j, sketch in enumerate(corpus.sketches):
-        index.insert(j, sketch)
+    index = LshIndex(cfg, randomness)
+    for j, (sketch, _) in enumerate(rows):
+        index.insert(j, sketch)  # the index keeps a sparse copy; the sketch is dropped
     pairs = index.candidates()
     summary = f"{len(pairs)} candidate pairs"
     if args.threshold is not None:
-        estimator = DistanceEstimator(jaccard(corpus.d), corpus.randomness)
+        estimator = DistanceEstimator(jaccard(randomness.d), randomness)
         pairs = index.verify(pairs, estimator, args.threshold)
         summary = f"{len(pairs)} kept of {summary}"
     write_csv(CandidatePair, pairs, args.out or sys.stdout, missing="")

@@ -1,11 +1,12 @@
 """End-to-end runs of the console entry point on temporary files."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from dynlsh import PlantedPair, read_manifest, write_csv
+from dynlsh import PlantedPair, SketchRandomness, generate, read_manifest, write_csv, write_stream
 from dynlsh.cli import main
 
 
@@ -264,6 +265,34 @@ class TestLsh:
         rc = run(["lsh", "--stream", tmp_path / "nope.stream"])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_unbalanced_deletes_exit_2_before_any_output(self, tmp_path, capsys):
+        bad, target = tmp_path / "bad.stream", tmp_path / "cand.csv"
+        bad.write_text("1 10\n0 3 -1\n")
+        rc = run(["lsh", "--stream", bad, "--out", target])
+        assert rc == 2
+        assert "net count -1" in capsys.readouterr().err
+        assert not target.exists()
+
+
+class TestStreamedJobs:
+    @pytest.mark.parametrize("job", [["lsh", "--threshold", 0.6], ["ingest"]])
+    def test_one_dense_sketch_at_a_time(self, tmp_path, capsys, job):
+        """Each row is sketched, used and dropped, so the traced peak of a
+        202-row job stays below a quarter of its 202 dense sketches."""
+        corpus = generate(200, 10_000, seed=3)
+        stream = tmp_path / "corpus.stream"
+        write_stream(corpus, stream, churn=0.5, seed=3)
+        dense = corpus.n * SketchRandomness(10_000, 1024, 3).num_levels * 1024 * 8
+        tracemalloc.start()
+        try:
+            rc = run([job[0], "--stream", stream, "--buckets", 1024, *job[1:],
+                      "--seed", 3, "--out", tmp_path / "out.csv"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak < dense / 4
 
 
 class TestParser:
