@@ -152,8 +152,9 @@ class DistanceEstimator:
         """Every slot's unclamped distance estimate, from one distances_from_counts call."""
         sym_nz, union_nz, card = [], [], []
         for x, y in zip(self._slots(a), self._slots(b)):
-            sym_nz.append(np.count_nonzero(x.buckets != y.buckets, axis=1))
-            union_nz.append(np.count_nonzero(x.buckets != -y.buckets, axis=1))
+            # a bool sum counts like count_nonzero without its per-call Python wrapper
+            sym_nz.append((x.buckets != y.buckets).sum(axis=1))
+            union_nz.append((x.buckets != -y.buckets).sum(axis=1))
             card.append(x.cardinality + y.cardinality)
         shots = self.distances_from_counts(np.array(sym_nz), np.array(union_nz), np.array(card))
         return shots.tolist()

@@ -23,9 +23,25 @@ _TAG_BUCKET = 1
 _TAG_MINHASH = 2
 _TAG_CHILD = 3
 
+
+def _frozen_scalar(value: int, dtype: type = np.uint64) -> np.ndarray:
+    """value as a read-only 0-d array of dtype, for use as a ufunc operand.
+
+    On small arrays a ufunc's fixed cost dominates, and a 0-d array operand
+    skips the scalar conversion an np.uint64 or a Python int pays on every
+    call (about 0.7 against 1.1-1.5 us per multiply on 64 items, numpy 2.4).
+    """
+    out = np.array(value, dtype=dtype)
+    out.flags.writeable = False
+    return out
+
+
 # the splitmix64 finalizer's shifts and multipliers, as _mix64_inplace applies them
-_MIX_SHIFTS = tuple(np.uint64(k) for k in (30, 27, 31))
-_MIX_MULTS = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
+_MIX_SHIFTS = tuple(_frozen_scalar(k) for k in (30, 27, 31))
+_MIX_MULTS = tuple(_frozen_scalar(k) for k in (0xBF58476D1CE4E5B9, 0x94D049BB133111EB))
+# a power of two's float64 bit pattern: its biased exponent sits above 52 bits
+_EXPONENT_SHIFT = _frozen_scalar(52, np.int64)
+_EXPONENT_BIAS = _frozen_scalar(1023, np.int64)
 
 # the largest universe: items are int64, and 2^max_level must fit in uint64
 MAX_UNIVERSE = 1 << 63
@@ -53,7 +69,7 @@ class HashSpec:
 
 
 def _affine(keys: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a * keys + b modulo 2^64 as a new uint64 array; a, b are uint64 scalars or per-key arrays."""
+    """a * keys + b modulo 2^64 as a new uint64 array; a, b are 0-d or per-key uint64 arrays."""
     out = np.asarray(keys, dtype=np.uint64) * a
     out += b
     return out
@@ -186,15 +202,15 @@ class SketchRandomness:
         # output's low bits poorly mixed whenever a has many leading
         # zeros, which hollows out entire levels.
         self.level_spec = random_hash_spec(rng, WORD_BITS)
-        self._level_a = np.uint64(self.level_spec.a)
-        self._level_b = np.uint64(self.level_spec.b)
-        self._clamp_bit = np.uint64(1 << self.max_level)
+        self._level_a = _frozen_scalar(self.level_spec.a)
+        self._level_b = _frozen_scalar(self.level_spec.b)
+        self._clamp_bit = _frozen_scalar(1 << self.max_level)
         rng = derived_rng(master_seed, _TAG_BUCKET)
         self.bucket_specs = tuple(
             random_hash_spec(rng, self.bucket_bits) for _ in range(self.num_levels)
         )
         self._bucket_a, self._bucket_b = _spec_arrays(self.bucket_specs)
-        self._bucket_shift = np.uint64(WORD_BITS - self.bucket_bits)
+        self._bucket_shift = _frozen_scalar(WORD_BITS - self.bucket_bits)
         self._minhash_cache: dict[tuple[int, int, int], HashSpec] = {}
         self._minhash_arrays: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
 
@@ -244,8 +260,8 @@ class SketchRandomness:
         h |= self._clamp_bit
         h &= np.negative(h)  # two's complement keeps only the lowest set bit
         levels = h.astype(np.float64).view(np.int64)
-        levels >>= 52
-        levels -= 1023
+        levels >>= _EXPONENT_SHIFT
+        levels -= _EXPONENT_BIAS
         return levels
 
     def buckets_of(self, levels: int | np.ndarray, items: np.ndarray) -> np.ndarray:

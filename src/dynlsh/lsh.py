@@ -284,9 +284,10 @@ class LshIndex:
         Each surviving pair, in input order, carries in verified_distance
         the value estimator.estimate_distance gives the two sketches as
         they were inserted, bit for bit.  The estimator needs metric
-        rational weights and exactly one randomness slot, this index's;
-        pairs naming an unindexed id raise KeyError before any pair is
-        scored.
+        rational weights and exactly one randomness slot, this index's.
+        Before any pair is scored, a threshold that is not >= 0 (NaN or
+        negative; estimates are never negative) raises ValueError, and
+        pairs naming an unindexed id raise KeyError.
 
         All pairs are scored in one batched pass.  A pair's estimate needs
         only the per-row nonzero counts of A + B and A - B and |A| + |B|,
@@ -299,6 +300,8 @@ class LshIndex:
         reads them back at side b's positions and counts shared, equal and
         opposite positions per pair and row.
         """
+        if not threshold >= 0:
+            raise ValueError(f"verify threshold must be >= 0, got {threshold!r}")
         estimator.require_metric()
         if estimator.repetitions != 1 or estimator.randomness[0] != self.randomness:
             raise ConfigMismatchError(

@@ -19,12 +19,16 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ConfigMismatchError, CounterOverflowError
-from .hashing import SketchRandomness, deepest_level
+from .hashing import SketchRandomness, _frozen_scalar, deepest_level
 from .similarity import RationalSimilarity, _similarity_from_counts
 
 # merge precheck bound: values this large cannot arise from counting real
 # streams, and refusing them keeps entrywise addition overflow-free
 _MERGE_GUARD = 1 << 62
+
+# the only update values, as 0-d operands of update_many's value check
+_ONE = _frozen_scalar(1, np.int64)
+_MINUS_ONE = _frozen_scalar(-1, np.int64)
 
 _WIRE_VERSION = 2
 _HEADER = struct.Struct("<BQQQqQ")  # version, d, c_squared, num_levels, s, master_seed
@@ -112,7 +116,7 @@ class LevelSketch:
         keys = rnd.item_keys(arr)
         if vals.shape != keys.shape:
             vals = np.broadcast_to(vals, keys.shape)
-        plus, minus = np.count_nonzero(vals == 1), np.count_nonzero(vals == -1)
+        plus, minus = np.count_nonzero(vals == _ONE), np.count_nonzero(vals == _MINUS_ONE)
         if plus + minus != vals.size:
             raise ValueError("update values must be +1 or -1")
         levels = rnd.levels_of(keys)
@@ -270,7 +274,8 @@ def l0_from_row_counts(nz: np.ndarray, c_squared: int) -> np.ndarray:
     float64 estimates.  Sketches are grouped by their chosen level k, so
     each tail sum is a reduction over contiguous rows of one length and
     every estimate carries the same float operations, in the same order,
-    as it would alone.
+    as it would alone; the exact power-of-two scaling by 2^k is one ldexp
+    after the groups.
     """
     nz = np.asarray(nz, dtype=np.int64)
     suffix_max = np.maximum.accumulate(nz[:, ::-1], axis=1)[:, ::-1]
@@ -279,11 +284,11 @@ def l0_from_row_counts(nz: np.ndarray, c_squared: int) -> np.ndarray:
     level = np.where(eligible[:, -1], eligible.argmax(axis=1), nz.shape[1] - 1)
     # per-row occupancy inversion terms; keep the log argument positive
     terms = np.log1p(-np.minimum(nz, c_squared - 1) / c_squared)
-    out = np.empty(nz.shape[0])
-    scale = math.log1p(-1.0 / c_squared)
+    sums = np.empty(nz.shape[0])
     for k in set(level.tolist()):
         sel = level == k
-        out[sel] = 2.0**k * (terms[sel, k:].sum(axis=1) / scale)
+        sums[sel] = terms[sel, k:].sum(axis=1)
+    out = np.ldexp(sums / math.log1p(-1.0 / c_squared), level)
     out[suffix_max[:, 0] == 0] = 0.0  # the all-zero sketch estimates exactly 0.0
     return out
 

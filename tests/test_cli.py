@@ -261,6 +261,16 @@ class TestLsh:
             assert (cells[0], cells[1]) == ("0", "1")
             assert float(cells[4]) <= 0.5
 
+    @pytest.mark.parametrize("threshold", ["nan", "-1"])
+    def test_impossible_threshold_exits_2_without_output(self, tiny_stream, tmp_path, capsys,
+                                                         threshold):
+        target = tmp_path / "cand.csv"
+        rc = run(["lsh", "--stream", tiny_stream, "--buckets", 64, "--seed", 6,
+                  "--threshold", threshold, "--out", target])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: verify threshold must be >= 0")
+        assert not target.exists()
+
     def test_missing_stream_exits_2(self, tmp_path, capsys):
         rc = run(["lsh", "--stream", tmp_path / "nope.stream"])
         assert rc == 2

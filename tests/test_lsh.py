@@ -615,6 +615,18 @@ class TestVerify:
         with pytest.raises(KeyError):
             index.verify([CandidatePair("hi_a", "ghost", 0, 0)], estimator, 1.0)
 
+    def test_impossible_threshold_raises_before_any_pair_is_scored(self, planted_index):
+        """Estimates are never negative, so a NaN or negative threshold
+        would silently keep nothing; it raises even ahead of the id check."""
+        index, estimator = planted_index
+        for threshold in (math.nan, -1.0, -math.inf):
+            with pytest.raises(ValueError, match="threshold must be >= 0"):
+                index.verify([CandidatePair("hi_a", "ghost", 0, 0)], estimator, threshold)
+            with pytest.raises(ValueError, match="threshold must be >= 0"):
+                index.verify([], estimator, threshold)
+        queries = [CandidatePair("hi_a", "hi_b", 0, 0), CandidatePair("hi_a", "lo", 0, 0)]
+        assert len(index.verify(queries, estimator, math.inf)) == 2
+
     def test_estimator_checked_up_front_even_without_pairs(self, planted_index):
         index, _ = planted_index
         rnd = index.randomness
@@ -770,7 +782,7 @@ class TestBatchedVerify:
         estimator = DistanceEstimator(jaccard(2**16), rnd)
         tracemalloc.start()
         try:
-            kept = index.verify(pairs, estimator, -1.0)
+            kept = index.verify(pairs, estimator, 0.0)  # every pair is at distance 1.0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -220,6 +220,10 @@ class TestUpdates:
             ([1, 2, 3], np.array([1, -1, 0]), ValueError),
             ([1, 2, 3], np.array([1, -1]), ValueError),
             ([1, 2, 3], -2, ValueError),
+            # unsigned values that wrap to -1 as int64 are not -1
+            ([1], np.array([2**64 - 1], np.uint64), ValueError),
+            ([1, 2, 3], np.uint64(2**64 - 1), ValueError),
+            ([1], np.array([255], np.uint8), ValueError),
             ([1, 2, 3], np.array([1.0, 1.0, 1.0]), TypeError),
             ([1.0, 2.0], 1, TypeError),
         )
@@ -599,6 +603,31 @@ class TestL0Estimate:
             want = [_l0_reference(b) for b in counters]
             assert [float(v).hex() for v in l0_from_row_counts(nz, c2)] == [w.hex() for w in want]
             assert [l0_estimate(sk).hex() for sk in sketches] == [w.hex() for w in want[:-1]]
+            empty = l0_from_row_counts(np.zeros((0, rnd.num_levels), np.int64), c2)
+            assert empty.dtype == np.float64 and empty.shape == (0,)
+        # rows that all choose level 0: 20 items never fill a row past c^2 / 2
+        rnd = SketchRandomness(1000, 64, 73300)
+        one_level = [build(rnd, rng.choice(1000, size=20, replace=False)).buckets for _ in range(5)]
+        # a live query at d = 2^20, c^2 = 256: the difference and sum rows of
+        # two near-equal sets choose different levels
+        rnd = SketchRandomness(2**20, 256, 73300)
+        pool = rng.choice(2**20, size=40_100, replace=False)
+        a, b = build(rnd, pool[:40_000]), build(rnd, pool[100:])
+        live_query = [merge(a, b, -1).buckets, merge(a, b, 1).buckets]
+        for counters, distinct_levels in ((one_level, 1), (live_query, 2)):
+            assert len({_l0_level(x) for x in counters}) == distinct_levels
+            nz = np.array([np.count_nonzero(x, axis=1) for x in counters])
+            c2 = counters[0].shape[1]
+            want = [_l0_reference(x).hex() for x in counters]
+            assert [float(v).hex() for v in l0_from_row_counts(nz, c2)] == want
+
+
+def _l0_level(buckets):
+    """The tail level l0_estimate reads for one counter matrix, as _l0_reference picks it."""
+    nz = np.count_nonzero(buckets, axis=1)
+    suffix_max = np.maximum.accumulate(nz[::-1])[::-1]
+    eligible = np.flatnonzero(suffix_max <= buckets.shape[1] / 2)
+    return int(eligible[0]) if eligible.size else int(len(nz) - 1)
 
 
 def _l0_reference(buckets):
