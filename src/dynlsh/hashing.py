@@ -176,6 +176,7 @@ class SketchRandomness:
         "_bucket_a",
         "_bucket_b",
         "_bucket_shift",
+        "_row_width",
         "_minhash_cache",
         "_minhash_arrays",
     )
@@ -211,6 +212,7 @@ class SketchRandomness:
         )
         self._bucket_a, self._bucket_b = _spec_arrays(self.bucket_specs)
         self._bucket_shift = _frozen_scalar(WORD_BITS - self.bucket_bits)
+        self._row_width = _frozen_scalar(c_squared, np.int64)  # update_many's flat offset per level
         self._minhash_cache: dict[tuple[int, int, int], HashSpec] = {}
         self._minhash_arrays: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
 
@@ -235,10 +237,11 @@ class SketchRandomness:
     def item_keys(self, items: np.ndarray) -> np.ndarray:
         """Integer items as the uint64 keys the hashes take; ItemRangeError outside [0, d).
 
-        A negative item wraps to at least 2^63 >= d, so one max checks both ends.
+        A negative item wraps to at least 2^63 >= d, so one max checks both
+        ends; the ufunc reduce skips ndarray.max's Python wrapper.
         """
         keys = np.asarray(items).astype(np.uint64, copy=False)
-        if keys.size and keys.max() >= self._item_bound:
+        if keys.size and np.maximum.reduce(keys, axis=None) >= self._item_bound:
             raise ItemRangeError(f"items outside universe [0, {self.d})")
         return keys
 

@@ -29,8 +29,9 @@ from .sketch import LevelSketch
 
 DEFAULT_PAIR_CAP = 10_000
 
-# verify scores pairs in chunks of at most this many dense scratch cells
-# (pairs x levels x c^2); a side has at most one entry per cell, so this bounds all work arrays
+# verify's chunk budget: at most this many dense scratch cells (one levels x c^2
+# row per distinct id_a), and a sixteenth of it in side b's entries plus 16 per
+# count cell (pairs x levels), so every work array stays bounded
 _VERIFY_CHUNK_CELLS = 1 << 20
 
 SetId = int | str
@@ -294,11 +295,12 @@ class LshIndex:
         and by linearity those counts follow from the two sparse supports:
         a position in both supports drops out of A - B when the counters
         are equal and out of A + B when they are opposite.  So verify
-        concatenates the stored entries of the ids its pairs name and, a
-        chunk of pairs at a time, scatters side a's counters into a zeroed
-        dense row per pair (one scratch per call, re-zeroed where written),
-        reads them back at side b's positions and counts shared, equal and
-        opposite positions per pair and row.
+        sorts the pairs stably by id_a and walks them in chunks.  Per
+        chunk it scatters each distinct id_a's stored counters once into
+        its own zeroed dense scratch row (one scratch per call, re-zeroed
+        where written), reads the rows back at the stored positions of
+        every pair's id_b, counts shared, equal and opposite positions per
+        pair and row, and writes the distances back in input order.
         """
         if not threshold >= 0:
             raise ValueError(f"verify threshold must be >= 0, got {threshold!r}")
@@ -318,19 +320,62 @@ class LshIndex:
                 raise KeyError(f"pair references unindexed id {set_id!r}")
         if not n:
             return []
-        snap = _SparseSnapshot([self._entries[set_id] for set_id in row_of], self.randomness)
-        kept: list[CandidatePair] = []
-        step = max(1, _VERIFY_CHUNK_CELLS // snap.width)
-        scratch = np.zeros(min(n, step) * snap.width, snap.value.dtype)
-        for start in range(0, n, step):
-            chunk = slice(start, start + step)
-            counts = snap.pair_counts(rows_a[chunk], rows_b[chunk], scratch)
-            dist = estimator.distances_from_counts(*counts)
-            kept += [
-                replace(pairs[start + j], verified_distance=float(dist[j]))
-                for j in np.flatnonzero(dist <= threshold).tolist()
-            ]
-        return kept
+        position, value, cuts, card, *_ = zip(*(self._entries[set_id] for set_id in row_of))
+        cuts = np.stack(cuts)
+        nz, length, card = np.diff(cuts, axis=1), cuts[:, -1], np.array(card, np.int64)
+        levels, bits = self.randomness.num_levels, self.randomness.bucket_bits
+        width = levels * self.randomness.c_squared
+        order = np.argsort(rows_a, kind="stable")
+        rows_a, rows_b = rows_a[order], rows_b[order]
+        first = np.r_[True, rows_a[1:] != rows_a[:-1]]
+        distinct, slot = rows_a[first], np.cumsum(first) - 1  # slot: the pair's a in distinct
+        # a chunk holds at most most_a distinct a, one scratch row each; a pair
+        # spends side b's entries plus 16 per count cell against budget
+        most_a, budget = max(1, _VERIFY_CHUNK_CELLS // width), _VERIFY_CHUNK_CELLS // 16
+        spent = np.r_[0, np.cumsum(length[rows_b] + 16 * levels)]
+        dtype = np.result_type(*{v.dtype for v in value})
+        scratch = np.zeros(min(most_a, distinct.size) * width, dtype)
+        dist = np.empty(n)
+        start = 0
+        while start < n:
+            stop = min(
+                slot.searchsorted(slot[start] + most_a),
+                spent.searchsorted(spent[start] + budget, "right") - 1,
+            )
+            stop = max(stop, start + 1)
+            chunk = slice(start, stop)
+            a, b = rows_a[chunk], rows_b[chunk]
+            own = distinct[slot[start] : slot[stop - 1] + 1].tolist()
+            key_a = np.repeat(np.arange(len(own)) * width, length[own])
+            key_a += np.concatenate([position[r] for r in own])
+            scratch[key_a] = np.concatenate([value[r] for r in own])
+            b_list, length_b = b.tolist(), length[b]
+            position_b = np.concatenate([position[r] for r in b_list])
+            key_b = np.repeat((slot[chunk] - slot[start]) * width, length_b)
+            key_b += position_b
+            # stored counters are never zero: a nonzero read-back is a shared position
+            value_a = scratch[key_b]
+            scratch[key_a] = 0  # zeroed again for the next chunk
+            shared = np.flatnonzero(value_a != 0)  # a bool scan is faster than an int one
+            value_a, value_b = value_a[shared], np.concatenate([value[r] for r in b_list])[shared]
+            pair = np.cumsum(length_b).searchsorted(shared, "right")
+            cells = pair * levels + (position_b[shared] >> bits)
+            size = a.size * levels
+            common = np.bincount(cells, minlength=size)
+            equal = np.bincount(cells[value_a == value_b], minlength=size)
+            opposite = np.bincount(cells[value_a == -value_b], minlength=size)
+            both = nz[a] + nz[b] - common.reshape(-1, levels)
+            dist[order[chunk]] = estimator.distances_from_counts(
+                both - equal.reshape(-1, levels),
+                both - opposite.reshape(-1, levels),
+                card[a] + card[b],
+            )
+            start = stop
+        keep = np.flatnonzero(dist <= threshold)
+        return [
+            replace(pairs[j], verified_distance=d)
+            for j, d in zip(keep.tolist(), dist[keep].tolist())
+        ]
 
 
 def _first_pairs(k: int, n: int) -> np.ndarray:
@@ -348,65 +393,6 @@ def _narrowest_signed(bound: int) -> np.dtype:
         if bound <= np.iinfo(dtype).max:
             return np.dtype(dtype)
     return np.dtype(np.int64)
-
-
-class _SparseSnapshot:
-    """LshIndex entries concatenated into CSR arrays.
-
-    Entry i owns items offset[i] : offset[i] + length[i] of position and
-    value, widened to the widest dtype among the entries; nz and card
-    stack the per-row nonzero counts and the cardinalities.
-    """
-
-    def __init__(self, entries: Sequence[tuple], randomness: SketchRandomness) -> None:
-        self.num_levels = randomness.num_levels
-        self.width = randomness.num_levels * randomness.c_squared
-        self.bucket_bits = randomness.bucket_bits
-        position, value, cuts, card, *_ = zip(*entries)
-        self.position = np.concatenate(position)
-        self.value = np.concatenate(value)
-        cuts = np.stack(cuts)
-        self.nz = np.diff(cuts, axis=1)
-        self.card = np.array(card, dtype=np.int64)
-        self.length = cuts[:, -1]
-        self.offset = np.cumsum(self.length) - self.length
-
-    def _gather(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Entry indices of the sketches in rows, concatenated, and their keys.
-
-        A key is pair * width + position: its cell in a chunk's dense
-        scratch, unique within one side of the chunk.
-        """
-        lengths = self.length[rows]
-        ends = np.cumsum(lengths)
-        entry = np.arange(ends[-1]) + np.repeat(self.offset[rows] - (ends - lengths), lengths)
-        pair = np.repeat(np.arange(rows.size), lengths)
-        return entry, pair * self.width + self.position[entry]
-
-    def pair_counts(
-        self, rows_a: np.ndarray, rows_b: np.ndarray, scratch: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-row nonzero counts of A - B and A + B, and |A| + |B|, per pair."""
-        n, levels = rows_a.size, self.num_levels
-        entry_a, key_a = self._gather(rows_a)
-        entry_b, key_b = self._gather(rows_b)
-        # stored counters are never zero: a nonzero read-back is a shared position
-        scratch[key_a] = self.value[entry_a]
-        value_a = scratch[key_b]
-        scratch[key_a] = 0  # zeroed again for the next chunk
-        shared = np.flatnonzero(value_a)
-        value_a, value_b, key = value_a[shared], self.value[entry_b[shared]], key_b[shared]
-        cells = (key // self.width) * levels + ((key % self.width) >> self.bucket_bits)
-        size = n * levels
-        common = np.bincount(cells, minlength=size)
-        equal = np.bincount(cells[value_a == value_b], minlength=size)
-        opposite = np.bincount(cells[value_a == -value_b], minlength=size)
-        both = self.nz[rows_a] + self.nz[rows_b] - common.reshape(n, levels)
-        return (
-            both - equal.reshape(n, levels),
-            both - opposite.reshape(n, levels),
-            self.card[rows_a] + self.card[rows_b],
-        )
 
 
 def sensitivity_report(

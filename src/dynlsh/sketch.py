@@ -121,7 +121,7 @@ class LevelSketch:
             raise ValueError("update values must be +1 or -1")
         levels = rnd.levels_of(keys)
         flat = rnd.buckets_of(levels, keys).view(np.int64)
-        levels *= rnd.c_squared
+        levels *= rnd._row_width
         flat += levels
         np.add.at(self._buckets.reshape(-1), flat, vals.astype(np.int64, copy=False))
         self._cardinality += plus - minus

@@ -768,6 +768,39 @@ class TestBatchedVerify:
             (p.id_a, p.id_b) for p, w in zip(pairs, want) if w <= threshold
         ]
 
+    @pytest.mark.parametrize("widths", [1, 4])
+    def test_kept_pairs_follow_input_order(self, widths):
+        """verify groups pairs by id_a, then writes every distance back in input order.
+
+        The pairs are shuffled and hold reversed, duplicate and self pairs
+        over str ids.  One sketch width of cells leaves one distinct id_a
+        per chunk.  Four widths allow four, but the pair budget (a
+        sixteenth of the cells, at least 16 per count cell of a pair) is
+        smaller than any one id_a's run, so runs split across chunks.
+        """
+        rnd = SketchRandomness(1000, 1024, 23)
+        rng = np.random.default_rng(23)
+        names = ["kilo", "alfa", "echo", "zulu", "mike", "bravo"]
+        sketches = {
+            name: build(rnd, rng.choice(1000, size=rng.integers(5, 40), replace=False))
+            for name in names
+        }
+        index = LshIndex(LshConfig(r1=0.5, r2=0.1), rnd)
+        for name, sk in sketches.items():
+            index.insert(name, sk)
+        pairs = [CandidatePair(a, b, 0, 0) for a in names for b in names] * 3
+        pairs = [pairs[j] for j in rng.permutation(len(pairs))]
+        estimator = DistanceEstimator(jaccard(1000), rnd)
+        want = [estimator.estimate_distance(sketches[p.id_a], sketches[p.id_b]) for p in pairs]
+        cells = widths * rnd.num_levels * rnd.c_squared
+        assert 3 * len(names) * 16 * rnd.num_levels > cells // 16  # a run overflows a chunk
+        threshold = sorted(want)[len(want) // 2]
+        with mock.patch.object(dynlsh.lsh, "_VERIFY_CHUNK_CELLS", cells):
+            for limit in (math.inf, threshold):
+                kept = index.verify(pairs, estimator, limit)
+                expect = [(p.id_a, p.id_b, w.hex()) for p, w in zip(pairs, want) if w <= limit]
+                assert [(p.id_a, p.id_b, p.verified_distance.hex()) for p in kept] == expect
+
     def test_working_memory_stays_bounded(self):
         """31,200 pairs of width-69,632 sketches: verify's peak stays under 4 MiB.
 
