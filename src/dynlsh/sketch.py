@@ -1,10 +1,11 @@
 """Linear level sketches over dynamic item streams.
 
 A sketch is an exact cardinality counter s plus a (num_levels x c_squared)
-matrix B of signed 64-bit counters.  An update (i, v) adds v to
-B[k, h_k(i)] where k = lsb(h(i)), so every item lands in exactly one level
-row and deeper rows keep geometrically fewer items: row k holds an item
-with probability 2^-(k+1), and the tail of rows >= k holds it with
+matrix B of signed counters, stored as int32 until a running bound on
+max |B| could pass 2^31 - 1 and as int64 from then on.  An update (i, v)
+adds v to B[k, h_k(i)] where k = lsb(h(i)), so every item lands in exactly
+one level row and deeper rows keep geometrically fewer items: row k holds
+an item with probability 2^-(k+1), and the tail of rows >= k holds it with
 probability exactly 2^-k.  Updates commute, so insert/delete streams in
 any order produce the sketch of the net set, and two sketches built with
 the same SketchRandomness merge by entrywise addition or subtraction.
@@ -26,6 +27,10 @@ from .similarity import RationalSimilarity, _similarity_from_counts
 # streams, and refusing them keeps entrywise addition overflow-free
 _MERGE_GUARD = 1 << 62
 
+# counters are stored in _NARROW while a sketch's bound stays within its range
+_NARROW = np.dtype(np.int32)
+_NARROW_MAX = int(np.iinfo(_NARROW).max)
+
 # the only update values, as 0-d operands of update_many's value check
 _ONE = _frozen_scalar(1, np.int64)
 _MINUS_ONE = _frozen_scalar(-1, np.int64)
@@ -43,14 +48,24 @@ class LevelSketch:
     sketch is bound to the SketchRandomness it was built with, and only
     sketches sharing equal randomness may be compared or merged.  Not safe
     for concurrent mutation.
+
+    Counters are int32 until widened, then int64 for good.  _bound is a
+    Python int at least max |counter|: each accepted +/-1 update adds one
+    to it, merge sets it to the sum of its inputs' peaks, and
+    sketch_from_bytes to the exact peak.  update_many widens the matrix
+    before an add could push the bound past 2^31 - 1, after one scan that
+    re-tightens the bound to the exact peak, so a narrow counter never
+    overflows and never reaches -2^31.  Sketches of either dtype compare,
+    merge and serialize alike.
     """
 
-    __slots__ = ("randomness", "_buckets", "_cardinality")
+    __slots__ = ("randomness", "_buckets", "_cardinality", "_bound")
 
     def __init__(self, randomness: SketchRandomness) -> None:
         self.randomness = randomness
-        self._buckets = np.zeros((randomness.num_levels, randomness.c_squared), dtype=np.int64)
+        self._buckets = np.zeros((randomness.num_levels, randomness.c_squared), dtype=_NARROW)
         self._cardinality = 0
+        self._bound = 0
 
     @property
     def buckets(self) -> np.ndarray:
@@ -75,6 +90,7 @@ class LevelSketch:
         out.randomness = self.randomness
         out._buckets = self._buckets.copy()
         out._cardinality = self._cardinality
+        out._bound = self._bound
         return out
 
     def __eq__(self, other: object) -> bool:
@@ -101,8 +117,8 @@ class LevelSketch:
         values is a scalar +1/-1 applied to every item, or an array of
         +1/-1 broadcastable to items.  Each item is hashed once, to level
         k = lsb(h(i)) and bucket h_k(i), and one np.add.at adds every value
-        to its counter.  Non-integer dtypes raise TypeError; a rejected
-        batch leaves the sketch untouched.
+        to its counter, in the matrix's own dtype.  Non-integer dtypes
+        raise TypeError; a rejected batch leaves the sketch untouched.
         """
         arr = np.asarray(items)
         if arr.size == 0:
@@ -123,29 +139,44 @@ class LevelSketch:
         flat = rnd.buckets_of(levels, keys).view(np.int64)
         levels *= rnd._row_width
         flat += levels
-        np.add.at(self._buckets.reshape(-1), flat, vals.astype(np.int64, copy=False))
+        if self._bound + vals.size > _NARROW_MAX and self._buckets.dtype == _NARROW:
+            # at most once per 2^31 updates: re-tighten to the exact peak,
+            # and widen if this batch could still overflow a narrow counter
+            self._bound = _peak(self._buckets)
+            if self._bound + vals.size > _NARROW_MAX:
+                self._buckets = self._buckets.astype(np.int64)
+        counters = self._buckets
+        np.add.at(counters.reshape(-1), flat, vals.astype(counters.dtype, copy=False))
         self._cardinality += plus - minus
+        self._bound += vals.size
 
 
 def merge(a: LevelSketch, b: LevelSketch, sign: int = 1) -> LevelSketch:
     """Entrywise a + sign*b; sign -1 yields the difference sketch.
 
     Both sketches must share equal SketchRandomness (hence d and
-    c_squared).  The result is a fresh sketch; inputs are untouched.
+    c_squared).  The result is a fresh sketch; inputs are untouched.  It
+    is int64 only when the inputs' summed peaks could pass 2^31 - 1.
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
     if a.randomness != b.randomness:
         raise ConfigMismatchError("cannot merge sketches built with different randomness")
-    # Python ints: np.abs leaves -2**63 negative, which would slip past the guard
-    peak = sum(max(int(x.buckets.max(initial=0)), -int(x.buckets.min(initial=0))) for x in (a, b))
+    peak = _peak(a.buckets) + _peak(b.buckets)
     if peak >= _MERGE_GUARD:
         raise CounterOverflowError("merge would risk 64-bit counter overflow")
     out = LevelSketch.__new__(LevelSketch)
     out.randomness = a.randomness
-    out._buckets = a.buckets + sign * b.buckets
+    op = np.add if sign == 1 else np.subtract
+    out._buckets = op(a.buckets, b.buckets, dtype=np.int64 if peak > _NARROW_MAX else _NARROW)
     out._cardinality = a.cardinality + sign * b.cardinality
+    out._bound = peak
     return out
+
+
+def _peak(counters: np.ndarray) -> int:
+    """max |counter| as a Python int; np.abs would leave -2**63 negative."""
+    return max(int(counters.max(initial=0)), -int(counters.min(initial=0)))
 
 
 def _similarity_on_rows(
@@ -299,7 +330,7 @@ def sketch_to_bytes(sketch: LevelSketch) -> bytes:
     Layout (version 2), little-endian: u64 payload length, then the payload
     of u8 version, u64 d, u64 c_squared, u64 num_levels, i64 cardinality,
     u64 master_seed, followed by num_levels * c_squared row-major i64
-    counters.
+    counters, whatever the sketch's storage dtype.
     """
     rnd = sketch.randomness
     payload = _HEADER.pack(
@@ -313,7 +344,8 @@ def sketch_from_bytes(data: bytes, randomness: SketchRandomness) -> LevelSketch:
 
     Only version 2 is read.  A sketch whose shape or master_seed differs
     from randomness raises ConfigMismatchError: its counters hash items
-    differently, so any comparison with it would be meaningless.
+    differently, so any comparison with it would be meaningless.  The
+    counters load as int32 when they fit, else as int64.
     """
     if len(data) < 8:
         raise ValueError("truncated sketch: missing length prefix")
@@ -340,10 +372,10 @@ def sketch_from_bytes(data: bytes, randomness: SketchRandomness) -> LevelSketch:
     expected = num_levels * c2 * 8
     if len(body) != expected:
         raise ValueError(f"counter block is {len(body)} bytes, expected {expected}")
+    counters = np.frombuffer(body, dtype="<i8").reshape(num_levels, c2)
     out = LevelSketch.__new__(LevelSketch)
     out.randomness = randomness
-    out._buckets = (
-        np.frombuffer(body, dtype="<i8").astype(np.int64).reshape(num_levels, c2)
-    )
+    out._bound = _peak(counters)
+    out._buckets = counters.astype(np.int64 if out._bound > _NARROW_MAX else _NARROW)
     out._cardinality = int(cardinality)
     return out

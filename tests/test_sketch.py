@@ -9,14 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
+import dynlsh.sketch
 from dynlsh.sketch import l0_from_row_counts
 from oracles import hash_key, lsb, mixed_hash_array
 
 from dynlsh import (
     ConfigMismatchError,
     CounterOverflowError,
+    DistanceEstimator,
     ItemRangeError,
     LevelSketch,
+    LshConfig,
+    LshIndex,
     RationalSimilarity,
     SketchRandomness,
     anderberg,
@@ -54,13 +58,21 @@ def build(randomness, items):
     return sk
 
 
+def with_counter(randomness, flat_position, value, base=None):
+    """base (default empty) with one counter overwritten, loaded through the wire format."""
+    raw = bytearray(sketch_to_bytes(base or LevelSketch(randomness)))
+    start = len(raw) - randomness.num_levels * randomness.c_squared * 8
+    struct.pack_into("<q", raw, start + 8 * flat_position, value)
+    return sketch_from_bytes(bytes(raw), randomness)
+
+
 class TestUpdates:
     def test_fresh_sketch_is_empty(self, randomness):
         sk = LevelSketch(randomness)
         assert sk.cardinality == 0
         assert not sk.buckets.any()
         assert sk.buckets.shape == (randomness.num_levels, randomness.c_squared)
-        assert sk.buckets.dtype == np.int64
+        assert sk.buckets.dtype == np.int32  # int32 until widened
 
     def test_insert_then_delete_restores_zero(self, randomness):
         sk = LevelSketch(randomness)
@@ -344,19 +356,14 @@ class TestMerge:
             merge(LevelSketch(randomness), LevelSketch(randomness), 2)
 
     def test_counter_overflow_guard(self, randomness):
-        a = LevelSketch(randomness)
-        b = LevelSketch(randomness)
-        a._buckets[0, 0] = 2**62
-        b._buckets[0, 0] = 2**62
+        a = with_counter(randomness, 0, 2**62)
+        b = with_counter(randomness, 0, 2**62)
         with pytest.raises(CounterOverflowError):
             merge(a, b, 1)
 
     def test_counter_overflow_guard_sees_the_most_negative_counter(self):
         # np.abs(-2**63) stays negative; the guard must still count it
-        rnd = SketchRandomness(16, 4, 1)
-        raw = bytearray(sketch_to_bytes(LevelSketch(rnd)))
-        struct.pack_into("<q", raw, len(raw) - rnd.num_levels * rnd.c_squared * 8, -(2**63))
-        t = sketch_from_bytes(bytes(raw), rnd)
+        t = with_counter(SketchRandomness(16, 4, 1), 0, -(2**63))
         assert t.buckets[0, 0] == -(2**63)
         with pytest.raises(CounterOverflowError):
             merge(t, t)
@@ -476,6 +483,105 @@ class TestSerialization:
         assert sketch_from_bytes(raw, SketchRandomness(d, c2, seed)) == sk
         with pytest.raises(ConfigMismatchError, match="master_seed"):
             sketch_from_bytes(raw, SketchRandomness(d, c2, seed ^ 1))
+
+
+class TestNarrowCounters:
+    """int32 storage until a running bound could pass 2^31 - 1, then int64."""
+
+    TOP = 2**31 - 1
+
+    def widened(self, randomness, items):
+        """The sketch of items, stored as int64 from the start."""
+        big = with_counter(randomness, 0, 2**31)
+        sk = merge(big, big, -1)
+        assert sk.buckets.dtype == np.int64 and not sk.buckets.any()
+        sk.update_many(np.asarray(items, dtype=np.int64))
+        return sk
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_update_widens_before_the_add(self, randomness, sign):
+        items = np.array([3, 3, 77, 500, 1023], dtype=np.int64)
+        pos = int(np.flatnonzero(build(randomness, [3]).buckets)[0])
+        sk = with_counter(randomness, pos, sign * self.TOP)
+        assert sk.buckets.dtype == np.int32
+        expected = sk.buckets.astype(np.int64) + build_multiset(randomness, items, sign).buckets
+        sk.update_many(items, sign)
+        assert sk.buckets.dtype == np.int64
+        assert sk.buckets.flat[pos] == sign * (self.TOP + 2)
+        assert_array_equal(sk.buckets, expected)
+        assert sk.cardinality == sign * items.size
+
+    def test_update_many_scans_only_when_the_bound_runs_out(self, randomness, monkeypatch):
+        scans = []
+        real = dynlsh.sketch._peak
+        monkeypatch.setattr(dynlsh.sketch, "_peak", lambda c: scans.append(c) or real(c))
+        sk = LevelSketch(randomness)
+        rng = np.random.default_rng(72018)
+        for _ in range(50):
+            sk.update_many(rng.integers(0, 1024, size=64), rng.choice([-1, 1], size=64))
+        assert scans == []
+        # a bound that has run out is re-tightened by one scan, and the
+        # small exact peak keeps the matrix narrow
+        peak = real(sk.buckets)
+        sk._bound = self.TOP
+        sk.update_many([5, 6], 1)
+        assert len(scans) == 1
+        assert sk.buckets.dtype == np.int32
+        assert sk._bound == peak + 2
+
+    def test_merge_past_the_narrow_range_is_int64_and_exact(self, randomness):
+        a = with_counter(randomness, 7, 2**30 + 5, build(randomness, [1, 2, 3]))
+        b = with_counter(randomness, 7, 2**30, build(randomness, [2, 900]))
+        assert a.buckets.dtype == b.buckets.dtype == np.int32
+        for sign in (1, -1):
+            out = merge(a, b, sign)
+            assert out.buckets.dtype == np.int64
+            expected = a.buckets.astype(np.int64) + sign * b.buckets.astype(np.int64)
+            assert_array_equal(out.buckets, expected)
+        assert merge(a, b).buckets.flat[7] == 2**31 + 5
+        assert merge(build(randomness, [1]), build(randomness, [2])).buckets.dtype == np.int32
+
+    def test_from_bytes_narrows_only_when_the_counters_fit(self, randomness):
+        back = sketch_from_bytes(sketch_to_bytes(build(randomness, [1])), randomness)
+        assert back.buckets.dtype == np.int32
+        for value, dtype in [
+            (self.TOP, np.int32),
+            (-self.TOP, np.int32),
+            (2**31, np.int64),
+            (-(2**31), np.int64),
+        ]:
+            sk = with_counter(randomness, 9, value)
+            assert sk.buckets.dtype == dtype
+            assert sk.buckets.flat[9] == value
+
+    def test_widened_and_narrow_sketches_of_one_set_agree(self):
+        rnd = SketchRandomness(4096, 64, 7)
+        rng = np.random.default_rng(72018)
+        base = rng.choice(4096, size=300, replace=False)
+        sets = [np.append(base[: 200 + 20 * k], rng.choice(4096, size=40)) for k in range(5)]
+        narrow = [build(rnd, s) for s in sets]
+        wide = [self.widened(rnd, s) for s in sets]
+        estimator = DistanceEstimator(jaccard(4096), rnd)
+        distance = estimator.estimate_distance
+        for n, w in zip(narrow, wide):
+            assert n.buckets.dtype == np.int32 and w.buckets.dtype == np.int64
+            assert n == w and w == n
+            assert sketch_to_bytes(n) == sketch_to_bytes(w)
+            assert l0_estimate(n) == l0_estimate(w)
+            assert l0_estimate(merge(n, narrow[0], -1)) == l0_estimate(merge(w, narrow[0], -1))
+            for other in (narrow[0], wide[0]):
+                assert distance(n, other) == distance(w, other)
+                assert distance(other, n) == distance(other, w)
+        cfg = LshConfig(r1=0.5, r2=0.1, sampling_p=0.01)
+        found = []
+        for group in (narrow, wide, narrow[:2] + wide[2:]):
+            index = LshIndex(cfg, rnd)
+            for i, sk in enumerate(group):
+                index.insert(i, sk)
+            pairs = index.candidates()
+            found.append((pairs, index.verify(pairs, estimator, 0.5)))
+        assert found[0][0]
+        assert found[0] == found[1] == found[2]
 
 
 class TestLevelReadouts:
