@@ -30,7 +30,6 @@ import numpy as np
 
 from .errors import GenerationError, StreamDataError, StreamParseError
 from .hashing import MAX_UNIVERSE, SketchRandomness, deepest_level, derived_rng, derived_seed
-from .hashing import minhash_positions
 from .lsh import amplification_probability
 from .sketch import LevelSketch, similarity_from_level
 from .similarity import jaccard
@@ -761,16 +760,15 @@ def scurve_report(
             randomness = SketchRandomness(
                 d, c_squared, derived_seed(master_seed, _TAG_SCURVE, gi, t)
             )
-            arrays = randomness.minhash_arrays(level, l, r)
             signatures: dict[int, np.ndarray | None] = {}
 
             def signature_of(idx: int) -> np.ndarray | None:
                 if idx not in signatures:
                     sk = LevelSketch(randomness)
                     sk.update_many(sets[idx], 1)
-                    positions = np.flatnonzero(sk.buckets[level])
-                    sig = minhash_positions(positions, arrays).reshape(l, r)
-                    signatures[idx] = sig if positions.size else None
+                    row = level * c_squared + np.flatnonzero(sk.buckets[level])
+                    sig = randomness.minhash_rows(row, [0, row.size], [level], l, r).reshape(l, r)
+                    signatures[idx] = sig if row.size else None
                 return signatures[idx]
 
             for a, b, exact in pairs:

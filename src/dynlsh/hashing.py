@@ -89,22 +89,17 @@ def _mix64_inplace(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def minhash_positions(
-    positions: np.ndarray, specs: Sequence[HashSpec] | tuple[np.ndarray, np.ndarray]
-) -> np.ndarray:
+def minhash_positions(positions: np.ndarray, specs: Sequence[HashSpec]) -> np.ndarray:
     """Min-hash of one position set under many specs at once.
 
-    specs is HashSpecs sharing output_bits, or the uint64 (a, b) arrays of
-    64-bit specs that SketchRandomness.minhash_arrays caches.  Returns int64
-    minimizing positions, one per spec, all -1 for an empty position set;
-    ties break toward the first position given, the lowest when sorted.
+    The specs must share output_bits.  Returns int64 minimizing positions,
+    one per spec, all -1 for an empty position set; ties break toward the
+    first position given, the lowest when sorted.  Sketch rows go through
+    SketchRandomness.minhash_rows instead.
     """
-    if len(specs) == 2 and isinstance(specs[0], np.ndarray):
-        (a, b), shift = specs, 0
-    else:
-        if len({s.output_bits for s in specs}) != 1:
-            raise ValueError("all specs must share output_bits")
-        (a, b), shift = _spec_arrays(specs), WORD_BITS - specs[0].output_bits
+    if len({s.output_bits for s in specs}) != 1:
+        raise ValueError("all specs must share output_bits")
+    (a, b), shift = _spec_arrays(specs), WORD_BITS - specs[0].output_bits
     pos = np.asarray(positions, dtype=np.uint64)
     if pos.size == 0:
         return np.full(a.size, -1, dtype=np.int64)
@@ -154,10 +149,13 @@ class SketchRandomness:
     Holds the level-assignment function h : [d] -> [2^ceil(log2 d)], one
     bucket function per level h_k : [d] -> [c^2], and lazily derived
     min-hash seeds per (level, repetition, band) triple, also cached per
-    level as read-only arrays for index inserts.  Instances are immutable
-    after construction (their hash arrays are read-only) and safe to share
-    across threads; two instances compare equal iff they were built from
-    the same (d, c_squared, master_seed) and therefore hash identically.
+    level as read-only arrays.  Per (repetitions, bands) shape it keeps one
+    packed rank table for minhash_rows, filled a level at a time on first
+    use.  Instances hash identically after construction (their hash arrays
+    and tables are read-only, and a table level is marked filled only once
+    it is written in full) and are safe to share across threads; two
+    instances compare equal iff they were built from the same (d,
+    c_squared, master_seed) and therefore hash identically.
     """
 
     __slots__ = (
@@ -179,6 +177,7 @@ class SketchRandomness:
         "_row_width",
         "_minhash_cache",
         "_minhash_arrays",
+        "_minhash_tables",
     )
 
     def __init__(self, d: int, c_squared: int, master_seed: int) -> None:
@@ -215,6 +214,9 @@ class SketchRandomness:
         self._row_width = _frozen_scalar(c_squared, np.int64)  # update_many's flat offset per level
         self._minhash_cache: dict[tuple[int, int, int], HashSpec] = {}
         self._minhash_arrays: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
+        # per (repetitions, bands): the writable table, its read-only view, the
+        # filled levels, the bucket mask and the signed dtype of the results
+        self._minhash_tables: dict[tuple[int, int], tuple] = {}
 
     def __repr__(self) -> str:
         return (
@@ -301,6 +303,74 @@ class SketchRandomness:
             slots = [(t, q) for t in range(repetitions) for q in range(bands)]
             self._minhash_arrays[key] = _spec_arrays([self.minhash_spec(level, *tq) for tq in slots])
         return self._minhash_arrays[key]
+
+    def minhash_rows(
+        self, flat: np.ndarray, cuts: Sequence[int], levels: Sequence[int], repetitions: int, bands: int
+    ) -> np.ndarray:
+        """Min-hashes of many sketch rows at once, one table gather and one reduceat.
+
+        Row i is flat[cuts[i] : cuts[i + 1]], the flat positions (level *
+        c_squared + bucket) of the nonzero counters of row levels[i]; flat
+        holds the rows back to back.  Entry [i, t * bands + q] of the
+        returned len(levels) x (repetitions * bands) array is the bucket of
+        row i whose affine image under minhash_spec(levels[i], t, q) is
+        least, as minhash_positions finds it, and -1 throughout for an empty
+        row.  The dtype is the signed twin of the table's (int32 or int64).
+
+        The table row of a flat position holds, per slot, the bucket's rank
+        among all c_squared buckets under the slot's map (a bijection for
+        odd a, so ranks are unique) shifted left by bucket_bits, or-ed with
+        the bucket: the least packed value of a row is its min-hash, and
+        its low bits name the bucket.
+        """
+        key = (repetitions, bands)
+        entry = self._minhash_tables.get(key)
+        if entry is None:
+            entry = self._minhash_tables.setdefault(key, self._new_minhash_table(repetitions, bands))
+        table, view, filled, mask, signed = entry
+        if not filled.issuperset(levels):
+            for level in set(levels) - filled:
+                self._fill_minhash_level(table, level, repetitions, bands)
+                filled.add(level)
+        # reduceat would read an empty segment as one entry of the next row
+        full = [i for i in range(len(levels)) if cuts[i] < cuts[i + 1]]
+        packed = np.minimum.reduceat(view[flat], [cuts[i] for i in full], axis=0)
+        packed &= mask
+        if len(full) == len(levels):
+            return packed.view(signed)
+        out = np.full((len(levels), repetitions * bands), -1, signed)
+        out[full] = packed
+        return out
+
+    def _new_minhash_table(self, repetitions: int, bands: int) -> tuple:
+        """An all-zero (num_levels * c_squared) x (repetitions * bands) table entry, no level filled.
+
+        A packed cell takes 2 * bucket_bits bits: uint32 while that fits,
+        else uint64; wider would not fit a word, so it raises ValueError.
+        Levels never filled stay zero, and a large zeroed allocation takes
+        no memory until it is written.
+        """
+        if 2 * self.bucket_bits > WORD_BITS:
+            raise ValueError(
+                f"c_squared = 2^{self.bucket_bits} is too large for packed min-hash ranks "
+                f"(at most 2^{WORD_BITS // 2})"
+            )
+        dtype, signed = (np.uint32, np.int32) if 2 * self.bucket_bits <= 32 else (np.uint64, np.int64)
+        table = np.zeros((self.num_levels * self.c_squared, repetitions * bands), dtype)
+        view = table.view()
+        view.flags.writeable = False
+        return table, view, set(), _frozen_scalar(self.c_squared - 1, dtype), np.dtype(signed)
+
+    def _fill_minhash_level(self, table: np.ndarray, level: int, repetitions: int, bands: int) -> None:
+        """Write one level's block of packed ranks into table."""
+        a, b = self.minhash_arrays(level, repetitions, bands)
+        width, dtype = self.c_squared, table.dtype
+        # order[s, i] is the bucket that slot s ranks i-th
+        order = np.argsort(a[:, None] * np.arange(width, dtype=np.uint64) + b[:, None], axis=1).astype(dtype)
+        packed = np.empty_like(order)
+        ranks = np.arange(width, dtype=dtype) << dtype.type(self.bucket_bits)
+        np.put_along_axis(packed, order, ranks | order, axis=1)
+        table[level * width : (level + 1) * width] = packed.T
 
     def spawn(self, index: int) -> "SketchRandomness":
         """Independent child randomness for repetition `index`."""

@@ -17,7 +17,7 @@ import math
 import warnings
 from collections import deque
 from dataclasses import dataclass, fields, replace
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -35,6 +35,9 @@ DEFAULT_PAIR_CAP = 10_000
 _VERIFY_CHUNK_CELLS = 1 << 20
 
 SetId = int | str
+
+# (largest value, dtype) of the signed dtypes _narrowest_signed tries, narrowest first
+_SIGNED_BOUNDS = tuple((int(np.iinfo(t).max), np.dtype(t)) for t in (np.int8, np.int16, np.int32))
 
 
 @dataclass(frozen=True)
@@ -152,14 +155,16 @@ class LshIndex:
 
     insert scans a sketch's counters once; the nonzero positions, split by
     row with searchsorted, give the sparse entry (sorted flat positions,
-    their values, the row cuts, the cardinality) and each admissible
-    nonempty row's l * r min-hashes under that level's cached multipliers
-    (SketchRandomness.minhash_arrays).  No tables are kept: candidates()
-    groups the records' signature rows by sorting, and remove() is one dict
-    delete.  candidates() ranks all ids with one sort, so ids must be
-    mutually orderable: mixing int and str ids raises TypeError even when
-    the two kinds never share a bucket.  The index keeps no reference to
-    the caller's sketch; re-insert to update.  Single-writer.
+    their values, the row cuts, the cardinality), and the admissible
+    nonempty rows' positions, taken together, give all their l * r
+    min-hashes in one SketchRandomness.minhash_rows call (one gather from
+    the packed rank table, one reduceat; no loop over levels).  No tables
+    are kept: candidates() groups the records' signature rows by sorting,
+    and remove() is one dict delete.  candidates() ranks all ids with one
+    sort, so ids must be mutually orderable: mixing int and str ids raises
+    TypeError even when the two kinds never share a bucket.  The index
+    keeps no reference to the caller's sketch; re-insert to update.
+    Single-writer.
     """
 
     def __init__(
@@ -197,15 +202,20 @@ class LshIndex:
         nonzero = np.flatnonzero(flat != 0)
         row_cuts = nonzero.searchsorted(self._row_starts)
         cuts = row_cuts.tolist()
-        l, r, width = self.cfg.repetitions_l, self.cfg.bands_r, self.randomness.c_squared
+        l, r = self.cfg.repetitions_l, self.cfg.bands_r
         admissible = candidate_levels(sketch.cardinality, self.cfg, self.grid)
         # an empty row posts nothing: every min-hash would be the sentinel
         levels = tuple(k for k in admissible if cuts[k] < cuts[k + 1])
-        sigs = np.empty((len(levels) * l, r), self._position_dtype)
-        for i, level in enumerate(levels):
-            row = nonzero[cuts[level] : cuts[level + 1]] - level * width
-            arrays = self.randomness.minhash_arrays(level, l, r)
-            sigs[i * l : (i + 1) * l] = minhash_positions(row, arrays).reshape(l, r)
+        offsets = list(accumulate((cuts[k + 1] - cuts[k] for k in levels), initial=0))
+        first, last = (cuts[levels[0]], cuts[levels[-1] + 1]) if levels else (0, 0)
+        # one slice when no other row's entries lie between the admissible rows
+        rows = (
+            nonzero[first:last]
+            if last - first == offsets[-1]
+            else np.concatenate([nonzero[cuts[k] : cuts[k + 1]] for k in levels])
+        )
+        sigs = self.randomness.minhash_rows(rows, offsets, levels, l, r)
+        sigs = sigs.reshape(-1, r).astype(self._position_dtype)
         values = flat[nonzero]
         peak = max(int(values.max(initial=0)), -int(values.min(initial=0)))
         self._entries[set_id] = (
@@ -389,9 +399,9 @@ def _first_pairs(k: int, n: int) -> np.ndarray:
 
 def _narrowest_signed(bound: int) -> np.dtype:
     """The smallest signed integer dtype holding -bound .. bound (else int64)."""
-    for dtype in (np.int8, np.int16, np.int32):
-        if bound <= np.iinfo(dtype).max:
-            return np.dtype(dtype)
+    for top, dtype in _SIGNED_BOUNDS:
+        if bound <= top:
+            return dtype
     return np.dtype(np.int64)
 
 

@@ -1,5 +1,8 @@
 """Hash family behavior: multiply-shift values, level split, min-hash law."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -116,7 +119,7 @@ class TestMinhash:
         sketch.update_many([3, 3], [1, -1])
         for level in range(rnd.num_levels):
             row = np.flatnonzero(sketch.buckets[level])
-            assert minhash_positions(row, rnd.minhash_arrays(level, 2, 3)).tolist() == [-1] * 6
+            assert rnd.minhash_rows(row, [0, row.size], [level], 2, 3)[0].tolist() == [-1] * 6
 
     def test_single_nonzero_bucket_wins_under_every_seed(self):
         rng = np.random.default_rng(72009)
@@ -313,7 +316,9 @@ class TestSketchRandomness:
         rnd = SketchRandomness(4096, 64, 3)
         assert rnd._bucket_a.tolist() == [s.a for s in rnd.bucket_specs]
         assert rnd._bucket_b.tolist() == [s.b for s in rnd.bucket_specs]
-        for arr in (rnd._bucket_a, rnd._bucket_b, *rnd.minhash_arrays(2, 3, 2)):
+        rnd.minhash_rows(np.empty(0, dtype=np.int64), [0, 0], [2], 3, 2)
+        table = rnd._minhash_tables[(3, 2)][1]
+        for arr in (rnd._bucket_a, rnd._bucket_b, *rnd.minhash_arrays(2, 3, 2), table):
             with pytest.raises(ValueError):
                 arr[0] = 1
             with pytest.raises(ValueError):
@@ -324,13 +329,70 @@ class TestSketchRandomness:
         positions = np.sort(np.random.default_rng(72012).choice(256, size=40, replace=False))
         specs = [rnd.minhash_spec(4, t, q) for t in range(3) for q in range(2)]
         assert_array_equal(
-            minhash_positions(positions, rnd.minhash_arrays(4, 3, 2)),
+            rnd.minhash_rows(4 * 256 + positions, [0, positions.size], [4], 3, 2)[0],
             minhash_positions(positions, specs),
         )
         assert_array_equal(
-            minhash_positions(np.empty(0, dtype=np.int64), rnd.minhash_arrays(4, 3, 2)),
+            rnd.minhash_rows(np.empty(0, dtype=np.int64), [0, 0], [4], 3, 2)[0],
             np.full(6, -1),
         )
+
+    @pytest.mark.parametrize("bits, dtype", [(6, np.int32), (16, np.int32), (17, np.int64)])
+    def test_minhash_rows_equal_minhash_positions_row_by_row(self, bits, dtype):
+        """Rows min-hashed together, an empty one among them, equal
+        minhash_positions under the slots' specs; a packed rank takes
+        2 * bits bits, so results are int32 up to c^2 = 2^16, else int64."""
+        c_squared = 1 << bits
+        rnd = SketchRandomness(2**8, c_squared, 72013)
+        rng = np.random.default_rng(72013)
+        levels = [1, 3, 4, 6]
+        rows = [np.sort(rng.choice(c_squared, size=n, replace=False)) for n in (5, 0, 40, 1)]
+        flat = np.concatenate([k * c_squared + row for k, row in zip(levels, rows)])
+        cuts = np.cumsum([0] + [row.size for row in rows]).tolist()
+        got = rnd.minhash_rows(flat, cuts, levels, 2, 3)
+        assert got.dtype == dtype and got.shape == (4, 6)
+        for k, row, sig in zip(levels, rows, got):
+            specs = [rnd.minhash_spec(k, t, q) for t in range(2) for q in range(3)]
+            assert_array_equal(sig, minhash_positions(row, specs))
+
+    def test_minhash_rows_refuse_ranks_wider_than_a_word(self):
+        """At c^2 = 2^33 a packed rank needs 66 bits: refused before any table is allocated."""
+        rnd = SketchRandomness(2**8, 2**33, 72015)
+        with pytest.raises(ValueError, match="too large"):
+            rnd.minhash_rows(np.empty(0, dtype=np.int64), [0, 0], [0], 1, 1)
+
+    def test_threads_filling_one_table_agree_with_one_thread(self):
+        """Six threads min-hash every level of a fresh randomness one row at a
+        time, each in its own level order, under a 1 us switch interval; every
+        row equals a single-threaded twin's, so no thread reads a level before
+        it is filled."""
+        twin = SketchRandomness(2**12, 1024, 72014)
+        rng = np.random.default_rng(72014)
+        levels = list(range(twin.num_levels))
+        rows = [k * 1024 + np.sort(rng.choice(1024, size=30, replace=False)) for k in levels]
+        want = [twin.minhash_rows(row, [0, row.size], [k], 4, 3) for k, row in zip(levels, rows)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for trial in range(3):
+                shared = SketchRandomness(2**12, 1024, 72014)
+                got = {}
+
+                def work(i):
+                    for k in levels[i:] + levels[:i]:
+                        got[i, k] = shared.minhash_rows(rows[k], [0, rows[k].size], [k], 4, 3)
+
+                threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert len(got) == 6 * len(levels)
+                for (i, k), sig in got.items():
+                    assert_array_equal(sig, want[k])
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_spawn_changes_every_spec(self):
         rnd = SketchRandomness(4096, 64, 3)

@@ -442,6 +442,67 @@ class TestInsertPostings:
         }
 
 
+def _items_by_level(rnd, wanted, count):
+    """The first count items of [0, d) whose level is k, for each k in wanted, concatenated."""
+    items = np.arange(rnd.d)
+    levels = rnd.levels_of(items)
+    return np.concatenate([items[levels == k][:count] for k in wanted])
+
+
+def _case_grid_step_two():
+    """r1 = 0.25 posts at levels 0, 2 and 4 only, with nonzero rows 1 and 3 between them."""
+    rnd = SketchRandomness(2**12, 64, 76801)
+    cfg = LshConfig(r1=0.25, r2=0.1, bands_r=2, repetitions_l=3, sampling_p=0.1)
+    items = np.random.default_rng(76801).choice(rnd.d, size=200, replace=False)
+    return rnd, cfg, [items], (0, 2, 4)
+
+
+def _case_empty_middle_row():
+    """Admissible levels 0, 1 and 2 with row 1 empty: 3 + 2 items twice over, s = 10, p * s = 5."""
+    rnd = SketchRandomness(2**12, 64, 76802)
+    cfg = LshConfig(r1=0.5, r2=0.1, bands_r=2, repetitions_l=3, sampling_p=0.5)
+    items = np.repeat(np.r_[_items_by_level(rnd, [0], 3), _items_by_level(rnd, [2], 2)], 2)
+    return rnd, cfg, [items], (0, 2)
+
+
+def _case_wide_buckets():
+    """c^2 = 2^17: packed ranks take 34 bits, so the table is uint64."""
+    rnd = SketchRandomness(2**10, 2**17, 76803)
+    cfg = LshConfig(r1=0.5, r2=0.1, bands_r=2, repetitions_l=2, sampling_p=0.3)
+    items = np.random.default_rng(76803).choice(rnd.d, size=100, replace=False)
+    return rnd, cfg, [items], (2, 3, 4)
+
+
+def _case_index_churn_shape():
+    """The benchmark's index-churn index: d = 2^16, c^2 = 1024, 8 repetitions of 3 bands."""
+    rnd = SketchRandomness(2**16, 1024, 76804)
+    cfg = LshConfig(r1=0.5, r2=0.1, epsilon=0.9, delta=0.5, bands_r=3, repetitions_l=8)
+    rng = np.random.default_rng(76804)
+    sets = [rng.choice(rnd.d, size=n, replace=False) for n in (1_300, 3_000, 6_500)]
+    return rnd, cfg, sets, None
+
+
+class TestInsertSignatures:
+    @pytest.mark.parametrize(
+        "case", [_case_grid_step_two, _case_empty_middle_row, _case_wide_buckets, _case_index_churn_shape]
+    )
+    def test_signatures_equal_minhash_signature(self, case):
+        """Every posting of insert's one table pass equals minhash_signature
+        under the slot's minhash_spec; the first set posts at the levels named."""
+        rnd, cfg, sets, first_levels = case()
+        index = LshIndex(cfg, rnd)
+        for set_id, items in enumerate(sets):
+            sketch = build(rnd, items)
+            index.insert(set_id, sketch)
+            postings = _postings(index, set_id)
+            assert postings and postings == _reference_postings(index, sketch)
+        if first_levels is not None:
+            assert index._entries[0][4] == first_levels
+        if case is _case_grid_step_two:  # the rows between admissible levels hold entries
+            cuts = index._entries[0][2]
+            assert cuts[2] > cuts[1] and cuts[4] > cuts[3]
+
+
 class TestCandidateOrder:
     def test_pair_cap_keeps_the_first_pairs_in_combinations_order(self, small_corpus):
         cfg, rnd, items = small_corpus
