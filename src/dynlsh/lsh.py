@@ -13,6 +13,7 @@ verification pass can then re-check candidates against a distance estimate.
 
 from __future__ import annotations
 
+import gc
 import math
 import warnings
 from collections import deque
@@ -164,7 +165,9 @@ class LshIndex:
     sort, so ids must be mutually orderable: mixing int and str ids raises
     TypeError even when the two kinds never share a bucket.  The index
     keeps no reference to the caller's sketch; re-insert to update.
-    Single-writer.
+    Single-writer.  The garbage collector's switch is process-wide, so
+    another thread that enables or disables it while candidates() runs may
+    have its setting overwritten when candidates() restores its own.
     """
 
     def __init__(
@@ -241,6 +244,11 @@ class LshIndex:
         Buckets whose pair expansion exceeds pair_cap contribute only the
         first pair_cap pairs and raise a warning.  The scan is one lexsort
         of all record rows by (level, repetition, signatures, id rank).
+        The pairs are built with the cyclic garbage collector paused: they
+        refer only to ids, ints and None, so they cannot form a cycle, and
+        a collection during the burst could free nothing that reference
+        counting does not.  The collector is left enabled or disabled as
+        the caller had it, also when an exception escapes.
         """
         ids = list(self._entries)
         by_rank = sorted(range(len(ids)), key=ids.__getitem__)
@@ -277,11 +285,19 @@ class LshIndex:
         tables = keys[starts[np.repeat(np.arange(sizes.size), emitted)[kept]], :2]
         named = np.fromiter(ids, object, len(ids))[by_rank]
         # the frozen __init__ costs twice as much as writing the slots, and
-        # map writes each slot column without a Python-level loop
-        out = list(map(object.__new__, repeat(CandidatePair, kept.size)))
-        columns = (*named[members[:, kept]].tolist(), *tables.T.tolist(), repeat(None))
-        for set_slot, column in zip(_SLOT_SETTERS, columns):
-            deque(map(set_slot, out, column), maxlen=0)
+        # map writes each slot column without a Python-level loop; the pairs
+        # form no cycle, so the collector is paused while they are allocated
+        # rather than scanning every tracked object in the process meanwhile
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            out = list(map(object.__new__, repeat(CandidatePair, kept.size)))
+            columns = (*named[members[:, kept]].tolist(), *tables.T.tolist(), repeat(None))
+            for set_slot, column in zip(_SLOT_SETTERS, columns):
+                deque(map(set_slot, out, column), maxlen=0)
+        finally:
+            if enabled:
+                gc.enable()
         return out
 
     def verify(

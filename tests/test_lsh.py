@@ -627,6 +627,94 @@ class TestCandidateReference:
         assert [(p.id_a, p.id_b) for p in index.candidates()] == [(1, 2)]
 
 
+@pytest.fixture
+def collector_state():
+    """Yields a setter for gc's enabled flag and puts the original back afterwards."""
+    was_enabled = gc.isenabled()
+
+    def switch(enabled):
+        gc.enable() if enabled else gc.disable()
+
+    try:
+        yield switch
+    finally:
+        switch(was_enabled)
+
+
+def _one_bucket_index(small_corpus, n):
+    """n ids sharing every bucket: n(n-1)/2 pairs, all from the first table."""
+    cfg, rnd, items = small_corpus
+    index = LshIndex(cfg, rnd)
+    sketch = build(rnd, items)
+    for set_id in range(n):
+        index.insert(set_id, sketch)
+    return index
+
+
+class TestCollectorPause:
+    """candidates() builds its pairs with the cyclic collector paused and
+    leaves it enabled or disabled as the caller had it."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state_is_restored(self, small_corpus, collector_state, enabled):
+        index = _one_bucket_index(small_corpus, 4)
+        collector_state(enabled)
+        assert len(index.candidates()) == 6
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_restored_after_mixed_id_type_error(self, small_corpus, collector_state, enabled):
+        cfg, rnd, items = small_corpus
+        index = LshIndex(cfg, rnd)
+        index.insert(1, build(rnd, items))
+        index.insert("a", build(rnd, items))
+        collector_state(enabled)
+        with pytest.raises(TypeError):
+            index.candidates()
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_restored_when_a_slot_setter_raises(self, small_corpus, collector_state, enabled):
+        index = _one_bucket_index(small_corpus, 4)
+        seen = []
+
+        def failing_setter(pair, value):
+            seen.append(gc.isenabled())
+            raise RuntimeError("slot write failed")
+
+        setters = (*dynlsh.lsh._SLOT_SETTERS[:2], failing_setter, *dynlsh.lsh._SLOT_SETTERS[3:])
+        collector_state(enabled)
+        with mock.patch.object(dynlsh.lsh, "_SLOT_SETTERS", setters):
+            with pytest.raises(RuntimeError, match="slot write failed"):
+                index.candidates()
+        assert seen == [False]  # raised inside the paused region
+        assert gc.isenabled() is enabled
+
+    def test_the_pair_burst_runs_few_collections(self, small_corpus, collector_state):
+        """Under a gen-0 threshold of 1, building pairs unpaused runs about
+        one collection per pair; paused, a tenth of that is ample."""
+        index = _one_bucket_index(small_corpus, 50)
+        collector_state(True)
+        want = index.candidates()
+        assert len(want) >= 1000
+        collections = []
+
+        def count(phase, info):
+            if phase == "start":
+                collections.append(info["generation"])
+
+        thresholds = gc.get_threshold()
+        gc.callbacks.append(count)
+        try:
+            gc.set_threshold(1)
+            got = index.candidates()
+        finally:
+            gc.set_threshold(*thresholds)
+            gc.callbacks.remove(count)
+        assert got == want
+        assert len(collections) < len(got) / 10
+
+
 class TestVerify:
     @pytest.fixture
     def planted_items(self):
