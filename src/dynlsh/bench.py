@@ -4,8 +4,10 @@ The generator builds sparse random sets with a configurable density range
 and plants high-similarity partner rows by copying a source row and
 flipping bits at rates solved from the target similarity.  Corpora are
 serialized as plain-text update streams (one signed coordinate update per
-line) so the ingestion path exercises the same deletion machinery as live
-use.  Three report families sit on top: absolute similarity deviation for
+line), deletions included.  Reading one back sorts its updates once and
+sums them per (row, item), and the lsh job counts each row's sketch from
+its net items: exact, since the sketch is linear and every net count is 0
+or 1.  Three report families sit on top: absolute similarity deviation for
 labeled pairs, empirical banding S-curves against the closed form, and
 wall-clock comparison of sketch-based versus exact all-pairs similarity.
 
@@ -23,7 +25,7 @@ import time
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, repeat
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -88,6 +90,13 @@ _TAG_LOW_PAIRS = 15
 # parsed, and its (rows, 3) int64 table of 384 KiB is large enough that the
 # per-call cost of np.loadtxt vanishes.
 _PARSE_CHUNK_ROWS = 1 << 14
+
+# Updates per replay block, which is cut between rows: a block's work
+# arrays take tens of bytes per update, and go before the next block's.
+_REPLAY_BLOCK = 1 << 16
+
+# The widest packed (row, item, sign) sort key; wider streams use np.lexsort.
+_KEY_BITS = 64
 
 # The most rows a stream header may declare.  The parse holds nothing per
 # declared row, but read_sets and ingest return one set or sketch per row,
@@ -366,64 +375,44 @@ def read_manifest(source: str | os.PathLike | IO[str]) -> list[PlantedPair]:
     return out
 
 
-def _read_updates(
-    source: str | os.PathLike | IO[str],
-) -> tuple[int, Iterator[tuple[np.ndarray, np.ndarray]]]:
-    """Universe size and per-row (items, values) int64 arrays of an update stream.
+def _read_stream(source: str | os.PathLike | IO[str]) -> tuple[int, int, tuple]:
+    """(n, d, updates) of an update stream, the updates sorted by (row, item, sign).
 
     The source is read once, in chunks of _PARSE_CHUNK_ROWS lines, and
     parsed whole before any row is looked at, so a malformed line raises
-    StreamParseError with its line number first.  Each chunk goes through
-    _parse_chunk and is kept in the narrowest dtypes its ranges allow, so
-    the (updates, 3) int64 table never exists.  The updates are then grouped by
-    row with one stable argsort, so row j's updates keep their stream order,
-    and the rows are cut lazily by _group_rows.
+    StreamParseError with its line number first.  Each update is packed
+    into one unsigned key, its row above its item above a sign bit set for
+    +1 (uint32 when that fits, else uint64), and the keys are sorted in
+    place.  updates is (keys, lows, shift): update k is in row keys[k] >>
+    shift, and its item and sign bit are the low shift bits of keys[k].  A
+    stream wider than _KEY_BITS (d = 2^63 with n > 1) keeps its rows as the
+    keys and the rest as lows, sorted together by np.lexsort.
     """
     with _opened(source, "r") as fh:
         lines = iter(fh)
         n, d = _parse_header(next(lines, ""))
-        row_dtype = np.min_scalar_type(n)
-        item_dtype = np.min_scalar_type(d - 1)
-        row_parts: list[np.ndarray] = [np.empty(0, row_dtype)]
-        item_parts: list[np.ndarray] = [np.empty(0, item_dtype)]
-        value_parts: list[np.ndarray] = [np.empty(0, np.int8)]
+        shift = (d - 1).bit_length() + 1
+        width = max(n - 1, 0).bit_length() + shift
+        dtype, packed = np.dtype(np.uint32 if width <= 32 else np.uint64), width <= _KEY_BITS
+        keys, lows = [np.empty(0, dtype if packed else np.min_scalar_type(n))], [np.empty(0, dtype)]
         line_no = 2
         while chunk := list(islice(lines, _PARSE_CHUNK_ROWS)):
             j, i, v = _parse_chunk(chunk, n, d, line_no)
             line_no += len(chunk)
             del chunk  # not held while the next chunk is read
-            row_parts.append(j.astype(row_dtype))
-            item_parts.append(i.astype(item_dtype))
-            value_parts.append(v.astype(np.int8))
-    # each list of parts is dropped once joined, to keep the peak low
-    row_of = np.concatenate(row_parts)
-    del row_parts
-    order = np.argsort(row_of, kind="stable")
-    row_of = row_of[order]
-    items = np.concatenate(item_parts)[order]
-    del item_parts
-    values = np.concatenate(value_parts)[order]
-    return d, _group_rows(n, row_of, items, values)
-
-
-def _group_rows(
-    n: int, row_of: np.ndarray, items: np.ndarray, values: np.ndarray
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Rows 0..n-1 as int64 (items, values) pairs, from updates sorted by row id.
-
-    Only rows that have updates are located, so the bounds cost O(updates)
-    whatever n is; a row without updates is yielded empty when reached.
-    """
-    starts = np.flatnonzero(row_of[1:] != row_of[:-1]) + 1
-    bounds = [0, *starts.tolist(), row_of.size] if row_of.size else [0]
-    j = 0
-    for row, lo, hi in zip(row_of[bounds[:-1]].tolist(), bounds[:-1], bounds[1:]):
-        for _ in range(row - j):
-            yield np.empty(0, np.int64), np.empty(0, np.int64)
-        yield items[lo:hi].astype(np.int64), values[lo:hi].astype(np.int64)
-        j = row + 1
-    for _ in range(n - j):
-        yield np.empty(0, np.int64), np.empty(0, np.int64)
+            low = (i.astype(dtype) << 1) | (v > 0)
+            if packed:
+                keys.append(low | (j.astype(dtype) << shift))
+            else:
+                keys.append(j.astype(keys[0].dtype))
+                lows.append(low)
+    keys = np.concatenate(keys)  # the parts are dropped once joined, to keep the peak low
+    if packed:
+        keys.sort()
+        return n, d, (keys, None, shift)
+    lows = np.concatenate(lows)
+    order = np.lexsort((lows, keys))
+    return n, d, (keys[order], lows[order], 0)
 
 
 def _parse_chunk(lines: list[str], n: int, d: int, first_line: int) -> np.ndarray:
@@ -457,57 +446,99 @@ def _parse_chunk(lines: list[str], n: int, d: int, first_line: int) -> np.ndarra
     return _parse_lines(lines, n, d, first_line)
 
 
-def _net_set(j: int, items: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Row j's net set; StreamDataError when some net count leaves {0, 1}."""
-    uniq, inverse = np.unique(items, return_inverse=True)
-    net = np.bincount(inverse, weights=values).astype(np.int64)
-    bad = np.flatnonzero((net != 0) & (net != 1))
-    if bad.size:
-        raise StreamDataError(f"row {j}: item {int(uniq[bad[0]])} has net count {int(net[bad[0]])}")
-    return uniq[net == 1]
+def _replay(
+    n: int, updates: tuple, randomness: SketchRandomness | None = None
+) -> Iterator[tuple[np.ndarray, np.ndarray | None, np.ndarray | None]]:
+    """Rows 0..n-1 of _read_stream's updates, lazily, as (net set, positions, values).
+
+    The updates are walked in blocks of at most _REPLAY_BLOCK, cut between
+    rows (a longer row is a block of its own), and nothing is held per
+    declared row.  Per block the signs of each (row, item) are summed, and
+    the first sum outside {0, 1}, in row and then item order, raises
+    StreamDataError; a row's items summing to 1 are its sorted int64 net
+    set.  With randomness, _counters also gives each row's sketch as its
+    nonzero flat positions and counter values.  A row without updates is
+    empty; without randomness, positions and values are None.
+    """
+    keys, lows, shift = updates
+    empty = np.empty(0, np.int64)
+    blank = (empty, None, None) if randomness is None else (empty, empty, empty)
+    j = lo = 0
+    while lo < keys.size:
+        hi = min(lo + _REPLAY_BLOCK, keys.size)
+        if hi < keys.size:
+            row = int(keys[hi]) >> shift
+            hi = int(keys.searchsorted(row << shift))  # back to where the row at hi starts
+            if hi == lo:
+                hi = int(keys.searchsorted(((row + 1) << shift) - 1, "right"))
+        rows = keys[lo:hi] >> shift
+        low = keys[lo:hi] & ((1 << shift) - 1) if lows is None else lows[lo:hi]
+        items = (low >> 1).astype(np.int64)
+        first = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]) | (items[1:] != items[:-1])])
+        net = 2 * np.add.reduceat(low & 1, first).astype(np.int64) - np.diff(first, append=rows.size)
+        if (bad := np.flatnonzero((net != 0) & (net != 1))).size:
+            at, count = first[bad[0]], net[bad[0]]
+            raise StreamDataError(f"row {int(rows[at])}: item {int(items[at])} has net count {int(count)}")
+        rows, items = rows[first[net == 1]], items[first[net == 1]]
+        starts = np.flatnonzero(np.r_[bool(rows.size), rows[1:] != rows[:-1]])  # none if all cancel
+        cuts = [*starts.tolist(), rows.size]
+        counters = repeat((None, None)) if randomness is None else _counters(randomness, items, cuts)
+        del low, first, net  # each block's arrays are dropped before the next is cut
+        for row, a, b, (positions, values) in zip(rows[starts].tolist(), cuts, cuts[1:], counters):
+            yield from repeat(blank, row - j)
+            yield items[a:b], positions, values
+            j = row + 1
+        lo = hi
+    yield from repeat(blank, n - j)
+
+
+def _counters(
+    randomness: SketchRandomness, items: np.ndarray, cuts: list[int]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per row of a block, its sketch's sorted nonzero flat positions and counter values.
+
+    Row k holds the net items[cuts[k] : cuts[k + 1]], each hashed once to
+    its flat cell.  The sketch is linear and a valid row's net counts are 0
+    or 1, so a counter is the number of net items in its cell: one sort of
+    row rank * width + cell, run-length counted, gives every row's counters.
+    """
+    width = randomness.num_levels * randomness.c_squared
+    rank = np.repeat(np.arange(len(cuts) - 1), np.diff(cuts))
+    key = randomness.cells_of(items.view(np.uint64))
+    key += rank * width
+    key.sort()  # rank leads, so each row keeps its span
+    first = np.flatnonzero(np.r_[bool(key.size), key[1:] != key[:-1]])
+    positions = key[first] - rank[first] * width
+    at = first.searchsorted(cuts).tolist()
+    values = np.diff(first, append=key.size)
+    return [(positions[lo:hi], values[lo:hi]) for lo, hi in zip(at, at[1:])]
 
 
 def read_sets(source: str | os.PathLike | IO[str]) -> tuple[int, list[np.ndarray]]:
     """Universe size d and the exact net set of every row of an update stream.
 
-    Validates like ingest but builds no sketch: malformed lines raise
-    StreamParseError with their line number, and a row whose net count for
-    some item is outside {0, 1} raises StreamDataError.
+    Malformed lines raise StreamParseError with their line number, and a
+    row whose net count for some item is outside {0, 1} raises
+    StreamDataError.  The stream is sorted once and summed per (row, item).
     """
-    d, rows = _read_updates(source)
-    return d, [_net_set(j, items, values) for j, (items, values) in enumerate(rows)]
+    n, d, updates = _read_stream(source)
+    return d, [net for net, _, _ in _replay(n, updates)]
 
 
-def sketch_rows(
-    source: str | os.PathLike | IO[str], c_squared: int, master_seed: int
-) -> tuple[SketchRandomness, Iterator[tuple[LevelSketch, np.ndarray]]]:
-    """Shared SketchRandomness and a lazy iterator of each row's (sketch, net set).
+def ingest(source: str | os.PathLike | IO[str], c_squared: int, master_seed: int) -> BenchCorpus:
+    """Every row's net set, and its sketch from one update_many of the net set.
 
-    The stream is parsed whole first, so a malformed line raises before any
-    row; the randomness comes from (d, c_squared, master_seed).  Each row's
-    updates, deletions included, go through update_many on a fresh sketch,
-    and _net_set validates the row as read_sets does, so a bad net count
-    raises StreamDataError when its row is reached.
+    The randomness is built after the parse, before any row is checked.
+    The sketch is linear and a valid stream's net counts are 0 or 1, so the
+    net items give the sketch the whole stream would.
     """
-    d, rows = _read_updates(source)
+    n, d, updates = _read_stream(source)
     randomness = SketchRandomness(d, c_squared, master_seed)
-
-    def replay() -> Iterator[tuple[LevelSketch, np.ndarray]]:
-        for j, (items, values) in enumerate(rows):
-            sketch = LevelSketch(randomness)
-            sketch.update_many(items, values)
-            yield sketch, _net_set(j, items, values)
-
-    return randomness, replay()
-
-
-def ingest(
-    source: str | os.PathLike | IO[str], c_squared: int, master_seed: int
-) -> BenchCorpus:
-    """Replay an update stream into one sketch per row, as sketch_rows does, and keep them all."""
-    randomness, rows = sketch_rows(source, c_squared, master_seed)
-    kept = list(rows)
-    return BenchCorpus(randomness, [sketch for sketch, _ in kept], [net for _, net in kept])
+    sets = [net for net, _, _ in _replay(n, updates)]
+    sketches = [LevelSketch(randomness) for _ in sets]
+    for sketch, net in zip(sketches, sets):
+        sketch.update_many(net, 1)
+    return BenchCorpus(randomness, sketches, sets)
 
 
 def _parse_header(header: str) -> tuple[int, int]:

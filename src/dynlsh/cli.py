@@ -1,7 +1,7 @@
 """Command-line harness.
 
 Subcommands: generate (synthetic corpus to stream + manifest files),
-ingest (replay a stream into sketches and sanity-check it), deviation
+ingest (validate a stream and report its rows' net cardinalities), deviation
 (similarity-estimate deviation report), scurve (empirical banding curve),
 timing (sketch vs exact all-pairs wall clock), and lsh (end-to-end
 candidate generation with optional verification).  All reports are CSV
@@ -24,19 +24,21 @@ from .bench import (
     PlantedPair,
     ScurveRow,
     TimingRow,
+    _read_stream,
+    _replay,
     deviation_report,
     generate,
     generate_distribution,
     read_manifest,
     read_sets,
     scurve_report,
-    sketch_rows,
     timing_report,
     write_csv,
     write_stream,
 )
 from .distance import DistanceEstimator
 from .errors import GenerationError
+from .hashing import SketchRandomness
 from .lsh import CandidatePair, LshConfig, LshIndex
 from .similarity import jaccard
 
@@ -130,11 +132,12 @@ class CardinalityRow:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    randomness, rows = sketch_rows(args.stream, args.buckets, args.seed)
-    cards = [sketch.cardinality for sketch, _ in rows]
+    n, d, updates = _read_stream(args.stream)
+    SketchRandomness(d, args.buckets, args.seed)  # --buckets and --seed are still validated
+    cards = [net.size for net, _, _ in _replay(n, updates)]  # a row's cardinality is its net set's size
     lo, hi = min(cards, default=0), max(cards, default=0)
     print(
-        f"ingested {len(cards)} rows over universe {randomness.d}; "
+        f"ingested {len(cards)} rows over universe {d}; "
         f"cardinality range [{lo}, {hi}]"
     )
     if args.out is not None:
@@ -184,7 +187,8 @@ def _cmd_timing(args: argparse.Namespace) -> int:
 
 
 def _cmd_lsh(args: argparse.Namespace) -> int:
-    randomness, rows = sketch_rows(args.stream, args.buckets, args.seed)
+    n, d, updates = _read_stream(args.stream)
+    randomness = SketchRandomness(d, args.buckets, args.seed)
     cfg = LshConfig(
         r1=args.r1,
         r2=args.r2,
@@ -194,8 +198,9 @@ def _cmd_lsh(args: argparse.Namespace) -> int:
         repetitions_l=args.reps,
     )
     index = LshIndex(cfg, randomness)
-    for j, (sketch, _) in enumerate(rows):
-        index.insert(j, sketch)  # the index keeps a sparse copy; the sketch is dropped
+    for j, (net, positions, values) in enumerate(_replay(n, updates, randomness)):
+        index._insert_sparse(j, positions, values, net.size)
+    net = positions = values = None  # views that would keep the last block's arrays alive
     pairs = index.candidates()
     summary = f"{len(pairs)} candidate pairs"
     if args.threshold is not None:

@@ -211,7 +211,7 @@ class SketchRandomness:
         )
         self._bucket_a, self._bucket_b = _spec_arrays(self.bucket_specs)
         self._bucket_shift = _frozen_scalar(WORD_BITS - self.bucket_bits)
-        self._row_width = _frozen_scalar(c_squared, np.int64)  # update_many's flat offset per level
+        self._row_width = _frozen_scalar(c_squared, np.int64)  # cells_of's flat offset per level
         self._minhash_cache: dict[tuple[int, int, int], HashSpec] = {}
         self._minhash_arrays: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
         # per (repetitions, bands): the writable table, its read-only view, the
@@ -282,6 +282,17 @@ class SketchRandomness:
         z = _mix64_inplace(_affine(items, self._bucket_a[levels], self._bucket_b[levels]))
         z >>= self._bucket_shift
         return z
+
+    def cells_of(self, keys: np.ndarray) -> np.ndarray:
+        """Flat counter index level * c_squared + bucket per uint64 key, as int64.
+
+        The one map from items to counters, for update_many and the stream replay.
+        """
+        levels = self.levels_of(keys)
+        flat = self.buckets_of(levels, keys).view(np.int64)
+        levels *= self._row_width
+        flat += levels
+        return flat
 
     def minhash_spec(self, level: int, repetition: int, band: int) -> HashSpec:
         """Signature seed for one (level, repetition, band) slot, cached.

@@ -154,12 +154,12 @@ def candidate_levels(cardinality: int, cfg: LshConfig, grid: Sequence[int]) -> t
 class LshIndex:
     """One record per id: a frozen sparse copy of its set and its signatures.
 
-    insert scans a sketch's counters once; the nonzero positions, split by
-    row with searchsorted, give the sparse entry (sorted flat positions,
-    their values, the row cuts, the cardinality), and the admissible
-    nonempty rows' positions, taken together, give all their l * r
-    min-hashes in one SketchRandomness.minhash_rows call (one gather from
-    the packed rank table, one reduceat; no loop over levels).  No tables
+    insert scans a sketch's counters once (the stream replay counts them
+    from net items instead); the nonzero positions, split by row, give the
+    entry (sorted flat positions, their values, the row cuts, the
+    cardinality), and the admissible nonempty rows' positions give all
+    their l * r min-hashes in one SketchRandomness.minhash_rows call (one
+    gather from the packed rank table, one reduceat).  No tables
     are kept: candidates() groups the records' signature rows by sorting,
     and remove() is one dict delete.  candidates() ranks all ids with one
     sort, so ids must be mutually orderable: mixing int and str ids raises
@@ -198,15 +198,26 @@ class LshIndex:
         return set_id in self._entries
 
     def insert(self, set_id: SetId, sketch: LevelSketch) -> None:
-        """Index a sparse copy of the sketch under set_id, replacing any previous one."""
+        """Index a sparse copy of the sketch under set_id, replacing any previous one.
+
+        One scan finds the nonzero counters for _insert_sparse.  The stream
+        replay calls it with the same arrays counted from a row's net items
+        alone, which is exact: the sketch is linear and net counts are 0 or 1.
+        """
         if sketch.randomness != self.randomness:
             raise ConfigMismatchError("sketch randomness does not match the index")
         flat = sketch.buckets.reshape(-1)
         nonzero = np.flatnonzero(flat != 0)
+        self._insert_sparse(set_id, nonzero, flat[nonzero], sketch.cardinality)
+
+    def _insert_sparse(
+        self, set_id: SetId, nonzero: np.ndarray, values: np.ndarray, cardinality: int
+    ) -> None:
+        """Index a set by its sorted flat nonzero counter positions, their values and its cardinality."""
         row_cuts = nonzero.searchsorted(self._row_starts)
         cuts = row_cuts.tolist()
         l, r = self.cfg.repetitions_l, self.cfg.bands_r
-        admissible = candidate_levels(sketch.cardinality, self.cfg, self.grid)
+        admissible = candidate_levels(cardinality, self.cfg, self.grid)
         # an empty row posts nothing: every min-hash would be the sentinel
         levels = tuple(k for k in admissible if cuts[k] < cuts[k + 1])
         offsets = list(accumulate((cuts[k + 1] - cuts[k] for k in levels), initial=0))
@@ -219,13 +230,12 @@ class LshIndex:
         )
         sigs = self.randomness.minhash_rows(rows, offsets, levels, l, r)
         sigs = sigs.reshape(-1, r).astype(self._position_dtype)
-        values = flat[nonzero]
         peak = max(int(values.max(initial=0)), -int(values.min(initial=0)))
         self._entries[set_id] = (
             nonzero.astype(self._position_dtype),
             values.astype(_narrowest_signed(peak)),
             row_cuts,
-            sketch.cardinality,
+            cardinality,
             levels,
             sigs,
         )

@@ -135,10 +135,7 @@ class LevelSketch:
         plus, minus = np.count_nonzero(vals == _ONE), np.count_nonzero(vals == _MINUS_ONE)
         if plus + minus != vals.size:
             raise ValueError("update values must be +1 or -1")
-        levels = rnd.levels_of(keys)
-        flat = rnd.buckets_of(levels, keys).view(np.int64)
-        levels *= rnd._row_width
-        flat += levels
+        flat = rnd.cells_of(keys)
         if self._bound + vals.size > _NARROW_MAX and self._buckets.dtype == _NARROW:
             # at most once per 2^31 updates: re-tighten to the exact peak,
             # and widen if this batch could still overflow a narrow counter

@@ -332,19 +332,25 @@ class TestIngestParsing:
         assert info.value.line_number == line
 
     def test_row_count_at_the_limit_is_parsed_lazily(self):
-        """The parse holds nothing per declared row, so n = 2^24 costs what its body costs."""
+        """The replay holds nothing per declared row, so n = 2^24 costs what its body costs."""
         n = dynlsh.bench._MAX_ROWS
-        tracemalloc.start()
-        try:
-            _, rows = dynlsh.bench._read_updates(io.StringIO(f"{n} 10\n1 3 1\n{n - 1} 7 -1\n"))
-            first = [(i.tolist(), v.tolist()) for i, v in itertools.islice(rows, 3)]
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert first == [([], []), ([3], [1]), ([], [])]
-        assert peak < 1 << 20
+
+        def first_rows(text):
+            tracemalloc.start()
+            try:
+                declared, _, blocks = _stream(text)
+                rows = dynlsh.bench._replay(declared, blocks)
+                return [net.tolist() for net, _, _ in itertools.islice(rows, 3)]
+            finally:
+                peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.stop()
+                assert peak < 1 << 20
+
+        assert first_rows(f"{n} 10\n1 3 1\n{n - 1} 7 1\n") == [[], [3], []]
+        with pytest.raises(StreamDataError, match=f"row {n - 1}: item 7 has net count -1"):
+            first_rows(f"{n} 10\n1 3 1\n{n - 1} 7 -1\n")
         with pytest.raises(StreamParseError, match="n <= 2\\^24"):
-            dynlsh.bench._read_updates(io.StringIO(f"{n + 1} 10\n"))
+            _stream(f"{n + 1} 10\n")
 
     def test_largest_universe(self):
         d = 2**63
@@ -440,36 +446,44 @@ class _Unseekable:
             yield line
 
 
+def _stream(text):
+    """(n, d, blocks) of a stream's text, as _read_stream gives them."""
+    return dynlsh.bench._read_stream(io.StringIO(text))
+
+
 def _line_loop(fh):
-    """(d, per-row (items, values) lists) of a whole stream by the header parse and the line loop."""
+    """(d, per-row net set lists) of a whole stream by the header parse, the line loop and a count."""
     lines = iter(fh)
     n, d = dynlsh.bench._parse_header(next(lines, ""))
-    rows = [([], []) for _ in range(n)]
+    counts = [{} for _ in range(n)]
     for j, i, v in dynlsh.bench._parse_lines(lines, n, d, 2).T.tolist():
-        rows[j][0].append(i)
-        rows[j][1].append(v)
-    return d, rows
+        counts[j][i] = counts[j].get(i, 0) + v
+    for j, count in enumerate(counts):
+        for i in sorted(count):
+            if count[i] not in (0, 1):
+                raise StreamDataError(f"row {j}: item {i} has net count {count[i]}")
+    return d, [sorted(i for i, c in count.items() if c == 1) for count in counts]
 
 
 def _outcome(parse):
-    """(d, per-row item and value lists) or (type, message, line) of the raised error."""
+    """(d, per-row net set lists) or (type, message, line) of the raised error."""
     try:
-        d, rows = parse()
-        return d, [(list(items), list(values)) for items, values in rows]
+        d, sets = parse()
+        return d, [[int(i) for i in s] for s in sets]
     except Exception as exc:
         return type(exc), str(exc), getattr(exc, "line_number", None)
 
 
-def _rows_are_int64(parse):
+def _sets_are_int64(parse):
     try:
-        _, rows = parse()
+        _, sets = parse()
     except Exception:
         return True
-    return all(i.dtype == np.int64 and v.dtype == np.int64 for i, v in rows)
+    return all(s.dtype == np.int64 for s in sets)
 
 
 class TestVectorizedIngest:
-    """_read_updates parses chunks vectorized but must answer exactly as the line loop."""
+    """read_sets parses chunks vectorized and replays columns, but must answer as the line loop."""
 
     @settings(max_examples=400, deadline=None)
     @given(
@@ -504,23 +518,23 @@ class TestVectorizedIngest:
                 return _line_loop(fh)
 
         want = _outcome(loop)
-        assert _outcome(lambda: dynlsh.bench._read_updates(source())) == want
-        assert _rows_are_int64(lambda: dynlsh.bench._read_updates(source()))
+        assert _outcome(lambda: read_sets(source())) == want
+        assert _sets_are_int64(lambda: read_sets(source()))
 
     @pytest.mark.parametrize("text", ["0 5\n", "3 5", "2 10\n\n  \n\t\n"])
     def test_empty_bodies_raise_no_warning(self, text):
-        empty = [([], [])] * int(text[0])
+        empty = [[]] * int(text[0])
         for source in (io.StringIO(text), _Unseekable(io.StringIO(text))):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                _, rows = dynlsh.bench._read_updates(source)
-                assert [(i.tolist(), v.tolist()) for i, v in rows] == empty
+                _, sets = read_sets(source)
+                assert [s.tolist() for s in sets] == empty
         # the vectorized pass itself takes empty bodies, and lets no warning out
         with mock.patch.object(dynlsh.bench, "_parse_lines", side_effect=AssertionError("loop used")):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                _, rows = dynlsh.bench._read_updates(io.StringIO(text))
-                assert [(i.tolist(), v.tolist()) for i, v in rows] == empty
+                _, sets = read_sets(io.StringIO(text))
+                assert [s.tolist() for s in sets] == empty
         assert caught == []
 
     def test_valid_streams_never_reach_the_line_loop(self, tmp_path):
@@ -534,16 +548,11 @@ class TestVectorizedIngest:
             assert d == 500
             assert [s.tolist() for s in sets] == [sorted(s.tolist()) for s in corpus.rows]
             assert [s.tolist() for s in sets] == [s.tolist() for s in want]
-            # rows out of order in the file keep their own update order
+            # rows out of order in the file give the same net sets
             lines = path.read_text().splitlines()
             path.write_text("\n".join(lines[:1] + lines[:0:-1]) + "\n")
-            _, rows = dynlsh.bench._read_updates(path)
-            items = [i.tolist() for i, _ in rows]
-        by_row = {}
-        for line in lines[:0:-1]:
-            j, i, _ = map(int, line.split())
-            by_row.setdefault(j, []).append(i)
-        assert items == [by_row.get(j, []) for j in range(len(corpus.rows))]
+            _, backwards = read_sets(path)
+        assert [s.tolist() for s in backwards] == [s.tolist() for s in want]
 
     def test_a_pipe_is_read_once_and_stops_at_the_faulty_chunk(self):
         """A one-shot source with a fault in its third chunk gives the loop's error and line."""
@@ -555,7 +564,7 @@ class TestVectorizedIngest:
         source = _Unseekable(io.StringIO(text))
         with mock.patch.object(dynlsh.bench, "_PARSE_CHUNK_ROWS", 4):
             with pytest.raises(StreamParseError) as got:
-                dynlsh.bench._read_updates(source)
+                read_sets(source)
         assert (str(got.value), got.value.line_number) == (str(want.value), 11)
         assert source.lines_read == 1 + 3 * 4  # the header and three chunks, each once
 
@@ -596,7 +605,7 @@ class TestVectorizedIngest:
 
         for source in (io.StringIO(text), _Unseekable(io.StringIO(text))):
             with mock.patch.object(np, "loadtxt", spy):
-                got = _outcome(lambda: dynlsh.bench._read_updates(source))
+                got = _outcome(lambda: read_sets(source))
             assert got == _outcome(lambda: _line_loop(io.StringIO(text)))
         assert all(line.isascii() for line in seen)
 
@@ -637,6 +646,112 @@ class TestVectorizedIngest:
         lists = peak(loop)
         fast = peak(lambda: read_sets(path))
         assert fast < 0.5 * lists, (fast / updates, lists / updates)
+
+
+def _bad_stream(bad, n=30, size=5, long_row=None):
+    """Stream text of n rows of `size` items each, rows listed last to first.
+
+    bad maps (row, item) to the extra updates appended for it; long_row
+    gets 12 cancelled items more, inserted and deleted, so it spans blocks.
+    """
+    lines = []
+    for j in reversed(range(n)):
+        rows = [(j, i, 1) for i in range(size)]
+        if j == long_row:
+            rows += [(j, i, v) for v in (1, -1) for i in range(size, size + 12)]
+        lines += [f"{a} {b} {c}" for a, b, c in rows]
+    lines += [f"{j} {i} {v}" for (j, i), extra in bad.items() for v in extra]
+    return f"{n} 40\n" + "\n".join(lines) + "\n"
+
+
+class TestColumnarReplay:
+    """The replay sorts the whole stream once and walks it in blocks cut between rows."""
+
+    @pytest.mark.parametrize("block", [1, 7, 1 << 16])
+    @pytest.mark.parametrize(
+        "bad, long_row, message",
+        [
+            ({(20, 3): [1]}, None, "row 20: item 3 has net count 2"),
+            # the lower row wins, wherever its updates sit in the file
+            ({(25, 1): [-1, -1], (12, 8): [1], (12, 2): [-1, -1]}, None, "row 12: item 2 has net count -1"),
+            ({(3, 16): [-1]}, 3, "row 3: item 16 has net count -1"),
+            ({(4, 30): [1, 1]}, 3, "row 4: item 30 has net count 2"),
+        ],
+    )
+    def test_the_first_bad_row_and_item_raise(self, bad, long_row, message, block):
+        text = _bad_stream(bad, long_row=long_row)
+        with pytest.raises(StreamDataError) as want:
+            _line_loop(io.StringIO(text))
+        assert str(want.value) == message
+        with mock.patch.object(dynlsh.bench, "_REPLAY_BLOCK", block):
+            with pytest.raises(StreamDataError, match=f"^{message}$"):
+                read_sets(io.StringIO(text))
+
+    @pytest.mark.parametrize("block", [1, 7, 40, 1 << 16])
+    def test_blocks_are_cut_between_rows(self, block):
+        """Whole rows fill a block up to the budget; a longer row is a block of its own."""
+        text = _bad_stream({}, long_row=3)  # 30 rows of 5 updates, row 3 of 29
+        sizes = [29 if j == 3 else 5 for j in range(30)]
+        want, used = [], block
+        for size in sizes:  # net items per block: every row nets 5 items
+            if used + size > block:
+                want.append(0)
+                used = 0
+            want[-1] += 5
+            used += size
+        randomness = dynlsh.SketchRandomness(40, 16, 0)
+        with mock.patch.object(dynlsh.bench, "_REPLAY_BLOCK", block), mock.patch.object(
+            dynlsh.SketchRandomness, "cells_of", autospec=True, side_effect=dynlsh.SketchRandomness.cells_of
+        ) as cells_of:
+            n, _, updates = _stream(text)
+            assert len(list(dynlsh.bench._replay(n, updates, randomness))) == 30
+        assert [call.args[1].size for call in cells_of.call_args_list] == want
+
+    @pytest.mark.parametrize("d", [500, 2**40])
+    def test_packed_and_lexsort_keys_agree(self, d):
+        corpus = generate(40, d, (20 / d, 60 / d), DEFAULT_PLANTED_RANGES, 10, 5)
+        buf = io.StringIO()
+        write_stream(corpus, buf, churn=1.0, seed=5)
+        text = buf.getvalue()
+        randomness = dynlsh.SketchRandomness(d, 64, 5)
+
+        def replay():
+            n, _, blocks = _stream(text)
+            return [(net, pos, val) for net, pos, val in dynlsh.bench._replay(n, blocks, randomness)]
+
+        with mock.patch.object(dynlsh.bench, "_REPLAY_BLOCK", 7):
+            packed = replay()
+            with mock.patch.object(dynlsh.bench, "_KEY_BITS", 0), mock.patch.object(
+                np, "lexsort", wraps=np.lexsort
+            ) as lexsort:
+                sorted_by_columns = replay()
+        assert lexsort.call_count == 1
+        assert [net.tolist() for net, _, _ in packed] == [sorted(r.tolist()) for r in corpus.rows]
+        for a, b in zip(packed, sorted_by_columns):
+            for x, y in zip(a, b):
+                assert x.dtype == y.dtype == np.int64 and np.array_equal(x, y)
+
+    def test_the_largest_universe_is_sorted_by_columns(self):
+        """d = 2^63 leaves no bit for a second row, so its keys go to np.lexsort."""
+        d = 2**63
+        items = [0, 7, 2**40 + 3, d - 2, d - 1]
+        lines = [f"{j} {i} 1" for j in (2, 0, 1) for i in items[j:]]
+        lines += [f"1 {d - 1} -1", "2 5 1", "1 5 1", "2 5 -1", f"1 {d - 1} 1"]
+        text = f"3 {d}\n" + "\n".join(lines) + "\n"
+        randomness = dynlsh.SketchRandomness(d, 16, 3)
+        with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+            n, _, blocks = _stream(text)
+            rows = list(dynlsh.bench._replay(n, blocks, randomness))
+        assert lexsort.call_count == 1
+        want = [items, sorted(items[1:] + [5]), items[2:]]
+        assert _outcome(lambda: (d, [net for net, _, _ in rows])) == (d, want)
+        assert _outcome(lambda: _line_loop(io.StringIO(text))) == (d, want)
+        for (net, positions, values), items_j in zip(rows, want):
+            sketch = dynlsh.LevelSketch(randomness)
+            sketch.update_many(np.array(items_j, np.uint64), 1)
+            flat = sketch.buckets.reshape(-1)
+            assert np.array_equal(positions, np.flatnonzero(flat))
+            assert np.array_equal(values, flat[positions])
 
 
 class TestAlphaLevel:

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dynlsh.bench
 import dynlsh.lsh
 from dynlsh import (
     CandidatePair,
@@ -501,6 +502,60 @@ class TestInsertSignatures:
         if case is _case_grid_step_two:  # the rows between admissible levels hold entries
             cuts = index._entries[0][2]
             assert cuts[2] > cuts[1] and cuts[4] > cuts[3]
+
+
+def _replay_case(d, c_squared, rows):
+    """(d, c_squared, stream text, per-row updates) for rows of (kept, cancelled) item sets.
+
+    A row inserts its cancelled items, then its kept ones, then deletes the
+    cancelled ones; the stream lists rows last to first.
+    """
+    updates = [[(i, 1) for i in sorted(cancelled)] + [(i, 1) for i in sorted(kept)]
+               + [(i, -1) for i in sorted(cancelled)] for kept, cancelled in rows]
+    lines = [f"{j} {i} {v}\n" for j in reversed(range(len(rows))) for i, v in updates[j]]
+    return d, c_squared, f"{len(rows)} {d}\n" + "".join(lines), updates
+
+
+@st.composite
+def replayed_rows(draw):
+    d = draw(st.sampled_from([40, 10**4, 2**20]))
+    c_squared = draw(st.sampled_from([16, 4096]))  # 4096 needs int32 positions at every d here
+    ids = st.integers(0, d - 1)
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        kept = draw(st.sets(ids, max_size=300))
+        rows.append((kept, draw(st.sets(ids, max_size=40)) - kept))
+    return _replay_case(d, c_squared, rows)
+
+
+class TestSparseInsert:
+    @settings(max_examples=60, deadline=None)
+    @given(case=replayed_rows(), block=st.sampled_from([1, 7, 1 << 16]))
+    @example(case=_replay_case(40, 16, [({3}, {5}), (set(), {7}), (set(), set())]), block=1)
+    @example(case=_replay_case(10**4, 4096, [(set(range(0, 9000, 7)), set(range(1, 400, 3)))]), block=7)
+    @example(case=_replay_case(2**20, 16, [(set(), set()), (set(range(5, 2**20, 997)), {4})]), block=1 << 16)
+    def test_replayed_rows_index_the_records_insert_does(self, case, block):
+        """insert(sketch) and the stream replay's sparse rows give equal _entries records."""
+        d, c_squared, text, rows = case
+        rnd = SketchRandomness(d, c_squared, 8)
+        cfg = LshConfig(r1=0.5, r2=0.1, epsilon=0.9, delta=0.5, bands_r=2, repetitions_l=3)
+        dense, sparse = LshIndex(cfg, rnd), LshIndex(cfg, rnd)
+        for j, updates in enumerate(rows):
+            sketch = LevelSketch(rnd)
+            if updates:
+                sketch.update_many(*np.array(updates, np.int64).T)
+            dense.insert(j, sketch)
+        with mock.patch.object(dynlsh.bench, "_REPLAY_BLOCK", block):
+            n, _, blocks = dynlsh.bench._read_stream(io.StringIO(text))
+            for j, (net, positions, values) in enumerate(dynlsh.bench._replay(n, blocks, rnd)):
+                sparse._insert_sparse(j, positions, values, net.size)
+        assert list(sparse._entries) == list(dense._entries)
+        for j in dense._entries:
+            for got, want in zip(sparse._entries[j], dense._entries[j]):
+                if isinstance(want, np.ndarray):
+                    assert got.dtype == want.dtype and np.array_equal(got, want)
+                else:
+                    assert got == want
 
 
 class TestCandidateOrder:
