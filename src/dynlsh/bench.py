@@ -466,24 +466,25 @@ def _replay(
     j = lo = 0
     while lo < keys.size:
         hi = min(lo + _REPLAY_BLOCK, keys.size)
-        if hi < keys.size:
-            row = int(keys[hi]) >> shift
-            hi = int(keys.searchsorted(row << shift))  # back to where the row at hi starts
+        if hi < keys.size:  # a bound of keys' own dtype: a Python int would copy keys to int64
+            row, key = int(keys[hi]) >> shift, keys.dtype.type
+            hi = int(keys.searchsorted(key(row << shift)))  # back to where the row at hi starts
             if hi == lo:
-                hi = int(keys.searchsorted(((row + 1) << shift) - 1, "right"))
+                hi = int(keys.searchsorted(key(((row + 1) << shift) - 1), "right"))
         rows = keys[lo:hi] >> shift
         low = keys[lo:hi] & ((1 << shift) - 1) if lows is None else lows[lo:hi]
-        items = (low >> 1).astype(np.int64)
+        items = low >> 1  # unsigned until only the net items are left
         first = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]) | (items[1:] != items[:-1])])
         net = 2 * np.add.reduceat(low & 1, first).astype(np.int64) - np.diff(first, append=rows.size)
         if (bad := np.flatnonzero((net != 0) & (net != 1))).size:
             at, count = first[bad[0]], net[bad[0]]
             raise StreamDataError(f"row {int(rows[at])}: item {int(items[at])} has net count {int(count)}")
-        rows, items = rows[first[net == 1]], items[first[net == 1]]
+        keep = first[net == 1]
+        rows, items = rows[keep], items[keep].astype(np.int64)
         starts = np.flatnonzero(np.r_[bool(rows.size), rows[1:] != rows[:-1]])  # none if all cancel
         cuts = [*starts.tolist(), rows.size]
         counters = repeat((None, None)) if randomness is None else _counters(randomness, items, cuts)
-        del low, first, net  # each block's arrays are dropped before the next is cut
+        del low, first, net, keep  # each block's arrays are dropped before the next is cut
         for row, a, b, (positions, values) in zip(rows[starts].tolist(), cuts, cuts[1:], counters):
             yield from repeat(blank, row - j)
             yield items[a:b], positions, values

@@ -200,7 +200,7 @@ def _cmd_lsh(args: argparse.Namespace) -> int:
     index = LshIndex(cfg, randomness)
     for j, (net, positions, values) in enumerate(_replay(n, updates, randomness)):
         index._insert_sparse(j, positions, values, net.size)
-    net = positions = values = None  # views that would keep the last block's arrays alive
+    updates = net = positions = values = None  # the sorted stream, and views of its last block
     pairs = index.candidates()
     summary = f"{len(pairs)} candidate pairs"
     if args.threshold is not None:
