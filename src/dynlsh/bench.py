@@ -467,10 +467,10 @@ def _replay(
     while lo < keys.size:
         hi = min(lo + _REPLAY_BLOCK, keys.size)
         if hi < keys.size:  # a bound of keys' own dtype: a Python int would copy keys to int64
-            row, key = int(keys[hi]) >> shift, keys.dtype.type
-            hi = int(keys.searchsorted(key(row << shift)))  # back to where the row at hi starts
+            row, as_key = int(keys[hi]) >> shift, keys.dtype.type
+            hi = int(keys.searchsorted(as_key(row << shift)))  # back to where the row at hi starts
             if hi == lo:
-                hi = int(keys.searchsorted(key(((row + 1) << shift) - 1), "right"))
+                hi = int(keys.searchsorted(as_key(((row + 1) << shift) - 1), "right"))
         rows = keys[lo:hi] >> shift
         low = keys[lo:hi] & ((1 << shift) - 1) if lows is None else lows[lo:hi]
         items = low >> 1  # unsigned until only the net items are left
@@ -484,11 +484,12 @@ def _replay(
         starts = np.flatnonzero(np.r_[bool(rows.size), rows[1:] != rows[:-1]])  # none if all cancel
         cuts = [*starts.tolist(), rows.size]
         counters = repeat((None, None)) if randomness is None else _counters(randomness, items, cuts)
-        del low, first, net, keep  # each block's arrays are dropped before the next is cut
+        del low, first, net, keep  # only the net items and their counters wait on the yields
         for row, a, b, (positions, values) in zip(rows[starts].tolist(), cuts, cuts[1:], counters):
             yield from repeat(blank, row - j)
             yield items[a:b], positions, values
             j = row + 1
+        del rows, items, counters  # each block's arrays are dropped before the next is cut
         lo = hi
     yield from repeat(blank, n - j)
 
@@ -521,6 +522,8 @@ def read_sets(source: str | os.PathLike | IO[str]) -> tuple[int, list[np.ndarray
     Malformed lines raise StreamParseError with their line number, and a
     row whose net count for some item is outside {0, 1} raises
     StreamDataError.  The stream is sorted once and summed per (row, item).
+    Hashing only a row's net set gives the row's sketch exactly, since the
+    sketch is linear and every net count is 0 or 1.
     """
     n, d, updates = _read_stream(source)
     return d, [net for net, _, _ in _replay(n, updates)]

@@ -617,8 +617,8 @@ class TestVectorizedIngest:
         loop, peaked at 48.9 B per update on this stream (9.8 MB for 200,889
         updates, d = 10^4; the per-row lists alone 44.5 B), and the comparator
         builds those lists.  The chunked parse holds one chunk of text at a
-        time and keeps narrow-dtype columns, peaking at about 15.6 B per
-        update on the same stream.
+        time and one packed sort key per update, and read_sets peaks at
+        about 17.7 B per update on the same stream.
         """
         corpus = generate(270, 10**4, (0.02, 0.05), DEFAULT_PLANTED_RANGES, 20, 3)
         path = tmp_path / "c.stream"
