@@ -338,8 +338,8 @@ class TestIngestParsing:
         def first_rows(text):
             tracemalloc.start()
             try:
-                declared, _, blocks = _stream(text)
-                rows = dynlsh.bench._replay(declared, blocks)
+                declared, _, updates = _stream(text)
+                rows = dynlsh.bench._replay(declared, updates)
                 return [net.tolist() for net, _, _ in itertools.islice(rows, 3)]
             finally:
                 peak = tracemalloc.get_traced_memory()[1]
@@ -447,7 +447,7 @@ class _Unseekable:
 
 
 def _stream(text):
-    """(n, d, blocks) of a stream's text, as _read_stream gives them."""
+    """(n, d, updates) of a stream's text, as _read_stream gives them."""
     return dynlsh.bench._read_stream(io.StringIO(text))
 
 
@@ -652,14 +652,15 @@ def _bad_stream(bad, n=30, size=5, long_row=None):
     """Stream text of n rows of `size` items each, rows listed last to first.
 
     bad maps (row, item) to the extra updates appended for it; long_row
-    gets 12 cancelled items more, inserted and deleted, so it spans blocks.
+    gets 12 cancelled items more, inserted and deleted: 29 updates, more
+    than a small block holds.
     """
     lines = []
     for j in reversed(range(n)):
-        rows = [(j, i, 1) for i in range(size)]
+        updates = [(j, i, 1) for i in range(size)]
         if j == long_row:
-            rows += [(j, i, v) for v in (1, -1) for i in range(size, size + 12)]
-        lines += [f"{a} {b} {c}" for a, b, c in rows]
+            updates += [(j, i, v) for v in (1, -1) for i in range(size, size + 12)]
+        lines += [f"{a} {b} {c}" for a, b, c in updates]
     lines += [f"{j} {i} {v}" for (j, i), extra in bad.items() for v in extra]
     return f"{n} 40\n" + "\n".join(lines) + "\n"
 
@@ -716,8 +717,8 @@ class TestColumnarReplay:
         randomness = dynlsh.SketchRandomness(d, 64, 5)
 
         def replay():
-            n, _, blocks = _stream(text)
-            return [(net, pos, val) for net, pos, val in dynlsh.bench._replay(n, blocks, randomness)]
+            n, _, updates = _stream(text)
+            return [(net, pos, val) for net, pos, val in dynlsh.bench._replay(n, updates, randomness)]
 
         with mock.patch.object(dynlsh.bench, "_REPLAY_BLOCK", 7):
             packed = replay()
@@ -740,8 +741,8 @@ class TestColumnarReplay:
         text = f"3 {d}\n" + "\n".join(lines) + "\n"
         randomness = dynlsh.SketchRandomness(d, 16, 3)
         with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
-            n, _, blocks = _stream(text)
-            rows = list(dynlsh.bench._replay(n, blocks, randomness))
+            n, _, updates = _stream(text)
+            rows = list(dynlsh.bench._replay(n, updates, randomness))
         assert lexsort.call_count == 1
         want = [items, sorted(items[1:] + [5]), items[2:]]
         assert _outcome(lambda: (d, [net for net, _, _ in rows])) == (d, want)

@@ -546,8 +546,8 @@ class TestSparseInsert:
                 sketch.update_many(*np.array(updates, np.int64).T)
             dense.insert(j, sketch)
         with mock.patch.object(dynlsh.bench, "_REPLAY_BLOCK", block):
-            n, _, blocks = dynlsh.bench._read_stream(io.StringIO(text))
-            for j, (net, positions, values) in enumerate(dynlsh.bench._replay(n, blocks, rnd)):
+            n, _, updates = dynlsh.bench._read_stream(io.StringIO(text))
+            for j, (net, positions, values) in enumerate(dynlsh.bench._replay(n, updates, rnd)):
                 sparse._insert_sparse(j, positions, values, net.size)
         assert list(sparse._entries) == list(dense._entries)
         for j in dense._entries:
