@@ -926,13 +926,13 @@ def write_csv(
     params: Mapping[str, object] | None = None,
     missing: str = "na",
 ) -> None:
-    """Write dataclass rows as CSV under a header of row_type's field names.
+    """Write dataclass or NamedTuple rows as CSV under a header of row_type's field names.
 
     With params, a '# key=value ...' echo line comes first so a report is
     self-describing.  Every line, the echo line included, ends in CRLF as
     csv.writer rows do.  Floats are written as %.6f and None as `missing`.
     """
-    names = [f.name for f in dataclasses.fields(row_type)]
+    names = getattr(row_type, "_fields", None) or [f.name for f in dataclasses.fields(row_type)]
     with _opened(out, "w") as fh:
         if params is not None:
             fh.write("# " + " ".join(f"{k}={v}" for k, v in params.items()) + "\r\n")

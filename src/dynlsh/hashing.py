@@ -148,14 +148,14 @@ class SketchRandomness:
 
     Holds the level-assignment function h : [d] -> [2^ceil(log2 d)], one
     bucket function per level h_k : [d] -> [c^2], and lazily derived
-    min-hash seeds per (level, repetition, band) triple, also cached per
-    level as read-only arrays.  Per (repetitions, bands) shape it keeps one
-    packed rank table for minhash_rows, filled a level at a time on first
-    use.  Instances hash identically after construction (their hash arrays
-    and tables are read-only, and a table level is marked filled only once
-    it is written in full) and are safe to share across threads; two
-    instances compare equal iff they were built from the same (d,
-    c_squared, master_seed) and therefore hash identically.
+    min-hash seeds per (level, repetition, band) triple, cached.  Per
+    (repetitions, bands) shape it keeps one packed rank table for
+    minhash_rows, filled a level at a time on first use.  Instances hash
+    identically after construction (their hash arrays and tables are
+    read-only, and a table level is marked filled only once it is written
+    in full) and are safe to share across threads; two instances compare
+    equal iff they were built from the same (d, c_squared, master_seed) and
+    therefore hash identically.
     """
 
     __slots__ = (
@@ -176,7 +176,6 @@ class SketchRandomness:
         "_bucket_shift",
         "_row_width",
         "_minhash_cache",
-        "_minhash_arrays",
         "_minhash_tables",
     )
 
@@ -213,7 +212,6 @@ class SketchRandomness:
         self._bucket_shift = _frozen_scalar(WORD_BITS - self.bucket_bits)
         self._row_width = _frozen_scalar(c_squared, np.int64)  # cells_of's flat offset per level
         self._minhash_cache: dict[tuple[int, int, int], HashSpec] = {}
-        self._minhash_arrays: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
         # per (repetitions, bands): the writable table, its read-only view, the
         # filled levels, the bucket mask and the signed dtype of the results
         self._minhash_tables: dict[tuple[int, int], tuple] = {}
@@ -307,14 +305,6 @@ class SketchRandomness:
             self._minhash_cache[key] = random_hash_spec(rng, WORD_BITS)
         return self._minhash_cache[key]
 
-    def minhash_arrays(self, level: int, repetitions: int, bands: int) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only (a, b) whose entry t * bands + q is minhash_spec(level, t, q)'s, cached."""
-        key = (level, repetitions, bands)
-        if key not in self._minhash_arrays:
-            slots = [(t, q) for t in range(repetitions) for q in range(bands)]
-            self._minhash_arrays[key] = _spec_arrays([self.minhash_spec(level, *tq) for tq in slots])
-        return self._minhash_arrays[key]
-
     def minhash_rows(
         self, flat: np.ndarray, cuts: Sequence[int], levels: Sequence[int], repetitions: int, bands: int
     ) -> np.ndarray:
@@ -373,8 +363,12 @@ class SketchRandomness:
         return table, view, set(), _frozen_scalar(self.c_squared - 1, dtype), np.dtype(signed)
 
     def _fill_minhash_level(self, table: np.ndarray, level: int, repetitions: int, bands: int) -> None:
-        """Write one level's block of packed ranks into table."""
-        a, b = self.minhash_arrays(level, repetitions, bands)
+        """Write one level's block of packed ranks into table.
+
+        Column t * bands + q ranks the buckets under minhash_spec(level, t, q).
+        """
+        slots = [(t, q) for t in range(repetitions) for q in range(bands)]
+        a, b = _spec_arrays([self.minhash_spec(level, *tq) for tq in slots])
         width, dtype = self.c_squared, table.dtype
         # order[s, i] is the bucket that slot s ranks i-th
         order = np.argsort(a[:, None] * np.arange(width, dtype=np.uint64) + b[:, None], axis=1).astype(dtype)

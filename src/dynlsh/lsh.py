@@ -16,10 +16,9 @@ from __future__ import annotations
 import gc
 import math
 import warnings
-from collections import deque
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from itertools import accumulate, chain, repeat
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -85,12 +84,12 @@ class LshConfig:
         return (self.epsilon / 5.0) ** 2 * self.r1 * self.delta
 
 
-@dataclass(frozen=True, slots=True)
-class CandidatePair:
+class CandidatePair(NamedTuple):
     """An unordered candidate pair, canonicalized so id_a < id_b.
 
     level and repetition record the first table in scan order where the
     two sets shared a signature; verified_distance is filled by verify().
+    A tuple: pairs compare, order, hash and unpack as their five fields.
     """
 
     id_a: SetId
@@ -98,9 +97,6 @@ class CandidatePair:
     level: int
     repetition: int
     verified_distance: float | None = None
-
-
-_SLOT_SETTERS = tuple(getattr(CandidatePair, f.name).__set__ for f in fields(CandidatePair))
 
 
 def amplification_probability(s: float, r: int, l: int) -> float:
@@ -252,8 +248,12 @@ class LshIndex:
         a bucket's pairs in combinations order over its sorted ids, and
         each pair is reported once, tagged with its first colliding table.
         Buckets whose pair expansion exceeds pair_cap contribute only the
-        first pair_cap pairs and raise a warning.  The scan is one lexsort
-        of all record rows by (level, repetition, signatures, id rank).
+        first pair_cap pairs and raise a warning.  The scan is one sort of
+        all record rows by (level, repetition, signatures, id rank), packed
+        into as few non-negative int64 words as the columns' bit widths
+        allow.  A full key is unique (one row per id and table), so one
+        word needs no stable sort, and several are lexsorted.  A second
+        such sort, of (pair, position) keys, finds each pair's first sighting.
         The pairs are built with the cyclic garbage collector paused: they
         refer only to ids, ints and None, so they cannot form a cycle, and
         a collection during the burst could free nothing that reference
@@ -268,17 +268,25 @@ class LshIndex:
         if not level.size:
             return []
         rank = np.repeat(rank, [e[5].shape[0] for e in records])
-        sigs = np.concatenate([e[5] for e in records])
-        keys = np.column_stack((level, np.arange(level.size) % l, sigs))  # a level's l rows: t = 0..l-1
-        order = np.lexsort((rank, *keys.T[::-1]))
-        keys, rank = keys[order], rank[order]
-        starts = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1), True])
+        sigs = np.concatenate([e[5] for e in records])  # buckets, never negative
+        rep = np.arange(level.size) % l  # a level's l rows: t = 0..l-1
+        rank_bits = (len(ids) - 1).bit_length()
+        columns = [(level, int(level.max())), (rep, l - 1), *((c, int(c.max())) for c in sigs.T)]
+        words = _pack_words([(c, top.bit_length()) for c, top in columns] + [(rank, rank_bits)])
+        order = _sorting_order(words)
+        words, rank = [w[order] for w in words], rank[order]
+        words[-1] >>= rank_bits  # what is left names the table and the signatures
+        change = np.zeros(level.size - 1, bool)
+        for w in words:
+            change |= w[1:] != w[:-1]
+        starts = np.flatnonzero(np.r_[True, change, True])
         sizes = np.diff(starts)
         starts, sizes = starts[:-1][sizes > 1], sizes[sizes > 1]
         totals = sizes * (sizes - 1) // 2
         over = np.flatnonzero(totals > cap)
-        for (lvl, rep), total in zip(keys[starts[over], :2].tolist(), totals[over].tolist()):
-            message = f"bucket at level {lvl} repetition {rep} expands to {total} pairs"
+        at = order[starts[over]]
+        for lvl, t, total in zip(level[at].tolist(), rep[at].tolist(), totals[over].tolist()):
+            message = f"bucket at level {lvl} repetition {t} expands to {total} pairs"
             warnings.warn(f"{message}; emitting the first {cap}", RuntimeWarning, stacklevel=2)
         emitted = np.minimum(totals, cap)
         slot = np.cumsum(emitted) - emitted  # where each bucket's pairs start in scan order
@@ -289,26 +297,27 @@ class LshIndex:
             at = slot[same, None] + np.arange(first.shape[1])
             pairs[:, at] = starts[same, None] + first[:, None]
         members = rank[pairs]
-        # each pair at its first sighting, in scan order
-        _, kept = np.unique(members[0] * len(ids) + members[1], return_index=True)
-        kept.sort()
-        tables = keys[starts[np.repeat(np.arange(sizes.size), emitted)[kept]], :2]
-        named = np.fromiter(ids, object, len(ids))[by_rank]
-        # the frozen __init__ costs twice as much as writing the slots, and
-        # map writes each slot column without a Python-level loop; the pairs
-        # form no cycle, so the collector is paused while they are allocated
-        # rather than scanning every tracked object in the process meanwhile
+        # each pair at its first sighting, in scan order: sorted by (pair,
+        # position), a pair's run starts at its first position
+        code = members[0] * len(ids) + members[1]
+        position = (np.arange(code.size), (code.size - 1).bit_length())
+        kept = _sorting_order(_pack_words([(code, (len(ids) ** 2 - 1).bit_length()), position]))
+        code = code[kept]
+        new = np.ones(kept.size, bool)
+        new[1:] = code[1:] != code[:-1]
+        kept = np.sort(kept[new])
+        seen_at = order[starts[np.repeat(np.arange(sizes.size), emitted)[kept]]]
+        named = np.fromiter(ids, object, len(ids))[by_rank][members[:, kept]]
+        columns = (*named.tolist(), level[seen_at].tolist(), rep[seen_at].tolist(), repeat(None))
+        # the pairs form no cycle, so the collector is paused while they are
+        # allocated rather than scanning every tracked object in the process
         enabled = gc.isenabled()
         gc.disable()
         try:
-            out = list(map(object.__new__, repeat(CandidatePair, kept.size)))
-            columns = (*named[members[:, kept]].tolist(), *tables.T.tolist(), repeat(None))
-            for set_slot, column in zip(_SLOT_SETTERS, columns):
-                deque(map(set_slot, out, column), maxlen=0)
+            return list(map(tuple.__new__, repeat(CandidatePair), zip(*columns)))
         finally:
             if enabled:
                 gc.enable()
-        return out
 
     def verify(
         self,
@@ -409,7 +418,7 @@ class LshIndex:
             start = stop
         keep = np.flatnonzero(dist <= threshold)
         return [
-            replace(pairs[j], verified_distance=d)
+            pairs[j]._replace(verified_distance=d)
             for j, d in zip(keep.tolist(), dist[keep].tolist())
         ]
 
@@ -421,6 +430,33 @@ def _first_pairs(k: int, n: int) -> np.ndarray:
     rows = int(np.searchsorted(ends, n)) + 1
     first = np.repeat(np.arange(rows), row_length[:rows])[:n]
     return np.stack((first, np.arange(n) - (ends - row_length)[first] + first + 1))
+
+
+def _pack_words(columns: Sequence[tuple[np.ndarray, int]]) -> list[np.ndarray]:
+    """Non-negative (column, bit width) pairs packed into int64 words, most significant first.
+
+    A word takes columns in order while their widths sum to at most 63
+    bits, the first column in its high bits; lexicographic order on the
+    words is then lexicographic order on the columns.
+    """
+    words: list[np.ndarray] = []
+    used = 64  # no word is open yet
+    for column, width in columns:
+        if used + width > 63:
+            words.append(np.zeros(column.size, np.int64))
+            used = 0
+        words[-1] <<= width
+        words[-1] |= column
+        used += width
+    return words
+
+
+def _sorting_order(words: Sequence[np.ndarray]) -> np.ndarray:
+    """The permutation that sorts rows by their packed words; rows must be distinct.
+
+    Distinct rows leave one sorted order, so one word needs no stable sort.
+    """
+    return np.argsort(words[0]) if len(words) == 1 else np.lexsort(words[::-1])
 
 
 def _narrowest_signed(bound: int) -> np.dtype:

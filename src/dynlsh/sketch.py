@@ -13,6 +13,7 @@ the same SketchRandomness merge by entrywise addition or subtraction.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from typing import Iterable
@@ -310,8 +311,7 @@ def l0_from_row_counts(nz: np.ndarray, c_squared: int) -> np.ndarray:
     eligible = suffix_max <= c_squared / 2  # once true, true for every deeper level
     # the first eligible level; when every tail saturates, the deepest row
     level = np.where(eligible[:, -1], eligible.argmax(axis=1), nz.shape[1] - 1)
-    # per-row occupancy inversion terms; keep the log argument positive
-    terms = np.log1p(-np.minimum(nz, c_squared - 1) / c_squared)
+    terms = _occupancy_terms(c_squared)[nz]
     sums = np.empty(nz.shape[0])
     for k in set(level.tolist()):
         sel = level == k
@@ -319,6 +319,19 @@ def l0_from_row_counts(nz: np.ndarray, c_squared: int) -> np.ndarray:
     out = np.ldexp(sums / math.log1p(-1.0 / c_squared), level)
     out[suffix_max[:, 0] == 0] = 0.0  # the all-zero sketch estimates exactly 0.0
     return out
+
+
+@functools.cache
+def _occupancy_terms(c_squared: int) -> np.ndarray:
+    """Read-only occupancy inversion terms log1p(-min(k, c^2 - 1) / c^2) for k = 0..c^2.
+
+    A row's term depends only on its nonzero count k; capping k below c^2
+    keeps the log argument positive.
+    """
+    k = np.arange(c_squared + 1)
+    terms = np.log1p(-np.minimum(k, c_squared - 1) / c_squared)
+    terms.flags.writeable = False
+    return terms
 
 
 def sketch_to_bytes(sketch: LevelSketch) -> bytes:

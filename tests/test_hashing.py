@@ -296,21 +296,25 @@ class TestSketchRandomness:
         assert again.minhash_spec(2, 1, 0) == spec
         assert rnd.minhash_spec(2, 1, 1) != spec
 
-    def test_minhash_arrays_hold_every_slots_spec(self):
-        """Entry t * bands + q is minhash_spec(level, t, q), so the seeds
-        are the ones minhash_spec has always derived (one pinned below)."""
+    def test_minhash_table_columns_follow_every_slots_spec(self):
+        """Column t * bands + q of a level's table block packs each bucket's
+        rank under minhash_spec(level, t, q), so the seeds are the ones
+        minhash_spec has always derived (one pinned below)."""
         rnd = SketchRandomness(2**16, 1024, 7)
         pinned = rnd.minhash_spec(3, 7, 2)
         assert (pinned.a, pinned.b) == (10882494683655123221, 17554896456916323559)
+        width = rnd.c_squared
+        buckets = np.arange(width, dtype=np.uint64)
         for level in (0, 3, rnd.max_level):
             for reps, bands in ((1, 1), (8, 3), (2, 5)):
-                a, b = rnd.minhash_arrays(level, reps, bands)
-                assert a.dtype == b.dtype == np.uint64
-                assert a.shape == b.shape == (reps * bands,)
-                slots = [rnd.minhash_spec(level, t, q) for t in range(reps) for q in range(bands)]
-                assert a.tolist() == [s.a for s in slots]
-                assert b.tolist() == [s.b for s in slots]
-                assert rnd.minhash_arrays(level, reps, bands)[0] is a
+                rnd.minhash_rows(np.array([level * width]), [0, 1], [level], reps, bands)
+                block = rnd._minhash_tables[(reps, bands)][1][level * width : (level + 1) * width]
+                for t in range(reps):
+                    for q in range(bands):
+                        spec = rnd.minhash_spec(level, t, q)
+                        rank = np.argsort(np.argsort(np.uint64(spec.a) * buckets + np.uint64(spec.b)))
+                        want = (rank << rnd.bucket_bits) | np.arange(width)
+                        assert block[:, t * bands + q].tolist() == want.tolist()
 
     def test_hash_arrays_are_read_only(self):
         rnd = SketchRandomness(4096, 64, 3)
@@ -318,7 +322,7 @@ class TestSketchRandomness:
         assert rnd._bucket_b.tolist() == [s.b for s in rnd.bucket_specs]
         rnd.minhash_rows(np.empty(0, dtype=np.int64), [0, 0], [2], 3, 2)
         table = rnd._minhash_tables[(3, 2)][1]
-        for arr in (rnd._bucket_a, rnd._bucket_b, *rnd.minhash_arrays(2, 3, 2), table):
+        for arr in (rnd._bucket_a, rnd._bucket_b, table):
             with pytest.raises(ValueError):
                 arr[0] = 1
             with pytest.raises(ValueError):

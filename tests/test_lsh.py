@@ -1,10 +1,12 @@
 """Candidate generation: level grids, admissible windows, banded tables."""
 
+import dataclasses
 import gc
 import io
 import itertools
 import math
 import struct
+import sys
 import tracemalloc
 import warnings
 from unittest import mock
@@ -649,6 +651,44 @@ class TestCandidateReference:
         want = _warning_texts(lambda: _reference_candidates(postings_of, pair_cap))
         assert _warning_texts(index.candidates) == want
 
+    @pytest.mark.parametrize(
+        "c_squared, bands, reps, ids, words",
+        [
+            (16, 2, 3, list(range(60)), 1),
+            (1024, 7, 2, list(range(60)), 2),  # 70 signature bits alone
+            (1024, 2, 2, [f"id-{i:04d}" for i in range(2100)], 1),  # a 12-bit rank
+        ],
+        ids=["one-word", "signatures-past-63-bits", "2100-str-ids"],
+    )
+    def test_candidates_equal_the_dict_table_scan_at_every_key_width(
+        self, c_squared, bands, reps, ids, words
+    ):
+        """The dict-table scan again, on sort keys of one packed word and of
+        two, and with ranks past 11 bits: near-duplicates of a few base
+        sets, inserted in shuffled order, fill buckets past pair_cap."""
+        rnd = SketchRandomness(2**12, c_squared, 76801)
+        cfg = LshConfig(r1=0.5, r2=0.125, bands_r=bands, repetitions_l=reps, sampling_p=0.3)
+        index = LshIndex(cfg, rnd, pair_cap=2)
+        rng = np.random.default_rng(76801)
+        bases = [rng.choice(2**12, size=200, replace=False) for _ in range(len(ids) // 3)]
+        live = {}
+        for set_id in rng.permutation(np.array(ids, dtype=object)).tolist():
+            base = bases[rng.integers(len(bases))]
+            live[set_id] = build(rnd, base[rng.random(base.size) > 0.02])
+            index.insert(set_id, live[set_id])
+        postings_of = {set_id: _reference_postings(index, sketch) for set_id, sketch in live.items()}
+        want, texts = _warning_texts(lambda: _reference_candidates(postings_of, 2))
+        packed, pack = [], dynlsh.lsh._pack_words
+
+        def pack_words(columns):
+            packed.append(pack(columns))
+            return packed[-1]
+
+        with mock.patch.object(dynlsh.lsh, "_pack_words", pack_words):
+            assert _warning_texts(index.candidates) == (want, texts)
+        assert len(packed[0]) == words
+        assert texts and any(p.repetition > 0 for p in want)
+
     def test_a_capped_bucket_expands_only_the_pairs_it_emits(self, small_corpus):
         """5,000 ids in one bucket under pair_cap=100: the first 100 pairs in
         combinations order, without building the 12,497,500 (a few MiB at
@@ -729,20 +769,34 @@ class TestCollectorPause:
         assert gc.isenabled() is enabled
 
     @pytest.mark.parametrize("enabled", [True, False])
-    def test_restored_when_a_slot_setter_raises(self, small_corpus, collector_state, enabled):
+    def test_restored_when_pair_construction_raises(self, small_corpus, collector_state, enabled):
+        """A CandidatePair stand-in that is no tuple subtype makes
+        tuple.__new__ raise inside the burst; a trace of candidates()
+        records the collector's state as the error reaches its frame."""
         index = _one_bucket_index(small_corpus, 4)
         seen = []
 
-        def failing_setter(pair, value):
-            seen.append(gc.isenabled())
-            raise RuntimeError("slot write failed")
+        def trace_calls(frame, event, arg):
+            return trace_candidates if frame.f_code is LshIndex.candidates.__code__ else None
 
-        setters = (*dynlsh.lsh._SLOT_SETTERS[:2], failing_setter, *dynlsh.lsh._SLOT_SETTERS[3:])
+        def trace_candidates(frame, event, arg):
+            if event == "exception":
+                seen.append(gc.isenabled())
+            return trace_candidates
+
+        class NotATuple:
+            pass
+
         collector_state(enabled)
-        with mock.patch.object(dynlsh.lsh, "_SLOT_SETTERS", setters):
-            with pytest.raises(RuntimeError, match="slot write failed"):
-                index.candidates()
-        assert seen == [False]  # raised inside the paused region
+        previous = sys.gettrace()
+        with mock.patch.object(dynlsh.lsh, "CandidatePair", NotATuple):
+            sys.settrace(trace_calls)
+            try:
+                with pytest.raises(TypeError, match="is not a subtype of tuple"):
+                    index.candidates()
+            finally:
+                sys.settrace(previous)
+        assert seen[:1] == [False]  # raised inside the paused region
         assert gc.isenabled() is enabled
 
     def test_the_pair_burst_runs_few_collections(self, small_corpus, collector_state):
@@ -1095,7 +1149,58 @@ class TestUncompressedBanding:
             assert abs(hits / 500 - amplification_probability(exact, 2, 4)) <= 0.1
 
 
+class TestCandidatePairTuple:
+    def test_fields_and_defaults(self):
+        assert CandidatePair._fields == ("id_a", "id_b", "level", "repetition", "verified_distance")
+        assert CandidatePair._field_defaults == {"verified_distance": None}
+        pair = CandidatePair("a", "b", 3, 1)
+        assert (pair.id_a, pair.id_b, pair.level, pair.repetition) == ("a", "b", 3, 1)
+        assert pair.verified_distance is None
+
+    def test_replace_returns_a_new_pair(self):
+        pair = CandidatePair(4, 9, 0, 2)
+        scored = pair._replace(verified_distance=0.25)
+        assert scored == CandidatePair(4, 9, 0, 2, 0.25)
+        assert type(scored) is CandidatePair
+        assert pair.verified_distance is None
+
+    def test_fields_cannot_be_assigned(self):
+        pair = CandidatePair(4, 9, 0, 2)
+        with pytest.raises(AttributeError):
+            pair.level = 1
+        with pytest.raises(AttributeError):
+            pair.extra = 1
+
+    def test_a_pair_is_its_tuple(self):
+        pair = CandidatePair("a", "b", 3, 1)
+        assert pair == ("a", "b", 3, 1, None)
+        assert hash(pair) == hash(("a", "b", 3, 1, None))
+        id_a, id_b, level, repetition, distance = pair
+        assert (id_a, id_b, level, repetition, distance) == ("a", "b", 3, 1, None)
+        assert sorted([CandidatePair(2, 3, 0, 0), CandidatePair(1, 9, 1, 0)])[0].id_a == 1
+
+
 class TestCandidateCsv:
+    def test_same_header_and_rows_as_a_dataclass_row_type(self):
+        """write_csv reads a NamedTuple's _fields as it reads a dataclass's fields."""
+
+        @dataclasses.dataclass(frozen=True)
+        class Row:
+            id_a: object
+            id_b: object
+            level: int
+            repetition: int
+            verified_distance: float | None = None
+
+        rows = [("a", "b", 3, 1, 0.25), (4, 9, 0, 0, None), ("x", "y", 12, 7, 1 / 3)]
+        written = []
+        for row_type in (CandidatePair, Row):
+            out = io.StringIO()
+            write_csv(row_type, [row_type(*row) for row in rows], out, params={"seed": 7}, missing="")
+            written.append(out.getvalue())
+        assert written[0] == written[1]
+        assert written[0].splitlines()[1] == "id_a,id_b,level,repetition,verified_distance"
+
     def test_schema_and_formatting(self):
         out = io.StringIO()
         write_csv(

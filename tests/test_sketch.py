@@ -727,6 +727,18 @@ class TestL0Estimate:
             want = [_l0_reference(x).hex() for x in counters]
             assert [float(v).hex() for v in l0_from_row_counts(nz, c2)] == want
 
+    def test_occupancy_terms_gather_equals_the_expression_bit_for_bit(self):
+        """The cached table gathers the terms the per-row expression computes,
+        over every count k = 0..c^2 and over a live-query-shaped count array."""
+        rng = np.random.default_rng(73301)
+        for c2 in (2, 64, 1024):
+            table = dynlsh.sketch._occupancy_terms(c2)
+            assert dynlsh.sketch._occupancy_terms(c2) is table
+            assert not table.flags.writeable
+            for nz in (np.arange(c2 + 1), rng.integers(0, c2 + 1, size=(242, 15))):
+                want = np.log1p(-np.minimum(nz, c2 - 1) / c2)
+                assert_array_equal(table[nz].view(np.int64), want.view(np.int64))
+
 
 def _l0_level(buckets):
     """The tail level l0_estimate reads for one counter matrix, as _l0_reference picks it."""
