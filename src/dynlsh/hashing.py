@@ -75,17 +75,20 @@ def _affine(keys: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _mix64_inplace(z: np.ndarray) -> np.ndarray:
+def _mix64_inplace(z: np.ndarray, top_bits: int = WORD_BITS) -> np.ndarray:
     """The splitmix64 finalizer in place on a uint64 array the caller owns; returns it.
 
     A bijection, so it keeps the collision law of the hash before it while
-    hiding input structure such as a stride.
+    hiding input structure such as a stride.  Only the top top_bits bits
+    are promised: the last step, z ^= z >> 31, changes bits 0..32 alone,
+    so it is skipped when top_bits <= 31.
     """
     z ^= z >> _MIX_SHIFTS[0]
     z *= _MIX_MULTS[0]
     z ^= z >> _MIX_SHIFTS[1]
     z *= _MIX_MULTS[1]
-    z ^= z >> _MIX_SHIFTS[2]
+    if top_bits > 31:
+        z ^= z >> _MIX_SHIFTS[2]
     return z
 
 
@@ -277,7 +280,8 @@ class SketchRandomness:
         whole rows into a few buckets.  The product is mixed and shifted
         in place, so the result is the only item-sized array kept.
         """
-        z = _mix64_inplace(_affine(items, self._bucket_a[levels], self._bucket_b[levels]))
+        z = _affine(items, self._bucket_a[levels], self._bucket_b[levels])
+        z = _mix64_inplace(z, self.bucket_bits)
         z >>= self._bucket_shift
         return z
 

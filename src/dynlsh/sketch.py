@@ -36,6 +36,11 @@ _NARROW_MAX = int(np.iinfo(_NARROW).max)
 _ONE = _frozen_scalar(1, np.int64)
 _MINUS_ONE = _frozen_scalar(-1, np.int64)
 
+# update_many applies its queue once this many items would be pending:
+# large enough that one pass pays the hashing's fixed cost for many small
+# batches, small enough that a sketch's queue buffers take 9 KiB
+_QUEUE_CAP = 1024
+
 _WIRE_VERSION = 2
 _HEADER = struct.Struct("<BQQQqQ")  # version, d, c_squared, num_levels, s, master_seed
 
@@ -47,30 +52,62 @@ class LevelSketch:
     update/update_many.  LshIndex.insert takes a sparse copy, so a sketch
     changed after insert must be re-inserted to update the index.  A
     sketch is bound to the SketchRandomness it was built with, and only
-    sketches sharing equal randomness may be compared or merged.  Not safe
-    for concurrent mutation.
+    sketches sharing equal randomness may be compared or merged.
+
+    update_many checks a batch at once but may queue it: small batches
+    wait until _QUEUE_CAP items would be pending, then all of them are
+    hashed and added in one pass.  Updates commute, so the grouping never
+    shows in the counters.  Every read of the counters (buckets, copy, ==,
+    and through buckets merge, serialization, distances and
+    LshIndex.insert) applies the queue first, so a read can write: a
+    sketch is not safe for concurrent use, reads included, while updates
+    are queued.
 
     Counters are int32 until widened, then int64 for good.  _bound is a
-    Python int at least max |counter|: each accepted +/-1 update adds one
-    to it, merge sets it to the sum of its inputs' peaks, and
-    sketch_from_bytes to the exact peak.  update_many widens the matrix
-    before an add could push the bound past 2^31 - 1, after one scan that
-    re-tightens the bound to the exact peak, so a narrow counter never
-    overflows and never reaches -2^31.  Sketches of either dtype compare,
-    merge and serialize alike.
+    Python int at least max |counter| over applied and queued updates:
+    each accepted +/-1 update adds one to it, merge sets it to the sum of
+    its inputs' peaks, and sketch_from_bytes to the exact peak.
+    update_many widens the matrix before a batch could push the bound past
+    2^31 - 1, after one scan that re-tightens the bound to the exact peak,
+    so a narrow counter never overflows and never reaches -2^31.  Sketches
+    of either dtype compare, merge and serialize alike.
     """
 
-    __slots__ = ("randomness", "_buckets", "_cardinality", "_bound")
+    __slots__ = (
+        "randomness", "_buckets", "_cardinality", "_bound",
+        "_queued_keys", "_queued_values", "_queued",
+    )
 
     def __init__(self, randomness: SketchRandomness) -> None:
         self.randomness = randomness
         self._buckets = np.zeros((randomness.num_levels, randomness.c_squared), dtype=_NARROW)
         self._cardinality = 0
         self._bound = 0
+        # the first _queued entries of two buffers allocated on first use
+        self._queued_keys: np.ndarray | None = None
+        self._queued_values: np.ndarray | None = None
+        self._queued = 0
+
+    @classmethod
+    def _of(
+        cls, randomness: SketchRandomness, buckets: np.ndarray, cardinality: int, bound: int
+    ) -> "LevelSketch":
+        """A sketch with these counters, cardinality and bound, and nothing queued."""
+        out = cls.__new__(cls)
+        out.randomness = randomness
+        out._buckets = buckets
+        out._cardinality = cardinality
+        out._bound = bound
+        out._queued_keys = out._queued_values = None
+        out._queued = 0
+        return out
 
     @property
     def buckets(self) -> np.ndarray:
-        """The live counter matrix; treat as read-only."""
+        """The live counter matrix, queued updates applied; treat as read-only."""
+        if self._queued:
+            end, self._queued = self._queued, 0
+            self._add(self._queued_keys[:end], self._queued_values[:end])
         return self._buckets
 
     @property
@@ -87,12 +124,7 @@ class LevelSketch:
         return self.randomness.c_squared
 
     def copy(self) -> "LevelSketch":
-        out = LevelSketch.__new__(LevelSketch)
-        out.randomness = self.randomness
-        out._buckets = self._buckets.copy()
-        out._cardinality = self._cardinality
-        out._bound = self._bound
-        return out
+        return LevelSketch._of(self.randomness, self.buckets.copy(), self._cardinality, self._bound)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LevelSketch):
@@ -100,7 +132,7 @@ class LevelSketch:
         return (
             self.randomness == other.randomness
             and self._cardinality == other._cardinality
-            and np.array_equal(self._buckets, other._buckets)
+            and np.array_equal(self.buckets, other.buckets)
         )
 
     def __hash__(self) -> None:  # type: ignore[override]
@@ -113,13 +145,19 @@ class LevelSketch:
         self.update_many([item], value)
 
     def update_many(self, items: Iterable[int], values: int | np.ndarray = 1) -> None:
-        """Apply a batch of signed updates in one vectorized pass.
+        """Check a batch of signed updates now; queue it, or apply it with the queue.
 
         values is a scalar +1/-1 applied to every item, or an array of
-        +1/-1 broadcastable to items.  Each item is hashed once, to level
-        k = lsb(h(i)) and bucket h_k(i), and one np.add.at adds every value
-        to its counter, in the matrix's own dtype.  Non-integer dtypes
-        raise TypeError; a rejected batch leaves the sketch untouched.
+        +1/-1 broadcastable to items.  Non-integer dtypes raise TypeError,
+        items outside [0, d) ItemRangeError and other values ValueError; a
+        rejected batch leaves the sketch and its queue untouched.  An
+        accepted batch counts in cardinality at once.  If the queue would
+        then hold fewer than _QUEUE_CAP items, the batch is copied into it
+        and waits; otherwise the queue and the batch are hashed in one
+        pass, each item to level k = lsb(h(i)) and bucket h_k(i), and one
+        np.add.at adds every value to its counter, in the matrix's own
+        dtype.  So a batch of _QUEUE_CAP items or more is applied before
+        the call returns, and fewer than _QUEUE_CAP items ever wait.
         """
         arr = np.asarray(items)
         if arr.size == 0:
@@ -129,24 +167,42 @@ class LevelSketch:
             raise TypeError(
                 f"items and values must have an integer dtype, got {arr.dtype} and {vals.dtype}"
             )
-        rnd = self.randomness
-        keys = rnd.item_keys(arr)
+        keys = self.randomness.item_keys(arr)
         if vals.shape != keys.shape:
             vals = np.broadcast_to(vals, keys.shape)
         plus, minus = np.count_nonzero(vals == _ONE), np.count_nonzero(vals == _MINUS_ONE)
         if plus + minus != vals.size:
             raise ValueError("update values must be +1 or -1")
-        flat = rnd.cells_of(keys)
         if self._bound + vals.size > _NARROW_MAX and self._buckets.dtype == _NARROW:
             # at most once per 2^31 updates: re-tighten to the exact peak,
             # and widen if this batch could still overflow a narrow counter
-            self._bound = _peak(self._buckets)
+            self._bound = _peak(self.buckets)
             if self._bound + vals.size > _NARROW_MAX:
                 self._buckets = self._buckets.astype(np.int64)
-        counters = self._buckets
-        np.add.at(counters.reshape(-1), flat, vals.astype(counters.dtype, copy=False))
         self._cardinality += plus - minus
         self._bound += vals.size
+        start, end = self._queued, self._queued + vals.size
+        if end < _QUEUE_CAP:
+            if self._queued_keys is None:
+                self._queued_keys = np.empty(_QUEUE_CAP, np.uint64)
+                self._queued_values = np.empty(_QUEUE_CAP, np.int8)
+            # copies: the caller may change its arrays after the call
+            self._queued_keys[start:end] = keys.ravel()
+            self._queued_values[start:end] = vals.ravel()
+            self._queued = end
+            return
+        keys, vals = keys.ravel(), vals.ravel()
+        if start:
+            keys = np.concatenate([self._queued_keys[:start], keys])
+            vals = np.concatenate([self._queued_values[:start], vals])
+        self._queued = 0
+        self._add(keys, vals)
+
+    def _add(self, keys: np.ndarray, values: np.ndarray) -> None:
+        """Add each +/-1 value to its key's counter, in the matrix's own dtype."""
+        counters = self._buckets
+        flat = self.randomness.cells_of(keys)
+        np.add.at(counters.reshape(-1), flat, values.astype(counters.dtype, copy=False))
 
 
 def merge(a: LevelSketch, b: LevelSketch, sign: int = 1) -> LevelSketch:
@@ -163,13 +219,9 @@ def merge(a: LevelSketch, b: LevelSketch, sign: int = 1) -> LevelSketch:
     peak = _peak(a.buckets) + _peak(b.buckets)
     if peak >= _MERGE_GUARD:
         raise CounterOverflowError("merge would risk 64-bit counter overflow")
-    out = LevelSketch.__new__(LevelSketch)
-    out.randomness = a.randomness
     op = np.add if sign == 1 else np.subtract
-    out._buckets = op(a.buckets, b.buckets, dtype=np.int64 if peak > _NARROW_MAX else _NARROW)
-    out._cardinality = a.cardinality + sign * b.cardinality
-    out._bound = peak
-    return out
+    counters = op(a.buckets, b.buckets, dtype=np.int64 if peak > _NARROW_MAX else _NARROW)
+    return LevelSketch._of(a.randomness, counters, a.cardinality + sign * b.cardinality, peak)
 
 
 def _peak(counters: np.ndarray) -> int:
@@ -383,9 +435,6 @@ def sketch_from_bytes(data: bytes, randomness: SketchRandomness) -> LevelSketch:
     if len(body) != expected:
         raise ValueError(f"counter block is {len(body)} bytes, expected {expected}")
     counters = np.frombuffer(body, dtype="<i8").reshape(num_levels, c2)
-    out = LevelSketch.__new__(LevelSketch)
-    out.randomness = randomness
-    out._bound = _peak(counters)
-    out._buckets = counters.astype(np.int64 if out._bound > _NARROW_MAX else _NARROW)
-    out._cardinality = int(cardinality)
-    return out
+    peak = _peak(counters)
+    narrowed = counters.astype(np.int64 if peak > _NARROW_MAX else _NARROW)
+    return LevelSketch._of(randomness, narrowed, int(cardinality), peak)

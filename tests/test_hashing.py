@@ -288,6 +288,14 @@ class TestSketchRandomness:
             assert_array_equal(got[rows], mixed_hash_array(rnd.bucket_specs[k], items[rows]))
             assert_array_equal(rnd.buckets_of(k, items), mixed_hash_array(rnd.bucket_specs[k], items))
 
+    @pytest.mark.parametrize("c_squared", [2**31, 2**32, 2**33])
+    def test_wide_rows_match_the_full_finalizer(self, c_squared):
+        """buckets_of drops the last xor-shift only where it cannot reach the kept bits."""
+        rnd = SketchRandomness(2**14, c_squared, 72003)
+        items = np.random.default_rng(72003).integers(0, 2**14, size=2000)
+        for k in (0, 7, rnd.max_level):
+            assert_array_equal(rnd.buckets_of(k, items), mixed_hash_array(rnd.bucket_specs[k], items))
+
     def test_minhash_spec_is_cached_and_seed_stable(self):
         rnd = SketchRandomness(4096, 64, 3)
         again = SketchRandomness(4096, 64, 3)

@@ -317,6 +317,162 @@ class TestDeletionSoundness:
         assert sk == build(rnd, np.setdiff1d(items, doomed))
 
 
+QUEUE_CAP = dynlsh.sketch._QUEUE_CAP
+QUEUE_RND = SketchRandomness(d=1024, c_squared=64, master_seed=42)
+
+
+def read_after_each(randomness, batches):
+    """The sketch of (items, values) batches with its counters read after each, so none waits."""
+    sk = LevelSketch(randomness)
+    for items, values in batches:
+        sk.update_many(items, values)
+        sk.buckets
+    return sk
+
+
+def entry_bytes(index):
+    """An LshIndex's entries with every array as (dtype, bytes), to compare byte for byte."""
+    return {
+        k: tuple((f.dtype.str, f.tobytes()) if isinstance(f, np.ndarray) else f for f in entry)
+        for k, entry in index._entries.items()
+    }
+
+
+def _seeded_batch(size, seed):
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, 1024, size=size), rng.choice([-1, 1], size=size)
+
+
+# sizes from one item to past the cap, so queues fill up as well as being read
+_batches = st.builds(_seeded_batch, st.integers(1, 3 * QUEUE_CAP // 4), st.integers(0, 2**32 - 1))
+_queue_ops = st.one_of(
+    st.tuples(st.just("update"), st.sampled_from([0, 1]), _batches),
+    st.tuples(
+        st.sampled_from(["buckets", "copy", "eq", "merge", "bytes", "distance", "insert"]),
+        st.sampled_from([0, 1]),
+    ),
+)
+
+
+class TestUpdateQueue:
+    """update_many checks a batch at once and may apply it later; no reader can tell."""
+
+    @given(st.lists(_queue_ops, max_size=70), st.sampled_from([1, -1]))
+    @settings(max_examples=100, deadline=None)
+    def test_queued_updates_read_like_applied_ones(self, ops, sign):
+        rnd = QUEUE_RND
+        lazy = [LevelSketch(rnd), LevelSketch(rnd)]
+        eager = [LevelSketch(rnd), LevelSketch(rnd)]
+        estimator = DistanceEstimator(jaccard(rnd.d), rnd)
+        cfg = LshConfig(r1=0.5, r2=0.1, epsilon=0.9, delta=0.5, bands_r=2, repetitions_l=3)
+        lazy_index, eager_index = LshIndex(cfg, rnd), LshIndex(cfg, rnd)
+        copies = []
+        for op, side, *batch in ops:
+            x, y = lazy[side], eager[side]
+            if op == "update":
+                x.update_many(*batch[0])
+                y.update_many(*batch[0])
+                y.buckets
+                assert x._queued < QUEUE_CAP
+                assert (x.cardinality, x._bound) == (y.cardinality, y._bound)
+            elif op == "buckets":
+                assert x.buckets.dtype == y.buckets.dtype
+                assert_array_equal(x.buckets, y.buckets)
+            elif op == "copy":
+                copies.append((x.copy(), y.copy()))
+            elif op == "eq":
+                assert x == y
+                assert (lazy[0] == lazy[1]) == (eager[0] == eager[1])
+            elif op == "merge":
+                got, want = merge(x, lazy[1 - side], sign), merge(y, eager[1 - side], sign)
+                assert got.buckets.dtype == want.buckets.dtype
+                assert sketch_to_bytes(got) == sketch_to_bytes(want)
+            elif op == "bytes":
+                assert sketch_to_bytes(x) == sketch_to_bytes(y)
+            elif op == "distance":
+                got = estimator.estimate_distance(x, lazy[1 - side])
+                assert repr(got) == repr(estimator.estimate_distance(y, eager[1 - side]))
+            elif y.cardinality < 0:
+                for index, sk in ((lazy_index, x), (eager_index, y)):
+                    with pytest.raises(ValueError):
+                        index.insert(side, sk)
+            else:
+                lazy_index.insert(side, x)
+                eager_index.insert(side, y)
+                assert entry_bytes(lazy_index) == entry_bytes(eager_index)
+        # a copy keeps what its source held then, whatever the source queued after
+        for got, want in copies:
+            assert sketch_to_bytes(got) == sketch_to_bytes(want)
+        for x, y in zip(lazy, eager):
+            assert sketch_to_bytes(x) == sketch_to_bytes(y)
+
+    def test_equality_and_copy_apply_the_queue(self, randomness):
+        sk = LevelSketch(randomness)
+        sk.update_many([3, 77, 500], 1)
+        assert sk._queued == 3
+        want = read_after_each(randomness, [([3, 77, 500], 1)])
+        assert sk == want and want == sk
+        assert_array_equal(sk.copy().buckets, want.buckets)
+        sk.update_many([3], -1)
+        assert sk != want
+
+    def test_queued_batches_are_copies(self, randomness):
+        items = np.array([3, 77, 500], dtype=np.uint64)
+        assert randomness.item_keys(items) is items  # the caller's own array, unless copied
+        values = np.array([1, 1, -1])
+        grid = np.array([[5, 6], [7, 8]])
+        grid_values = np.array([[1, -1], [1, 1]])
+        sk = LevelSketch(randomness)
+        sk.update_many(items, values)
+        sk.update_many(grid, grid_values)
+        sk.update_many([9], 1)
+        assert sk._queued == 8  # the 2-D batch waits beside the 1-D ones
+        want = read_after_each(
+            randomness, [(items.copy(), values.copy()), (grid.copy(), grid_values.copy()), ([9], 1)]
+        )
+        items[:] = 0
+        values[:] = -1
+        grid[:] = 0
+        grid_values[:] = -1
+        assert sk == want
+        assert sk.cardinality == want.cardinality == 4
+
+    def test_rejected_batch_after_queued_ones_changes_nothing(self, randomness):
+        accepted = [([1, 2, 3], np.array([1, -1, 1])), (np.array([[4, 5]]), -1)]
+        sk = LevelSketch(randomness)
+        for batch in accepted:
+            sk.update_many(*batch)
+        state = (sk._queued, sk.cardinality, sk._bound)
+        assert state == (5, -1, 5)
+        for items, values, error in (
+            ([6, 1024], 1, ItemRangeError),
+            ([6, -1], np.array([1, -1]), ItemRangeError),
+            ([6, 7], np.array([1, 0]), ValueError),
+            ([6, 7, 8], np.array([1, 1]), ValueError),
+            ([6.0], 1, TypeError),
+            ([6], np.array([1.0]), TypeError),
+        ):
+            with pytest.raises(error):
+                sk.update_many(items, values)
+            assert (sk._queued, sk.cardinality, sk._bound) == state
+        want = read_after_each(randomness, accepted)
+        assert sk.buckets.dtype == want.buckets.dtype
+        assert_array_equal(sk.buckets, want.buckets)
+
+    def test_the_queue_is_applied_at_the_cap(self, randomness):
+        rng = np.random.default_rng(72023)
+        sk = LevelSketch(randomness)
+        sk.update_many(rng.integers(0, 1024, size=QUEUE_CAP - 1))
+        assert sk._queued == QUEUE_CAP - 1 and not sk._buckets.any()
+        sk.update_many([5], 1)
+        assert sk._queued == 0 and sk._buckets.sum() == QUEUE_CAP
+        # a batch at or above the cap is applied by its own call
+        for size in (QUEUE_CAP, 3 * QUEUE_CAP + 1):
+            big = LevelSketch(randomness)
+            big.update_many(rng.integers(0, 1024, size=size))
+            assert big._queued == 0 and big._buckets.sum() == size
+
+
 class TestMerge:
     def test_self_subtraction_is_zero(self, randomness):
         sk = build(randomness, [1, 2, 3, 500])
@@ -528,6 +684,16 @@ class TestNarrowCounters:
         assert len(scans) == 1
         assert sk.buckets.dtype == np.int32
         assert sk._bound == peak + 2
+
+    def test_the_bound_scan_counts_queued_updates(self, randomness):
+        pos = int(np.flatnonzero(build(randomness, [3]).buckets)[0])
+        sk = with_counter(randomness, pos, self.TOP - 3)
+        sk.update_many([3, 3], 1)
+        assert sk._queued == 2 and sk._buckets.dtype == np.int32
+        # the scan must see the queued pair, or the next pair would wrap
+        sk.update_many([3, 3], 1)
+        assert sk.buckets.dtype == np.int64
+        assert sk.buckets.flat[pos] == self.TOP + 1
 
     def test_merge_past_the_narrow_range_is_int64_and_exact(self, randomness):
         a = with_counter(randomness, 7, 2**30 + 5, build(randomness, [1, 2, 3]))
