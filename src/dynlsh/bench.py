@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import math
 import os
 import time
@@ -86,10 +87,20 @@ _TAG_SCURVE = 13
 _TAG_TIMING = 14
 _TAG_LOW_PAIRS = 15
 
-# Lines per chunk of a stream body: each chunk's text is held while it is
-# parsed, and its (rows, 3) int64 table of 384 KiB is large enough that the
-# per-call cost of np.loadtxt vanishes.
+# Lines per chunk of a stream body read from a handle: each chunk's text is
+# held while it is parsed, and its (rows, 3) int64 table of 384 KiB is large
+# enough that the per-call cost of the vector parse and np.loadtxt vanishes.
 _PARSE_CHUNK_ROWS = 1 << 14
+
+# Characters per read of a stream body from a path; a block is cut after
+# its last newline, about 24k lines of a generated stream.
+_READ_BLOCK_CHARS = 1 << 18
+
+# The most digits of a row or item the vector parse reads: 10^18 - 1 < 2^63.
+_MAX_DIGITS = 18
+
+# The separator bytes of each line of write_stream's `j i v` form.
+_SEPARATORS = np.frombuffer(b"  \n", np.uint8)
 
 # Updates per replay block, which is cut between rows: a block's work
 # arrays take tens of bytes per update, and go before the next block's.
@@ -378,9 +389,13 @@ def read_manifest(source: str | os.PathLike | IO[str]) -> list[PlantedPair]:
 def _read_stream(source: str | os.PathLike | IO[str]) -> tuple[int, int, tuple]:
     """(n, d, updates) of an update stream, the updates sorted by (row, item, sign).
 
-    The source is read once, in chunks of _PARSE_CHUNK_ROWS lines, and
-    parsed whole before any row is looked at, so a malformed line raises
-    StreamParseError with its line number first.  Each update is packed
+    The source is read once and parsed whole before any row is looked at,
+    so a malformed line raises StreamParseError with its line number first.
+    A path's body is read in blocks of whole lines (_path_blocks), a
+    handle's in chunks of _PARSE_CHUNK_ROWS lines (_handle_blocks).  Each
+    block goes through the first tier that takes it: _parse_canonical for
+    write_stream's exact form, else _parse_chunk (np.loadtxt, then the line
+    loop _parse_lines, the one specification).  Each update is packed
     into one unsigned key, its row above its item above a sign bit set for
     +1 (uint32 when that fits, else uint64), and the keys are sorted in
     place.  updates is (keys, lows, shift): update k is in row keys[k] >>
@@ -388,6 +403,7 @@ def _read_stream(source: str | os.PathLike | IO[str]) -> tuple[int, int, tuple]:
     stream wider than _KEY_BITS (d = 2^63 with n > 1) keeps its rows as the
     keys and the rest as lows, sorted together by np.lexsort.
     """
+    by_path = isinstance(source, (str, os.PathLike))
     with _opened(source, "r") as fh:
         lines = iter(fh)
         n, d = _parse_header(next(lines, ""))
@@ -396,10 +412,16 @@ def _read_stream(source: str | os.PathLike | IO[str]) -> tuple[int, int, tuple]:
         dtype, packed = np.dtype(np.uint32 if width <= 32 else np.uint64), width <= _KEY_BITS
         keys, lows = [np.empty(0, dtype if packed else np.min_scalar_type(n))], [np.empty(0, dtype)]
         line_no = 2
-        while chunk := list(islice(lines, _PARSE_CHUNK_ROWS)):
-            j, i, v = _parse_chunk(chunk, n, d, line_no)
-            line_no += len(chunk)
-            del chunk  # not held while the next chunk is read
+        for text, chunk in _path_blocks(fh) if by_path else _handle_blocks(lines):
+            columns = _parse_canonical(text, n, d)
+            # a handle may split lines elsewhere than at "\n", as newline="\r" does
+            if columns is None or chunk is not None and len(columns[0]) != len(chunk):
+                if chunk is None:  # split as the file splits lines
+                    chunk = io.StringIO(text, newline="").readlines()
+                columns = _parse_chunk(chunk, n, d, line_no)
+            line_no += len(columns[0]) if chunk is None else len(chunk)
+            del text, chunk  # not held while the next block is read
+            j, i, v = columns
             low = (i.astype(dtype) << 1) | (v > 0)
             if packed:
                 keys.append(low | (j.astype(dtype) << shift))
@@ -415,12 +437,87 @@ def _read_stream(source: str | os.PathLike | IO[str]) -> tuple[int, int, tuple]:
     return n, d, (keys[order], lows[order], 0)
 
 
+def _path_blocks(fh: IO[str]) -> Iterator[tuple[str, None]]:
+    """The rest of a file opened with newline="", as texts of whole lines.
+
+    Each read of _READ_BLOCK_CHARS characters is cut after its last "\\n"
+    and the rest carried over, so no line (and no "\\r\\n") is split; a text
+    without a final "\\n" can only be the file's last.
+    """
+    pieces: list[str] = []
+    while block := fh.read(_READ_BLOCK_CHARS):
+        if cut := block.rfind("\n") + 1:
+            yield "".join([*pieces, block[:cut]]), None
+            pieces = []
+        pieces.append(block[cut:])
+    if tail := "".join(pieces):
+        yield tail, None
+
+
+def _handle_blocks(lines: Iterator[str]) -> Iterator[tuple[str, list[str]]]:
+    """The rest of a handle's lines, in chunks of _PARSE_CHUNK_ROWS, each with its joined text."""
+    while chunk := list(islice(lines, _PARSE_CHUNK_ROWS)):
+        yield "".join(chunk), chunk
+        del chunk
+
+
+def _parse_canonical(text: str, n: int, d: int) -> tuple[np.ndarray, ...] | None:
+    """The int64 rows, items and values of lines in write_stream's exact form, else None.
+
+    Every line must be `j i v\\n`: single spaces, j and i of 1 to
+    _MAX_DIGITS decimal digits (so neither overflows int64), v exactly 1
+    or -1, and 0 <= j < n, 0 <= i < d.  The checks are vector compares on
+    the bytes: where the separators are, one count of digits and signs,
+    and where the signs are.  Whatever passes, the line loop reads alike;
+    any text that fails goes to _parse_chunk, which names the error.
+    """
+    if not text.isascii():
+        return None
+    buf = np.frombuffer(text.encode("ascii"), np.uint8)
+    seps = np.flatnonzero(buf <= ord(" "))  # every control byte and space
+    if not seps.size or seps.size % 3 or seps[-1] != buf.size - 1:
+        return None
+    if not (buf[seps].reshape(-1, 3) == _SEPARATORS).all():
+        return None  # a line's separators are not exactly " ", " ", newline
+    signs = np.count_nonzero(buf == ord("-"))
+    if np.count_nonzero(buf - ord("0") < 10) + signs + seps.size != buf.size:
+        return None  # a byte that is no digit, sign or separator
+    first, second, ends = seps.reshape(-1, 3).T
+    width_j = first - np.r_[0, ends[:-1] + 1]
+    width_i = second - first - 1
+    negative = ends - second == 3
+    if not (
+        1 <= width_j.min() and width_j.max() <= _MAX_DIGITS
+        and 1 <= width_i.min() and width_i.max() <= _MAX_DIGITS
+        and ((ends - second == 2) | negative).all()  # v is "1" or "-1",
+        and (buf[ends - 1] == ord("1")).all()
+        and (buf[second[negative] + 1] == ord("-")).all()
+        and np.count_nonzero(negative) == signs  # and no other token has a sign
+    ):
+        return None
+    j, i = _decimal(buf, first, width_j), _decimal(buf, second, width_i)
+    if int(j.max()) >= n or int(i.max()) >= d:
+        return None
+    return j, i, np.where(negative, -1, 1)
+
+
+def _decimal(buf: np.ndarray, stop: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """int64 values of the digit runs buf[stop - width : stop], one gather per digit position."""
+    value = np.zeros(stop.size, np.int64)
+    for p in range(int(width.max()), 0, -1):  # the digit worth 10^(p - 1), "0" before a run
+        value *= 10
+        value += np.where(width >= p, buf[stop - p], ord("0")) - ord("0")
+    return value
+
+
 def _parse_chunk(lines: list[str], n: int, d: int, first_line: int) -> np.ndarray:
     """The (3, updates) int64 rows, items and values of body lines, as _parse_lines reads them.
 
-    An ASCII chunk goes through np.loadtxt, which splits on the same
-    whitespace as the line loop and takes a subset of the tokens int()
-    takes (numpy 1.23 to at least 1.26 parse a float token with only a
+    These are the lines of a block _parse_canonical rejected, split as the
+    source splits them.  An ASCII chunk goes through np.loadtxt, which
+    splits on the same whitespace as the line loop (CRLF, tabs and blank
+    lines included) and takes a subset of the tokens int() takes, "+1"
+    among them (numpy 1.23 to at least 1.26 parse a float token with only a
     DeprecationWarning, raised here), and then through the loop's range
     checks.  Any other chunk, or one that fails, goes to _parse_lines, which
     names the error.  Non-ASCII text never reaches loadtxt, which can crash

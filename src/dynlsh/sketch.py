@@ -179,7 +179,7 @@ class LevelSketch:
             self._bound = _peak(self.buckets)
             if self._bound + vals.size > _NARROW_MAX:
                 self._buckets = self._buckets.astype(np.int64)
-        self._cardinality += plus - minus
+        self._cardinality += int(plus - minus)  # count_nonzero gives np.intp
         self._bound += vals.size
         start, end = self._queued, self._queued + vals.size
         if end < _QUEUE_CAP:

@@ -498,6 +498,20 @@ class TestVectorizedIngest:
     @example(text="1 10\n0 1 1\x850 2 1\n", source="pipe", chunk_rows=3)
     @example(text="1 10\n0 5 +1\n0 007 -1\n", source="path", chunk_rows=3)
     @example(text="2 10\n0 1 1\n1 2 1\n0 3 1\n\n\n1 4 -1\n0 x 1\n", source="pipe", chunk_rows=3)
+    @example(text="2 10\n0 1 1\n1 2 1\r\n1 3 -1\n", source="path", chunk_rows=3)
+    @example(text="2 10\n0 1 1\n1 2 1\r\n1 3 -1\n", source="\n", chunk_rows=3)
+    @example(text="2 10\n0 1 1\n1 2 -1", source="path", chunk_rows=3)
+    @example(text=f"1 {2**63}\n0 {2**63 - 1} 1\n0 {10**18} 1\n0 {10**18 - 1} 1\n", source="path", chunk_rows=3)
+    @example(text=f"1 {2**63}\n0 1 1\n0 {10**19 - 1} 1\n", source="path", chunk_rows=3)
+    @example(text=f"1 10\n0 1 1\n{10**19 - 1} 1 1\n", source="path", chunk_rows=3)
+    @example(text="1 10\n0 1 1\n0 2 -0\n", source="path", chunk_rows=3)
+    @example(text="1 10\n0 1 1\n0 2 +1\n", source="path", chunk_rows=3)
+    @example(text="1 10\n0 1 1\n0 2 --1\n", source="path", chunk_rows=3)
+    @example(text=f"1 {2**63}\n0 1 1\n0 2 11\n0 -3 1\n", source="path", chunk_rows=3)
+    @example(text="1 10\n0 1 1\x0b0 2 1\n", source="path", chunk_rows=3)
+    @example(text=f"1 {2**63}\n0 1 1\n0 -5 1\n", source="path", chunk_rows=3)
+    @example(text="2 10\n0 1 1\n1 2 1\n0 3 1\n\n\n1 4 -1\n0 x 1\n", source="path", chunk_rows=3)
+    @example(text="2 10\n0 1 1\n0 2 1\n0 3\xe9 1\n1 4 1\n", source="path", chunk_rows=3)
     def test_fast_parse_answers_as_the_line_loop(self, text, source, chunk_rows):
         with mock.patch.object(dynlsh.bench, "_PARSE_CHUNK_ROWS", chunk_rows):
             if source == "path":
@@ -505,7 +519,10 @@ class TestVectorizedIngest:
                     path = Path(tmp) / "s.stream"
                     path.write_text(text, encoding="utf-8", newline="")
                     opened = lambda: open(path, encoding="ascii", errors="surrogateescape", newline="")
-                    self._check(lambda: path, opened)
+                    # blocks of 1, 3 and 7 characters cut lines, "\r\n" and tokens
+                    for block_chars in (1, 3, 7, dynlsh.bench._READ_BLOCK_CHARS):
+                        with mock.patch.object(dynlsh.bench, "_READ_BLOCK_CHARS", block_chars):
+                            self._check(lambda: path, opened)
             elif source == "pipe":
                 self._check(lambda: _Unseekable(io.StringIO(text)), lambda: io.StringIO(text))
             else:
@@ -520,6 +537,14 @@ class TestVectorizedIngest:
         want = _outcome(loop)
         assert _outcome(lambda: read_sets(source())) == want
         assert _sets_are_int64(lambda: read_sets(source()))
+
+    def test_a_handle_splitting_lines_elsewhere_answers_as_the_line_loop(self):
+        """A handle opened with newline="\\r" yields both updates of "0 1 1\\n1 2 -1\\n" as one line."""
+        text = "2 10\r0 1 1\n1 2 -1\n"
+        opened = lambda: io.TextIOWrapper(io.BytesIO(text.encode()), newline="\r")
+        want = _outcome(lambda: _line_loop(opened()))
+        assert want[0] is StreamParseError and want[2] == 2
+        assert _outcome(lambda: read_sets(opened())) == want
 
     @pytest.mark.parametrize("text", ["0 5\n", "3 5", "2 10\n\n  \n\t\n"])
     def test_empty_bodies_raise_no_warning(self, text):
@@ -538,13 +563,20 @@ class TestVectorizedIngest:
         assert caught == []
 
     def test_valid_streams_never_reach_the_line_loop(self, tmp_path):
+        """write_stream's output, from a path or a handle, is read by the vector parse alone."""
         corpus = generate(30, 500, (0.02, 0.1), DEFAULT_PLANTED_RANGES, 5, 4)
         path = tmp_path / "c.stream"
         write_stream(corpus, path, churn=0.5, seed=4)
         want = read_sets(path)[1]
-        with mock.patch.object(dynlsh.bench, "_parse_lines", side_effect=AssertionError("loop used")):
-            with mock.patch.object(dynlsh.bench, "_PARSE_CHUNK_ROWS", 7):  # many chunks
-                d, sets = read_sets(path)
+        with (
+            mock.patch.object(dynlsh.bench, "_parse_lines", side_effect=AssertionError("loop used")),
+            mock.patch.object(np, "loadtxt", side_effect=AssertionError("loadtxt used")),
+            mock.patch.object(dynlsh.bench, "_READ_BLOCK_CHARS", 100),  # many blocks
+            mock.patch.object(dynlsh.bench, "_PARSE_CHUNK_ROWS", 7),  # many chunks
+        ):
+            d, sets = read_sets(path)
+            with open(path) as fh:
+                assert [s.tolist() for s in read_sets(fh)[1]] == [s.tolist() for s in want]
             assert d == 500
             assert [s.tolist() for s in sets] == [sorted(s.tolist()) for s in corpus.rows]
             assert [s.tolist() for s in sets] == [s.tolist() for s in want]

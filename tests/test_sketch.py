@@ -135,6 +135,17 @@ class TestUpdates:
         assert sk == build(randomness, survivors)
         assert sk.cardinality == 500
 
+    def test_cardinality_is_a_python_int_on_every_path(self, randomness):
+        """Counts of NumPy calls must not leak fixed-width integers into cardinality."""
+        one, scalar, array = (LevelSketch(randomness) for _ in range(3))
+        one.update(np.int64(3), np.int64(1))
+        scalar.update_many(np.arange(5), np.int8(1))
+        array.update_many(np.arange(5, 9), np.array([1, -1, 1, 1], np.int16))
+        sketches = [one, scalar, array, merge(scalar, array), merge(scalar, array, -1), array.copy()]
+        sketches.append(sketch_from_bytes(sketch_to_bytes(array), randomness))
+        assert [sk.cardinality for sk in sketches] == [1, 5, 2, 7, 3, 2, 2]
+        assert all(type(sk.cardinality) is int for sk in sketches)
+
     def test_empty_update_many_is_noop(self, randomness):
         sk = LevelSketch(randomness)
         sk.update_many(np.empty(0, dtype=np.int64), 1)
