@@ -23,7 +23,6 @@ import io
 import math
 import os
 import time
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice, repeat
@@ -87,13 +86,12 @@ _TAG_SCURVE = 13
 _TAG_TIMING = 14
 _TAG_LOW_PAIRS = 15
 
-# Lines per chunk of a stream body read from a handle: each chunk's text is
-# held while it is parsed, and its (rows, 3) int64 table of 384 KiB is large
-# enough that the per-call cost of the vector parse and np.loadtxt vanishes.
+# Lines per chunk of a stream body read from a handle: each chunk's lines
+# are held while the line loop reads them, and no longer.
 _PARSE_CHUNK_ROWS = 1 << 14
 
 # Characters per read of a stream body from a path; a block is cut after
-# its last newline, about 24k lines of a generated stream.
+# its last line end, about 24k lines of a generated stream.
 _READ_BLOCK_CHARS = 1 << 18
 
 # The most digits of a row or item the vector parse reads: 10^18 - 1 < 2^63.
@@ -391,17 +389,15 @@ def _read_stream(source: str | os.PathLike | IO[str]) -> tuple[int, int, tuple]:
 
     The source is read once and parsed whole before any row is looked at,
     so a malformed line raises StreamParseError with its line number first.
-    A path's body is read in blocks of whole lines (_path_blocks), a
-    handle's in chunks of _PARSE_CHUNK_ROWS lines (_handle_blocks).  Each
-    block goes through the first tier that takes it: _parse_canonical for
-    write_stream's exact form, else _parse_chunk (np.loadtxt, then the line
-    loop _parse_lines, the one specification).  Each update is packed
-    into one unsigned key, its row above its item above a sign bit set for
-    +1 (uint32 when that fits, else uint64), and the keys are sorted in
-    place.  updates is (keys, lows, shift): update k is in row keys[k] >>
-    shift, and its item and sign bit are the low shift bits of keys[k].  A
-    stream wider than _KEY_BITS (d = 2^63 with n > 1) keeps its rows as the
-    keys and the rest as lows, sorted together by np.lexsort.
+    A path's body is read in blocks of whole lines (_path_columns), a
+    handle's in chunks of _PARSE_CHUNK_ROWS lines by the line loop
+    _parse_lines, the one specification (_handle_columns).  Each update is
+    packed into one unsigned key, its row above its item above a sign bit
+    set for +1 (uint32 when that fits, else uint64), and the keys are
+    sorted in place.  updates is (keys, lows, shift): update k is in row
+    keys[k] >> shift, and its item and sign bit are the low shift bits of
+    keys[k].  A stream wider than _KEY_BITS (d = 2^63 with n > 1) keeps its
+    rows as the keys and the rest as lows, sorted together by np.lexsort.
     """
     by_path = isinstance(source, (str, os.PathLike))
     with _opened(source, "r") as fh:
@@ -411,17 +407,7 @@ def _read_stream(source: str | os.PathLike | IO[str]) -> tuple[int, int, tuple]:
         width = max(n - 1, 0).bit_length() + shift
         dtype, packed = np.dtype(np.uint32 if width <= 32 else np.uint64), width <= _KEY_BITS
         keys, lows = [np.empty(0, dtype if packed else np.min_scalar_type(n))], [np.empty(0, dtype)]
-        line_no = 2
-        for text, chunk in _path_blocks(fh) if by_path else _handle_blocks(lines):
-            columns = _parse_canonical(text, n, d)
-            # a handle may split lines elsewhere than at "\n", as newline="\r" does
-            if columns is None or chunk is not None and len(columns[0]) != len(chunk):
-                if chunk is None:  # split as the file splits lines
-                    chunk = io.StringIO(text, newline="").readlines()
-                columns = _parse_chunk(chunk, n, d, line_no)
-            line_no += len(columns[0]) if chunk is None else len(chunk)
-            del text, chunk  # not held while the next block is read
-            j, i, v = columns
+        for j, i, v in _path_columns(fh, n, d) if by_path else _handle_columns(lines, n, d):
             low = (i.astype(dtype) << 1) | (v > 0)
             if packed:
                 keys.append(low | (j.astype(dtype) << shift))
@@ -437,28 +423,52 @@ def _read_stream(source: str | os.PathLike | IO[str]) -> tuple[int, int, tuple]:
     return n, d, (keys[order], lows[order], 0)
 
 
-def _path_blocks(fh: IO[str]) -> Iterator[tuple[str, None]]:
+def _path_columns(fh: IO[str], n: int, d: int) -> Iterator[np.ndarray | tuple[np.ndarray, ...]]:
+    """The int64 rows, items and values of each _path_blocks text of a file's body.
+
+    A text in write_stream's exact form is read by _parse_canonical; any
+    other goes to the line loop _parse_lines, split as the file (opened
+    with newline="") splits lines, so the loop names the error and its line.
+    """
+    line_no = 2
+    for text in _path_blocks(fh):
+        if (columns := _parse_canonical(text, n, d)) is not None:
+            line_no += len(columns[0])  # one update per line
+        else:
+            lines = io.StringIO(text, newline="").readlines()
+            columns = _parse_lines(lines, n, d, line_no)
+            line_no += len(lines)
+            del lines
+        del text  # not held while the rows are packed
+        yield columns
+
+
+def _handle_columns(lines: Iterator[str], n: int, d: int) -> Iterator[np.ndarray]:
+    """The (3, updates) int64 rows, items and values of a handle's body, a chunk of lines at a time."""
+    line_no = 2
+    while chunk := list(islice(lines, _PARSE_CHUNK_ROWS)):
+        columns = _parse_lines(chunk, n, d, line_no)
+        line_no += len(chunk)
+        del chunk  # not held while the rows are packed
+        yield columns
+
+
+def _path_blocks(fh: IO[str]) -> Iterator[str]:
     """The rest of a file opened with newline="", as texts of whole lines.
 
-    Each read of _READ_BLOCK_CHARS characters is cut after its last "\\n"
-    and the rest carried over, so no line (and no "\\r\\n") is split; a text
-    without a final "\\n" can only be the file's last.
+    Each read of _READ_BLOCK_CHARS characters is cut after its last line
+    end, a "\\n" or a "\\r" that is not the read's last character (so no
+    "\\r\\n" is split), and the rest carried over; a text without a final
+    line end can only be the file's last.
     """
     pieces: list[str] = []
     while block := fh.read(_READ_BLOCK_CHARS):
-        if cut := block.rfind("\n") + 1:
-            yield "".join([*pieces, block[:cut]]), None
+        if cut := max(block.rfind("\n"), block.rfind("\r", 0, len(block) - 1)) + 1:
+            yield "".join([*pieces, block[:cut]])
             pieces = []
         pieces.append(block[cut:])
     if tail := "".join(pieces):
-        yield tail, None
-
-
-def _handle_blocks(lines: Iterator[str]) -> Iterator[tuple[str, list[str]]]:
-    """The rest of a handle's lines, in chunks of _PARSE_CHUNK_ROWS, each with its joined text."""
-    while chunk := list(islice(lines, _PARSE_CHUNK_ROWS)):
-        yield "".join(chunk), chunk
-        del chunk
+        yield tail
 
 
 def _parse_canonical(text: str, n: int, d: int) -> tuple[np.ndarray, ...] | None:
@@ -469,7 +479,7 @@ def _parse_canonical(text: str, n: int, d: int) -> tuple[np.ndarray, ...] | None
     or -1, and 0 <= j < n, 0 <= i < d.  The checks are vector compares on
     the bytes: where the separators are, one count of digits and signs,
     and where the signs are.  Whatever passes, the line loop reads alike;
-    any text that fails goes to _parse_chunk, which names the error.
+    any text that fails goes to the line loop, which names the error.
     """
     if not text.isascii():
         return None
@@ -508,39 +518,6 @@ def _decimal(buf: np.ndarray, stop: np.ndarray, width: np.ndarray) -> np.ndarray
         value *= 10
         value += np.where(width >= p, buf[stop - p], ord("0")) - ord("0")
     return value
-
-
-def _parse_chunk(lines: list[str], n: int, d: int, first_line: int) -> np.ndarray:
-    """The (3, updates) int64 rows, items and values of body lines, as _parse_lines reads them.
-
-    These are the lines of a block _parse_canonical rejected, split as the
-    source splits them.  An ASCII chunk goes through np.loadtxt, which
-    splits on the same whitespace as the line loop (CRLF, tabs and blank
-    lines included) and takes a subset of the tokens int() takes, "+1"
-    among them (numpy 1.23 to at least 1.26 parse a float token with only a
-    DeprecationWarning, raised here), and then through the loop's range
-    checks.  Any other chunk, or one that fails, goes to _parse_lines, which
-    names the error.  Non-ASCII text never reaches loadtxt, which can crash
-    the process on rejected lines that end in astral-plane characters.
-    """
-    if "".join(lines).isascii():
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # a chunk of blank lines warns
-                warnings.simplefilter("error", DeprecationWarning)
-                table = np.loadtxt(lines, dtype=np.int64, ndmin=2, comments=None)
-            # ValueError unless every line had 3 tokens; only blank lines give no table
-            j, i, v = columns = table.T if table.size else np.empty((3, 0), np.int64)
-        except (ValueError, DeprecationWarning):
-            pass
-        else:
-            if not j.size or (
-                int(j.min()) >= 0 and int(j.max()) < n
-                and int(i.min()) >= 0 and int(i.max()) < d
-                and bool((np.abs(v) == 1).all())
-            ):
-                return columns
-    return _parse_lines(lines, n, d, first_line)
 
 
 def _replay(
@@ -671,8 +648,8 @@ def _parse_lines(lines: Iterable[str], n: int, d: int, first_line: int) -> np.nd
     0 <= i < d and v in {+1, -1}; blank lines are skipped.  The first line
     breaking a rule raises StreamParseError with its 1-based number, the
     first of `lines` being line first_line.  Returns the (3, updates) int64
-    array of rows, items and values in stream order.  _parse_chunk may only
-    accept what this accepts.
+    array of rows, items and values in stream order.  _parse_canonical may
+    only accept what this accepts.
     """
     rows: list[int] = []
     items: list[int] = []

@@ -374,7 +374,8 @@ class TestIngestParsing:
 
 
 # Faults injected into otherwise valid streams: some break a rule of the
-# line loop, some are accepted by int() or str.split() but not by loadtxt.
+# line loop, some are accepted by int() or str.split() but are no canonical
+# `j i v` line.
 _FAULTS = (
     "count", "x", "1.0", "1_0", "+1", "007", "-", "2**64", "j=n", "i=d", "v=0", "v=2",
     "blank", "\t", "\r\n", "\r", "\x0b", "\x85", "\xa0",
@@ -512,6 +513,8 @@ class TestVectorizedIngest:
     @example(text=f"1 {2**63}\n0 1 1\n0 -5 1\n", source="path", chunk_rows=3)
     @example(text="2 10\n0 1 1\n1 2 1\n0 3 1\n\n\n1 4 -1\n0 x 1\n", source="path", chunk_rows=3)
     @example(text="2 10\n0 1 1\n0 2 1\n0 3\xe9 1\n1 4 1\n", source="path", chunk_rows=3)
+    @example(text="2 10\r0 1 1\r1 2 1\r0 3 1\r1 2 -1\r", source="path", chunk_rows=3)
+    @example(text="2 10\r0 1 1\r1 2 1\r\n0 3 1\r1 x 1\r", source="path", chunk_rows=3)
     def test_fast_parse_answers_as_the_line_loop(self, text, source, chunk_rows):
         with mock.patch.object(dynlsh.bench, "_PARSE_CHUNK_ROWS", chunk_rows):
             if source == "path":
@@ -538,45 +541,40 @@ class TestVectorizedIngest:
         assert _outcome(lambda: read_sets(source())) == want
         assert _sets_are_int64(lambda: read_sets(source()))
 
-    def test_a_handle_splitting_lines_elsewhere_answers_as_the_line_loop(self):
-        """A handle opened with newline="\\r" yields both updates of "0 1 1\\n1 2 -1\\n" as one line."""
-        text = "2 10\r0 1 1\n1 2 -1\n"
-        opened = lambda: io.TextIOWrapper(io.BytesIO(text.encode()), newline="\r")
-        want = _outcome(lambda: _line_loop(opened()))
-        assert want[0] is StreamParseError and want[2] == 2
-        assert _outcome(lambda: read_sets(opened())) == want
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_path_blocks_end_at_line_ends(self, tmp_path, end):
+        """A file is read in blocks of whole lines, whatever its line ends, and none grows to the whole body."""
+        text = "".join(f"0 {i} 1{end}" for i in range(200))
+        path = tmp_path / "s.stream"
+        path.write_text(text, newline="")
+        with mock.patch.object(dynlsh.bench, "_READ_BLOCK_CHARS", 16), open(path, newline="") as fh:
+            blocks = list(dynlsh.bench._path_blocks(fh))
+        assert "".join(blocks) == text
+        assert all(block.endswith(end) for block in blocks)
+        assert max(map(len, blocks)) < 16 + 2 * len(f"0 199 1{end}")
 
     @pytest.mark.parametrize("text", ["0 5\n", "3 5", "2 10\n\n  \n\t\n"])
-    def test_empty_bodies_raise_no_warning(self, text):
+    def test_empty_bodies_raise_no_warning(self, tmp_path, text):
         empty = [[]] * int(text[0])
-        for source in (io.StringIO(text), _Unseekable(io.StringIO(text))):
+        path = tmp_path / "s.stream"
+        path.write_text(text, newline="")
+        for source in (io.StringIO(text), _Unseekable(io.StringIO(text)), path):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 _, sets = read_sets(source)
                 assert [s.tolist() for s in sets] == empty
-        # the vectorized pass itself takes empty bodies, and lets no warning out
-        with mock.patch.object(dynlsh.bench, "_parse_lines", side_effect=AssertionError("loop used")):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                _, sets = read_sets(io.StringIO(text))
-                assert [s.tolist() for s in sets] == empty
-        assert caught == []
 
     def test_valid_streams_never_reach_the_line_loop(self, tmp_path):
-        """write_stream's output, from a path or a handle, is read by the vector parse alone."""
+        """write_stream's output, read from a path, goes through the canonical parse alone."""
         corpus = generate(30, 500, (0.02, 0.1), DEFAULT_PLANTED_RANGES, 5, 4)
         path = tmp_path / "c.stream"
         write_stream(corpus, path, churn=0.5, seed=4)
         want = read_sets(path)[1]
         with (
             mock.patch.object(dynlsh.bench, "_parse_lines", side_effect=AssertionError("loop used")),
-            mock.patch.object(np, "loadtxt", side_effect=AssertionError("loadtxt used")),
             mock.patch.object(dynlsh.bench, "_READ_BLOCK_CHARS", 100),  # many blocks
-            mock.patch.object(dynlsh.bench, "_PARSE_CHUNK_ROWS", 7),  # many chunks
         ):
             d, sets = read_sets(path)
-            with open(path) as fh:
-                assert [s.tolist() for s in read_sets(fh)[1]] == [s.tolist() for s in want]
             assert d == 500
             assert [s.tolist() for s in sets] == [sorted(s.tolist()) for s in corpus.rows]
             assert [s.tolist() for s in sets] == [s.tolist() for s in want]
@@ -600,20 +598,15 @@ class TestVectorizedIngest:
         assert (str(got.value), got.value.line_number) == (str(want.value), 11)
         assert source.lines_read == 1 + 3 * 4  # the header and three chunks, each once
 
-    def test_an_int_parsed_via_float_sends_the_stream_to_the_loop(self):
-        """numpy 1.23 to at least 1.26 read the int64 token "3.7" as 3 and only warn."""
-        real = np.loadtxt
-
-        def lenient(lines, **kwargs):
-            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
-            return real(lines, **{**kwargs, "dtype": np.float64}).astype(np.int64)
-
+    def test_an_int_parsed_via_float_sends_the_stream_to_the_loop(self, tmp_path):
+        """A token written as a float, "3.7" or "1.0", is no canonical token, and the loop rejects its line."""
+        path = tmp_path / "s.stream"
         for text in ("1 10\n0 3.7 1\n", "1 10\n0 3 1.0\n"):
-            with mock.patch.object(np, "loadtxt", lenient), warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)  # numpy's default filter
-                with pytest.raises(StreamParseError) as err:
-                    read_sets(io.StringIO(text))
-            assert err.value.line_number == 2
+            path.write_text(text)
+            for source in (path, io.StringIO(text)):
+                with pytest.raises(StreamParseError, match="non-integer update") as err:
+                    read_sets(source)
+                assert err.value.line_number == 2
 
     @pytest.mark.parametrize(
         "text",
@@ -623,23 +616,13 @@ class TestVectorizedIngest:
             "2\u2003\u0661\u0660\n0 1 1\n",
         ],
     )
-    def test_non_ascii_text_from_a_handle_never_reaches_loadtxt(self, text):
-        real = np.loadtxt
-        seen = []
-
-        def spy(lines, **kwargs):
-            def recorded():
-                for line in lines:
-                    seen.append(line)
-                    yield line
-
-            return real(recorded(), **kwargs)
-
-        for source in (io.StringIO(text), _Unseekable(io.StringIO(text))):
-            with mock.patch.object(np, "loadtxt", spy):
-                got = _outcome(lambda: read_sets(source))
-            assert got == _outcome(lambda: _line_loop(io.StringIO(text)))
-        assert all(line.isascii() for line in seen)
+    def test_non_ascii_text_answers_as_the_line_loop(self, tmp_path, text):
+        path = tmp_path / "s.stream"
+        path.write_text(text, encoding="utf-8", newline="")
+        opened = lambda: open(path, encoding="ascii", errors="surrogateescape", newline="")
+        self._check(lambda: path, opened)
+        self._check(lambda: io.StringIO(text), lambda: io.StringIO(text))
+        self._check(lambda: _Unseekable(io.StringIO(text)), lambda: io.StringIO(text))
 
     def test_read_sets_memory_is_under_half_of_per_update_lists(self, tmp_path):
         """Peak traced memory of read_sets against the line loop's Python lists.
