@@ -694,7 +694,8 @@ def alpha_level(alpha: float, max_level: int) -> int:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha!r}")
     if max_level < 0:
         raise ValueError(f"max_level must be non-negative, got {max_level!r}")
-    k = math.ceil(math.log2(1.0 / alpha)) - 1
+    inverse = 1.0 / alpha  # infinite for a subnormal alpha, whose -log2 is then above 1024
+    k = math.ceil(math.log2(inverse) if inverse < math.inf else -math.log2(alpha)) - 1
     return min(max(k, 0), max_level)
 
 
@@ -854,8 +855,8 @@ def scurve_report(
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials!r}")
-    if not (0.0 < bin_width <= 1.0):
-        raise ValueError(f"bin_width must lie in (0, 1], got {bin_width!r}")
+    if not (0.0 < bin_width <= 1.0) or math.isinf(1.0 / bin_width):
+        raise ValueError(f"bin_width must lie in (0, 1] with a finite reciprocal, got {bin_width!r}")
     pairs = _manifest_pairs(manifest, len(sets))
     n_bins = math.ceil(1.0 / bin_width)
     out: list[ScurveRow] = []
@@ -863,8 +864,7 @@ def scurve_report(
         if r < 1 or l < 1:
             raise ValueError(f"banding shape must be positive, got r={r} l={l}")
         level = alpha_level(alpha, deepest_level(d))
-        hits = np.zeros(n_bins, dtype=np.int64)
-        totals = np.zeros(n_bins, dtype=np.int64)
+        tally: dict[int, list[int]] = {}  # [pairs, hits] of each bin that occurs
         for t in range(trials):
             randomness = SketchRandomness(
                 d, c_squared, derived_seed(master_seed, _TAG_SCURVE, gi, t)
@@ -887,10 +887,10 @@ def scurve_report(
                     and sig_b is not None
                     and bool(np.any(np.all(sig_a == sig_b, axis=1)))
                 )
-                idx = min(int(exact / bin_width), n_bins - 1)
-                totals[idx] += 1
-                hits[idx] += collide
-        for idx in np.flatnonzero(totals):
+                counts = tally.setdefault(min(int(exact / bin_width), n_bins - 1), [0, 0])
+                counts[0] += 1
+                counts[1] += collide
+        for idx, (total, hit) in sorted(tally.items()):
             low = idx * bin_width
             out.append(
                 ScurveRow(
@@ -901,8 +901,8 @@ def scurve_report(
                     level=level,
                     bin_low=low,
                     bin_high=low + bin_width,
-                    n_pairs=int(totals[idx]),
-                    empirical_probability=float(hits[idx] / totals[idx]),
+                    n_pairs=total,
+                    empirical_probability=hit / total,
                     theoretical_probability=amplification_probability(
                         low + bin_width / 2.0, r, l
                     ),

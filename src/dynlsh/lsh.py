@@ -25,7 +25,7 @@ import numpy as np
 from .distance import DistanceEstimator
 from .errors import ConfigMismatchError
 from .hashing import SketchRandomness, deepest_level, minhash_positions, random_hash_spec
-from .sketch import LevelSketch
+from .sketch import LevelSketch, _peak
 
 DEFAULT_PAIR_CAP = 10_000
 
@@ -172,8 +172,8 @@ class LshIndex:
         randomness: SketchRandomness,
         pair_cap: int = DEFAULT_PAIR_CAP,
     ) -> None:
-        if pair_cap < 1:
-            raise ValueError(f"pair_cap must be positive, got {pair_cap!r}")
+        if not isinstance(pair_cap, int) or isinstance(pair_cap, bool) or not 1 <= pair_cap < 2**63:
+            raise ValueError(f"pair_cap must be an integer in [1, 2**63), got {pair_cap!r}")
         self.cfg = cfg
         self.randomness = randomness
         self.pair_cap = pair_cap
@@ -226,10 +226,9 @@ class LshIndex:
         )
         sigs = self.randomness.minhash_rows(rows, offsets, levels, l, r)
         sigs = sigs.reshape(-1, r).astype(self._position_dtype)
-        peak = max(int(values.max(initial=0)), -int(values.min(initial=0)))
         self._entries[set_id] = (
             nonzero.astype(self._position_dtype),
-            values.astype(_narrowest_signed(peak)),
+            values.astype(_narrowest_signed(_peak(values))),
             row_cuts,
             cardinality,
             levels,
@@ -252,8 +251,11 @@ class LshIndex:
         all record rows by (level, repetition, signatures, id rank), packed
         into as few non-negative int64 words as the columns' bit widths
         allow.  A full key is unique (one row per id and table), so one
-        word needs no stable sort, and several are lexsorted.  A second
-        such sort, of (pair, position) keys, finds each pair's first sighting.
+        word needs no stable sort, and several are lexsorted.  All buckets
+        then expand together, with no loop over bucket sizes: each row of
+        a bucket (one id and the ids after it) emits the pairs the cap has
+        left it, and two np.repeat calls place every pair.  A second such
+        sort, of (pair, position) keys, finds each pair's first sighting.
         The pairs are built with the cyclic garbage collector paused: they
         refer only to ids, ints and None, so they cannot form a cycle, and
         a collection during the burst could free nothing that reference
@@ -288,15 +290,16 @@ class LshIndex:
         for lvl, t, total in zip(level[at].tolist(), rep[at].tolist(), totals[over].tolist()):
             message = f"bucket at level {lvl} repetition {t} expands to {total} pairs"
             warnings.warn(f"{message}; emitting the first {cap}", RuntimeWarning, stacklevel=2)
-        emitted = np.minimum(totals, cap)
-        slot = np.cumsum(emitted) - emitted  # where each bucket's pairs start in scan order
-        pairs = np.empty((2, int(emitted.sum())), np.int64)
-        for k in np.unique(sizes).tolist():
-            first = _first_pairs(k, min(k * (k - 1) // 2, cap))
-            same = sizes == k
-            at = slot[same, None] + np.arange(first.shape[1])
-            pairs[:, at] = starts[same, None] + first[:, None]
-        members = rank[pairs]
+        # a bucket of k sorted ids has rows i = 0 .. k-2: row i pairs id i with
+        # ids i+1 .. k-1, after i(2k-i-1)/2 pairs in earlier rows, and the cap
+        # may end the bucket mid-row
+        bucket = np.repeat(np.arange(sizes.size), sizes - 1)  # each row's bucket
+        k, i = sizes[bucket], np.arange(bucket.size) - (np.cumsum(sizes - 1) - sizes + 1)[bucket]
+        width = np.clip(np.minimum(totals, cap)[bucket] - i * (2 * k - i - 1) // 2, 0, k - 1 - i)
+        head = starts[bucket] + i  # the row's first id, by sorted position
+        row = np.repeat(np.arange(head.size), width)  # each pair's row, in scan order
+        second = np.arange(row.size) + (head + 1 - np.cumsum(width) + width)[row]
+        members, bucket = rank[np.stack((head[row], second))], bucket[row]  # now per pair
         # each pair at its first sighting, in scan order: sorted by (pair,
         # position), a pair's run starts at its first position
         code = members[0] * len(ids) + members[1]
@@ -306,8 +309,9 @@ class LshIndex:
         new = np.ones(kept.size, bool)
         new[1:] = code[1:] != code[:-1]
         kept = np.sort(kept[new])
-        seen_at = order[starts[np.repeat(np.arange(sizes.size), emitted)[kept]]]
+        seen_at = order[starts[bucket[kept]]]
         named = np.fromiter(ids, object, len(ids))[by_rank][members[:, kept]]
+        del row, second, bucket, members, code, new, kept, position  # not kept through the burst
         columns = (*named.tolist(), level[seen_at].tolist(), rep[seen_at].tolist(), repeat(None))
         # the pairs form no cycle, so the collector is paused while they are
         # allocated rather than scanning every tracked object in the process
@@ -421,15 +425,6 @@ class LshIndex:
             pairs[j]._replace(verified_distance=d)
             for j, d in zip(keep.tolist(), dist[keep].tolist())
         ]
-
-
-def _first_pairs(k: int, n: int) -> np.ndarray:
-    """The first n pairs of combinations(range(k), 2) as a 2 x n array, in O(n + k)."""
-    row_length = np.arange(k - 1, 0, -1)  # row i holds the pairs (i, i + 1 .. k - 1)
-    ends = np.cumsum(row_length)
-    rows = int(np.searchsorted(ends, n)) + 1
-    first = np.repeat(np.arange(rows), row_length[:rows])[:n]
-    return np.stack((first, np.arange(n) - (ends - row_length)[first] + first + 1))
 
 
 def _pack_words(columns: Sequence[tuple[np.ndarray, int]]) -> list[np.ndarray]:

@@ -790,6 +790,20 @@ class TestAlphaLevel:
         with pytest.raises(ValueError):
             alpha_level(0.5, -1)
 
+    def test_every_rate_keeps_the_reciprocal_level_and_a_subnormal_one_has_a_level(self):
+        """ceil(log2(1/alpha)) - 1 wherever 1/alpha is finite, powers of two and
+        their neighbours included; below 2**-1024, where 1/alpha overflows,
+        -log2(alpha) places the level past 1023."""
+        powers = 2.0 ** -np.arange(1024.0)
+        alphas = np.concatenate([
+            np.geomspace(2.0**-1023, 1.0, 20_000), powers,
+            np.nextafter(powers, 0.0), np.nextafter(powers, 1.0),
+        ])
+        for alpha in alphas.tolist():
+            assert alpha_level(alpha, 2000) == max(math.ceil(math.log2(1.0 / alpha)) - 1, 0)
+        assert alpha_level(1e-320, 20) == 20
+        assert alpha_level(5e-324, 2000) == 1073
+
 
 class TestDeviationReport:
     def test_identical_pair_has_zero_deviation(self):
@@ -879,6 +893,23 @@ class TestScurveReport:
             scurve_report([np.arange(5)], [], 100, [(1, 1, 1.0, 64)], trials=0)
         with pytest.raises(ValueError):
             scurve_report([np.arange(5)], [], 100, [(1, 1, 1.0, 64)], bin_width=0.0)
+        with pytest.raises(ValueError, match="finite reciprocal"):
+            scurve_report([np.arange(5)], [], 100, [(1, 1, 1.0, 64)], bin_width=1e-320)
+
+    def test_a_narrow_bin_width_counts_only_the_bins_that_occur(self):
+        """bin_width 1e-9 has a billion bins; the report keeps two, in
+        ascending order, in well under a MiB."""
+        sets = [np.arange(0, 100), np.arange(50, 150), np.arange(200, 300)]
+        manifest = [PlantedPair(0, 1, 0.2, 0.4, 1 / 3), PlantedPair(0, 2, 0.0, 0.1, 0.0)]
+        tracemalloc.start()
+        try:
+            rows = scurve_report(sets, manifest, 1000, [(2, 2, 1.0, 64)],
+                                 trials=2, bin_width=1e-9, master_seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [(r.bin_low, r.n_pairs) for r in rows] == [(0.0, 2), (333333333 * 1e-9, 2)]
+        assert peak < 2**20
 
     @pytest.mark.parametrize("bad", [7, -1])
     def test_manifest_row_outside_the_stream_rejected(self, bad):

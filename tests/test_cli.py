@@ -214,6 +214,12 @@ class TestScurve:
             "trials=5 bin_width=0.05 seed=0"
         )
 
+    def test_a_bin_width_without_a_finite_reciprocal_exits_2(self, tiny_stream, tiny_manifest, capsys):
+        rc = run(["scurve", "--stream", tiny_stream, "--manifest", tiny_manifest,
+                  "--bin-width", "1e-320"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: bin_width must lie in (0, 1] with a finite")
+
     def test_bad_grid_string_is_an_argparse_error(self, tiny_stream, tiny_manifest):
         with pytest.raises(SystemExit):
             run(["scurve", "--stream", tiny_stream, "--manifest", tiny_manifest,
@@ -230,6 +236,17 @@ class TestTiming:
         assert lines[1].startswith("c_squared,alpha,level,n,d,")
         assert len(lines) == 3
         assert lines[2].startswith("64,0.050000,")
+
+    @pytest.mark.parametrize("job", ["timing", "deviation"])
+    def test_a_subnormal_alpha_reads_the_deepest_level(self, tiny_stream, tiny_manifest, capsys, job):
+        """1/alpha overflows a float there; the level is still the deepest, 6 for d = 40."""
+        options = {"timing": ["--alpha", "1e-320"],
+                   "deviation": ["--manifest", tiny_manifest, "--grid", "64:1e-320", "--trials", 1]}
+        rc = run([job, "--stream", tiny_stream, *options[job]])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].split(",")[2] == "level"
+        assert lines[2].split(",")[2] == "6"
 
 
 class TestLsh:

@@ -246,10 +246,13 @@ class TestLshIndex:
             pairs = index.candidates()
         assert pairs == [CandidatePair("x", "y", pairs[0].level, pairs[0].repetition)]
 
-    def test_pair_cap_validation(self, small_corpus):
+    @pytest.mark.parametrize("pair_cap", [0, -3, 2.5, 6.0, True, "6", 2**63, 10**20])
+    def test_pair_cap_validation(self, small_corpus, pair_cap):
+        """An int, not a bool, in [1, 2**63): a float or a cap past int64
+        failed only later, in candidates()."""
         cfg, rnd, _ = small_corpus
-        with pytest.raises(ValueError):
-            LshIndex(cfg, rnd, pair_cap=0)
+        with pytest.raises(ValueError, match="pair_cap must be an integer"):
+            LshIndex(cfg, rnd, pair_cap=pair_cap)
 
     def test_candidate_levels_cover_reported_pairs(self):
         cfg = LshConfig(r1=0.5, r2=0.1, sampling_p=0.05)
@@ -688,6 +691,27 @@ class TestCandidateReference:
             assert _warning_texts(index.candidates) == (want, texts)
         assert len(packed[0]) == words
         assert texts and any(p.repetition > 0 for p in want)
+
+    @pytest.mark.parametrize("pair_cap", [1, 4, 9, 2**63 - 1])
+    def test_buckets_of_many_sizes_expand_together(self, pair_cap):
+        """The dict-table scan again, on groups of 2 to 12 identical sets, so
+        buckets of eleven sizes expand in one pass: caps 1, 4 and 9 end some
+        buckets mid-row and some at a row's end, and the largest cap, no cap
+        at all, neither truncates nor overflows."""
+        rnd = SketchRandomness(2**12, 64, 76802)
+        cfg = LshConfig(r1=0.5, r2=0.125, bands_r=2, repetitions_l=3, sampling_p=0.3)
+        index = LshIndex(cfg, rnd, pair_cap=pair_cap)
+        rng = np.random.default_rng(76802)
+        groups = {k: build(rnd, rng.choice(2**12, size=200, replace=False)) for k in range(2, 13)}
+        ids = [100 * k + member for k in groups for member in range(k)]
+        for set_id in rng.permutation(ids).tolist():
+            index.insert(set_id, groups[set_id // 100])
+        postings_of = {set_id: _reference_postings(index, groups[set_id // 100]) for set_id in ids}
+        want, texts = _warning_texts(lambda: _reference_candidates(postings_of, pair_cap))
+        assert _warning_texts(index.candidates) == (want, texts)
+        sizes = {len(group) for table in _tables(postings_of).values() for group in table.values()}
+        assert sizes >= set(groups)
+        assert bool(texts) == (pair_cap < 66)
 
     def test_a_capped_bucket_expands_only_the_pairs_it_emits(self, small_corpus):
         """5,000 ids in one bucket under pair_cap=100: the first 100 pairs in
