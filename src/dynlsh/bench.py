@@ -1004,7 +1004,8 @@ def write_csv(
 
     With params, a '# key=value ...' echo line comes first so a report is
     self-describing.  Every line, the echo line included, ends in CRLF as
-    csv.writer rows do.  Floats are written as %.6f and None as `missing`.
+    csv.writer rows do.  Floats are written as %.6f (an alpha that %.6f
+    would round, such as 1e-7, as its repr) and None as `missing`.
     """
     names = getattr(row_type, "_fields", None) or [f.name for f in dataclasses.fields(row_type)]
     with _opened(out, "w") as fh:
@@ -1013,12 +1014,13 @@ def write_csv(
         writer = csv.writer(fh)
         writer.writerow(names)
         for row in rows:
-            writer.writerow([_format_cell(getattr(row, name), missing) for name in names])
+            writer.writerow([_format_cell(name, getattr(row, name), missing) for name in names])
 
 
-def _format_cell(value: object, missing: str) -> str:
+def _format_cell(name: str, value: object, missing: str) -> str:
     if value is None:
         return missing
     if isinstance(value, float):
-        return f"{value:.6f}"
+        text = f"{value:.6f}"
+        return repr(value) if name == "alpha" and float(text) != value else text
     return str(value)

@@ -152,7 +152,8 @@ class DistanceEstimator:
         """Every slot's unclamped distance estimate, from one distances_from_counts call."""
         sym_nz, union_nz, card = [], [], []
         for x, y in zip(self._slots(a), self._slots(b)):
-            # a bool sum counts like count_nonzero without its per-call Python wrapper
+            # a bool sum counts like count_nonzero without its Python wrapper; -y is
+            # exact in y's dtype, as no counter reaches its minimum (|y| <= 2^15 - 1)
             sym_nz.append((x.buckets != y.buckets).sum(axis=1))
             union_nz.append((x.buckets != -y.buckets).sum(axis=1))
             card.append(x.cardinality + y.cardinality)

@@ -25,7 +25,7 @@ import numpy as np
 from .distance import DistanceEstimator
 from .errors import ConfigMismatchError
 from .hashing import SketchRandomness, deepest_level, minhash_positions, random_hash_spec
-from .sketch import LevelSketch, _peak
+from .sketch import LevelSketch, _narrowest_signed, _peak
 
 DEFAULT_PAIR_CAP = 10_000
 
@@ -35,9 +35,6 @@ DEFAULT_PAIR_CAP = 10_000
 _VERIFY_CHUNK_CELLS = 1 << 20
 
 SetId = int | str
-
-# (largest value, dtype) of the signed dtypes _narrowest_signed tries, narrowest first
-_SIGNED_BOUNDS = tuple((int(np.iinfo(t).max), np.dtype(t)) for t in (np.int8, np.int16, np.int32))
 
 
 @dataclass(frozen=True)
@@ -119,12 +116,8 @@ def level_grid(r1: float, d: int) -> tuple[int, ...]:
         return tuple(range(max_level + 1))
     out: list[int] = []
     m = 0
-    while True:
-        k = math.floor(m * step)
-        if k > max_level:
-            break
-        if not out or out[-1] != k:
-            out.append(k)
+    while (k := math.floor(m * step)) <= max_level:
+        out.append(k)  # distinct: a step of one level or more raises k every time
         m += 1
     return tuple(out)
 
@@ -172,11 +165,9 @@ class LshIndex:
         randomness: SketchRandomness,
         pair_cap: int = DEFAULT_PAIR_CAP,
     ) -> None:
-        if not isinstance(pair_cap, int) or isinstance(pair_cap, bool) or not 1 <= pair_cap < 2**63:
-            raise ValueError(f"pair_cap must be an integer in [1, 2**63), got {pair_cap!r}")
+        self.pair_cap = pair_cap
         self.cfg = cfg
         self.randomness = randomness
-        self.pair_cap = pair_cap
         self.grid = level_grid(cfg.r1, randomness.d)
         # per id: sorted flat nonzero positions and their counters, each in
         # the narrowest signed dtype holding it and its negation; row cuts
@@ -186,6 +177,16 @@ class LshIndex:
         self._entries: dict[SetId, tuple] = {}
         self._row_starts = np.arange(randomness.num_levels + 1) * randomness.c_squared
         self._position_dtype = _narrowest_signed(randomness.num_levels * randomness.c_squared)
+
+    @property
+    def pair_cap(self) -> int:
+        return self._pair_cap
+
+    @pair_cap.setter
+    def pair_cap(self, pair_cap: int) -> None:
+        if not isinstance(pair_cap, int) or isinstance(pair_cap, bool) or not 1 <= pair_cap < 2**63:
+            raise ValueError(f"pair_cap must be an integer in [1, 2**63), got {pair_cap!r}")
+        self._pair_cap = pair_cap
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -452,14 +453,6 @@ def _sorting_order(words: Sequence[np.ndarray]) -> np.ndarray:
     Distinct rows leave one sorted order, so one word needs no stable sort.
     """
     return np.argsort(words[0]) if len(words) == 1 else np.lexsort(words[::-1])
-
-
-def _narrowest_signed(bound: int) -> np.dtype:
-    """The smallest signed integer dtype holding -bound .. bound (else int64)."""
-    for top, dtype in _SIGNED_BOUNDS:
-        if bound <= top:
-            return dtype
-    return np.dtype(np.int64)
 
 
 def sensitivity_report(

@@ -1,8 +1,8 @@
 """Linear level sketches over dynamic item streams.
 
 A sketch is an exact cardinality counter s plus a (num_levels x c_squared)
-matrix B of signed counters, stored as int32 until a running bound on
-max |B| could pass 2^31 - 1 and as int64 from then on.  An update (i, v)
+matrix B of signed counters, stored in the narrowest of int16, int32 and
+int64 that holds a running bound on max |B|.  An update (i, v)
 adds v to B[k, h_k(i)] where k = lsb(h(i)), so every item lands in exactly
 one level row and deeper rows keep geometrically fewer items: row k holds
 an item with probability 2^-(k+1), and the tail of rows >= k holds it with
@@ -28,9 +28,11 @@ from .similarity import RationalSimilarity, _similarity_from_counts
 # streams, and refusing them keeps entrywise addition overflow-free
 _MERGE_GUARD = 1 << 62
 
-# counters are stored in _NARROW while a sketch's bound stays within its range
-_NARROW = np.dtype(np.int32)
-_NARROW_MAX = int(np.iinfo(_NARROW).max)
+# the signed dtypes _narrowest_signed chooses from, narrowest first, to their largest values
+_SIGNED = {np.dtype(t): int(np.iinfo(t).max) for t in (np.int8, np.int16, np.int32, np.int64)}
+_INT64 = np.dtype(np.int64)
+# counter storage starts at int16: an int8 bound would run out every 127 updates
+_COUNTER_FLOOR = np.dtype(np.int16)
 
 # the only update values, as 0-d operands of update_many's value check
 _ONE = _frozen_scalar(1, np.int64)
@@ -63,14 +65,14 @@ class LevelSketch:
     sketch is not safe for concurrent use, reads included, while updates
     are queued.
 
-    Counters are int32 until widened, then int64 for good.  _bound is a
-    Python int at least max |counter| over applied and queued updates:
-    each accepted +/-1 update adds one to it, merge sets it to the sum of
-    its inputs' peaks, and sketch_from_bytes to the exact peak.
-    update_many widens the matrix before a batch could push the bound past
-    2^31 - 1, after one scan that re-tightens the bound to the exact peak,
-    so a narrow counter never overflows and never reaches -2^31.  Sketches
-    of either dtype compare, merge and serialize alike.
+    Counters are int16 until widened to int32, then int64, never back.
+    _bound is a Python int at least max |counter| over applied and queued
+    updates: each accepted +/-1 update adds one to it, merge sets it to
+    the sum of its inputs' peaks, and sketch_from_bytes to the exact peak.
+    Before a batch could push it past the dtype's maximum, update_many
+    re-tightens it by one scan and widens only to the tier the batch needs,
+    so a counter never overflows and never reaches -2^15 (or -2^31).
+    Sketches of any dtype compare, merge and serialize alike.
     """
 
     __slots__ = (
@@ -80,7 +82,7 @@ class LevelSketch:
 
     def __init__(self, randomness: SketchRandomness) -> None:
         self.randomness = randomness
-        self._buckets = np.zeros((randomness.num_levels, randomness.c_squared), dtype=_NARROW)
+        self._buckets = np.zeros((randomness.num_levels, randomness.c_squared), _COUNTER_FLOOR)
         self._cardinality = 0
         self._bound = 0
         # the first _queued entries of two buffers allocated on first use
@@ -94,10 +96,7 @@ class LevelSketch:
     ) -> "LevelSketch":
         """A sketch with these counters, cardinality and bound, and nothing queued."""
         out = cls.__new__(cls)
-        out.randomness = randomness
-        out._buckets = buckets
-        out._cardinality = cardinality
-        out._bound = bound
+        out.randomness, out._buckets, out._cardinality, out._bound = randomness, buckets, cardinality, bound
         out._queued_keys = out._queued_values = None
         out._queued = 0
         return out
@@ -173,12 +172,13 @@ class LevelSketch:
         plus, minus = np.count_nonzero(vals == _ONE), np.count_nonzero(vals == _MINUS_ONE)
         if plus + minus != vals.size:
             raise ValueError("update values must be +1 or -1")
-        if self._bound + vals.size > _NARROW_MAX and self._buckets.dtype == _NARROW:
-            # at most once per 2^31 updates: re-tighten to the exact peak,
-            # and widen if this batch could still overflow a narrow counter
+        top = _SIGNED[self._buckets.dtype]
+        if self._bound + vals.size > top and self._buckets.dtype != _INT64:
+            # re-tighten to the exact peak, and widen to the narrowest tier
+            # holding the new bound if this batch could still overflow
             self._bound = _peak(self.buckets)
-            if self._bound + vals.size > _NARROW_MAX:
-                self._buckets = self._buckets.astype(np.int64)
+            if self._bound + vals.size > top:
+                self._buckets = self._buckets.astype(_narrowest_signed(self._bound + vals.size))
         self._cardinality += int(plus - minus)  # count_nonzero gives np.intp
         self._bound += vals.size
         start, end = self._queued, self._queued + vals.size
@@ -199,7 +199,7 @@ class LevelSketch:
         self._add(keys, vals)
 
     def _add(self, keys: np.ndarray, values: np.ndarray) -> None:
-        """Add each +/-1 value to its key's counter, in the matrix's own dtype."""
+        """Add each +/-1 value to its key's counter in the matrix's dtype, which the bound fits."""
         counters = self._buckets
         flat = self.randomness.cells_of(keys)
         np.add.at(counters.reshape(-1), flat, values.astype(counters.dtype, copy=False))
@@ -209,8 +209,8 @@ def merge(a: LevelSketch, b: LevelSketch, sign: int = 1) -> LevelSketch:
     """Entrywise a + sign*b; sign -1 yields the difference sketch.
 
     Both sketches must share equal SketchRandomness (hence d and
-    c_squared).  The result is a fresh sketch; inputs are untouched.  It
-    is int64 only when the inputs' summed peaks could pass 2^31 - 1.
+    c_squared).  The result is a fresh sketch; inputs are untouched, and
+    its counters take the narrowest tier, int16 up, holding their peaks' sum.
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
@@ -220,13 +220,18 @@ def merge(a: LevelSketch, b: LevelSketch, sign: int = 1) -> LevelSketch:
     if peak >= _MERGE_GUARD:
         raise CounterOverflowError("merge would risk 64-bit counter overflow")
     op = np.add if sign == 1 else np.subtract
-    counters = op(a.buckets, b.buckets, dtype=np.int64 if peak > _NARROW_MAX else _NARROW)
+    counters = op(a.buckets, b.buckets, dtype=_narrowest_signed(peak, _COUNTER_FLOOR))
     return LevelSketch._of(a.randomness, counters, a.cardinality + sign * b.cardinality, peak)
 
 
 def _peak(counters: np.ndarray) -> int:
     """max |counter| as a Python int; np.abs would leave -2**63 negative."""
     return max(int(counters.max(initial=0)), -int(counters.min(initial=0)))
+
+
+def _narrowest_signed(bound: int, floor: np.dtype = np.dtype(np.int8)) -> np.dtype:
+    """The smallest signed dtype, floor or wider, holding -bound .. bound (else int64)."""
+    return next((t for t, top in _SIGNED.items() if top >= max(bound, _SIGNED[floor])), _INT64)
 
 
 def _similarity_on_rows(
@@ -312,8 +317,7 @@ def sample_level(
     it is a tail level for similarity_from_level, whose rows >= k retain
     each item with probability exactly 2^-k.
     """
-    for name in ("epsilon", "delta", "r"):
-        v = {"epsilon": epsilon, "delta": delta, "r": r}[name]
+    for name, v in (("epsilon", epsilon), ("delta", delta), ("r", r)):
         if not (0.0 < v < 1.0):
             raise ValueError(f"{name} must lie in (0, 1), got {v!r}")
     if size_hint < 1:
@@ -407,7 +411,7 @@ def sketch_from_bytes(data: bytes, randomness: SketchRandomness) -> LevelSketch:
     Only version 2 is read.  A sketch whose shape or master_seed differs
     from randomness raises ConfigMismatchError: its counters hash items
     differently, so any comparison with it would be meaningless.  The
-    counters load as int32 when they fit, else as int64.
+    counters load in the narrowest tier, int16 up, that holds their peak.
     """
     if len(data) < 8:
         raise ValueError("truncated sketch: missing length prefix")
@@ -436,5 +440,5 @@ def sketch_from_bytes(data: bytes, randomness: SketchRandomness) -> LevelSketch:
         raise ValueError(f"counter block is {len(body)} bytes, expected {expected}")
     counters = np.frombuffer(body, dtype="<i8").reshape(num_levels, c2)
     peak = _peak(counters)
-    narrowed = counters.astype(np.int64 if peak > _NARROW_MAX else _NARROW)
+    narrowed = counters.astype(_narrowest_signed(peak, _COUNTER_FLOOR))
     return LevelSketch._of(randomness, narrowed, int(cardinality), peak)

@@ -1,5 +1,6 @@
 """Corpus generation, stream files, and the measurement reports."""
 
+import dataclasses
 import hashlib
 import io
 import itertools
@@ -997,6 +998,20 @@ class TestReportCsv:
             "sketch_query_seconds,exact_query_seconds,speedup_ratio"
         )
         assert lines[2].endswith(",na")
+
+    def test_alpha_column_keeps_rates_that_six_decimals_would_round(self):
+        """alpha prints as %.6f when that reads back exactly and as its repr
+        otherwise, so 1e-7 and 1e-320 no longer both read 0.000000; every
+        other float cell stays %.6f."""
+        row = timing_report([np.arange(64)], 1000, 64, 0.05, master_seed=7)
+        alphas = [0.05, 0.005, 1.0, 0.0123456789, 1e-7, 1e-320]
+        buf = io.StringIO()
+        write_csv(TimingRow, [dataclasses.replace(row, alpha=a) for a in alphas], buf)
+        cells = [line.split(",") for line in buf.getvalue().splitlines()[1:]]
+        assert [c[1] for c in cells] == [
+            "0.050000", "0.005000", "1.000000", "0.0123456789", "1e-07", "1e-320",
+        ]
+        assert {c[5] for c in cells} == {f"{row.sketch_build_seconds:.6f}"}
 
     def test_writers_accept_paths(self, tmp_path):
         row = timing_report([np.arange(64)], 1000, 64, 0.05, master_seed=8)

@@ -254,6 +254,23 @@ class TestLshIndex:
         with pytest.raises(ValueError, match="pair_cap must be an integer"):
             LshIndex(cfg, rnd, pair_cap=pair_cap)
 
+    @pytest.mark.parametrize("pair_cap", [10**20, 2.5])
+    def test_pair_cap_assignment_is_validated(self, small_corpus, pair_cap):
+        """A cap assigned after construction meets the constructor's check,
+        instead of failing in candidates() with an OverflowError or a
+        casting TypeError, and leaves the old cap in place."""
+        cfg, rnd, items = small_corpus
+        index = LshIndex(cfg, rnd, pair_cap=3)
+        with pytest.raises(ValueError) as assigned:
+            index.pair_cap = pair_cap
+        with pytest.raises(ValueError) as constructed:
+            LshIndex(cfg, rnd, pair_cap=pair_cap)
+        assert str(assigned.value) == str(constructed.value)
+        assert index.pair_cap == 3
+        for name in ("x", "y"):
+            index.insert(name, build(rnd, items))
+        assert len(index.candidates()) == 1
+
     def test_candidate_levels_cover_reported_pairs(self):
         cfg = LshConfig(r1=0.5, r2=0.1, sampling_p=0.05)
         rnd = SketchRandomness(2**14, 256, 76700)

@@ -72,7 +72,7 @@ class TestUpdates:
         assert sk.cardinality == 0
         assert not sk.buckets.any()
         assert sk.buckets.shape == (randomness.num_levels, randomness.c_squared)
-        assert sk.buckets.dtype == np.int32  # int32 until widened
+        assert sk.buckets.dtype == np.int16  # int16 until widened
 
     def test_insert_then_delete_restores_zero(self, randomness):
         sk = LevelSketch(randomness)
@@ -653,30 +653,40 @@ class TestSerialization:
 
 
 class TestNarrowCounters:
-    """int32 storage until a running bound could pass 2^31 - 1, then int64."""
+    """int16 storage until a running bound could pass 2^15 - 1, then int32
+    until it could pass 2^31 - 1, then int64."""
 
-    TOP = 2**31 - 1
+    TOP = 2**15 - 1
+    # (largest value, its tier, the tier past it) at each edge of the ladder
+    EDGES = [(2**15 - 1, np.int16, np.int32), (2**31 - 1, np.int32, np.int64)]
 
-    def widened(self, randomness, items):
-        """The sketch of items, stored as int64 from the start."""
-        big = with_counter(randomness, 0, 2**31)
-        sk = merge(big, big, -1)
-        assert sk.buckets.dtype == np.int64 and not sk.buckets.any()
+    def in_tier(self, sketch, dtype):
+        """An equal copy of sketch (peak at most 2^15 - 1) stored as dtype."""
+        big = with_counter(sketch.randomness, 0, {np.int16: 0, np.int32: 2**15, np.int64: 2**31}[dtype])
+        out = merge(merge(sketch, big), big, -1)
+        assert out.buckets.dtype == dtype and out == sketch
+        return out
+
+    def built_in(self, randomness, items, dtype):
+        """The sketch of items, added to a matrix stored as dtype from the start."""
+        sk = self.in_tier(LevelSketch(randomness), dtype)
         sk.update_many(np.asarray(items, dtype=np.int64))
+        assert sk.buckets.dtype == dtype
         return sk
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_update_widens_before_the_add(self, randomness, sign):
         items = np.array([3, 3, 77, 500, 1023], dtype=np.int64)
         pos = int(np.flatnonzero(build(randomness, [3]).buckets)[0])
-        sk = with_counter(randomness, pos, sign * self.TOP)
-        assert sk.buckets.dtype == np.int32
-        expected = sk.buckets.astype(np.int64) + build_multiset(randomness, items, sign).buckets
-        sk.update_many(items, sign)
-        assert sk.buckets.dtype == np.int64
-        assert sk.buckets.flat[pos] == sign * (self.TOP + 2)
-        assert_array_equal(sk.buckets, expected)
-        assert sk.cardinality == sign * items.size
+        for top, narrow, wide in self.EDGES:
+            sk = with_counter(randomness, pos, sign * top)
+            assert sk.buckets.dtype == narrow
+            expected = sk.buckets.astype(np.int64) + build_multiset(randomness, items, sign).buckets
+            sk.update_many(items, sign)
+            assert sk.buckets.dtype == wide  # one tier up, not straight to int64
+            assert sk.buckets.flat[pos] == sign * (top + 2)
+            assert_array_equal(sk.buckets, expected)
+            assert sk.cardinality == sign * items.size
 
     def test_update_many_scans_only_when_the_bound_runs_out(self, randomness, monkeypatch):
         scans = []
@@ -693,37 +703,44 @@ class TestNarrowCounters:
         sk._bound = self.TOP
         sk.update_many([5, 6], 1)
         assert len(scans) == 1
-        assert sk.buckets.dtype == np.int32
+        assert sk.buckets.dtype == np.int16
         assert sk._bound == peak + 2
 
     def test_the_bound_scan_counts_queued_updates(self, randomness):
         pos = int(np.flatnonzero(build(randomness, [3]).buckets)[0])
-        sk = with_counter(randomness, pos, self.TOP - 3)
-        sk.update_many([3, 3], 1)
-        assert sk._queued == 2 and sk._buckets.dtype == np.int32
-        # the scan must see the queued pair, or the next pair would wrap
-        sk.update_many([3, 3], 1)
-        assert sk.buckets.dtype == np.int64
-        assert sk.buckets.flat[pos] == self.TOP + 1
+        for top, narrow, wide in self.EDGES:
+            sk = with_counter(randomness, pos, top - 3)
+            sk.update_many([3, 3], 1)
+            assert sk._queued == 2 and sk._buckets.dtype == narrow
+            # the scan must see the queued pair, or the next pair would wrap
+            sk.update_many([3, 3], 1)
+            assert sk.buckets.dtype == wide
+            assert sk.buckets.flat[pos] == top + 1
 
     def test_merge_past_the_narrow_range_is_int64_and_exact(self, randomness):
-        a = with_counter(randomness, 7, 2**30 + 5, build(randomness, [1, 2, 3]))
-        b = with_counter(randomness, 7, 2**30, build(randomness, [2, 900]))
-        assert a.buckets.dtype == b.buckets.dtype == np.int32
-        for sign in (1, -1):
-            out = merge(a, b, sign)
-            assert out.buckets.dtype == np.int64
-            expected = a.buckets.astype(np.int64) + sign * b.buckets.astype(np.int64)
-            assert_array_equal(out.buckets, expected)
-        assert merge(a, b).buckets.flat[7] == 2**31 + 5
-        assert merge(build(randomness, [1]), build(randomness, [2])).buckets.dtype == np.int32
+        """Past int16's range a merge is int32, past int32's it is int64."""
+        for (top, narrow, wide), half in zip(self.EDGES, (2**14, 2**30)):
+            a = with_counter(randomness, 7, half + 5, build(randomness, [1, 2, 3]))
+            b = with_counter(randomness, 7, half, build(randomness, [2, 900]))
+            assert a.buckets.dtype == b.buckets.dtype == narrow
+            for sign in (1, -1):
+                out = merge(a, b, sign)
+                assert out.buckets.dtype == wide  # the summed peaks pass top
+                expected = a.buckets.astype(np.int64) + sign * b.buckets.astype(np.int64)
+                assert_array_equal(out.buckets, expected)
+            assert merge(a, b).buckets.flat[7] == top + 6
+        assert merge(build(randomness, [1]), build(randomness, [2])).buckets.dtype == np.int16
 
     def test_from_bytes_narrows_only_when_the_counters_fit(self, randomness):
         back = sketch_from_bytes(sketch_to_bytes(build(randomness, [1])), randomness)
-        assert back.buckets.dtype == np.int32
+        assert back.buckets.dtype == np.int16
         for value, dtype in [
-            (self.TOP, np.int32),
-            (-self.TOP, np.int32),
+            (self.TOP, np.int16),
+            (-self.TOP, np.int16),
+            (2**15, np.int32),
+            (-(2**15), np.int32),
+            (2**31 - 1, np.int32),
+            (-(2**31 - 1), np.int32),
             (2**31, np.int64),
             (-(2**31), np.int64),
         ]:
@@ -737,28 +754,100 @@ class TestNarrowCounters:
         base = rng.choice(4096, size=300, replace=False)
         sets = [np.append(base[: 200 + 20 * k], rng.choice(4096, size=40)) for k in range(5)]
         narrow = [build(rnd, s) for s in sets]
-        wide = [self.widened(rnd, s) for s in sets]
+        mid = [self.built_in(rnd, s, np.int32) for s in sets]
+        wide = [self.built_in(rnd, s, np.int64) for s in sets]
         estimator = DistanceEstimator(jaccard(4096), rnd)
         distance = estimator.estimate_distance
-        for n, w in zip(narrow, wide):
-            assert n.buckets.dtype == np.int32 and w.buckets.dtype == np.int64
-            assert n == w and w == n
-            assert sketch_to_bytes(n) == sketch_to_bytes(w)
-            assert l0_estimate(n) == l0_estimate(w)
-            assert l0_estimate(merge(n, narrow[0], -1)) == l0_estimate(merge(w, narrow[0], -1))
-            for other in (narrow[0], wide[0]):
-                assert distance(n, other) == distance(w, other)
-                assert distance(other, n) == distance(other, w)
+        for n, m, w in zip(narrow, mid, wide):
+            assert (n.buckets.dtype, m.buckets.dtype, w.buckets.dtype) == (np.int16, np.int32, np.int64)
+            for other in (m, w):
+                assert n == other and other == n
+                assert sketch_to_bytes(n) == sketch_to_bytes(other)
+                assert l0_estimate(n) == l0_estimate(other)
+                assert l0_estimate(merge(n, narrow[0], -1)) == l0_estimate(merge(other, narrow[0], -1))
+                for ref in (narrow[0], mid[0], wide[0]):
+                    assert distance(n, ref) == distance(other, ref)
+                    assert distance(ref, n) == distance(ref, other)
         cfg = LshConfig(r1=0.5, r2=0.1, sampling_p=0.01)
         found = []
-        for group in (narrow, wide, narrow[:2] + wide[2:]):
+        for group in (narrow, mid, wide, narrow[:2] + wide[2:4] + mid[4:]):
             index = LshIndex(cfg, rnd)
             for i, sk in enumerate(group):
                 index.insert(i, sk)
             pairs = index.candidates()
             found.append((pairs, index.verify(pairs, estimator, 0.5)))
         assert found[0][0]
-        assert found[0] == found[1] == found[2]
+        assert found[0] == found[1] == found[2] == found[3]
+
+    def test_counters_climb_the_ladder_one_tier_at_a_time(self, randomness, monkeypatch):
+        """int16 -> int32 once the bound passes 2^15 - 1 and int32 -> int64
+        once it passes 2^31 - 1, each after one re-tightening scan."""
+        scans = []
+        real = dynlsh.sketch._peak
+        monkeypatch.setattr(dynlsh.sketch, "_peak", lambda c: scans.append(c) or real(c))
+        pos = int(np.flatnonzero(build(randomness, [3]).buckets)[0])
+        for top, narrow, wide in self.EDGES:
+            sk = with_counter(randomness, pos, top)
+            assert sk.buckets.dtype == narrow and sk._bound == top
+            scans.clear()
+            sk.update_many([3], 1)
+            assert len(scans) == 1
+            assert sk.buckets.dtype == wide and sk.buckets.flat[pos] == top + 1
+            sk.update_many([3], -1)  # a widened sketch stays wide
+            assert sk.buckets.dtype == wide and sk.buckets.flat[pos] == top
+            assert len(scans) == 1
+
+    def test_one_set_reads_alike_in_every_tier(self):
+        """Equal distances, index entries, candidates and wire bytes for one
+        set stored as int16, int32 and int64."""
+        rnd = SketchRandomness(2**14, 256, 72019)
+        rng = np.random.default_rng(72019)
+        sets = [rng.choice(2**14, size=400, replace=False) for _ in range(3)]
+        sets.append(np.append(sets[0][:360], rng.choice(2**14, size=40)))
+        tiers = [[self.built_in(rnd, s, dtype) for s in sets] for dtype in (np.int16, np.int32, np.int64)]
+        estimator = DistanceEstimator(jaccard(2**14), rnd)
+        cfg = LshConfig(r1=0.5, r2=0.1, sampling_p=0.01, bands_r=2, repetitions_l=3)
+        wire, distances, entries, candidates = [], [], [], []
+        for group in tiers:
+            wire.append([sketch_to_bytes(sk) for sk in group])
+            distances.append([estimator.estimate_distance(a, b) for a in group for b in group])
+            index = LshIndex(cfg, rnd)
+            for i, sk in enumerate(group):
+                index.insert(i, sk)
+            entries.append(index._entries)
+            candidates.append(index.candidates())
+        assert candidates[0] and 0.0 < distances[0][3] < 0.5  # sets 0 and 3 overlap
+        for k in (1, 2):
+            assert wire[k] == wire[0]
+            assert distances[k] == distances[0]
+            assert candidates[k] == candidates[0]
+            for i in range(len(sets)):
+                for got, want in zip(entries[k][i], entries[0][i]):
+                    if isinstance(want, np.ndarray):
+                        assert got.dtype == want.dtype and np.array_equal(got, want)
+                    else:
+                        assert got == want
+
+    def test_counters_at_the_int16_edge_estimate_like_int64_copies(self, randomness):
+        """Counters at +/-(2^15 - 1) in int16, equal, opposite and against
+        zero: -y.buckets in the sum count stays exact, so every shot
+        equals that of the int64 copies."""
+        rng = np.random.default_rng(72020)
+        positions = rng.choice(randomness.num_levels * randomness.c_squared, size=40, replace=False)
+        a, b = build(randomness, range(0, 600, 3)), build(randomness, range(0, 600, 5))
+        for k, pos in enumerate(positions[:30].tolist()):
+            a = with_counter(randomness, pos, (-1) ** k * self.TOP, a)
+            b = with_counter(randomness, pos, (-1) ** (k // 2) * self.TOP, b)
+        for pos in positions[30:].tolist():
+            b = with_counter(randomness, pos, -self.TOP, b)
+        assert a.buckets.dtype == b.buckets.dtype == np.int16
+        assert (a.buckets == -b.buckets).any() and (a.buckets == b.buckets).any()
+        estimator = DistanceEstimator(jaccard(1024), randomness)
+        for x, y in ((a, b), (b, a), (b, b)):
+            wide_x, wide_y = self.in_tier(x, np.int64), self.in_tier(y, np.int64)
+            assert estimator._shots(x, y) == estimator._shots(wide_x, wide_y)
+            assert estimator._shots(x, wide_y) == estimator._shots(wide_x, y)
+            assert estimator.estimate_distance(x, y) == estimator.estimate_distance(wide_x, wide_y)
 
 
 class TestLevelReadouts:
