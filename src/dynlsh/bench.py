@@ -100,6 +100,9 @@ _MAX_DIGITS = 18
 # The separator bytes of each line of write_stream's `j i v` form.
 _SEPARATORS = np.frombuffer(b"  \n", np.uint8)
 
+# Lines per write_stream block, whose arrays and text are dropped once written.
+_WRITE_BLOCK_LINES = 1 << 14
+
 # Updates per replay block, which is cut between rows: a block's work
 # arrays take tens of bytes per update, and go before the next block's.
 _REPLAY_BLOCK = 1 << 16
@@ -173,31 +176,31 @@ def _sample_distinct(
 ) -> np.ndarray:
     """Draw `count` distinct item ids from [0, d), avoiding `exclude`.
 
-    Uses batched rejection with first-occurrence dedup so the result is
-    unbiased; cheap compared to permuting [0, d) when count << d.  Ids
-    below 2**16 are deduped as uint16 keys, whose stable sort is a radix
-    sort; any stable sort finds the same first occurrences, so the result
-    does not depend on the key dtype.
+    Batched rejection, unbiased and cheap next to permuting [0, d) when
+    count << d: each round keeps, in draw order, the draws that sort first
+    among their equals in one stable argsort of the excluded ids, the pool
+    and the draw, in that order.  Ids below 2**16 sort as uint16 keys, a
+    radix sort; any stable sort keeps the same draws.
     """
-    n_excluded = 0 if exclude is None else exclude.size
-    if count > d - n_excluded:
+    prior = np.empty(0, np.int64) if exclude is None else exclude
+    if count > d - prior.size:
         raise GenerationError(
             f"cannot draw {count} distinct items from a universe of {d} "
-            f"with {n_excluded} excluded"
+            f"with {prior.size} excluded"
         )
     if count == 0:
         return np.empty(0, dtype=np.int64)
+    key_type = np.uint16 if d <= 1 << 16 else np.int64
     pool = np.empty(0, dtype=np.int64)
     while pool.size < count:
         need = count - pool.size
         draw = rng.integers(0, d, size=need + need // 4 + 16, dtype=np.int64)
-        _, first = np.unique(draw.astype(np.uint16) if d <= 1 << 16 else draw, return_index=True)
-        draw = draw[np.sort(first)]  # deduped, original order preserved
-        if exclude is not None and exclude.size:
-            draw = draw[~np.isin(draw, exclude)]
-        if pool.size:
-            draw = draw[~np.isin(draw, pool)]
-        pool = np.concatenate([pool, draw])
+        keys = np.concatenate([prior, pool, draw], dtype=key_type, casting="unsafe")
+        order = keys.argsort(kind="stable")
+        ranked = keys[order]
+        fresh = np.ones(keys.size, bool)
+        fresh[order[1:][ranked[1:] == ranked[:-1]]] = False  # equal to the id sorted before it
+        pool = np.concatenate([pool, draw[fresh[-draw.size :]]])
     return pool[:count]
 
 
@@ -343,24 +346,31 @@ def write_stream(
     churn > 0 each row also gets round(churn * size) noise updates that
     cancel out: half are inserts of non-members later deleted, half delete
     a member and re-insert it.  Net rows equal the churn-free stream's.
+    Lines are written by _update_lines, at most _WRITE_BLOCK_LINES at once.
     """
     if not 0 <= churn < math.inf:
         raise GenerationError(f"churn must be finite and non-negative, got {churn!r}")
     rng = derived_rng(seed, _TAG_CHURN) if churn > 0 else None
-    total = 0
+    runs: list[tuple[int, np.ndarray, int]] = []  # (row, items, value) of the lines not yet written
+    total = waiting = 0
     with _opened(out, "w") as fh:
         fh.write(f"{corpus.n} {corpus.d}\n")
         for j, items in enumerate(corpus.rows):
-            runs = [(items, 1)]
+            row_runs = [(items, 1)]
             if rng is not None and items.size:
                 extra = int(round(churn * items.size))
                 bounce = rng.choice(items, size=min(extra // 2, items.size), replace=False)
                 cancel = _sample_distinct(rng, corpus.d, extra - extra // 2, exclude=items)
-                runs += [(cancel, 1), (bounce, -1), (bounce, 1), (cancel, -1)]
-            for run, v in runs:
-                if run.size:
-                    fh.write(f"{j} " + f" {v}\n{j} ".join(map(str, run.tolist())) + f" {v}\n")
-                    total += run.size
+                row_runs += [(cancel, 1), (bounce, -1), (bounce, 1), (cancel, -1)]
+            runs += [(j, run, v) for run, v in row_runs if run.size]
+            waiting += sum(run.size for run, _ in row_runs)
+            if waiting >= _WRITE_BLOCK_LINES or (waiting and j == corpus.n - 1):
+                ids, arrays, signs = zip(*runs)
+                sizes = [a.size for a in arrays]
+                columns = np.repeat(ids, sizes), np.concatenate(arrays), np.repeat(signs, sizes)
+                for lo in range(0, waiting, _WRITE_BLOCK_LINES):
+                    fh.write(_update_lines(*(c[lo : lo + _WRITE_BLOCK_LINES] for c in columns)))
+                total, runs, waiting = total + waiting, [], 0
     return total
 
 
@@ -518,6 +528,34 @@ def _decimal(buf: np.ndarray, stop: np.ndarray, width: np.ndarray) -> np.ndarray
         value *= 10
         value += np.where(width >= p, buf[stop - p], ord("0")) - ord("0")
     return value
+
+
+def _update_lines(rows: np.ndarray, items: np.ndarray, values: np.ndarray) -> str:
+    """The `j i v\\n` lines of updates in write_stream's form: _decimal's inverse.
+
+    One division by 10 per digit position, of rows and items together in
+    the narrowest unsigned dtype, gives every digit and digit count, and
+    one cumsum of the line lengths where each line ends.  Into a buffer of
+    spaces go the line ends, the signs and the digits, most significant
+    first, each at its number's end less min(position, width): past a
+    number's width that writes a "0" its first digit then overwrites.
+    """
+    top = max(int(rows.max()), int(items.max()))
+    keys = np.stack([rows, items], dtype=np.min_scalar_type(top), casting="unsafe")
+    digits, widths = [], np.ones(keys.shape, np.intp)
+    for _ in range(len(str(top))):
+        quotient = keys // 10  # NumPy has a fast path for // by a scalar, none for %
+        digits.append((keys - quotient * 10).astype(np.uint8) + ord("0"))
+        keys = quotient
+        widths += keys > 0
+    negative = values < 0
+    ends = np.cumsum(widths.sum(axis=0) + 4 + negative)
+    buf = np.full(int(ends[-1]), ord(" "), np.uint8)
+    buf[ends - 1], buf[ends - 2], buf[ends[negative] - 3] = ord("\n"), ord("1"), ord("-")
+    stops = np.stack([ends - 4 - negative - widths[1], ends - 3 - negative])  # row and item ends
+    for p in range(len(digits), 0, -1):
+        buf[stops - np.minimum(widths, p)] = digits[p - 1]
+    return buf.tobytes().decode("ascii")
 
 
 def _replay(

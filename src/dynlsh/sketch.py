@@ -70,8 +70,9 @@ class LevelSketch:
     updates: each accepted +/-1 update adds one to it, merge sets it to
     the sum of its inputs' peaks, and sketch_from_bytes to the exact peak.
     Before a batch could push it past the dtype's maximum, update_many
-    re-tightens it by one scan and widens only to the tier the batch needs,
-    so a counter never overflows and never reaches -2^15 (or -2^31).
+    re-tightens it by one scan, and widens a tier unless an eighth of the
+    range is left, so a counter never overflows and never reaches -2^15
+    (or -2^31), and scans come at least 4,095 updates apart.
     Sketches of any dtype compare, merge and serialize alike.
     """
 
@@ -174,11 +175,11 @@ class LevelSketch:
             raise ValueError("update values must be +1 or -1")
         top = _SIGNED[self._buckets.dtype]
         if self._bound + vals.size > top and self._buckets.dtype != _INT64:
-            # re-tighten to the exact peak, and widen to the narrowest tier
-            # holding the new bound if this batch could still overflow
+            # re-tighten to the exact peak; if the batch would then leave
+            # less than an eighth of the range, widen a tier (or as it needs)
             self._bound = _peak(self.buckets)
-            if self._bound + vals.size > top:
-                self._buckets = self._buckets.astype(_narrowest_signed(self._bound + vals.size))
+            if (need := self._bound + vals.size) > top - (top >> 3):
+                self._buckets = self._buckets.astype(_narrowest_signed(max(need, top + 1)))
         self._cardinality += int(plus - minus)  # count_nonzero gives np.intp
         self._bound += vals.size
         start, end = self._queued, self._queued + vals.size

@@ -1,8 +1,9 @@
-"""Scalar reference twins of the package's hashes, for checking its array code.
+"""Reference twins of the package's array code, for checking it.
 
-Each function works on Python ints, one key at a time, with none of the
+The hash twins work on Python ints, one key at a time, with none of the
 package's numpy code, so a test that compares the two checks the package
-against an independent statement of the same maths.
+against an independent statement of the same maths.  sample_distinct is
+the generator's draw in its earlier np.unique and np.isin form.
 """
 
 import numpy as np
@@ -50,3 +51,20 @@ def minhash_signature(buckets, spec):
     if not positions:
         return None
     return min(positions, key=lambda p: hash_key(spec, p))
+
+
+def sample_distinct(rng, d, count, exclude=None):
+    """count distinct ids from [0, d) avoiding exclude, by batched rejection:
+    each round's draw is deduped to first occurrences in draw order, then
+    stripped of excluded and already pooled ids."""
+    pool = np.empty(0, dtype=np.int64)
+    while pool.size < count:
+        need = count - pool.size
+        draw = rng.integers(0, d, size=need + need // 4 + 16, dtype=np.int64)
+        _, first = np.unique(draw, return_index=True)
+        draw = draw[np.sort(first)]
+        if exclude is not None and exclude.size:
+            draw = draw[~np.isin(draw, exclude)]
+        draw = draw[~np.isin(draw, pool)]
+        pool = np.concatenate([pool, draw])
+    return pool[:count]

@@ -18,10 +18,12 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import dynlsh.bench
+import oracles
 
 from dynlsh import (
     DEFAULT_PLANTED_RANGES,
     GenerationError,
+    GeneratedCorpus,
     DeviationRow,
     PlantedPair,
     ScurveRow,
@@ -199,6 +201,104 @@ class TestStreamRoundTrip:
         for churn in (-0.1, math.nan, math.inf):
             with pytest.raises(GenerationError, match="finite and non-negative"):
                 write_stream(corpus, io.StringIO(), churn=churn)
+
+
+class _CountingRng:
+    """A generator that counts its integers() calls, one per rejection round."""
+
+    def __init__(self, seed):
+        self.rng, self.calls = np.random.default_rng(seed), 0
+
+    def integers(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.integers(*args, **kwargs)
+
+
+class TestSampleDistinct:
+    @pytest.mark.parametrize("d", [500, 2**16, 2**16 + 1, 2**20, 2**63])
+    @pytest.mark.parametrize("excluded", [0, 60])
+    def test_draws_equal_the_unique_and_isin_oracle(self, d, excluded):
+        """Same ids in the same order, from the same generator calls."""
+        exclude = np.random.default_rng(d % 9973).permutation(min(d, 1000))[:excluded] if excluded else None
+        counts = [0, 1, 17, 300, 500 - excluded - 3, 500 - excluded]  # the last two take many rounds at d=500
+        for seed, count in enumerate(counts):
+            ours, theirs = _CountingRng(seed), _CountingRng(seed)
+            got = dynlsh.bench._sample_distinct(ours, d, count, exclude)
+            want = oracles.sample_distinct(theirs, d, count, exclude)
+            assert got.dtype == want.dtype == np.int64
+            assert np.array_equal(got, want)
+            assert ours.calls == theirs.calls
+            assert ours.rng.integers(0, 2**62) == theirs.rng.integers(0, 2**62)  # the streams stay in step
+            if d == 500 and count >= 500 - excluded - 3:
+                assert ours.calls > 1
+            if exclude is not None:
+                assert not np.isin(got, exclude).any()
+
+    def test_ids_past_16_bits_keep_their_own_keys(self):
+        """At d = 2^16 + 1 the id 2^16 is drawn, and not taken for the excluded 0."""
+        exclude = np.array([0, 1, 2])
+        got = dynlsh.bench._sample_distinct(np.random.default_rng(26), 2**16 + 1, 2000, exclude)
+        assert 2**16 in got
+        assert np.array_equal(got, oracles.sample_distinct(np.random.default_rng(26), 2**16 + 1, 2000, exclude))
+
+    def test_more_than_the_universe_allows_is_refused(self):
+        rng = np.random.default_rng(0)
+        every = dynlsh.bench._sample_distinct(rng, 50, 40, np.arange(10))
+        assert np.array_equal(np.sort(every), np.arange(10, 50))
+        for count, exclude in [(51, None), (41, np.arange(10))]:
+            with pytest.raises(GenerationError, match="cannot draw"):
+                dynlsh.bench._sample_distinct(rng, 50, count, exclude)
+
+
+class TestStreamWriter:
+    """write_stream's block formatter against the per-line f-string form it replaced."""
+
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    def test_the_block_size_does_not_show_in_the_text(self, monkeypatch, block):
+        corpus = generate(20, 1000, (0.01, 0.03), DEFAULT_PLANTED_RANGES[:2], every=5, seed=77004)
+
+        def written():
+            buf = io.StringIO()
+            return write_stream(corpus, buf, churn=0.5, seed=77004), buf.getvalue()
+
+        monkeypatch.setattr(dynlsh.bench, "_WRITE_BLOCK_LINES", 1 << 30)  # the stream in one block
+        whole = written()
+        monkeypatch.setattr(dynlsh.bench, "_WRITE_BLOCK_LINES", block)
+        assert written() == whole
+
+    def test_edge_widths_match_the_per_line_reference(self, tmp_path):
+        """d = 2^63, items of 1, 2, 3 and 19 digits, row ids across 9 -> 10
+        and 99 -> 100, and empty rows between, at churn 0."""
+        edges = [0, 9, 10, 99, 100, 2**63 - 1]
+        rows = [np.empty(0, np.int64) for _ in range(103)]
+        for k, j in enumerate([0, 8, 9, 10, 11, 98, 99, 100, 101]):
+            rows[j] = np.array(edges[k % 6 :] + edges[: k % 6], dtype=np.int64)
+        corpus = GeneratedCorpus(2**63, rows, [])
+        lines = [f"{j} {i} 1\n" for j, row in enumerate(rows) for i in row.tolist()]
+        want = f"103 {2**63}\n" + "".join(lines)
+        buf, path = io.StringIO(), tmp_path / "edges.stream"
+        assert write_stream(corpus, buf) == write_stream(corpus, path) == len(lines)
+        assert buf.getvalue() == path.read_text() == want
+        d, sets = read_sets(path)
+        assert d == 2**63 and [s.tolist() for s in sets] == [sorted(r.tolist()) for r in rows]
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 2**24 - 1), st.integers(0, 10**18 - 1), st.sampled_from([1, -1])),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    @example([(0, 0, -1), (9, 9, 1), (10, 10, -1), (2**24 - 1, 10**18 - 1, 1)])
+    def test_a_block_reads_back_through_the_canonical_parse(self, updates):
+        rows, items, values = (np.array(column, dtype=np.int64) for column in zip(*updates))
+        text = dynlsh.bench._update_lines(rows, items, values)
+        assert text == "".join(f"{j} {i} {v}\n" for j, i, v in updates)
+        back = dynlsh.bench._parse_canonical(text, 2**24, 10**18)
+        assert back is not None
+        for got, want in zip(back, (rows, items, values)):
+            assert np.array_equal(got, want)
 
 
 # sha256 of _generator_outputs, recorded before generation was last optimised:

@@ -709,13 +709,46 @@ class TestNarrowCounters:
     def test_the_bound_scan_counts_queued_updates(self, randomness):
         pos = int(np.flatnonzero(build(randomness, [3]).buckets)[0])
         for top, narrow, wide in self.EDGES:
-            sk = with_counter(randomness, pos, top - 3)
+            edge = top - (top >> 3)  # the most a scan leaves in the tier
+            sk = with_counter(randomness, pos, edge - 3)
             sk.update_many([3, 3], 1)
             assert sk._queued == 2 and sk._buckets.dtype == narrow
-            # the scan must see the queued pair, or the next pair would wrap
+            # a loose bound, as a merge leaves, runs out on the next pair;
+            # the scan must see the queued pair, or the next pair would fit
+            sk._bound = top - 1
             sk.update_many([3, 3], 1)
             assert sk.buckets.dtype == wide
-            assert sk.buckets.flat[pos] == top + 1
+            assert sk.buckets.flat[pos] == edge + 1
+
+    def test_a_scan_widens_unless_an_eighth_of_the_range_is_left(self, randomness):
+        pos = int(np.flatnonzero(build(randomness, [3]).buckets)[0])
+        for top, narrow, wide in self.EDGES:
+            edge = top - (top >> 3)
+            for value, dtype in [(edge - 2, narrow), (edge - 1, wide), (-(edge - 2), narrow), (-(edge - 1), wide)]:
+                sk = with_counter(randomness, pos, value)
+                sk._bound = top  # run out: the next batch re-tightens it by a scan
+                sk.update_many([3, 3], int(np.sign(value)))
+                assert sk.buckets.dtype == dtype
+                assert sk.buckets.flat[pos] == value + 2 * np.sign(value)
+                assert sk._bound == abs(value) + 2
+
+    def test_a_counter_parked_below_the_top_costs_one_scan(self, monkeypatch):
+        """One counter at 2^15 - 5 and 10,000 alternating one-item +/-1
+        updates elsewhere: the first scan widens, where a scan that only
+        restored the 4 left below the top would run every 4 updates."""
+        scans = []
+        real = dynlsh.sketch._peak
+        monkeypatch.setattr(dynlsh.sketch, "_peak", lambda c: scans.append(c) or real(c))
+        rnd = SketchRandomness(2**16, 1024, 72021)
+        parked = int(np.flatnonzero(build(rnd, [3]).buckets)[0])
+        sk = with_counter(rnd, parked, self.TOP - 4)
+        assert int(np.flatnonzero(build(rnd, [9]).buckets)[0]) != parked
+        scans.clear()
+        for k in range(10_000):
+            sk.update_many([9], (-1) ** k)
+        assert len(scans) == 1
+        assert sk.buckets.dtype == np.int32
+        assert sk.buckets.flat[parked] == self.TOP - 4 and sk.cardinality == 0
 
     def test_merge_past_the_narrow_range_is_int64_and_exact(self, randomness):
         """Past int16's range a merge is int32, past int32's it is int64."""
