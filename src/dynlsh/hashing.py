@@ -312,7 +312,7 @@ class SketchRandomness:
     def minhash_rows(
         self, flat: np.ndarray, cuts: Sequence[int], levels: Sequence[int], repetitions: int, bands: int
     ) -> np.ndarray:
-        """Min-hashes of many sketch rows at once, one table gather and one reduceat.
+        """Min-hashes of many sketch rows at once, one table row take and one reduceat.
 
         Row i is flat[cuts[i] : cuts[i + 1]], the flat positions (level *
         c_squared + bucket) of the nonzero counters of row levels[i]; flat
@@ -326,7 +326,9 @@ class SketchRandomness:
         among all c_squared buckets under the slot's map (a bijection for
         odd a, so ranks are unique) shifted left by bucket_bits, or-ed with
         the bucket: the least packed value of a row is its min-hash, and
-        its low bits name the bucket.
+        its low bits name the bucket.  The table rows are gathered with
+        take(flat, axis=0), which copies the same rows as table[flat] in
+        less than half the time.
         """
         key = (repetitions, bands)
         entry = self._minhash_tables.get(key)
@@ -339,7 +341,7 @@ class SketchRandomness:
                 filled.add(level)
         # reduceat would read an empty segment as one entry of the next row
         full = [i for i in range(len(levels)) if cuts[i] < cuts[i + 1]]
-        packed = np.minimum.reduceat(view[flat], [cuts[i] for i in full], axis=0)
+        packed = np.minimum.reduceat(view.take(flat, axis=0), [cuts[i] for i in full], axis=0)
         packed &= mask
         if len(full) == len(levels):
             return packed.view(signed)

@@ -116,6 +116,35 @@ class TestCandidateLevels:
                     assert wa & wb, (r1, sa, sb)
 
 
+class TestLevelWindows:
+    """An index keeps each cardinality's candidate_levels window after its first use."""
+
+    def test_windows_equal_candidate_levels(self):
+        cfg = LshConfig(r1=0.5, r2=0.1, epsilon=0.9, delta=0.5, bands_r=3, repetitions_l=8)
+        index = LshIndex(cfg, SketchRandomness(2**16, 1024, 29))
+        for _ in range(2):  # computed, then read back
+            for s in range(5001):
+                assert index._window(s) == candidate_levels(s, cfg, index.grid)
+        assert set(index._windows) == set(range(5001))
+
+    def test_indexes_with_different_configs_never_share_windows(self):
+        rnd = SketchRandomness(2**16, 1024, 29)
+        cfgs = [LshConfig(r1=0.5, r2=0.1, sampling_p=0.05), LshConfig(r1=0.25, r2=0.1, sampling_p=0.01)]
+        indexes = [LshIndex(cfg, rnd) for cfg in cfgs]
+        for s in (1, 100, 4096, 4096, 65536):
+            for cfg, index in zip(cfgs, indexes):
+                assert index._window(s) == candidate_levels(s, cfg, index.grid)
+        assert indexes[0]._windows is not indexes[1]._windows
+        assert indexes[0]._windows != indexes[1]._windows
+
+    def test_negative_cardinality_raises_and_is_not_stored(self):
+        index = LshIndex(LshConfig(r1=0.5, r2=0.1), SketchRandomness(2**10, 64, 29))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="cardinality must be non-negative"):
+                index._window(-1)
+        assert -1 not in index._windows
+
+
 class TestLshConfig:
     def test_default_sampling_budget(self):
         cfg = LshConfig(r1=0.5, r2=0.1)
@@ -270,6 +299,28 @@ class TestLshIndex:
         for name in ("x", "y"):
             index.insert(name, build(rnd, items))
         assert len(index.candidates()) == 1
+
+    def test_cfg_randomness_and_grid_are_read_only(self, small_corpus):
+        """The grid, row starts, position dtype and level windows derive from
+        cfg and randomness at construction, so assigning either, or the
+        grid, raises AttributeError and leaves the index as it was."""
+        cfg, rnd, items = small_corpus
+        index = LshIndex(cfg, rnd)
+        for name in ("x", "y"):
+            index.insert(name, build(rnd, items))
+        pairs = index.candidates()
+        other = SketchRandomness(rnd.d, rnd.c_squared * 4, 7)
+        assigned = {"cfg": dataclasses.replace(cfg, r1=0.9), "randomness": other, "grid": (0,)}
+        for name, value in assigned.items():
+            with pytest.raises(AttributeError):
+                setattr(index, name, value)
+        assert index.cfg is cfg and index.randomness is rnd
+        assert index.grid == level_grid(cfg.r1, rnd.d)
+        assert index.candidates() == pairs
+        with pytest.raises(ConfigMismatchError):
+            index.insert("z", build(other, items))
+        index.insert("z", build(rnd, items))
+        assert [(p.id_a, p.id_b) for p in index.candidates()] == [("x", "y"), ("x", "z"), ("y", "z")]
 
     def test_candidate_levels_cover_reported_pairs(self):
         cfg = LshConfig(r1=0.5, r2=0.1, sampling_p=0.05)
@@ -571,13 +622,41 @@ class TestSparseInsert:
             n, _, updates = dynlsh.bench._read_stream(io.StringIO(text))
             for j, (net, positions, values) in enumerate(dynlsh.bench._replay(n, updates, rnd)):
                 sparse._insert_sparse(j, positions, values, net.size)
-        assert list(sparse._entries) == list(dense._entries)
-        for j in dense._entries:
-            for got, want in zip(sparse._entries[j], dense._entries[j]):
-                if isinstance(want, np.ndarray):
-                    assert got.dtype == want.dtype and np.array_equal(got, want)
-                else:
-                    assert got == want
+        _assert_same_entries(sparse, dense)
+
+    def test_a_churned_stream_indexes_the_records_insert_does(self):
+        """Sketches fed every update of a churned stream, cancelled ones
+        included, store the records the replay's net counters store, at the
+        benchmark's index-churn banding shape."""
+        corpus = dynlsh.bench.generate(60, 2**12, (0.02, 0.2), every=10, seed=29)
+        buf = io.StringIO()
+        dynlsh.bench.write_stream(corpus, buf, churn=0.5, seed=29)
+        rnd = SketchRandomness(2**12, 1024, 29)
+        cfg = LshConfig(r1=0.5, r2=0.1, epsilon=0.9, delta=0.5, bands_r=3, repetitions_l=8)
+        dense, sparse = LshIndex(cfg, rnd), LshIndex(cfg, rnd)
+        j, i, v = np.loadtxt(io.StringIO(buf.getvalue()), np.int64, skiprows=1, ndmin=2).T
+        assert np.unique(np.stack((j, i)), axis=1).shape[1] < j.size  # some items cancel
+        for row in range(corpus.n):
+            sketch = LevelSketch(rnd)
+            sketch.update_many(i[j == row], v[j == row])
+            dense.insert(row, sketch)
+        buf.seek(0)
+        n, _, updates = dynlsh.bench._read_stream(buf)
+        for row, (net, positions, values) in enumerate(dynlsh.bench._replay(n, updates, rnd)):
+            sparse._insert_sparse(row, positions, values, net.size)
+        assert len(dense) == corpus.n
+        _assert_same_entries(sparse, dense)
+
+
+def _assert_same_entries(got_index, want_index):
+    """Both indexes hold the same ids, in order, with equal records: arrays equal in values and dtype."""
+    assert list(got_index._entries) == list(want_index._entries)
+    for set_id, want_entry in want_index._entries.items():
+        for got, want in zip(got_index._entries[set_id], want_entry, strict=True):
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+            else:
+                assert got == want
 
 
 class TestCandidateOrder:
