@@ -116,35 +116,6 @@ class TestCandidateLevels:
                     assert wa & wb, (r1, sa, sb)
 
 
-class TestLevelWindows:
-    """An index keeps each cardinality's candidate_levels window after its first use."""
-
-    def test_windows_equal_candidate_levels(self):
-        cfg = LshConfig(r1=0.5, r2=0.1, epsilon=0.9, delta=0.5, bands_r=3, repetitions_l=8)
-        index = LshIndex(cfg, SketchRandomness(2**16, 1024, 29))
-        for _ in range(2):  # computed, then read back
-            for s in range(5001):
-                assert index._window(s) == candidate_levels(s, cfg, index.grid)
-        assert set(index._windows) == set(range(5001))
-
-    def test_indexes_with_different_configs_never_share_windows(self):
-        rnd = SketchRandomness(2**16, 1024, 29)
-        cfgs = [LshConfig(r1=0.5, r2=0.1, sampling_p=0.05), LshConfig(r1=0.25, r2=0.1, sampling_p=0.01)]
-        indexes = [LshIndex(cfg, rnd) for cfg in cfgs]
-        for s in (1, 100, 4096, 4096, 65536):
-            for cfg, index in zip(cfgs, indexes):
-                assert index._window(s) == candidate_levels(s, cfg, index.grid)
-        assert indexes[0]._windows is not indexes[1]._windows
-        assert indexes[0]._windows != indexes[1]._windows
-
-    def test_negative_cardinality_raises_and_is_not_stored(self):
-        index = LshIndex(LshConfig(r1=0.5, r2=0.1), SketchRandomness(2**10, 64, 29))
-        for _ in range(2):
-            with pytest.raises(ValueError, match="cardinality must be non-negative"):
-                index._window(-1)
-        assert -1 not in index._windows
-
-
 class TestLshConfig:
     def test_default_sampling_budget(self):
         cfg = LshConfig(r1=0.5, r2=0.1)
@@ -301,9 +272,9 @@ class TestLshIndex:
         assert len(index.candidates()) == 1
 
     def test_cfg_randomness_and_grid_are_read_only(self, small_corpus):
-        """The grid, row starts, position dtype and level windows derive from
-        cfg and randomness at construction, so assigning either, or the
-        grid, raises AttributeError and leaves the index as it was."""
+        """The grid, row starts and position dtype derive from cfg and
+        randomness at construction, so assigning either, or the grid,
+        raises AttributeError and leaves the index as it was."""
         cfg, rnd, items = small_corpus
         index = LshIndex(cfg, rnd)
         for name in ("x", "y"):
