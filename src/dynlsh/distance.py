@@ -21,9 +21,10 @@ independently randomized sketch repetitions.
 Both l0 estimates read only the per-row nonzero counts of the two merges,
 so a pair's distance is a function of those counts and |A| + |B|;
 DistanceEstimator.distances_from_counts evaluates it for many pairs at
-once, and each estimate scores all of its slots in one such call.  The
-counts need no merged sketch: A - B is nonzero where the counters differ
-and A + B where they are not opposite.
+once, and each estimate inverts all of its slots' counts in one
+l0_from_row_counts call; both then apply the one formula,
+DistanceEstimator._distance.  The counts need no merged sketch: A - B is
+nonzero where the counters differ and A + B where they are not opposite.
 """
 
 from __future__ import annotations
@@ -55,8 +56,9 @@ class DistanceEstimator:
     sequence of sketches aligned with the randomness slots.
 
     Every estimate counts per-row nonzeros of one sum and one difference
-    sketch per slot, scores all slots in one distances_from_counts call
-    and returns the median shot.  Shots are unclamped; only the additive
+    sketch per slot, inverts all slots' counts in one l0_from_row_counts
+    call and returns the median shot, or the one shot of a single slot.
+    Shots are unclamped; only the additive
     similarity path clamps (below at 0) for reporting, and the root path
     clamps each shot at 0 before raising it to alpha.
     """
@@ -126,39 +128,57 @@ class DistanceEstimator:
         |A| + |B| per pair.  Returns n unclamped float64 distances, each
         bit-identical to the estimate of that pair alone.
         """
-        p = self._base()
         n = len(sym_nz)
+        c_squared = self.randomness[0].c_squared
+        estimates = l0_from_row_counts(np.concatenate([sym_nz, union_nz]), c_squared)
+        return self._distance(estimates[:n], estimates[n:], cardinality_sum)
+
+    def _distance(
+        self, sym: float | np.ndarray, union: float | np.ndarray, card_sum: int | np.ndarray
+    ) -> float | np.ndarray:
+        """Unclamped distance from the l0 estimates of |A ^ B| and |A | B|, and |A| + |B|.
+
+        Python floats for one pair, float64 arrays for many: the same float
+        operations in the same order, so a pair scores the same bits either way.
+        """
+        p = self._base()
         if p.z_prime == 0.0:
-            return np.zeros(n)  # then x = y = z = 0: similarity is identically 1
+            return sym * 0.0  # 0.0 or zeros, like sym: x = y = z = 0, so similarity is 1
         # normalize weights by z' so scaled parameterizations reuse the
         # exact same float operations
         x, y, z = p.x / p.z_prime, p.y / p.z_prime, p.z / p.z_prime
-        c_squared = self.randomness[0].c_squared
-        estimates = l0_from_row_counts(np.concatenate([sym_nz, union_nz]), c_squared)
-        sym, union = estimates[:n], estimates[n:]
         if x >= y:
             denom = y * p.d + (x - y) * union + (1.0 - x) * sym
         else:
-            comp_union = p.d - (cardinality_sum - union)
+            comp_union = p.d - (card_sum - union)
             denom = (y - x) * comp_union + x * p.d + (1.0 - y) * sym
         # a vanishing denominator means similarity 1, so distance 0
-        return np.divide((1.0 - z) * sym, denom, out=np.zeros(n), where=~(denom <= 0.0))
+        if isinstance(denom, float):
+            return 0.0 if denom <= 0.0 else (1.0 - z) * sym / denom
+        return np.divide((1.0 - z) * sym, denom, out=np.zeros(len(denom)), where=~(denom <= 0.0))
 
     def _shots(
         self,
         a: LevelSketch | Sequence[LevelSketch],
         b: LevelSketch | Sequence[LevelSketch],
     ) -> list[float]:
-        """Every slot's unclamped distance estimate, from one distances_from_counts call."""
-        sym_nz, union_nz, card = [], [], []
-        for x, y in zip(self._slots(a), self._slots(b)):
+        """Every slot's unclamped distance estimate: one l0_from_row_counts call
+        over all slots' difference counts, then their sum counts, and _distance
+        on Python floats per slot."""
+        pairs = tuple(zip(self._slots(a), self._slots(b)))
+        r = len(pairs)
+        counts = np.empty((2 * r, self.randomness[0].num_levels), np.int64)
+        for i, (x, y) in enumerate(pairs):
             # a bool sum counts like count_nonzero without its Python wrapper; -y is
             # exact in y's dtype, as no counter reaches its minimum (|y| <= 2^15 - 1)
-            sym_nz.append((x.buckets != y.buckets).sum(axis=1))
-            union_nz.append((x.buckets != -y.buckets).sum(axis=1))
-            card.append(x.cardinality + y.cardinality)
-        shots = self.distances_from_counts(np.array(sym_nz), np.array(union_nz), np.array(card))
-        return shots.tolist()
+            xb, yb = x.buckets, y.buckets
+            np.not_equal(xb, yb).sum(axis=1, out=counts[i])
+            np.not_equal(xb, -yb).sum(axis=1, out=counts[r + i])
+        estimates = l0_from_row_counts(counts, self.randomness[0].c_squared).tolist()
+        return [
+            self._distance(sym, union, x.cardinality + y.cardinality)
+            for sym, union, (x, y) in zip(estimates, estimates[r:], pairs)
+        ]
 
     def estimate_distance(
         self,
@@ -171,7 +191,7 @@ class DistanceEstimator:
         all-zero, so the symmetric-difference estimate is exactly zero.
         """
         self.require_metric()
-        return statistics.median(self._shots(a, b))
+        return _median(self._shots(a, b))
 
     def estimate_root_distance(
         self,
@@ -190,7 +210,7 @@ class DistanceEstimator:
                 "root similarity is not LSH-able (need z' >= ((alpha+1)/2)*max(x, y))"
             )
         alpha = self.params.alpha
-        return statistics.median([max(s, 0.0) ** alpha for s in self._shots(a, b)])
+        return _median([max(s, 0.0) ** alpha for s in self._shots(a, b)])
 
     def estimate_similarity_additive(
         self,
@@ -205,4 +225,9 @@ class DistanceEstimator:
         """
         if isinstance(self.params, RootSimilarity):
             raise ValueError("additive similarity applies to rational params only")
-        return max(0.0, 1.0 - statistics.median(self._shots(a, b)))
+        return max(0.0, 1.0 - _median(self._shots(a, b)))
+
+
+def _median(shots: list[float]) -> float:
+    """The median shot; one slot's shot as it is."""
+    return shots[0] if len(shots) == 1 else statistics.median(shots)

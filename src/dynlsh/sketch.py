@@ -151,13 +151,13 @@ class LevelSketch:
         +1/-1 broadcastable to items.  Non-integer dtypes raise TypeError,
         items outside [0, d) ItemRangeError and other values ValueError; a
         rejected batch leaves the sketch and its queue untouched.  An
-        accepted batch counts in cardinality at once.  If the queue would
-        then hold fewer than _QUEUE_CAP items, the batch is copied into it
-        and waits; otherwise the queue and the batch are hashed in one
-        pass, each item to level k = lsb(h(i)) and bucket h_k(i), and one
-        np.add.at adds every value to its counter, in the matrix's own
-        dtype.  So a batch of _QUEUE_CAP items or more is applied before
-        the call returns, and fewer than _QUEUE_CAP items ever wait.
+        accepted batch counts in cardinality at once.  Its items are cast
+        to uint64 keys into their slot past the waiting ones, their only
+        copy, and checked there: in the queue if fewer than _QUEUE_CAP
+        items would then wait, else in a fresh buffer behind the waiting
+        items, all of which are then hashed and added by one np.add.at in
+        the matrix's own dtype.  The queue grows only once every check has
+        passed, and fewer than _QUEUE_CAP items ever wait.
         """
         arr = np.asarray(items)
         if arr.size == 0:
@@ -167,37 +167,45 @@ class LevelSketch:
             raise TypeError(
                 f"items and values must have an integer dtype, got {arr.dtype} and {vals.dtype}"
             )
-        keys = self.randomness.item_keys(arr)
-        if vals.shape != keys.shape:
-            vals = np.broadcast_to(vals, keys.shape)
-        plus, minus = np.count_nonzero(vals == _ONE), np.count_nonzero(vals == _MINUS_ONE)
-        if plus + minus != vals.size:
-            raise ValueError("update values must be +1 or -1")
-        top = _SIGNED[self._buckets.dtype]
-        if self._bound + vals.size > top and self._buckets.dtype != _INT64:
-            # re-tighten to the exact peak; if the batch would then leave
-            # less than an eighth of the range, widen a tier (or as it needs)
-            self._bound = _peak(self.buckets)
-            if (need := self._bound + vals.size) > top - (top >> 3):
-                self._buckets = self._buckets.astype(_narrowest_signed(max(need, top + 1)))
-        self._cardinality += int(plus - minus)  # count_nonzero gives np.intp
-        self._bound += vals.size
-        start, end = self._queued, self._queued + vals.size
-        if end < _QUEUE_CAP:
+        n = arr.size
+        start, end = self._queued, self._queued + n
+        waits = end < _QUEUE_CAP
+        if waits:
             if self._queued_keys is None:
                 self._queued_keys = np.empty(_QUEUE_CAP, np.uint64)
                 self._queued_values = np.empty(_QUEUE_CAP, np.int8)
-            # copies: the caller may change its arrays after the call
-            self._queued_keys[start:end] = keys.ravel()
-            self._queued_values[start:end] = vals.ravel()
+            keys, signs = self._queued_keys, self._queued_values
+        else:
+            keys, signs = np.empty(end, np.uint64), np.empty(end, np.int8)
+            if start:
+                keys[:start], signs[:start] = self._queued_keys[:start], self._queued_values[:start]
+        # a copy, as the caller may change its arrays after the call
+        batch = keys[start:end]
+        batch[...] = arr.ravel()
+        self.randomness.check_keys(batch)
+        if vals.shape != arr.shape:
+            vals = np.broadcast_to(vals, arr.shape)
+        plus, minus = np.count_nonzero(vals == _ONE), np.count_nonzero(vals == _MINUS_ONE)
+        if plus + minus != n:
+            raise ValueError("update values must be +1 or -1")
+        top = _SIGNED[self._buckets.dtype]
+        if self._bound + n > top and self._buckets.dtype != _INT64:
+            # re-tighten to the exact peak, which applies the queue, so the
+            # batch moves to the front of its buffer; if it would then leave
+            # less than an eighth of the range, widen a tier (or as it needs)
+            self._bound = _peak(self.buckets)
+            keys[:n] = batch
+            start, end = 0, n
+            if (need := self._bound + n) > top - (top >> 3):
+                self._buckets = self._buckets.astype(_narrowest_signed(max(need, top + 1)))
+        signs[start:end] = vals.ravel()
+        self._cardinality += int(plus - minus)  # count_nonzero gives np.intp
+        self._bound += n
+        if waits:
             self._queued = end
-            return
-        keys, vals = keys.ravel(), vals.ravel()
-        if start:
-            keys = np.concatenate([self._queued_keys[:start], keys])
-            vals = np.concatenate([self._queued_values[:start], vals])
-        self._queued = 0
-        self._add(keys, vals)
+        else:
+            self._queued = 0
+            self._add(keys[:end], signs[:end])
 
     def _add(self, keys: np.ndarray, values: np.ndarray) -> None:
         """Add each +/-1 value to its key's counter in the matrix's dtype, which the bound fits."""
@@ -360,19 +368,23 @@ def l0_from_row_counts(nz: np.ndarray, c_squared: int) -> np.ndarray:
     float64 estimates.  Sketches are grouped by their chosen level k, so
     each tail sum is a reduction over contiguous rows of one length and
     every estimate carries the same float operations, in the same order,
-    as it would alone; the exact power-of-two scaling by 2^k is one ldexp
-    after the groups.
+    as it would alone (one group, all rows, needs no mask); the exact
+    power-of-two scaling by 2^k is one ldexp after the groups.
     """
     nz = np.asarray(nz, dtype=np.int64)
     suffix_max = np.maximum.accumulate(nz[:, ::-1], axis=1)[:, ::-1]
-    eligible = suffix_max <= c_squared / 2  # once true, true for every deeper level
+    eligible = suffix_max <= c_squared // 2  # once true, true for every deeper level
     # the first eligible level; when every tail saturates, the deepest row
     level = np.where(eligible[:, -1], eligible.argmax(axis=1), nz.shape[1] - 1)
     terms = _occupancy_terms(c_squared)[nz]
-    sums = np.empty(nz.shape[0])
-    for k in set(level.tolist()):
-        sel = level == k
-        sums[sel] = terms[sel, k:].sum(axis=1)
+    k = int(level[0]) if len(level) else 0
+    if np.count_nonzero(level != k) == 0:  # one level for all, as in verify's level-0 chunks
+        sums = terms[:, k:].sum(axis=1)
+    else:
+        sums = np.empty(nz.shape[0])
+        for k in set(level.tolist()):
+            sel = level == k
+            sums[sel] = terms[sel, k:].sum(axis=1)
     out = np.ldexp(sums / math.log1p(-1.0 / c_squared), level)
     out[suffix_max[:, 0] == 0] = 0.0  # the all-zero sketch estimates exactly 0.0
     return out

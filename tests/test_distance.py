@@ -1,6 +1,7 @@
 """Distance estimation from sketches: per-slot shots, their median, and accuracy."""
 
 import statistics
+import struct
 import tracemalloc
 
 import numpy as np
@@ -21,6 +22,8 @@ from dynlsh import (
     jaccard,
     l0_estimate,
     merge,
+    sketch_from_bytes,
+    sketch_to_bytes,
     sorensen_dice,
 )
 
@@ -101,7 +104,14 @@ class TestEstimateDistance:
             sk = LevelSketch(rnd)
             sk.update_many(rng.choice(d, size=size, replace=False), 1)
             sketches.append(sk)
-        for params in (jaccard(d), hamming(d), RationalSimilarity(0.5, 1.0, 0.0, 1.0, d)):
+        for params in (
+            jaccard(d),
+            hamming(d),
+            RationalSimilarity(0.5, 1.0, 0.0, 1.0, d),
+            # every term of either denominator nonzero, so the float order shows
+            RationalSimilarity(0.6, 0.3, 0.1, 1.3, d),
+            RationalSimilarity(0.3, 0.7, 0.1, 1.3, d),
+        ):
             est = DistanceEstimator(params, rnd)
             for a in sketches:
                 for b in sketches:
@@ -236,6 +246,93 @@ class TestEstimateDistance:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+
+def from_counters(randomness, counters, cardinality):
+    """A sketch holding exactly these counters and cardinality, loaded through the wire format."""
+    raw = bytearray(sketch_to_bytes(LevelSketch(randomness)))
+    body = np.asarray(counters, dtype="<i8").tobytes()
+    raw[len(raw) - len(body) :] = body
+    struct.pack_into("<q", raw, 33, cardinality)  # after the length, version, d, c^2 and levels
+    return sketch_from_bytes(bytes(raw), randomness)
+
+
+def batch_estimate(est, a, b):
+    """One slot's estimate of (a, b) through distances_from_counts, the path verify takes."""
+    sym = (a.buckets != b.buckets).sum(axis=1)
+    union = (a.buckets != -b.buckets).sum(axis=1)
+    card = np.array([a.cardinality + b.cardinality])
+    return float(est.distances_from_counts(sym[None, :], union[None, :], card)[0])
+
+
+@pytest.fixture(scope="module")
+def live_pairs():
+    """Sketch pairs at the live-query shape (d = 2^20, c^2 = 256), one per case."""
+    d = 2**20
+    rnd = SketchRandomness(d, 256, 76100)
+    rng = np.random.default_rng(76100)
+    pool = rng.choice(d, size=40_100, replace=False)
+    ones = np.ones((rnd.num_levels, rnd.c_squared), np.int64)
+    pairs = {
+        "empty": (LevelSketch(rnd), LevelSketch(rnd)),
+        "identical": (build(rnd, pool[:300]), build(rnd, pool[:300])),
+        # every row of both merges has more than c^2 / 2 nonzeros: the deepest row is read
+        "saturated": (from_counters(rnd, ones, ones.size), from_counters(rnd, 2 * ones, 2 * ones.size)),
+        # near-equal large sets: the difference reads level 0, the sum a deep level
+        "split-levels": (build(rnd, pool[:40_000]), build(rnd, pool[100:])),
+        "overlapping": (build(rnd, pool[:900]), build(rnd, pool[600:2000])),
+    }
+    return rnd, pairs
+
+
+class TestOneSlotQuery:
+    """One slot is scored without the batch arrays, with the same float operations."""
+
+    def test_the_cases_read_what_they_name(self, live_pairs):
+        rnd, pairs = live_pairs
+        half = rnd.c_squared // 2
+
+        def counts(a, b):
+            return (a.buckets != b.buckets).sum(axis=1), (a.buckets != -b.buckets).sum(axis=1)
+
+        sym, union = counts(*pairs["saturated"])
+        assert sym.min() > half and union.min() > half
+        sym, union = counts(*pairs["split-levels"])
+        assert sym.max() <= half < union[0]  # level 0 against a deeper level
+        assert not counts(*pairs["identical"])[0].any()
+
+    @pytest.mark.parametrize(
+        "weights",
+        [(1.0, 0.0, 0.0, 1.0), (1.0, 1.0, 0.0, 1.0), (0.5, 0.25, 0.0, 1.0), (0.25, 0.5, 0.0, 1.0)],
+        ids=["jaccard", "hamming", "three-terms", "complement-route"],
+    )
+    def test_matches_distances_from_counts_bit_for_bit(self, live_pairs, weights):
+        rnd, pairs = live_pairs
+        params = RationalSimilarity(*weights, rnd.d)
+        est = DistanceEstimator(params, rnd)
+        rooted = DistanceEstimator(RootSimilarity(params, 0.5), rnd)
+        for name, (a, b) in pairs.items():
+            want = batch_estimate(est, a, b)
+            assert _distance_reference(params, a, b).hex() == want.hex(), name
+            assert batch_estimate(rooted, a, b).hex() == want.hex(), name
+            assert est.estimate_distance(a, b).hex() == want.hex(), name
+            assert est.estimate_similarity_additive(a, b).hex() == max(0.0, 1.0 - want).hex(), name
+            assert rooted.estimate_root_distance(a, b).hex() == (max(want, 0.0) ** 0.5).hex(), name
+            if name in ("empty", "identical"):
+                assert est.estimate_distance(a, b).hex() == (0.0).hex()
+
+    def test_three_slots_take_the_median_of_their_shots(self):
+        rng = np.random.default_rng(76200)
+        d = 2**14
+        slots = make_slots(d, 256, 76200, repetitions=3)
+        A = rng.choice(d, size=900, replace=False)
+        B = np.concatenate([A[:500], rng.choice(np.setdiff1d(np.arange(d), A), size=300, replace=False)])
+        a, b = [build(r, A) for r in slots], [build(r, B) for r in slots]
+        for weights in ((1.0, 0.0, 0.0, 1.0), (0.5, 1.0, 0.0, 1.0)):
+            est = DistanceEstimator(RationalSimilarity(*weights, d), slots)
+            shots = [batch_estimate(est, x, y) for x, y in zip(a, b)]
+            assert len(set(shots)) == 3  # the slots disagree, so the median picks one
+            assert est.estimate_distance(a, b).hex() == statistics.median(shots).hex()
 
 
 class TestRootDistance:

@@ -428,8 +428,7 @@ class TestUpdateQueue:
         assert sk != want
 
     def test_queued_batches_are_copies(self, randomness):
-        items = np.array([3, 77, 500], dtype=np.uint64)
-        assert randomness.item_keys(items) is items  # the caller's own array, unless copied
+        items = np.array([3, 77, 500], dtype=np.uint64)  # already the keys' dtype, yet copied
         values = np.array([1, 1, -1])
         grid = np.array([[5, 6], [7, 8]])
         grid_values = np.array([[1, -1], [1, 1]])
@@ -482,6 +481,64 @@ class TestUpdateQueue:
             big = LevelSketch(randomness)
             big.update_many(rng.integers(0, 1024, size=size))
             assert big._queued == 0 and big._buckets.sum() == size
+
+    @pytest.mark.parametrize(
+        "queued, size",
+        [(100, QUEUE_CAP - 101), (100, QUEUE_CAP - 100), (100, QUEUE_CAP), (QUEUE_CAP - 1, 2)],
+        ids=["ends-below-the-cap", "ends-at-the-cap", "crosses-the-cap", "full-queue"],
+    )
+    def test_rejected_batch_at_the_cap_changes_nothing(self, randomness, queued, size):
+        """Staged in the queue's slot or in the buffer that applies the queue,
+        a rejected batch leaves the queue, cardinality, bound and applied
+        counters as they were, and the next batch lands where it should."""
+        rng = np.random.default_rng(72031)
+        first = (rng.integers(0, 1024, size=queued), rng.choice([-1, 1], size=queued))
+        items, values = rng.integers(0, 1024, size=size), rng.choice([-1, 1], size=size)
+        sk = LevelSketch(randomness)
+        sk.update_many(*first)
+
+        def state():
+            return sk._queued, sk.cardinality, sk._bound, sk._buckets.dtype, sk._buckets.tobytes()
+
+        before = state()
+        assert before[0] == queued
+        for bad_items, bad_values, error in (
+            (np.r_[items[:-1], 1024], values, ItemRangeError),  # one bad item, the last one
+            (np.r_[items[:-1], -1], values, ItemRangeError),
+            (items, np.r_[values[:-1], 0], ValueError),
+            (items, np.r_[values, 1], ValueError),  # values that do not broadcast
+            (np.array([5, -3], np.int8), 1, ItemRangeError),  # negative items cast into the slot
+            (np.array([5, -300], np.int16), 1, ItemRangeError),
+            (np.array([5, 2**64 - 1], np.uint64), 1, ItemRangeError),
+            (np.r_[items[:-1], 1024].reshape(1, -1), 1, ItemRangeError),  # a 2-D batch
+            (items.reshape(1, -1), np.r_[values, 1], ValueError),
+            (items.astype(np.float64), values, TypeError),
+        ):
+            with pytest.raises(error):
+                sk.update_many(bad_items, bad_values)
+            assert state() == before
+        sk.update_many(items, values)
+        assert sk._queued == (queued + size if queued + size < QUEUE_CAP else 0)
+        want = read_after_each(randomness, [first, (items, values)])
+        assert sk.buckets.dtype == want.buckets.dtype
+        assert_array_equal(sk.buckets, want.buckets)
+        assert sk.cardinality == want.cardinality
+
+    @pytest.mark.parametrize("size", [10, QUEUE_CAP])
+    def test_a_bound_scan_with_items_queued_keeps_every_update(self, randomness, size):
+        """The scan applies the queue, so a batch that waits moves to the
+        front of the queue and one applied with the queue is added alone."""
+        rng = np.random.default_rng(72032)
+        first = (rng.integers(0, 1024, size=500), rng.choice([-1, 1], size=500))
+        items, values = rng.integers(0, 1024, size=size), rng.choice([-1, 1], size=size)
+        sk = LevelSketch(randomness)
+        sk.update_many(*first)
+        sk._bound = 2**15 - 1  # a loose bound that the next batch runs out
+        sk.update_many(items, values)
+        assert sk._queued == (size if size < QUEUE_CAP else 0)
+        want = read_after_each(randomness, [first, (items, values)])
+        assert sk.buckets.dtype == want.buckets.dtype == np.int16
+        assert_array_equal(sk.buckets, want.buckets)
 
 
 class TestMerge:
@@ -1025,6 +1082,34 @@ class TestL0Estimate:
             c2 = counters[0].shape[1]
             want = [_l0_reference(x).hex() for x in counters]
             assert [float(v).hex() for v in l0_from_row_counts(nz, c2)] == want
+
+    def test_one_level_inputs_take_one_reduction_bit_for_bit(self):
+        """Rows that all choose one level are reduced in one pass; the same
+        rows beside a row of another level go through the grouped
+        reduction, and both give the same bits, as does each row alone."""
+        rng = np.random.default_rng(73302)
+        c2, levels = 256, 21
+        half = c2 // 2
+
+        def at_level(n, k):
+            """n count rows whose first tail with every row at most c^2 / 2 starts at level k."""
+            nz = rng.integers(0, half + 1, size=(n, levels))
+            nz[:, :k] = rng.integers(half + 1, c2 + 1, size=(n, k))
+            return nz
+
+        saturated = rng.integers(half + 1, c2 + 1, size=(5, levels))  # fall to the deepest row
+        for nz in (
+            at_level(1, 0), at_level(2000, 0), at_level(20000, 0), at_level(2000, 3),
+            at_level(7, levels - 1), saturated, np.zeros((3, levels), np.int64),
+        ):
+            fast = l0_from_row_counts(nz, c2)
+            grouped = l0_from_row_counts(np.vstack([nz, at_level(1, 5)]), c2)[:-1]  # level 5 is new
+            assert [v.hex() for v in fast.tolist()] == [v.hex() for v in grouped.tolist()]
+        mixed = np.vstack([at_level(40, k) for k in (0, 2, 9, levels - 1)] + [saturated])
+        together = l0_from_row_counts(mixed, c2).tolist()
+        alone = [float(l0_from_row_counts(row[None, :], c2)[0]) for row in mixed]
+        assert [v.hex() for v in together] == [v.hex() for v in alone]
+        assert l0_from_row_counts(np.zeros((0, levels), np.int64), c2).shape == (0,)
 
     def test_occupancy_terms_gather_equals_the_expression_bit_for_bit(self):
         """The cached table gathers the terms the per-row expression computes,
