@@ -191,7 +191,7 @@ class DistanceEstimator:
         all-zero, so the symmetric-difference estimate is exactly zero.
         """
         self.require_metric()
-        return _median(self._shots(a, b))
+        return statistics.median(self._shots(a, b))
 
     def estimate_root_distance(
         self,
@@ -210,7 +210,7 @@ class DistanceEstimator:
                 "root similarity is not LSH-able (need z' >= ((alpha+1)/2)*max(x, y))"
             )
         alpha = self.params.alpha
-        return _median([max(s, 0.0) ** alpha for s in self._shots(a, b)])
+        return statistics.median([max(s, 0.0) ** alpha for s in self._shots(a, b)])
 
     def estimate_similarity_additive(
         self,
@@ -225,9 +225,5 @@ class DistanceEstimator:
         """
         if isinstance(self.params, RootSimilarity):
             raise ValueError("additive similarity applies to rational params only")
-        return max(0.0, 1.0 - _median(self._shots(a, b)))
+        return max(0.0, 1.0 - statistics.median(self._shots(a, b)))
 
-
-def _median(shots: list[float]) -> float:
-    """The median shot; one slot's shot as it is."""
-    return shots[0] if len(shots) == 1 else statistics.median(shots)

@@ -241,9 +241,7 @@ class SketchRandomness:
         """ItemRangeError unless every key, an integer item cast to uint64, lies in [0, d).
 
         A negative item wraps to at least 2^63 >= d, so one comparison
-        checks both ends.  Counting its hits costs about 0.7 us on 64 keys,
-        against 1.1 us for np.maximum.reduce, whose ufunc reduction has the
-        larger fixed cost.
+        checks both ends.
         """
         if np.count_nonzero(keys >= self._item_bound):
             raise ItemRangeError(f"items outside universe [0, {self.d})")

@@ -368,8 +368,8 @@ def l0_from_row_counts(nz: np.ndarray, c_squared: int) -> np.ndarray:
     float64 estimates.  Sketches are grouped by their chosen level k, so
     each tail sum is a reduction over contiguous rows of one length and
     every estimate carries the same float operations, in the same order,
-    as it would alone (one group, all rows, needs no mask); the exact
-    power-of-two scaling by 2^k is one ldexp after the groups.
+    as it would alone; the exact power-of-two scaling by 2^k is one ldexp
+    after the groups.
     """
     nz = np.asarray(nz, dtype=np.int64)
     suffix_max = np.maximum.accumulate(nz[:, ::-1], axis=1)[:, ::-1]
@@ -377,14 +377,10 @@ def l0_from_row_counts(nz: np.ndarray, c_squared: int) -> np.ndarray:
     # the first eligible level; when every tail saturates, the deepest row
     level = np.where(eligible[:, -1], eligible.argmax(axis=1), nz.shape[1] - 1)
     terms = _occupancy_terms(c_squared)[nz]
-    k = int(level[0]) if len(level) else 0
-    if np.count_nonzero(level != k) == 0:  # one level for all, as in verify's level-0 chunks
-        sums = terms[:, k:].sum(axis=1)
-    else:
-        sums = np.empty(nz.shape[0])
-        for k in set(level.tolist()):
-            sel = level == k
-            sums[sel] = terms[sel, k:].sum(axis=1)
+    sums = np.empty(nz.shape[0])
+    for k in set(level.tolist()):
+        sel = level == k
+        sums[sel] = terms[sel, k:].sum(axis=1)
     out = np.ldexp(sums / math.log1p(-1.0 / c_squared), level)
     out[suffix_max[:, 0] == 0] = 0.0  # the all-zero sketch estimates exactly 0.0
     return out

@@ -1083,10 +1083,9 @@ class TestL0Estimate:
             want = [_l0_reference(x).hex() for x in counters]
             assert [float(v).hex() for v in l0_from_row_counts(nz, c2)] == want
 
-    def test_one_level_inputs_take_one_reduction_bit_for_bit(self):
-        """Rows that all choose one level are reduced in one pass; the same
-        rows beside a row of another level go through the grouped
-        reduction, and both give the same bits, as does each row alone."""
+    def test_level_groups_give_each_row_its_own_bits(self):
+        """Rows that all choose one level give the same bits alone as beside
+        a row of another level, and mixed levels give each row's bits alone."""
         rng = np.random.default_rng(73302)
         c2, levels = 256, 21
         half = c2 // 2
@@ -1102,9 +1101,9 @@ class TestL0Estimate:
             at_level(1, 0), at_level(2000, 0), at_level(20000, 0), at_level(2000, 3),
             at_level(7, levels - 1), saturated, np.zeros((3, levels), np.int64),
         ):
-            fast = l0_from_row_counts(nz, c2)
+            one_group = l0_from_row_counts(nz, c2)
             grouped = l0_from_row_counts(np.vstack([nz, at_level(1, 5)]), c2)[:-1]  # level 5 is new
-            assert [v.hex() for v in fast.tolist()] == [v.hex() for v in grouped.tolist()]
+            assert [v.hex() for v in one_group.tolist()] == [v.hex() for v in grouped.tolist()]
         mixed = np.vstack([at_level(40, k) for k in (0, 2, 9, levels - 1)] + [saturated])
         together = l0_from_row_counts(mixed, c2).tolist()
         alone = [float(l0_from_row_counts(row[None, :], c2)[0]) for row in mixed]
