@@ -87,11 +87,11 @@ _TAG_TIMING = 14
 _TAG_LOW_PAIRS = 15
 
 # Lines per chunk of a stream body read from a handle: each chunk's lines
-# are held while the line loop reads them, and no longer.
+# and their joined text are held while they are parsed, and no longer.
 _PARSE_CHUNK_ROWS = 1 << 14
 
-# Characters per read of a stream body from a path; a block is cut after
-# its last line end, about 24k lines of a generated stream.
+# Characters per read of a stream body from a path; readline then ends the
+# block at the next line end, about 24k lines of a generated stream.
 _READ_BLOCK_CHARS = 1 << 18
 
 # The most digits of a row or item the vector parse reads: 10^18 - 1 < 2^63.
@@ -399,17 +399,18 @@ def _read_stream(source: str | os.PathLike | IO[str]) -> tuple[int, int, tuple]:
 
     The source is read once and parsed whole before any row is looked at,
     so a malformed line raises StreamParseError with its line number first.
-    A path's body is read in blocks of whole lines (_path_columns), a
-    handle's in chunks of _PARSE_CHUNK_ROWS lines by the line loop
-    _parse_lines, the one specification (_handle_columns).  Each update is
+    The body is read in blocks of whole lines, each parsed by _columns: a
+    file's are _READ_BLOCK_CHARS characters and the rest of that line, a
+    handle's are _PARSE_CHUNK_ROWS of its own lines.  Each update is
     packed into one unsigned key, its row above its item above a sign bit
     set for +1 (uint32 when that fits, else uint64), and the keys are
     sorted in place.  updates is (keys, lows, shift): update k is in row
     keys[k] >> shift, and its item and sign bit are the low shift bits of
-    keys[k].  A stream wider than _KEY_BITS (d = 2^63 with n > 1) keeps its
-    rows as the keys and the rest as lows, sorted together by np.lexsort.
+    keys[k].  A stream whose key would be wider than _KEY_BITS, that is
+    bits(n - 1) + bits(d - 1) + 1 > 64 (n = 2^20 rows of d = 2^45 items,
+    or d = 2^63 with n > 1), keeps its rows as the keys and the rest as
+    lows, sorted together by np.lexsort.
     """
-    by_path = isinstance(source, (str, os.PathLike))
     with _opened(source, "r") as fh:
         lines = iter(fh)
         n, d = _parse_header(next(lines, ""))
@@ -417,7 +418,13 @@ def _read_stream(source: str | os.PathLike | IO[str]) -> tuple[int, int, tuple]:
         width = max(n - 1, 0).bit_length() + shift
         dtype, packed = np.dtype(np.uint32 if width <= 32 else np.uint64), width <= _KEY_BITS
         keys, lows = [np.empty(0, dtype if packed else np.min_scalar_type(n))], [np.empty(0, dtype)]
-        for j, i, v in _path_columns(fh, n, d) if by_path else _handle_columns(lines, n, d):
+        if fh is source:  # a handle: chunks of its own lines, joined
+            chunks = iter(lambda: list(islice(lines, _PARSE_CHUNK_ROWS)), [])
+            blocks = map(lambda chunk: ("".join(chunk), chunk), chunks)
+        else:  # opened with newline="", so readline ends the block where the file ends a line
+            texts = iter(lambda: fh.read(_READ_BLOCK_CHARS) + fh.readline(), "")
+            blocks = map(lambda text: (text, None), texts)
+        for j, i, v in _columns(blocks, n, d):
             low = (i.astype(dtype) << 1) | (v > 0)
             if packed:
                 keys.append(low | (j.astype(dtype) << shift))
@@ -433,52 +440,29 @@ def _read_stream(source: str | os.PathLike | IO[str]) -> tuple[int, int, tuple]:
     return n, d, (keys[order], lows[order], 0)
 
 
-def _path_columns(fh: IO[str], n: int, d: int) -> Iterator[np.ndarray | tuple[np.ndarray, ...]]:
-    """The int64 rows, items and values of each _path_blocks text of a file's body.
+def _columns(
+    blocks: Iterator[tuple[str, list[str] | None]], n: int, d: int
+) -> Iterator[np.ndarray | tuple[np.ndarray, ...]]:
+    """The int64 rows, items and values of each (text, lines) block of a stream's body.
 
-    A text in write_stream's exact form is read by _parse_canonical; any
-    other goes to the line loop _parse_lines, split as the file (opened
-    with newline="") splits lines, so the loop names the error and its line.
+    A text in write_stream's exact form is read by _parse_canonical, when
+    a handle's lines, if given, are as many as the updates it found: a
+    handle opened with newline="\\r" or "\\r\\n" splits such a text otherwise.
+    Any other block goes to the line loop _parse_lines, over the handle's
+    lines or the text split as a file opened with newline="" splits it, so
+    the loop names the error and its line.
     """
     line_no = 2
-    for text in _path_blocks(fh):
-        if (columns := _parse_canonical(text, n, d)) is not None:
-            line_no += len(columns[0])  # one update per line
-        else:
-            lines = io.StringIO(text, newline="").readlines()
+    for text, lines in blocks:
+        columns = _parse_canonical(text, n, d)
+        if columns is None or (lines is not None and len(lines) != len(columns[0])):
+            lines = io.StringIO(text, newline="").readlines() if lines is None else lines
             columns = _parse_lines(lines, n, d, line_no)
             line_no += len(lines)
-            del lines
-        del text  # not held while the rows are packed
+        else:
+            line_no += len(columns[0])  # one update per line
+        del text, lines  # not held while the rows are packed
         yield columns
-
-
-def _handle_columns(lines: Iterator[str], n: int, d: int) -> Iterator[np.ndarray]:
-    """The (3, updates) int64 rows, items and values of a handle's body, a chunk of lines at a time."""
-    line_no = 2
-    while chunk := list(islice(lines, _PARSE_CHUNK_ROWS)):
-        columns = _parse_lines(chunk, n, d, line_no)
-        line_no += len(chunk)
-        del chunk  # not held while the rows are packed
-        yield columns
-
-
-def _path_blocks(fh: IO[str]) -> Iterator[str]:
-    """The rest of a file opened with newline="", as texts of whole lines.
-
-    Each read of _READ_BLOCK_CHARS characters is cut after its last line
-    end, a "\\n" or a "\\r" that is not the read's last character (so no
-    "\\r\\n" is split), and the rest carried over; a text without a final
-    line end can only be the file's last.
-    """
-    pieces: list[str] = []
-    while block := fh.read(_READ_BLOCK_CHARS):
-        if cut := max(block.rfind("\n"), block.rfind("\r", 0, len(block) - 1)) + 1:
-            yield "".join([*pieces, block[:cut]])
-            pieces = []
-        pieces.append(block[cut:])
-    if tail := "".join(pieces):
-        yield tail
 
 
 def _parse_canonical(text: str, n: int, d: int) -> tuple[np.ndarray, ...] | None:

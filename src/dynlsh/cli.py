@@ -50,35 +50,30 @@ def _seed_value(text: str) -> int:
     return value
 
 
-def _parse_ranges(text: str) -> tuple[tuple[float, float], ...]:
-    """Comma-separated low:high target intervals; 'none' for no planting."""
-    if text.strip().lower() in ("", "none"):
-        return ()
+def _colon_lists(text: str, types: tuple[type, ...]) -> tuple[tuple, ...]:
+    """Comma-separated colon lists, each of len(types) fields read by types in turn."""
     out = []
     for part in text.split(","):
-        lo, _, hi = part.partition(":")
-        out.append((float(lo), float(hi)))
+        fields = part.split(":")
+        if len(fields) != len(types):
+            raise ValueError(f"expected {len(types)} ':'-separated fields, got {part!r}")
+        out.append(tuple(kind(field) for kind, field in zip(types, fields)))
     return tuple(out)
+
+
+def _parse_ranges(text: str) -> tuple[tuple[float, float], ...]:
+    """Comma-separated low:high target intervals; 'none' for no planting."""
+    return () if text.strip().lower() in ("", "none") else _colon_lists(text, (float, float))
 
 
 def _parse_deviation_grid(text: str) -> tuple[tuple[int, float], ...]:
     """Comma-separated buckets:alpha combinations, e.g. 128:0.05,256:0.025."""
-    out = []
-    for part in text.split(","):
-        c2, _, alpha = part.partition(":")
-        out.append((int(c2), float(alpha)))
-    return tuple(out)
+    return _colon_lists(text, (int, float))
 
 
 def _parse_scurve_grid(text: str) -> tuple[tuple[int, int, float, int], ...]:
     """Comma-separated r:l:alpha:buckets combinations."""
-    out = []
-    for part in text.split(","):
-        fields = part.split(":")
-        if len(fields) != 4:
-            raise ValueError(f"expected r:l:alpha:buckets, got {part!r}")
-        out.append((int(fields[0]), int(fields[1]), float(fields[2]), int(fields[3])))
-    return tuple(out)
+    return _colon_lists(text, (int, int, float, int))
 
 
 _ALPHA_HELP = (

@@ -29,7 +29,7 @@ def _frozen_scalar(value: int, dtype: type = np.uint64) -> np.ndarray:
 
     On small arrays a ufunc's fixed cost dominates, and a 0-d array operand
     skips the scalar conversion an np.uint64 or a Python int pays on every
-    call (about 0.7 against 1.1-1.5 us per multiply on 64 items, numpy 2.4).
+    call.
     """
     out = np.array(value, dtype=dtype)
     out.flags.writeable = False
@@ -325,8 +325,8 @@ class SketchRandomness:
         odd a, so ranks are unique) shifted left by bucket_bits, or-ed with
         the bucket: the least packed value of a row is its min-hash, and
         its low bits name the bucket.  The table rows are gathered with
-        take(flat, axis=0), which copies the same rows as table[flat] in
-        less than half the time.
+        take(flat, axis=0), which copies the same rows as table[flat] with
+        less overhead.
         """
         key = (repetitions, bands)
         entry = self._minhash_tables.get(key)

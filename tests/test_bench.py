@@ -590,10 +590,12 @@ class TestVectorizedIngest:
     @settings(max_examples=400, deadline=None)
     @given(
         text=faulty_streams(),
-        source=st.sampled_from(["\n", "", None, "path", "pipe"]),
+        source=st.sampled_from(["\n", "\r", "\r\n", "", None, "path", "pipe"]),
         chunk_rows=st.sampled_from([3, dynlsh.bench._PARSE_CHUNK_ROWS]),
     )
     @example(text="1 10\n0 1_0 1\n", source="\n", chunk_rows=3)
+    @example(text="2 10\r0 1 1\n1 2 1\n", source="\r", chunk_rows=3)
+    @example(text="2 10\r\n0 1 1\n1 2 1\n", source="\r\n", chunk_rows=3)
     @example(text="2 10\n0 1 1\r0 2 1\n", source="\n", chunk_rows=3)
     @example(text="2 10\n0 1 1\r0 2 1\n", source="", chunk_rows=3)
     @example(text="2 10\n0 1 1\r\r\n1 2 -1\n", source="\n", chunk_rows=3)
@@ -629,6 +631,9 @@ class TestVectorizedIngest:
                             self._check(lambda: path, opened)
             elif source == "pipe":
                 self._check(lambda: _Unseekable(io.StringIO(text)), lambda: io.StringIO(text))
+            elif source in ("\r", "\r\n"):  # StringIO would store each "\n" of text as source
+                opened = lambda: io.TextIOWrapper(io.BytesIO(text.encode()), "utf-8", newline=source)
+                self._check(opened, opened)
             else:
                 self._check(lambda: io.StringIO(text, newline=source), lambda: io.StringIO(text, newline=source))
 
@@ -643,16 +648,22 @@ class TestVectorizedIngest:
         assert _sets_are_int64(lambda: read_sets(source()))
 
     @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
-    def test_path_blocks_end_at_line_ends(self, tmp_path, end):
+    def test_file_blocks_end_at_line_ends(self, tmp_path, end):
         """A file is read in blocks of whole lines, whatever its line ends, and none grows to the whole body."""
-        text = "".join(f"0 {i} 1{end}" for i in range(200))
+        body = "".join(f"0 {i} 1{end}" for i in range(200))
         path = tmp_path / "s.stream"
-        path.write_text(text, newline="")
-        with mock.patch.object(dynlsh.bench, "_READ_BLOCK_CHARS", 16), open(path, newline="") as fh:
-            blocks = list(dynlsh.bench._path_blocks(fh))
-        assert "".join(blocks) == text
+        path.write_text(f"1 200{end}{body}", newline="")
+        parse = dynlsh.bench._parse_canonical
+        with (
+            mock.patch.object(dynlsh.bench, "_READ_BLOCK_CHARS", 16),
+            mock.patch.object(dynlsh.bench, "_parse_canonical", wraps=parse) as canonical,
+        ):
+            _, sets = read_sets(path)
+        assert sets[0].tolist() == list(range(200))
+        blocks = [call.args[0] for call in canonical.call_args_list]
+        assert "".join(blocks) == body
         assert all(block.endswith(end) for block in blocks)
-        assert max(map(len, blocks)) < 16 + 2 * len(f"0 199 1{end}")
+        assert max(map(len, blocks)) <= 16 + len(f"0 199 1{end}")
 
     @pytest.mark.parametrize("text", ["0 5\n", "3 5", "2 10\n\n  \n\t\n"])
     def test_empty_bodies_raise_no_warning(self, tmp_path, text):
@@ -666,19 +677,22 @@ class TestVectorizedIngest:
                 assert [s.tolist() for s in sets] == empty
 
     def test_valid_streams_never_reach_the_line_loop(self, tmp_path):
-        """write_stream's output, read from a path, goes through the canonical parse alone."""
+        """write_stream's output, read from a path, a handle or a pipe, goes through the canonical parse alone."""
         corpus = generate(30, 500, (0.02, 0.1), DEFAULT_PLANTED_RANGES, 5, 4)
         path = tmp_path / "c.stream"
         write_stream(corpus, path, churn=0.5, seed=4)
         want = read_sets(path)[1]
+        text = path.read_text()
         with (
             mock.patch.object(dynlsh.bench, "_parse_lines", side_effect=AssertionError("loop used")),
             mock.patch.object(dynlsh.bench, "_READ_BLOCK_CHARS", 100),  # many blocks
+            mock.patch.object(dynlsh.bench, "_PARSE_CHUNK_ROWS", 7),  # and many chunks
         ):
-            d, sets = read_sets(path)
-            assert d == 500
-            assert [s.tolist() for s in sets] == [sorted(s.tolist()) for s in corpus.rows]
-            assert [s.tolist() for s in sets] == [s.tolist() for s in want]
+            for source in (path, io.StringIO(text), _Unseekable(io.StringIO(text))):
+                d, sets = read_sets(source)
+                assert d == 500
+                assert [s.tolist() for s in sets] == [sorted(s.tolist()) for s in corpus.rows]
+                assert [s.tolist() for s in sets] == [s.tolist() for s in want]
             # rows out of order in the file give the same net sets
             lines = path.read_text().splitlines()
             path.write_text("\n".join(lines[:1] + lines[:0:-1]) + "\n")
@@ -847,6 +861,17 @@ class TestColumnarReplay:
         for a, b in zip(packed, sorted_by_columns):
             for x, y in zip(a, b):
                 assert x.dtype == y.dtype == np.int64 and np.array_equal(x, y)
+
+    def test_a_stream_wider_than_64_key_bits_is_sorted_by_columns(self):
+        """bits(n - 1) + bits(d - 1) + 1 = 20 + 45 + 1 > 64 sends the keys to np.lexsort unpatched."""
+        n, d = 2**20, 2**45
+        lines = [f"{n - 1} {d - 1} 1", "5 3 1", f"{n - 1} 2 1", "5 3 -1", f"0 {d - 2} 1", "5 9 1"]
+        text = f"{n} {d}\n" + "\n".join(lines) + "\n"
+        with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+            got_d, sets = read_sets(io.StringIO(text))
+        assert lexsort.call_count == 1
+        assert (got_d, len(sets)) == (d, n)
+        assert {j: s.tolist() for j, s in enumerate(sets) if s.size} == {0: [d - 2], 5: [9], n - 1: [2, d - 1]}
 
     def test_the_largest_universe_is_sorted_by_columns(self):
         """d = 2^63 leaves no bit for a second row, so its keys go to np.lexsort."""
