@@ -170,7 +170,7 @@ class DistanceEstimator:
         counts = np.empty((2 * r, self.randomness[0].num_levels), np.int64)
         for i, (x, y) in enumerate(pairs):
             # a bool sum counts like count_nonzero without its Python wrapper; -y is
-            # exact in y's dtype, as no counter reaches its minimum (|y| <= 2^15 - 1)
+            # exact in y's dtype, as no counter reaches its dtype's minimum in any tier
             xb, yb = x.buckets, y.buckets
             np.not_equal(xb, yb).sum(axis=1, out=counts[i])
             np.not_equal(xb, -yb).sum(axis=1, out=counts[r + i])

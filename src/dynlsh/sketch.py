@@ -24,10 +24,6 @@ from .errors import ConfigMismatchError, CounterOverflowError
 from .hashing import SketchRandomness, _frozen_scalar, deepest_level
 from .similarity import RationalSimilarity, _similarity_from_counts
 
-# merge precheck bound: values this large cannot arise from counting real
-# streams, and refusing them keeps entrywise addition overflow-free
-_MERGE_GUARD = 1 << 62
-
 # the signed dtypes _narrowest_signed chooses from, narrowest first, to their largest values
 _SIGNED = {np.dtype(t): int(np.iinfo(t).max) for t in (np.int8, np.int16, np.int32, np.int64)}
 _INT64 = np.dtype(np.int64)
@@ -69,10 +65,9 @@ class LevelSketch:
     _bound is a Python int at least max |counter| over applied and queued
     updates: each accepted +/-1 update adds one to it, merge sets it to
     the sum of its inputs' peaks, and sketch_from_bytes to the exact peak.
-    Before a batch could push it past the dtype's maximum, update_many
-    re-tightens it by one scan, and widens a tier unless an eighth of the
-    range is left, so a counter never overflows and never reaches -2^15
-    (or -2^31), and scans come at least 4,095 updates apart.
+    _add re-tightens it and widens the tier when it applies the queue, so
+    a counter never overflows and never reaches its dtype's minimum, and
+    scans come at least 4,095 updates apart.
     Sketches of any dtype compare, merge and serialize alike.
     """
 
@@ -83,7 +78,7 @@ class LevelSketch:
 
     def __init__(self, randomness: SketchRandomness) -> None:
         self.randomness = randomness
-        self._buckets = np.zeros((randomness.num_levels, randomness.c_squared), _COUNTER_FLOOR)
+        self._buckets = np.zeros((randomness.num_levels, randomness.c_squared), _counter_dtype(0))
         self._cardinality = 0
         self._bound = 0
         # the first _queued entries of two buffers allocated on first use
@@ -155,9 +150,10 @@ class LevelSketch:
         to uint64 keys into their slot past the waiting ones, their only
         copy, and checked there: in the queue if fewer than _QUEUE_CAP
         items would then wait, else in a fresh buffer behind the waiting
-        items, all of which are then hashed and added by one np.add.at in
-        the matrix's own dtype.  The queue grows only once every check has
-        passed, and fewer than _QUEUE_CAP items ever wait.
+        items, all of which _add then applies.  The batch adds its size to
+        the bound and no more: the tier is decided when the queue is
+        applied.  The queue grows only once every check has passed, and
+        fewer than _QUEUE_CAP items ever wait.
         """
         arr = np.asarray(items)
         if arr.size == 0:
@@ -188,16 +184,6 @@ class LevelSketch:
         plus, minus = np.count_nonzero(vals == _ONE), np.count_nonzero(vals == _MINUS_ONE)
         if plus + minus != n:
             raise ValueError("update values must be +1 or -1")
-        top = _SIGNED[self._buckets.dtype]
-        if self._bound + n > top and self._buckets.dtype != _INT64:
-            # re-tighten to the exact peak, which applies the queue, so the
-            # batch moves to the front of its buffer; if it would then leave
-            # less than an eighth of the range, widen a tier (or as it needs)
-            self._bound = _peak(self.buckets)
-            keys[:n] = batch
-            start, end = 0, n
-            if (need := self._bound + n) > top - (top >> 3):
-                self._buckets = self._buckets.astype(_narrowest_signed(max(need, top + 1)))
         signs[start:end] = vals.ravel()
         self._cardinality += int(plus - minus)  # count_nonzero gives np.intp
         self._bound += n
@@ -205,11 +191,21 @@ class LevelSketch:
             self._queued = end
         else:
             self._queued = 0
-            self._add(keys[:end], signs[:end])
+            self._add(keys, signs)
 
     def _add(self, keys: np.ndarray, values: np.ndarray) -> None:
-        """Add each +/-1 value to its key's counter in the matrix's dtype, which the bound fits."""
+        """Add each +/-1 value to its key's counter; the only writer of counters.
+
+        A bound past the dtype's maximum (int64 aside) is re-tightened by
+        one scan to the applied peak plus len(keys), and the matrix widens
+        a tier or more unless an eighth of the range is left.
+        """
         counters = self._buckets
+        top = _SIGNED[counters.dtype]
+        if self._bound > top and counters.dtype != _INT64:
+            self._bound = need = _peak(counters) + keys.size
+            if need > top - (top >> 3):
+                counters = self._buckets = counters.astype(_counter_dtype(max(need, top + 1)))
         flat = self.randomness.cells_of(keys)
         np.add.at(counters.reshape(-1), flat, values.astype(counters.dtype, copy=False))
 
@@ -219,18 +215,28 @@ def merge(a: LevelSketch, b: LevelSketch, sign: int = 1) -> LevelSketch:
 
     Both sketches must share equal SketchRandomness (hence d and
     c_squared).  The result is a fresh sketch; inputs are untouched, and
-    its counters take the narrowest tier, int16 up, holding their peaks' sum.
+    its counters take _counter_dtype's tier for their peaks' sum, so a sum
+    of 2^62 or more raises CounterOverflowError.
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
     if a.randomness != b.randomness:
         raise ConfigMismatchError("cannot merge sketches built with different randomness")
     peak = _peak(a.buckets) + _peak(b.buckets)
-    if peak >= _MERGE_GUARD:
-        raise CounterOverflowError("merge would risk 64-bit counter overflow")
     op = np.add if sign == 1 else np.subtract
-    counters = op(a.buckets, b.buckets, dtype=_narrowest_signed(peak, _COUNTER_FLOOR))
+    counters = op(a.buckets, b.buckets, dtype=_counter_dtype(peak))
     return LevelSketch._of(a.randomness, counters, a.cardinality + sign * b.cardinality, peak)
+
+
+def _counter_dtype(bound: int) -> np.dtype:
+    """The counter tier for a bound on max |counter|: the narrowest of int16, int32 and int64.
+
+    From 2^62 up raises CounterOverflowError: no real stream's counts come
+    near it, and below it a sum or difference of two sketches' counters fits.
+    """
+    if bound >= 1 << 62:
+        raise CounterOverflowError(f"counter bound {bound} reaches the 2^62 overflow guard")
+    return _narrowest_signed(bound, _COUNTER_FLOOR)
 
 
 def _peak(counters: np.ndarray) -> int:
@@ -420,7 +426,9 @@ def sketch_from_bytes(data: bytes, randomness: SketchRandomness) -> LevelSketch:
     Only version 2 is read.  A sketch whose shape or master_seed differs
     from randomness raises ConfigMismatchError: its counters hash items
     differently, so any comparison with it would be meaningless.  The
-    counters load in the narrowest tier, int16 up, that holds their peak.
+    counters load in _counter_dtype's tier for their peak, so a counter of
+    2^62 or more in absolute value, -2^63 included, raises
+    CounterOverflowError.
     """
     if len(data) < 8:
         raise ValueError("truncated sketch: missing length prefix")
@@ -449,5 +457,4 @@ def sketch_from_bytes(data: bytes, randomness: SketchRandomness) -> LevelSketch:
         raise ValueError(f"counter block is {len(body)} bytes, expected {expected}")
     counters = np.frombuffer(body, dtype="<i8").reshape(num_levels, c2)
     peak = _peak(counters)
-    narrowed = counters.astype(_narrowest_signed(peak, _COUNTER_FLOOR))
-    return LevelSketch._of(randomness, narrowed, int(cardinality), peak)
+    return LevelSketch._of(randomness, counters.astype(_counter_dtype(peak)), int(cardinality), peak)

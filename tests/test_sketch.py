@@ -2,6 +2,7 @@
 
 import math
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -526,8 +527,8 @@ class TestUpdateQueue:
 
     @pytest.mark.parametrize("size", [10, QUEUE_CAP])
     def test_a_bound_scan_with_items_queued_keeps_every_update(self, randomness, size):
-        """The scan applies the queue, so a batch that waits moves to the
-        front of the queue and one applied with the queue is added alone."""
+        """The scan runs when the queue is applied, by a read or by the batch
+        that fills it, and every queued update is added after it."""
         rng = np.random.default_rng(72032)
         first = (rng.integers(0, 1024, size=500), rng.choice([-1, 1], size=500))
         items, values = rng.integers(0, 1024, size=size), rng.choice([-1, 1], size=size)
@@ -535,7 +536,7 @@ class TestUpdateQueue:
         sk.update_many(*first)
         sk._bound = 2**15 - 1  # a loose bound that the next batch runs out
         sk.update_many(items, values)
-        assert sk._queued == (size if size < QUEUE_CAP else 0)
+        assert sk._queued == (500 + size if 500 + size < QUEUE_CAP else 0)
         want = read_after_each(randomness, [first, (items, values)])
         assert sk.buckets.dtype == want.buckets.dtype == np.int16
         assert_array_equal(sk.buckets, want.buckets)
@@ -580,15 +581,18 @@ class TestMerge:
             merge(LevelSketch(randomness), LevelSketch(randomness), 2)
 
     def test_counter_overflow_guard(self, randomness):
-        a = with_counter(randomness, 0, 2**62)
-        b = with_counter(randomness, 0, 2**62)
+        a = with_counter(randomness, 0, 2**61)
+        b = with_counter(randomness, 0, 2**61)
+        assert a.buckets.dtype == np.int64
         with pytest.raises(CounterOverflowError):
-            merge(a, b, 1)
+            merge(a, b, 1)  # summed peaks of 2^62
+        assert merge(a, with_counter(randomness, 0, 2**61 - 1), -1).buckets.flat[0] == 1
 
     def test_counter_overflow_guard_sees_the_most_negative_counter(self):
-        # np.abs(-2**63) stays negative; the guard must still count it
-        t = with_counter(SketchRandomness(16, 4, 1), 0, -(2**63))
-        assert t.buckets[0, 0] == -(2**63)
+        # np.abs(-2**63) stays negative; the peak, and so the guard, must still count it
+        assert dynlsh.sketch._peak(np.array([[5, -(2**63)]], np.int64)) == 2**63
+        t = with_counter(SketchRandomness(16, 4, 1), 0, -(2**61))
+        assert t.buckets[0, 0] == -(2**61)
         with pytest.raises(CounterOverflowError):
             merge(t, t)
 
@@ -759,8 +763,9 @@ class TestNarrowCounters:
         peak = real(sk.buckets)
         sk._bound = self.TOP
         sk.update_many([5, 6], 1)
-        assert len(scans) == 1
+        assert sk._queued == 2 and scans == []  # the scan waits for the queue's application
         assert sk.buckets.dtype == np.int16
+        assert len(scans) == 1
         assert sk._bound == peak + 2
 
     def test_the_bound_scan_counts_queued_updates(self, randomness):
@@ -838,6 +843,17 @@ class TestNarrowCounters:
             assert sk.buckets.dtype == dtype
             assert sk.buckets.flat[9] == value
 
+    def test_counters_of_2_to_the_62_or_more_are_refused(self, randomness):
+        """Loaded counters stay below 2^62 in absolute value, so no later
+        update or merge can wrap one: -2^63 once loaded, and one deletion
+        turned it into 2^63 - 1."""
+        for value in (2**62 - 1, -(2**62 - 1)):
+            sk = with_counter(randomness, 9, value)
+            assert sk.buckets.dtype == np.int64 and sk.buckets.flat[9] == value
+        for value in (2**62, -(2**62), -(2**63), 2**63 - 1):
+            with pytest.raises(CounterOverflowError):
+                with_counter(randomness, 9, value)
+
     def test_widened_and_narrow_sketches_of_one_set_agree(self):
         rnd = SketchRandomness(4096, 64, 7)
         rng = np.random.default_rng(72018)
@@ -881,11 +897,60 @@ class TestNarrowCounters:
             assert sk.buckets.dtype == narrow and sk._bound == top
             scans.clear()
             sk.update_many([3], 1)
-            assert len(scans) == 1
             assert sk.buckets.dtype == wide and sk.buckets.flat[pos] == top + 1
+            assert len(scans) == 1
             sk.update_many([3], -1)  # a widened sketch stays wide
             assert sk.buckets.dtype == wide and sk.buckets.flat[pos] == top
             assert len(scans) == 1
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        tier=st.sampled_from([np.int16, np.int32]),
+        parked=st.integers(-3000, 3000),
+        spread=st.sampled_from([1, 8, 256]),
+        rise=st.sampled_from([0.5, 0.9, 1.0]),
+        batches=st.lists(st.tuples(st.integers(1, 2500), st.booleans()), min_size=1, max_size=12),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_tiers_hold_over_random_batches_and_reads(self, seed, tier, parked, spread, rise, batches):
+        """A bound forced to its tier's top, item 0's counter parked within
+        3,000 of the tier's edge, and a stream over the first spread items
+        that moves that counter away from zero with probability rise, cut
+        into random batches with reads between them: every read equals a
+        direct int64 build, the dtype never narrows, and two scans in one
+        dtype come more than an eighth of its range apart in updates."""
+        rnd = SketchRandomness(256, 16, 72040)
+        rng = np.random.default_rng(seed)
+        top = int(np.iinfo(tier).max)
+        sign = 1 if parked >= 0 else -1
+        cell = int(rnd.cells_of(np.zeros(1, np.uint64))[0])  # item 0's
+        sk = with_counter(rnd, cell, sign * (top - (top >> 3) - abs(parked)))
+        assert sk.buckets.dtype == tier
+        sk._bound = top
+        want = sk.buckets.astype(np.int64)
+        real = dynlsh.sketch._peak
+        accepted, scans, widths = 0, [], [tier().itemsize]
+
+        def counting(counters):
+            scans.append((accepted, counters.dtype))
+            return real(counters)
+
+        with mock.patch.object(dynlsh.sketch, "_peak", counting):
+            for k, (size, read) in enumerate(batches):
+                items = rng.integers(0, spread, size=size)
+                values = np.where(rng.random(size) < rise, sign, -sign)
+                accepted += size
+                sk.update_many(items, values)
+                np.add.at(want.reshape(-1), rnd.cells_of(items.astype(np.uint64)), values)
+                if read or k == len(batches) - 1:
+                    got = sk.buckets
+                    assert_array_equal(got, want)
+                    assert sk._bound >= real(got)
+                    widths.append(got.dtype.itemsize)
+        assert widths == sorted(widths)
+        for (was, dtype), (now, next_dtype) in zip(scans, scans[1:]):
+            if dtype == next_dtype:
+                assert now - was > np.iinfo(dtype).max >> 3
 
     def test_one_set_reads_alike_in_every_tier(self):
         """Equal distances, index entries, candidates and wire bytes for one
