@@ -375,7 +375,7 @@ def write_stream(
 
 
 def read_manifest(source: str | os.PathLike | IO[str]) -> list[PlantedPair]:
-    """Parse a manifest written by write_csv(PlantedPair, ...)."""
+    """Parse a manifest written by write_csv(PlantedPair, ...); similarities must lie in [0, 1]."""
     with _opened(source, "r") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -388,7 +388,10 @@ def read_manifest(source: str | os.PathLike | IO[str]) -> list[PlantedPair]:
             if len(row) != 5:
                 raise StreamParseError(f"bad manifest row {row!r}: expected 5 fields", line_no)
             try:
-                out.append(PlantedPair(int(row[0]), int(row[1]), *map(float, row[2:])))
+                sims = list(map(float, row[2:]))
+                if not all(0.0 <= s <= 1.0 for s in sims):
+                    raise ValueError("similarities must lie in [0, 1]")
+                out.append(PlantedPair(int(row[0]), int(row[1]), *sims))
             except ValueError as exc:
                 raise StreamParseError(f"bad manifest row {row!r}: {exc}", line_no) from exc
     return out
@@ -774,6 +777,10 @@ def deviation_report(
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials!r}")
+    if not (0.0 <= split <= 1.0):
+        raise ValueError(f"split must lie in [0, 1], got {split!r}")
+    if low_sample < 0:
+        raise ValueError(f"low_sample must be non-negative, got {low_sample!r}")
     params = jaccard(d)
     pairs = _manifest_pairs(manifest, len(sets))
     taken = {(min(a, b), max(a, b)) for a, b, _ in pairs}

@@ -150,8 +150,8 @@ class SketchRandomness:
     """All hash functions for one sketch family over universe [0, d).
 
     Holds the level-assignment function h : [d] -> [2^ceil(log2 d)], one
-    bucket function per level h_k : [d] -> [c^2], and lazily derived
-    min-hash seeds per (level, repetition, band) triple, cached.  Per
+    bucket function per level h_k : [d] -> [c^2], and the min-hash seed of
+    each (level, repetition, band) triple, derived when asked for.  Per
     (repetitions, bands) shape it keeps one packed rank table for
     minhash_rows, filled a level at a time on first use.  Instances hash
     identically after construction (their hash arrays and tables are
@@ -178,7 +178,6 @@ class SketchRandomness:
         "_bucket_b",
         "_bucket_shift",
         "_row_width",
-        "_minhash_cache",
         "_minhash_tables",
     )
 
@@ -214,7 +213,6 @@ class SketchRandomness:
         self._bucket_a, self._bucket_b = _spec_arrays(self.bucket_specs)
         self._bucket_shift = _frozen_scalar(WORD_BITS - self.bucket_bits)
         self._row_width = _frozen_scalar(c_squared, np.int64)  # cells_of's flat offset per level
-        self._minhash_cache: dict[tuple[int, int, int], HashSpec] = {}
         # per (repetitions, bands): the writable table, its read-only view, the
         # filled levels, the bucket mask and the signed dtype of the results
         self._minhash_tables: dict[tuple[int, int], tuple] = {}
@@ -295,17 +293,14 @@ class SketchRandomness:
         return flat
 
     def minhash_spec(self, level: int, repetition: int, band: int) -> HashSpec:
-        """Signature seed for one (level, repetition, band) slot, cached.
+        """Signature seed for one (level, repetition, band) slot, derived afresh on each call.
 
         Derivation depends only on the triple, never on how many slots a
         caller enumerates, so growing the repetition count keeps all
         previously issued seeds.
         """
-        key = (level, repetition, band)
-        if key not in self._minhash_cache:
-            rng = derived_rng(self.master_seed, _TAG_MINHASH, *key)
-            self._minhash_cache[key] = random_hash_spec(rng, WORD_BITS)
-        return self._minhash_cache[key]
+        rng = derived_rng(self.master_seed, _TAG_MINHASH, level, repetition, band)
+        return random_hash_spec(rng, WORD_BITS)
 
     def minhash_rows(
         self, flat: np.ndarray, cuts: Sequence[int], levels: Sequence[int], repetitions: int, bands: int

@@ -24,7 +24,7 @@ import numpy as np
 
 from .distance import DistanceEstimator
 from .errors import ConfigMismatchError
-from .hashing import SketchRandomness, deepest_level, minhash_positions, random_hash_spec
+from .hashing import SketchRandomness, deepest_level
 from .sketch import LevelSketch, _narrowest_signed, _peak
 
 DEFAULT_PAIR_CAP = 10_000
@@ -503,27 +503,3 @@ def sensitivity_report(
     p_high = high_hit / high_total if high_total else float("nan")
     p_low = low_hit / low_total if low_total else float("nan")
     return p_high, p_low
-
-
-def minhash_pair_collides(
-    a_items: np.ndarray,
-    b_items: np.ndarray,
-    r: int,
-    l: int,
-    master_seed: int,
-) -> bool:
-    """Uncompressed (r, l)-banded min-hash over raw item sets.
-
-    The level-free baseline: signatures are taken directly over item ids,
-    so the collision probability per signature is the pairs' exact Jaccard
-    similarity (up to the hash family's mixing).  Useful for calibrating
-    the banding curve without sketch effects.
-    """
-    rng = np.random.default_rng(np.random.SeedSequence(master_seed))
-    specs = [random_hash_spec(rng, 64) for _ in range(r * l)]
-    sig_a, sig_b = (
-        minhash_positions(np.unique(np.asarray(items, dtype=np.uint64)), specs).reshape(l, r)
-        for items in (a_items, b_items)
-    )
-    return bool(np.any(np.all(sig_a == sig_b, axis=1)))
-

@@ -249,46 +249,26 @@ def _narrowest_signed(bound: int, floor: np.dtype = np.dtype(np.int8)) -> np.dty
     return next((t for t, top in _SIGNED.items() if top >= max(bound, _SIGNED[floor])), _INT64)
 
 
-def _similarity_on_rows(
-    a: LevelSketch, b: LevelSketch, level: int, rows: slice, universe: float,
-    params: RationalSimilarity,
-) -> float:
-    """Similarity of the nonzero patterns of buckets[rows], universe standing in for d."""
-    if a.randomness != b.randomness:
-        raise ConfigMismatchError("sketches must share randomness")
-    if not (0 <= level < a.randomness.num_levels):
-        raise ValueError(f"level {level} outside [0, {a.randomness.num_levels})")
-    na = a.buckets[rows] != 0
-    nb = b.buckets[rows] != 0
-    inter = int(np.count_nonzero(na & nb))
-    sym = int(np.count_nonzero(na ^ nb))
-    return _similarity_from_counts(params, inter, sym, max(universe - inter - sym, 0.0))
-
-
-def similarity_at_level(
-    a: LevelSketch, b: LevelSketch, level: int, params: RationalSimilarity
-) -> float:
-    """Similarity of the two bucket patterns in row `level`.
-
-    Treats nonzero buckets as sampled items and substitutes d * 2^-(level+1)
-    (the expected row population) for the universe size in the
-    complement term.  Result is always in [0, 1].
-    """
-    universe = a.randomness.d * 2.0 ** -(level + 1)
-    return _similarity_on_rows(a, b, level, slice(level, level + 1), universe, params)
-
-
 def similarity_from_level(
     a: LevelSketch, b: LevelSketch, level: int, params: RationalSimilarity
 ) -> float:
-    """Similarity over the tail of rows >= level, compared jointly.
+    """Similarity of the nonzero bucket patterns over the tail of rows >= level, compared jointly.
 
     The tail retains each item with probability exactly 2^-level, so the
     universe substitute is d * 2^-level; level 0 therefore compares the
     complete (collision-compressed) sets with no subsampling at all.
+    Result is always in [0, 1].
     """
+    if a.randomness != b.randomness:
+        raise ConfigMismatchError("sketches must share randomness")
+    if not (0 <= level < a.randomness.num_levels):
+        raise ValueError(f"level {level} outside [0, {a.randomness.num_levels})")
+    na = a.buckets[level:] != 0
+    nb = b.buckets[level:] != 0
+    inter = int(np.count_nonzero(na & nb))
+    sym = int(np.count_nonzero(na ^ nb))
     universe = a.randomness.d * 2.0 ** -level
-    return _similarity_on_rows(a, b, level, slice(level, None), universe, params)
+    return _similarity_from_counts(params, inter, sym, max(universe - inter - sym, 0.0))
 
 
 # Jaccard, Hamming, Anderberg and Rogers-Tanimoto: weights (x, y, z, z')

@@ -4,9 +4,14 @@ The hash twins work on Python ints, one key at a time, with none of the
 package's numpy code, so a test that compares the two checks the package
 against an independent statement of the same maths.  sample_distinct is
 the generator's draw in its earlier np.unique and np.isin form.
+banding_collides and similarity_at_level are baselines the acceptance
+criteria measure against: min-hash banding over raw item ids, with no
+sketch in between, and the similarity readout of one sketch row.
 """
 
 import numpy as np
+
+from dynlsh import minhash_positions, random_hash_spec
 
 _MASK64 = (1 << 64) - 1
 
@@ -51,6 +56,28 @@ def minhash_signature(buckets, spec):
     if not positions:
         return None
     return min(positions, key=lambda p: hash_key(spec, p))
+
+
+def banding_collides(a_items, b_items, r, l, master_seed):
+    """Whether two item sets share one of l bands of r min-hashes over their raw ids."""
+    rng = np.random.default_rng(np.random.SeedSequence(master_seed))
+    specs = [random_hash_spec(rng, 64) for _ in range(r * l)]
+    sig_a, sig_b = (minhash_positions(items, specs).reshape(l, r) for items in (a_items, b_items))
+    return bool(np.any(np.all(sig_a == sig_b, axis=1)))
+
+
+def similarity_at_level(a, b, level, params):
+    """Similarity of the nonzero bucket patterns of sketches a and b in the single row `level`.
+
+    d * 2^-(level+1), the row's expected population, stands in for the
+    universe size in the complement term.
+    """
+    na, nb = a.buckets[level] != 0, b.buckets[level] != 0
+    inter, sym = int(np.count_nonzero(na & nb)), int(np.count_nonzero(na ^ nb))
+    comp = max(a.randomness.d * 2.0 ** -(level + 1) - inter - sym, 0.0)
+    num = params.x * inter + params.y * comp + params.z * sym
+    den = params.x * inter + params.y * comp + params.z_prime * sym
+    return num / den if den else 1.0
 
 
 def sample_distinct(rng, d, count, exclude=None):

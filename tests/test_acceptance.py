@@ -26,16 +26,15 @@ from dynlsh import (
     is_metric,
     jaccard,
     l0_estimate,
-    minhash_pair_collides,
     minhash_positions,
     random_hash_spec,
     sample_level,
     scurve_report,
     sensitivity_report,
-    similarity_at_level,
     similarity_from_level,
     timing_report,
 )
+from oracles import banding_collides, similarity_at_level
 
 
 def check(num, name, ok, detail=""):
@@ -209,7 +208,7 @@ class TestAcceptance:
         for target in (0.3, 0.5, 0.7):
             m = 400
             a, b, exact = planted(np.random.default_rng(70000), 2**20, m, target)
-            hits = sum(minhash_pair_collides(a, b, 10, 40, 70100 + t) for t in range(500))
+            hits = sum(banding_collides(a, b, 10, 40, 70100 + t) for t in range(500))
             theory = amplification_probability(exact, 10, 40)
             gaps.append(abs(hits / 500 - theory))
         check(7, "amplification curve", max(gaps) <= 0.1,

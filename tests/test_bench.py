@@ -378,6 +378,15 @@ class TestManifestFile:
             read_manifest(buf)
         assert info.value.line_number == 2
 
+    @pytest.mark.parametrize(
+        "row", ["1,2,0.1,0.2,nan", "1,2,0.1,0.2,7.5", "1,2,-0.1,0.2,0.3", "1,2,0.1,nan,0.3", "1,2,0.1,1.5,0.3"]
+    )
+    def test_similarity_outside_the_unit_interval_rejected(self, row):
+        buf = io.StringIO(f"id_a,id_b,target_low,target_high,exact_similarity\n0,1,0.0,1.0,1.0\n{row}\n")
+        with pytest.raises(StreamParseError, match=r"must lie in \[0, 1\]") as info:
+            read_manifest(buf)
+        assert info.value.line_number == 3
+
 
 class TestIngestParsing:
     def test_header_only_stream(self):

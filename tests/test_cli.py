@@ -189,6 +189,20 @@ class TestDeviation:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: manifest pair (0, 7) is outside rows 0..2\n")
 
+    @pytest.mark.parametrize("job", ["deviation", "scurve"])
+    @pytest.mark.parametrize("similarity", ["nan", "7.5"])
+    def test_manifest_similarity_outside_the_unit_interval_exits_2(
+        self, tiny_stream, tmp_path, capsys, job, similarity
+    ):
+        manifest = tmp_path / "bad.manifest.csv"
+        manifest.write_text(
+            f"id_a,id_b,target_low,target_high,exact_similarity\n0,1,0.9,1.0,{similarity}\n"
+        )
+        rc = run([job, "--stream", tiny_stream, "--manifest", manifest])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2: bad manifest row") and "must lie in [0, 1]" in err
+
 
 class TestScurve:
     def test_report_to_stdout(self, tiny_stream, tiny_manifest, capsys):
@@ -329,10 +343,14 @@ class TestParser:
             (["ingest", "--buckets", 3], "c_squared must be a power of two"),
             (["lsh", "--r1", 2], "need 0 < r2 < r1 < 1"),
             (["timing", "--alpha", 0], "alpha must lie in (0, 1]"),
+            (["deviation", "--split", "nan"], "split must lie in [0, 1]"),
+            (["deviation", "--split", 2], "split must lie in [0, 1]"),
+            (["deviation", "--low-sample", -5], "low_sample must be non-negative"),
         ],
     )
-    def test_invalid_option_value_exits_2(self, tiny_stream, capsys, argv, message):
-        rc = run([argv[0], "--stream", tiny_stream, *argv[1:]])
+    def test_invalid_option_value_exits_2(self, tiny_stream, tiny_manifest, capsys, argv, message):
+        manifest = ["--manifest", tiny_manifest] if argv[0] == "deviation" else []
+        rc = run([argv[0], "--stream", tiny_stream, *manifest, *argv[1:]])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err

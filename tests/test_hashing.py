@@ -294,11 +294,11 @@ class TestSketchRandomness:
         for k in (0, 7, rnd.max_level):
             assert_array_equal(rnd.buckets_of(k, items), mixed_hash_array(rnd.bucket_specs[k], items))
 
-    def test_minhash_spec_is_cached_and_seed_stable(self):
+    def test_minhash_spec_is_seed_stable(self):
         rnd = SketchRandomness(4096, 64, 3)
         again = SketchRandomness(4096, 64, 3)
         spec = rnd.minhash_spec(2, 1, 0)
-        assert rnd.minhash_spec(2, 1, 0) is spec
+        assert rnd.minhash_spec(2, 1, 0) == spec
         assert again.minhash_spec(2, 1, 0) == spec
         assert rnd.minhash_spec(2, 1, 1) != spec
 

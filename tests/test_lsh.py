@@ -34,7 +34,6 @@ from dynlsh import (
     jaccard,
     level_grid,
     merge,
-    minhash_pair_collides,
     sensitivity_report,
     sketch_from_bytes,
     sketch_to_bytes,
@@ -1215,29 +1214,6 @@ class TestSensitivityReport:
         rnd = SketchRandomness(256, 64, 0)
         p_high, p_low = sensitivity_report({}, {}, cfg, rnd)
         assert math.isnan(p_high) and math.isnan(p_low)
-
-
-class TestUncompressedBanding:
-    def test_identical_and_disjoint_extremes(self):
-        a = np.asarray([1, 5, 9])
-        b = np.asarray([2, 6, 10])
-        assert minhash_pair_collides(a, a, 3, 2, 7)
-        assert not minhash_pair_collides(a, b, 1, 8, 7)
-
-    def test_collision_rate_tracks_amplification_curve(self):
-        """(r=2, l=4) banding over raw ids, 500 seeds per similarity.
-
-        Tolerance 0.1 against 1-(1-s^r)^l at the realized exact
-        similarity; frozen-seed gaps are 0.008 / 0.039 / 0.009.
-        """
-        for target in (0.2, 0.5, 0.8):
-            m = 400
-            inter = round(2 * m * target / (1 + target))
-            pool = np.random.default_rng(76100).choice(10**6, size=2 * m - inter, replace=False)
-            A, B = pool[:m], pool[m - inter :]
-            exact = len(np.intersect1d(A, B)) / len(np.union1d(A, B))
-            hits = sum(minhash_pair_collides(A, B, 2, 4, 76200 + t) for t in range(500))
-            assert abs(hits / 500 - amplification_probability(exact, 2, 4)) <= 0.1
 
 
 class TestCandidatePairTuple:

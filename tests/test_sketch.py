@@ -31,7 +31,6 @@ from dynlsh import (
     merge,
     rogers_tanimoto,
     sample_level,
-    similarity_at_level,
     similarity_from_level,
     sketch_from_bytes,
     sketch_to_bytes,
@@ -1009,16 +1008,14 @@ class TestLevelReadouts:
     def test_identical_sketches_score_one(self, randomness):
         a = build(randomness, [3, 77, 400])
         b = build(randomness, [3, 77, 400])
-        params = jaccard(1024)
-        assert similarity_at_level(a, b, 0, params) == 1.0
-        assert similarity_from_level(a, b, 0, params) == 1.0
+        assert similarity_from_level(a, b, 0, jaccard(1024)) == 1.0
 
     def test_disjoint_patterns_score_zero(self):
-        # frozen seed: the two supports map to disjoint level-0 buckets
+        # frozen seed: the two supports map to disjoint buckets in every row
         rnd = SketchRandomness(256, 64, 1)
         a = build(rnd, [3, 10, 20, 30])
         b = build(rnd, [100, 120, 140, 160])
-        assert similarity_at_level(a, b, 0, jaccard(256)) == 0.0
+        assert similarity_from_level(a, b, 0, jaccard(256)) == 0.0
 
     def test_pattern_magnitude_independence(self, randomness):
         """Counter magnitudes cancel out of the readout."""
@@ -1026,21 +1023,21 @@ class TestLevelReadouts:
         doubled = merge(a, a, 1)
         params = jaccard(1024)
         b = build(randomness, [3, 77, 999])
-        assert similarity_at_level(a, b, 2, params) == similarity_at_level(
-            doubled, b, 2, params
+        assert similarity_from_level(a, b, 0, params) == similarity_from_level(
+            doubled, b, 0, params
         )
 
     def test_level_out_of_range_rejected(self, randomness):
         a = LevelSketch(randomness)
         with pytest.raises(ValueError):
-            similarity_at_level(a, a, randomness.num_levels, jaccard(1024))
+            similarity_from_level(a, a, randomness.num_levels, jaccard(1024))
         with pytest.raises(ValueError):
             similarity_from_level(a, a, -1, jaccard(1024))
 
     def test_readout_requires_matching_randomness(self, randomness):
         other = SketchRandomness(1024, 64, 43)
         with pytest.raises(ConfigMismatchError):
-            similarity_at_level(
+            similarity_from_level(
                 LevelSketch(randomness), LevelSketch(other), 0, jaccard(1024)
             )
 
