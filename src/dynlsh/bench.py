@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import GenerationError, StreamDataError, StreamParseError
 from .hashing import MAX_UNIVERSE, SketchRandomness, deepest_level, derived_rng, derived_seed
-from .lsh import amplification_probability
+from .lsh import LshIndex, amplification_probability
 from .sketch import LevelSketch, similarity_from_level
 from .similarity import jaccard
 
@@ -96,9 +96,6 @@ _READ_BLOCK_CHARS = 1 << 18
 
 # The most digits of a row or item the vector parse reads: 10^18 - 1 < 2^63.
 _MAX_DIGITS = 18
-
-# The separator bytes of each line of write_stream's `j i v` form.
-_SEPARATORS = np.frombuffer(b"  \n", np.uint8)
 
 # Lines per write_stream block, whose arrays and text are dropped once written.
 _WRITE_BLOCK_LINES = 1 << 14
@@ -375,7 +372,12 @@ def write_stream(
 
 
 def read_manifest(source: str | os.PathLike | IO[str]) -> list[PlantedPair]:
-    """Parse a manifest written by write_csv(PlantedPair, ...); similarities must lie in [0, 1]."""
+    """Parse a manifest written by write_csv(PlantedPair, ...).
+
+    Similarities must lie in [0, 1], a pair must join two different rows,
+    and its target_low must not exceed its target_high; a row that breaks
+    any of these raises StreamParseError naming its line.
+    """
     with _opened(source, "r") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -391,7 +393,12 @@ def read_manifest(source: str | os.PathLike | IO[str]) -> list[PlantedPair]:
                 sims = list(map(float, row[2:]))
                 if not all(0.0 <= s <= 1.0 for s in sims):
                     raise ValueError("similarities must lie in [0, 1]")
-                out.append(PlantedPair(int(row[0]), int(row[1]), *sims))
+                pair = PlantedPair(int(row[0]), int(row[1]), *sims)
+                if pair.id_a == pair.id_b:
+                    raise ValueError("a pair must join two different rows")
+                if pair.target_low > pair.target_high:
+                    raise ValueError("target_low exceeds target_high")
+                out.append(pair)
             except ValueError as exc:
                 raise StreamParseError(f"bad manifest row {row!r}: {exc}", line_no) from exc
     return out
@@ -484,8 +491,15 @@ def _parse_canonical(text: str, n: int, d: int) -> tuple[np.ndarray, ...] | None
     seps = np.flatnonzero(buf <= ord(" "))  # every control byte and space
     if not seps.size or seps.size % 3 or seps[-1] != buf.size - 1:
         return None
-    if not (buf[seps].reshape(-1, 3) == _SEPARATORS).all():
-        return None  # a line's separators are not exactly " ", " ", newline
+    # a line's separators are exactly " ", " ", newline: every third is a
+    # newline, and the block holds no other newline and two spaces a line
+    lines = seps.size // 3
+    if not (
+        (buf[seps[2::3]] == ord("\n")).all()
+        and np.count_nonzero(buf == ord("\n")) == lines
+        and np.count_nonzero(buf == ord(" ")) == 2 * lines
+    ):
+        return None
     signs = np.count_nonzero(buf == ord("-"))
     if np.count_nonzero(buf - ord("0") < 10) + signs + seps.size != buf.size:
         return None  # a byte that is no digit, sign or separator
@@ -545,23 +559,21 @@ def _update_lines(rows: np.ndarray, items: np.ndarray, values: np.ndarray) -> st
     return buf.tobytes().decode("ascii")
 
 
-def _replay(
-    n: int, updates: tuple, randomness: SketchRandomness | None = None
-) -> Iterator[tuple[np.ndarray, np.ndarray | None, np.ndarray | None]]:
-    """Rows 0..n-1 of _read_stream's updates, lazily, as (net set, positions, values).
+def _replay(n: int, updates: tuple, index: LshIndex | None = None) -> Iterator[np.ndarray]:
+    """Rows 0..n-1 of _read_stream's updates, lazily, as their sorted int64 net sets.
 
     The updates are walked in blocks of at most _REPLAY_BLOCK, cut between
     rows (a longer row is a block of its own), and nothing is held per
     declared row.  Per block the signs of each (row, item) are summed, and
     the first sum outside {0, 1}, in row and then item order, raises
-    StreamDataError; a row's items summing to 1 are its sorted int64 net
-    set.  With randomness, _counters also gives each row's sketch as its
-    nonzero flat positions and counter values.  A row without updates is
-    empty; without randomness, positions and values are None.
+    StreamDataError; a row's items summing to 1 are its net set.  A row
+    without updates is empty.  With an index, each block's rows, and the
+    empty rows before them, are indexed under their row numbers by one
+    index.insert_many call before their net sets are yielded: _counters
+    gives their sketches' nonzero counters from the net items.
     """
     keys, lows, shift = updates
     empty = np.empty(0, np.int64)
-    blank = (empty, None, None) if randomness is None else (empty, empty, empty)
     j = lo = 0
     while lo < keys.size:
         hi = min(lo + _REPLAY_BLOCK, keys.size)
@@ -580,39 +592,46 @@ def _replay(
             raise StreamDataError(f"row {int(rows[at])}: item {int(items[at])} has net count {int(count)}")
         keep = first[net == 1]
         rows, items = rows[keep], items[keep].astype(np.int64)
+        del low, first, net, keep  # only the net items wait on the yields
         starts = np.flatnonzero(np.r_[bool(rows.size), rows[1:] != rows[:-1]])  # none if all cancel
+        if index is not None and rows.size:
+            rank = rows.astype(np.int64) - j  # rows j .. rows[-1] make up the indexed block
+            count = int(rank[-1]) + 1
+            cardinalities = np.bincount(rank, minlength=count).tolist()
+            positions, values, sizes = _counters(index.randomness, items, rank, count)
+            index.insert_many(range(j, j + count), positions, values, sizes, cardinalities)
+            del rank, positions, values
         cuts = [*starts.tolist(), rows.size]
-        counters = repeat((None, None)) if randomness is None else _counters(randomness, items, cuts)
-        del low, first, net, keep  # only the net items and their counters wait on the yields
-        for row, a, b, (positions, values) in zip(rows[starts].tolist(), cuts, cuts[1:], counters):
-            yield from repeat(blank, row - j)
-            yield items[a:b], positions, values
+        for row, a, b in zip(rows[starts].tolist(), cuts, cuts[1:]):
+            yield from repeat(empty, row - j)
+            yield items[a:b]
             j = row + 1
-        del rows, items, counters  # each block's arrays are dropped before the next is cut
+        del rows, items  # each block's arrays are dropped before the next is cut
         lo = hi
-    yield from repeat(blank, n - j)
+    if index is not None and j < n:
+        index.insert_many(range(j, n), empty, empty, [0] * (n - j), [0] * (n - j))
+    yield from repeat(empty, n - j)
 
 
 def _counters(
-    randomness: SketchRandomness, items: np.ndarray, cuts: list[int]
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per row of a block, its sketch's sorted nonzero flat positions and counter values.
+    randomness: SketchRandomness, items: np.ndarray, rank: np.ndarray, count: int
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """A block's row sketches as LshIndex.insert_many takes them: positions, values, sizes.
 
-    Row k holds the net items[cuts[k] : cuts[k + 1]], each hashed once to
-    its flat cell.  The sketch is linear and a valid row's net counts are 0
-    or 1, so a counter is the number of net items in its cell: one sort of
-    row rank * width + cell, run-length counted, gives every row's counters.
+    Row k of the count rows holds the net items whose rank is k, the ranks
+    ascending, and each is hashed once to its flat cell.  The sketch is
+    linear and a valid row's net counts are 0 or 1, so a counter is the
+    number of net items in its cell: one sort of rank * width + cell,
+    run-length counted, gives every row's sorted nonzero flat positions
+    and their values back to back, and how many each row has.
     """
     width = randomness.num_levels * randomness.c_squared
-    rank = np.repeat(np.arange(len(cuts) - 1), np.diff(cuts))
     key = randomness.cells_of(items.view(np.uint64))
     key += rank * width
     key.sort()  # rank leads, so each row keeps its span
     first = np.flatnonzero(np.r_[bool(key.size), key[1:] != key[:-1]])
     positions = key[first] - rank[first] * width
-    at = first.searchsorted(cuts).tolist()
-    values = np.diff(first, append=key.size)
-    return [(positions[lo:hi], values[lo:hi]) for lo, hi in zip(at, at[1:])]
+    return positions, np.diff(first, append=key.size), np.bincount(rank[first], minlength=count).tolist()
 
 
 def read_sets(source: str | os.PathLike | IO[str]) -> tuple[int, list[np.ndarray]]:
@@ -625,7 +644,7 @@ def read_sets(source: str | os.PathLike | IO[str]) -> tuple[int, list[np.ndarray
     sketch is linear and every net count is 0 or 1.
     """
     n, d, updates = _read_stream(source)
-    return d, [net for net, _, _ in _replay(n, updates)]
+    return d, list(_replay(n, updates))
 
 
 def ingest(source: str | os.PathLike | IO[str], c_squared: int, master_seed: int) -> BenchCorpus:
@@ -637,7 +656,7 @@ def ingest(source: str | os.PathLike | IO[str], c_squared: int, master_seed: int
     """
     n, d, updates = _read_stream(source)
     randomness = SketchRandomness(d, c_squared, master_seed)
-    sets = [net for net, _, _ in _replay(n, updates)]
+    sets = list(_replay(n, updates))
     sketches = [LevelSketch(randomness) for _ in sets]
     for sketch, net in zip(sketches, sets):
         sketch.update_many(net, 1)

@@ -129,7 +129,7 @@ class CardinalityRow:
 def _cmd_ingest(args: argparse.Namespace) -> int:
     n, d, updates = _read_stream(args.stream)
     SketchRandomness(d, args.buckets, args.seed)  # --buckets and --seed are still validated
-    cards = [net.size for net, _, _ in _replay(n, updates)]  # a row's cardinality is its net set's size
+    cards = [net.size for net in _replay(n, updates)]  # a row's cardinality is its net set's size
     lo, hi = min(cards, default=0), max(cards, default=0)
     print(
         f"ingested {len(cards)} rows over universe {d}; "
@@ -193,9 +193,9 @@ def _cmd_lsh(args: argparse.Namespace) -> int:
         repetitions_l=args.reps,
     )
     index = LshIndex(cfg, randomness)
-    for j, (net, positions, values) in enumerate(_replay(n, updates, randomness)):
-        index._insert_sparse(j, positions, values, net.size)
-    updates = net = positions = values = None  # the sorted stream, and views of its last block
+    for net in _replay(n, updates, index):  # each replay block is indexed as it is cut
+        pass
+    updates = net = None  # the sorted stream, and a view of its last block
     pairs = index.candidates()
     summary = f"{len(pairs)} candidate pairs"
     if args.threshold is not None:

@@ -16,8 +16,10 @@ from __future__ import annotations
 import gc
 import math
 import warnings
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
-from itertools import accumulate, chain, repeat
+from itertools import chain, repeat
+from operator import neg
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -25,7 +27,7 @@ import numpy as np
 from .distance import DistanceEstimator
 from .errors import ConfigMismatchError
 from .hashing import SketchRandomness, deepest_level
-from .sketch import LevelSketch, _narrowest_signed, _peak
+from .sketch import LevelSketch, _narrowest_signed
 
 DEFAULT_PAIR_CAP = 10_000
 
@@ -136,19 +138,19 @@ def candidate_levels(cardinality: int, cfg: LshConfig, grid: Sequence[int]) -> t
     ps = cfg.p * cardinality
     lo = math.floor(math.log2(cfg.r1 * cfg.r1 * ps)) if cfg.r1 * cfg.r1 * ps > 0 else 0
     hi = math.floor(math.log2(ps))
-    lo, hi = max(lo, 0), max(hi, 0)
-    return tuple(k for k in grid if lo <= k <= hi)
+    return tuple(grid[bisect_left(grid, max(lo, 0)) : bisect_right(grid, max(hi, 0))])
 
 
 class LshIndex:
     """One record per id: a frozen sparse copy of its set and its signatures.
 
-    insert scans a sketch's counters once (the stream replay counts them
-    from net items instead); the nonzero positions, split by row, give the
-    entry (sorted flat positions, their values, the row cuts, the
-    cardinality), and the admissible nonempty rows' positions give all
-    their l * r min-hashes in one SketchRandomness.minhash_rows call (one
-    gather from the packed rank table, one reduceat).  No tables
+    insert scans a sketch's counters once, and insert_many takes a block of
+    sets' nonzero counters at once (the stream replay counts them from net
+    items); the nonzero positions, split by row, give each entry (sorted
+    flat positions, their values, the row cuts, the cardinality), and the
+    block's admissible nonempty rows give all their l * r min-hashes in one
+    SketchRandomness.minhash_rows call (one gather from the packed rank
+    table, one reduceat).  No tables
     are kept: candidates() groups the records' signature rows by sorting,
     and remove() is one dict delete.  candidates() ranks all ids with one
     sort, so ids must be mutually orderable: mixing int and str ids raises
@@ -212,44 +214,109 @@ class LshIndex:
     def insert(self, set_id: SetId, sketch: LevelSketch) -> None:
         """Index a sparse copy of the sketch under set_id, replacing any previous one.
 
-        One scan finds the nonzero counters for _insert_sparse.  The stream
-        replay calls it with the same arrays counted from a row's net items
-        alone, which is exact: the sketch is linear and net counts are 0 or 1.
+        One scan finds the nonzero counters, indexed as insert_many indexes
+        a block of one set.
         """
         if sketch.randomness != self.randomness:
             raise ConfigMismatchError("sketch randomness does not match the index")
         flat = sketch.buckets.reshape(-1)
         nonzero = (flat != 0).nonzero()[0]
-        self._insert_sparse(set_id, nonzero, flat[nonzero], sketch.cardinality)
+        self._insert_block((set_id,), nonzero, flat.take(nonzero), (nonzero.size,), (sketch.cardinality,))
 
-    def _insert_sparse(
-        self, set_id: SetId, nonzero: np.ndarray, values: np.ndarray, cardinality: int
+    def insert_many(
+        self,
+        ids: Sequence[SetId],
+        positions: np.ndarray,
+        values: np.ndarray,
+        sizes: Sequence[int],
+        cardinalities: Sequence[int],
     ) -> None:
-        """Index a set by its sorted flat nonzero counter positions, their values and its cardinality."""
-        row_cuts = nonzero.searchsorted(self._row_starts)
-        cuts = row_cuts.tolist()
-        l, r = self.cfg.repetitions_l, self.cfg.bands_r
-        admissible = candidate_levels(cardinality, self.cfg, self.grid)
-        # an empty row posts nothing: every min-hash would be the sentinel
-        levels = tuple(k for k in admissible if cuts[k] < cuts[k + 1])
-        offsets = list(accumulate((cuts[k + 1] - cuts[k] for k in levels), initial=0))
-        first, last = (cuts[levels[0]], cuts[levels[-1] + 1]) if levels else (0, 0)
-        # one slice when no other row's entries lie between the admissible rows
-        rows = (
-            nonzero[first:last]
-            if last - first == offsets[-1]
-            else np.concatenate([nonzero[cuts[k] : cuts[k + 1]] for k in levels])
-        )
-        sigs = self.randomness.minhash_rows(rows, offsets, levels, l, r)
-        sigs = sigs.reshape(-1, r).astype(self._position_dtype)
-        self._entries[set_id] = (
-            nonzero.astype(self._position_dtype),
-            values.astype(_narrowest_signed(_peak(values))),
-            row_cuts,
-            cardinality,
-            levels,
-            sigs,
-        )
+        """Index a block of sets by their nonzero counters, replacing any previous entries.
+
+        Set ids[i] has exact cardinality cardinalities[i], and its next
+        sizes[i] entries of positions and values, back to back after set
+        i - 1's, are its sketch's nonzero counters: their sorted flat
+        positions (level * c_squared + bucket) and their values.  Sizes or
+        cardinalities that do not match the ids and entries raise
+        ValueError.  One searchsorted finds every set's row cuts, and one
+        SketchRandomness.minhash_rows call min-hashes every admissible
+        nonempty row of the block.  Each entry stores its own copies, so
+        remove() frees them.
+        """
+        n = len(ids)
+        if not (len(sizes) == len(cardinalities) == n and sum(sizes) == positions.size == values.size):
+            raise ValueError(
+                f"a block of {n} ids needs as many sizes and cardinalities, and "
+                f"sizes summing to its {positions.size} positions and {values.size} values"
+            )
+        self._insert_block(ids, positions, values, sizes, cardinalities)
+
+    def _insert_block(
+        self,
+        ids: Sequence[SetId],
+        positions: np.ndarray,
+        values: np.ndarray,
+        sizes: Sequence[int],
+        cardinalities: Sequence[int],
+    ) -> None:
+        """insert_many on arguments known to match."""
+        n = len(ids)
+        # bounds: each set's row cuts into the block; own: into its own entries, as new arrays
+        if n == 1:  # a lone set's positions are its own search keys
+            own = [positions.searchsorted(self._row_starts)]
+            bounds = [own[0].tolist()]
+        else:  # set i's positions shifted by i * width, so the block sorts as one
+            shift = np.arange(0, n * self._row_starts[-1], self._row_starts[-1])
+            cuts = (positions + shift.repeat(sizes)).searchsorted(np.add.outer(shift, self._row_starts))
+            bounds, own = cuts.tolist(), map(np.array, cuts - cuts[:, :1])
+        cfg, grid, l, r = self.cfg, self.grid, self.cfg.repetitions_l, self.cfg.bands_r
+        # per set its levels; per admissible nonempty row its level, start and
+        # offset in flat; where each nonempty set starts
+        posted, levels, starts, offsets, nonempty = [], [], [], [0], []
+        for cut, cardinality in zip(bounds, cardinalities):
+            # an empty row posts nothing: every min-hash would be the sentinel
+            ks = tuple(k for k in candidate_levels(cardinality, cfg, grid) if cut[k] < cut[k + 1])
+            posted.append(ks)
+            levels += ks
+            for k in ks:
+                starts.append(cut[k])
+                offsets.append(offsets[-1] + cut[k + 1] - cut[k])
+            if cut[0] < cut[-1]:
+                nonempty.append(cut[0])
+        first = starts[0] if starts else 0
+        if not starts or starts[-1] - first == offsets[-2]:  # the rows lie back to back
+            flat = positions[first : first + offsets[-1]]
+        else:  # other rows' entries lie between them
+            skip = np.repeat(np.subtract(starts, offsets[:-1]), np.diff(offsets))
+            flat = positions[np.arange(offsets[-1]) + skip]
+        sigs = self.randomness.minhash_rows(flat, offsets, levels, l, r).reshape(-1, r)
+        peaks = iter(())  # max |value| per nonempty set, as Python ints: np.abs leaves -2**63 negative
+        if nonempty:
+            top, bottom = np.maximum.reduceat(values, nonempty), np.minimum.reduceat(values, nonempty)
+            peaks = map(max, top.tolist(), map(neg, bottom.tolist()))
+        dtype = self._position_dtype
+        if n == 1:  # insert's path: a lone set's arrays need no slicing
+            self._entries[ids[0]] = (
+                positions.astype(dtype),
+                values.astype(_narrowest_signed(next(peaks, 0))),
+                own[0],
+                cardinalities[0],
+                posted[0],
+                sigs.astype(dtype),
+            )
+            return
+        at = 0
+        for set_id, cut, row_cuts, cardinality, ks in zip(ids, bounds, own, cardinalities, posted):
+            lo, hi, end = cut[0], cut[-1], at + len(ks) * l
+            self._entries[set_id] = (
+                positions[lo:hi].astype(dtype),
+                values[lo:hi].astype(_narrowest_signed(next(peaks) if lo < hi else 0)),
+                row_cuts,
+                cardinality,
+                ks,
+                sigs[at:end].astype(dtype),
+            )
+            at = end
 
     def remove(self, set_id: SetId) -> None:
         """Drop set_id, as if it had never been inserted; KeyError if it is not indexed."""
@@ -360,13 +427,16 @@ class LshIndex:
         only the per-row nonzero counts of A + B and A - B and |A| + |B|,
         and by linearity those counts follow from the two sparse supports:
         a position in both supports drops out of A - B when the counters
-        are equal and out of A + B when they are opposite.  So verify
-        sorts the pairs stably by id_a and walks them in chunks.  Per
-        chunk it scatters each distinct id_a's stored counters once into
-        its own zeroed dense scratch row (one scratch per call, re-zeroed
-        where written), reads the rows back at the stored positions of
-        every pair's id_b, counts shared, equal and opposite positions per
-        pair and row, and writes the distances back in input order.
+        are equal and out of A + B when they are opposite.  These counts
+        are symmetric in the two sets, so verify orients each pair to read
+        back the set with fewer stored entries (side b) from the other's
+        (side a), sorts the pairs stably by side a and walks them in
+        chunks.  Per chunk it scatters each distinct side a's stored
+        counters once into its own zeroed dense scratch row (one scratch
+        per call, re-zeroed where written), reads the rows back at the
+        stored positions of every pair's side b, counts shared, equal and
+        opposite positions per pair and row, and writes the distances back
+        in input order.
         """
         if not threshold >= 0:
             raise ValueError(f"verify threshold must be >= 0, got {threshold!r}")
@@ -391,6 +461,8 @@ class LshIndex:
         nz, length, card = np.diff(cuts, axis=1), cuts[:, -1], np.array(card, np.int64)
         levels, bits = self.randomness.num_levels, self.randomness.bucket_bits
         width = levels * self.randomness.c_squared
+        swap = length[rows_a] < length[rows_b]  # side b, read back, has fewer entries
+        rows_a, rows_b = np.where(swap, rows_b, rows_a), np.where(swap, rows_a, rows_b)
         order = np.argsort(rows_a, kind="stable")
         rows_a, rows_b = rows_a[order], rows_b[order]
         first = np.r_[True, rows_a[1:] != rows_a[:-1]]

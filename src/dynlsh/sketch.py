@@ -246,7 +246,8 @@ def _peak(counters: np.ndarray) -> int:
 
 def _narrowest_signed(bound: int, floor: np.dtype = np.dtype(np.int8)) -> np.dtype:
     """The smallest signed dtype, floor or wider, holding -bound .. bound (else int64)."""
-    return next((t for t, top in _SIGNED.items() if top >= max(bound, _SIGNED[floor])), _INT64)
+    bound = max(bound, _SIGNED[floor])
+    return next((t for t, top in _SIGNED.items() if top >= bound), _INT64)
 
 
 def similarity_from_level(

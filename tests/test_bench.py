@@ -25,6 +25,8 @@ from dynlsh import (
     GenerationError,
     GeneratedCorpus,
     DeviationRow,
+    LshConfig,
+    LshIndex,
     PlantedPair,
     ScurveRow,
     StreamDataError,
@@ -388,6 +390,25 @@ class TestManifestFile:
         assert info.value.line_number == 3
 
 
+    @pytest.mark.parametrize(
+        ("row", "message"),
+        [("4,4,0.1,0.2,0.3", "two different rows"), ("0,60,0.9,0.1,0.5", "target_low exceeds target_high")],
+    )
+    def test_self_pair_and_reversed_target_rejected(self, row, message):
+        buf = io.StringIO(f"id_a,id_b,target_low,target_high,exact_similarity\n0,1,0.0,1.0,1.0\n{row}\n")
+        with pytest.raises(StreamParseError, match=message) as info:
+            read_manifest(buf)
+        assert info.value.line_number == 3
+
+    def test_generated_manifests_load(self):
+        for corpus in (generate(300, 2000, every=30, seed=4), generate_distribution(40, 2000, seed=4)):
+            buf = io.StringIO()
+            write_csv(PlantedPair, corpus.manifest, buf)
+            buf.seek(0)
+            pairs = [(p.id_a, p.id_b) for p in corpus.manifest]
+            assert [(p.id_a, p.id_b) for p in read_manifest(buf)] == pairs
+
+
 class TestIngestParsing:
     def test_header_only_stream(self):
         corpus = ingest(io.StringIO("0 5\n"), 16, 0)
@@ -450,7 +471,7 @@ class TestIngestParsing:
             try:
                 declared, _, updates = _stream(text)
                 rows = dynlsh.bench._replay(declared, updates)
-                return [net.tolist() for net, _, _ in itertools.islice(rows, 3)]
+                return [net.tolist() for net in itertools.islice(rows, 3)]
             finally:
                 peak = tracemalloc.get_traced_memory()[1]
                 tracemalloc.stop()
@@ -627,6 +648,11 @@ class TestVectorizedIngest:
     @example(text="2 10\n0 1 1\n0 2 1\n0 3\xe9 1\n1 4 1\n", source="path", chunk_rows=3)
     @example(text="2 10\r0 1 1\r1 2 1\r0 3 1\r1 2 -1\r", source="path", chunk_rows=3)
     @example(text="2 10\r0 1 1\r1 2 1\r\n0 3 1\r1 x 1\r", source="path", chunk_rows=3)
+    @example(text="2 10\n0\t1 1\n1 2 1\n", source="path", chunk_rows=3)
+    @example(text="2 10\n0 1\r1\n1 2 1\n", source="path", chunk_rows=3)
+    @example(text="2 10\n0 1 1\n\n\n\n1 2 1\n", source="path", chunk_rows=3)
+    @example(text="2 10\n1  2 1\n0 3\n", source="path", chunk_rows=3)
+    @example(text="2 10\n1  2 1\n", source="pipe", chunk_rows=3)
     def test_fast_parse_answers_as_the_line_loop(self, text, source, chunk_rows):
         with mock.patch.object(dynlsh.bench, "_PARSE_CHUNK_ROWS", chunk_rows):
             if source == "path":
@@ -655,6 +681,17 @@ class TestVectorizedIngest:
         want = _outcome(loop)
         assert _outcome(lambda: read_sets(source())) == want
         assert _sets_are_int64(lambda: read_sets(source()))
+
+    @pytest.mark.parametrize(
+        "body",
+        ["0\t1 1\n1 2 1\n", "0 1\r1\n1 2 1\n", "0 1 1\n\n\n\n1 2 1\n", "1  2 1\n0 3\n", "1  2 1\n",
+         "0 1 1\r\n"],
+    )
+    def test_the_canonical_parse_passes_any_other_separator_on(self, body):
+        """A tab, a carriage return, a blank line or a double space leaves a
+        block to the line loop, even where the separators count three a line."""
+        assert dynlsh.bench._parse_canonical("0 1 1\n" + body, 2, 10) is None
+        assert dynlsh.bench._parse_canonical("0 1 1\n1 2 -1\n", 2, 10) is not None
 
     @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
     def test_file_blocks_end_at_line_ends(self, tmp_path, end):
@@ -839,13 +876,16 @@ class TestColumnarReplay:
                 used = 0
             want[-1] += 5
             used += size
-        randomness = dynlsh.SketchRandomness(40, 16, 0)
+        index = LshIndex(LshConfig(r1=0.5, r2=0.1), dynlsh.SketchRandomness(40, 16, 0))
+        spy = mock.patch.object(LshIndex, "insert_many", autospec=True, side_effect=LshIndex.insert_many)
         with mock.patch.object(dynlsh.bench, "_REPLAY_BLOCK", block), mock.patch.object(
             dynlsh.SketchRandomness, "cells_of", autospec=True, side_effect=dynlsh.SketchRandomness.cells_of
-        ) as cells_of:
+        ) as cells_of, spy as insert_many:
             n, _, updates = _stream(text)
-            assert len(list(dynlsh.bench._replay(n, updates, randomness))) == 30
+            assert len(list(dynlsh.bench._replay(n, updates, index))) == 30
         assert [call.args[1].size for call in cells_of.call_args_list] == want
+        assert [len(call.args[1]) for call in insert_many.call_args_list] == [net // 5 for net in want]
+        assert list(index._entries) == list(range(30))
 
     @pytest.mark.parametrize("d", [500, 2**40])
     def test_packed_and_lexsort_keys_agree(self, d):
@@ -857,19 +897,23 @@ class TestColumnarReplay:
 
         def replay():
             n, _, updates = _stream(text)
-            return [(net, pos, val) for net, pos, val in dynlsh.bench._replay(n, updates, randomness)]
+            index = LshIndex(LshConfig(r1=0.5, r2=0.1), randomness)
+            return list(dynlsh.bench._replay(n, updates, index)), index
 
         with mock.patch.object(dynlsh.bench, "_REPLAY_BLOCK", 7):
-            packed = replay()
+            packed, packed_index = replay()
             with mock.patch.object(dynlsh.bench, "_KEY_BITS", 0), mock.patch.object(
                 np, "lexsort", wraps=np.lexsort
             ) as lexsort:
-                sorted_by_columns = replay()
+                sorted_by_columns, lexsorted_index = replay()
         assert lexsort.call_count == 1
-        assert [net.tolist() for net, _, _ in packed] == [sorted(r.tolist()) for r in corpus.rows]
-        for a, b in zip(packed, sorted_by_columns):
-            for x, y in zip(a, b):
-                assert x.dtype == y.dtype == np.int64 and np.array_equal(x, y)
+        assert [net.tolist() for net in packed] == [sorted(r.tolist()) for r in corpus.rows]
+        for x, y in zip(packed, sorted_by_columns, strict=True):
+            assert x.dtype == y.dtype == np.int64 and np.array_equal(x, y)
+        assert list(packed_index._entries) == list(lexsorted_index._entries) == list(range(corpus.n))
+        for set_id, entry in packed_index._entries.items():
+            for x, y in zip(entry, lexsorted_index._entries[set_id], strict=True):
+                assert (x.dtype, x.tolist()) == (y.dtype, y.tolist()) if isinstance(x, np.ndarray) else x == y
 
     def test_a_stream_wider_than_64_key_bits_is_sorted_by_columns(self):
         """bits(n - 1) + bits(d - 1) + 1 = 20 + 45 + 1 > 64 sends the keys to np.lexsort unpatched."""
@@ -890,17 +934,19 @@ class TestColumnarReplay:
         lines += [f"1 {d - 1} -1", "2 5 1", "1 5 1", "2 5 -1", f"1 {d - 1} 1"]
         text = f"3 {d}\n" + "\n".join(lines) + "\n"
         randomness = dynlsh.SketchRandomness(d, 16, 3)
+        index = LshIndex(LshConfig(r1=0.5, r2=0.1), randomness)
         with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
             n, _, updates = _stream(text)
-            rows = list(dynlsh.bench._replay(n, updates, randomness))
+            rows = list(dynlsh.bench._replay(n, updates, index))
         assert lexsort.call_count == 1
         want = [items, sorted(items[1:] + [5]), items[2:]]
-        assert _outcome(lambda: (d, [net for net, _, _ in rows])) == (d, want)
+        assert _outcome(lambda: (d, rows)) == (d, want)
         assert _outcome(lambda: _line_loop(io.StringIO(text))) == (d, want)
-        for (net, positions, values), items_j in zip(rows, want):
+        for j, items_j in enumerate(want):
             sketch = dynlsh.LevelSketch(randomness)
             sketch.update_many(np.array(items_j, np.uint64), 1)
             flat = sketch.buckets.reshape(-1)
+            positions, values, *_ = index._entries[j]
             assert np.array_equal(positions, np.flatnonzero(flat))
             assert np.array_equal(values, flat[positions])
 

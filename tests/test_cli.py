@@ -204,6 +204,22 @@ class TestDeviation:
         assert err.startswith("error: line 2: bad manifest row") and "must lie in [0, 1]" in err
 
 
+    @pytest.mark.parametrize("job", ["deviation", "scurve"])
+    @pytest.mark.parametrize(
+        ("row", "message"),
+        [("1,1,0.1,0.9,0.5", "two different rows"), ("0,2,0.9,0.1,0.5", "target_low exceeds")],
+    )
+    def test_manifest_self_pair_or_reversed_target_exits_2(
+        self, tiny_stream, tmp_path, capsys, job, row, message
+    ):
+        manifest = tmp_path / "bad.manifest.csv"
+        manifest.write_text(f"id_a,id_b,target_low,target_high,exact_similarity\n0,1,0.9,1.0,1.0\n{row}\n")
+        rc = run([job, "--stream", tiny_stream, "--manifest", manifest])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 3: bad manifest row") and message in err
+
+
 class TestScurve:
     def test_report_to_stdout(self, tiny_stream, tiny_manifest, capsys):
         rc = run(["scurve", "--stream", tiny_stream, "--manifest", tiny_manifest,

@@ -571,6 +571,24 @@ def replayed_rows(draw):
     return _replay_case(d, c_squared, rows)
 
 
+def _replayed_index(cfg, rnd, text):
+    """An index of every row of a stream, built by the replay's insert_many blocks."""
+    index = LshIndex(cfg, rnd)
+    n, _, updates = dynlsh.bench._read_stream(io.StringIO(text))
+    for _ in dynlsh.bench._replay(n, updates, index):
+        pass
+    return index
+
+
+def _block_of(sketches):
+    """insert_many's arguments for a block of sketches: their nonzero counters back to back."""
+    flats = [sk.buckets.reshape(-1) for sk in sketches]
+    nonzero = [np.flatnonzero(flat) for flat in flats]
+    values = [flat[nz] for flat, nz in zip(flats, nonzero)]
+    sizes = [nz.size for nz in nonzero]
+    return np.concatenate(nonzero), np.concatenate(values), sizes, [sk.cardinality for sk in sketches]
+
+
 class TestSparseInsert:
     @settings(max_examples=60, deadline=None)
     @given(case=replayed_rows(), block=st.sampled_from([1, 7, 1 << 16]))
@@ -578,20 +596,18 @@ class TestSparseInsert:
     @example(case=_replay_case(10**4, 4096, [(set(range(0, 9000, 7)), set(range(1, 400, 3)))]), block=7)
     @example(case=_replay_case(2**20, 16, [(set(), set()), (set(range(5, 2**20, 997)), {4})]), block=1 << 16)
     def test_replayed_rows_index_the_records_insert_does(self, case, block):
-        """insert(sketch) and the stream replay's sparse rows give equal _entries records."""
+        """insert(sketch) and the stream replay's insert_many blocks give equal _entries records."""
         d, c_squared, text, rows = case
         rnd = SketchRandomness(d, c_squared, 8)
         cfg = LshConfig(r1=0.5, r2=0.1, epsilon=0.9, delta=0.5, bands_r=2, repetitions_l=3)
-        dense, sparse = LshIndex(cfg, rnd), LshIndex(cfg, rnd)
+        dense = LshIndex(cfg, rnd)
         for j, updates in enumerate(rows):
             sketch = LevelSketch(rnd)
             if updates:
                 sketch.update_many(*np.array(updates, np.int64).T)
             dense.insert(j, sketch)
         with mock.patch.object(dynlsh.bench, "_REPLAY_BLOCK", block):
-            n, _, updates = dynlsh.bench._read_stream(io.StringIO(text))
-            for j, (net, positions, values) in enumerate(dynlsh.bench._replay(n, updates, rnd)):
-                sparse._insert_sparse(j, positions, values, net.size)
+            sparse = _replayed_index(cfg, rnd, text)
         _assert_same_entries(sparse, dense)
 
     def test_a_churned_stream_indexes_the_records_insert_does(self):
@@ -603,19 +619,88 @@ class TestSparseInsert:
         dynlsh.bench.write_stream(corpus, buf, churn=0.5, seed=29)
         rnd = SketchRandomness(2**12, 1024, 29)
         cfg = LshConfig(r1=0.5, r2=0.1, epsilon=0.9, delta=0.5, bands_r=3, repetitions_l=8)
-        dense, sparse = LshIndex(cfg, rnd), LshIndex(cfg, rnd)
+        dense = LshIndex(cfg, rnd)
         j, i, v = np.loadtxt(io.StringIO(buf.getvalue()), np.int64, skiprows=1, ndmin=2).T
         assert np.unique(np.stack((j, i)), axis=1).shape[1] < j.size  # some items cancel
         for row in range(corpus.n):
             sketch = LevelSketch(rnd)
             sketch.update_many(i[j == row], v[j == row])
             dense.insert(row, sketch)
-        buf.seek(0)
-        n, _, updates = dynlsh.bench._read_stream(buf)
-        for row, (net, positions, values) in enumerate(dynlsh.bench._replay(n, updates, rnd)):
-            sparse._insert_sparse(row, positions, values, net.size)
+        sparse = _replayed_index(cfg, rnd, buf.getvalue())
         assert len(dense) == corpus.n
         _assert_same_entries(sparse, dense)
+
+    def test_one_block_of_different_windows_indexes_the_records_insert_does(self):
+        """Sets of 10 to 5,000 items at sampling_p = 1/32 post at different
+        admissible levels, with other rows' entries between them, and one
+        block stores the records one insert per set does."""
+        rnd = SketchRandomness(2**16, 256, 41)
+        cfg = LshConfig(r1=0.5, r2=0.1, sampling_p=1 / 32, bands_r=2, repetitions_l=3)
+        rng = np.random.default_rng(41)
+        sizes = (10, 5000, 40, 700, 2500, 160, 1300)
+        sketches = [build(rnd, rng.choice(2**16, size=size, replace=False)) for size in sizes]
+        sketches[3].update_many(np.arange(3), -1)  # negative counters too
+        dense, block = LshIndex(cfg, rnd), LshIndex(cfg, rnd)
+        for j, sketch in enumerate(sketches):
+            dense.insert(j, sketch)
+        block.insert_many(range(len(sketches)), *_block_of(sketches))
+        windows = {dense._entries[j][4] for j in range(len(sketches))}
+        assert len(windows) >= 5 and max(map(len, windows)) > 1
+        _assert_same_entries(block, dense)
+
+    def test_blank_and_cancelled_rows_inside_a_block(self):
+        """A row without updates and a row whose updates all cancel, between
+        two kept rows of one replay block, are indexed empty in row order."""
+        d, c_squared, text, rows = _replay_case(
+            10**4, 64, [(set(range(0, 9000, 9)), {1}), (set(), set()), (set(), {2, 3, 4}), ({5, 7}, set())]
+        )
+        rnd = SketchRandomness(d, c_squared, 12)
+        cfg = LshConfig(r1=0.5, r2=0.1, bands_r=2, repetitions_l=3)
+        dense = LshIndex(cfg, rnd)
+        for j, updates in enumerate(rows):
+            sketch = LevelSketch(rnd)
+            if updates:
+                sketch.update_many(*np.array(updates, np.int64).T)
+            dense.insert(j, sketch)
+        spy = mock.patch.object(LshIndex, "insert_many", autospec=True, side_effect=LshIndex.insert_many)
+        with spy as calls:
+            sparse = _replayed_index(cfg, rnd, text)
+        assert [list(call.args[1]) for call in calls.call_args_list] == [[0, 1, 2, 3]]
+        assert [sparse._entries[j][3] for j in range(4)] == [1000, 0, 0, 2]
+        _assert_same_entries(sparse, dense)
+
+    def test_a_block_whose_sizes_do_not_match_is_refused(self):
+        rnd = SketchRandomness(1000, 16, 3)
+        index = LshIndex(LshConfig(r1=0.5, r2=0.1), rnd)
+        positions, values, sizes, cards = _block_of([build(rnd, [1, 2, 3]), build(rnd, [4])])
+        for bad in ((sizes[:1], cards), (sizes, cards[:1]), ([sizes[0], sizes[1] + 1], cards)):
+            with pytest.raises(ValueError, match="a block of 2 ids"):
+                index.insert_many([0, 1], positions, values, *bad)
+        with pytest.raises(ValueError, match="a block of 2 ids"):
+            index.insert_many([0, 1], positions, values[:-1], sizes, cards)
+        assert len(index) == 0
+
+    def test_stored_arrays_own_their_memory(self):
+        """No entry is a view into its block, so remove() frees what it held."""
+        rnd = SketchRandomness(2**16, 1024, 43)
+        cfg = LshConfig(r1=0.5, r2=0.1, bands_r=3, repetitions_l=8)
+        rng = np.random.default_rng(43)
+        sketches = [build(rnd, rng.choice(2**16, size=2000, replace=False)) for _ in range(40)]
+        block = _block_of(sketches)
+        index = LshIndex(cfg, rnd)
+        index.insert("alone", sketches[0])
+        tracemalloc.start()
+        try:
+            index.insert_many(range(40), *block)
+            held = tracemalloc.get_traced_memory()[0]
+            for j in range(1, 40):
+                index.remove(j)
+            left = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        for entry in index._entries.values():
+            assert all(field.base is None for field in entry if isinstance(field, np.ndarray))
+        assert left < held / 20  # one of 40 sets is left
 
 
 def _assert_same_entries(got_index, want_index):
@@ -1148,6 +1233,29 @@ class TestBatchedVerify:
                 kept = index.verify(pairs, estimator, limit)
                 expect = [(p.id_a, p.id_b, w.hex()) for p, w in zip(pairs, want) if w <= limit]
                 assert [(p.id_a, p.id_b, p.verified_distance.hex()) for p in kept] == expect
+
+    def test_either_side_may_be_read_back(self):
+        """Pairs of a large and a small set, in both orders, score as both
+        per-pair estimates do, bit for bit, and keep their place and ids."""
+        rnd = SketchRandomness(2**14, 256, 31)
+        rng = np.random.default_rng(31)
+        large = rng.choice(2**14, size=2000, replace=False)
+        sketches = {"big": build(rnd, large), "small": build(rnd, large[:20])}
+        sketches["wide"] = build(rnd, np.concatenate([large[:1500], rng.choice(2**14, 500)]))
+        sketches["tiny"] = build(rnd, large[10:30])
+        index = LshIndex(LshConfig(r1=0.5, r2=0.1), rnd)
+        for name, sketch in sketches.items():
+            index.insert(name, sketch)
+        names = [("big", "small"), ("small", "big"), ("tiny", "wide"), ("wide", "tiny"),
+                 ("big", "wide"), ("small", "tiny"), ("tiny", "big"), ("wide", "small")]
+        pairs = [CandidatePair(a, b, 0, j) for j, (a, b) in enumerate(names)]
+        estimator = DistanceEstimator(jaccard(2**14), rnd)
+        kept = index.verify(pairs, estimator, 1.0)
+        assert [p._replace(verified_distance=None) for p in kept] == pairs
+        for p in kept:
+            a, b = sketches[p.id_a], sketches[p.id_b]
+            want = estimator.estimate_distance(a, b)
+            assert p.verified_distance.hex() == want.hex() == estimator.estimate_distance(b, a).hex()
 
     def test_working_memory_stays_bounded(self):
         """31,200 pairs of width-69,632 sketches: verify's peak stays under 4 MiB.
