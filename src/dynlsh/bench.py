@@ -585,14 +585,20 @@ def _replay(n: int, updates: tuple, index: LshIndex | None = None) -> Iterator[n
         rows = keys[lo:hi] >> shift
         low = keys[lo:hi] & ((1 << shift) - 1) if lows is None else lows[lo:hi]
         items = low >> 1  # unsigned until only the net items are left
-        first = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]) | (items[1:] != items[:-1])])
-        net = 2 * np.add.reduceat(low & 1, first).astype(np.int64) - np.diff(first, append=rows.size)
+        start = np.r_[True, (rows[1:] != rows[:-1]) | (items[1:] != items[:-1])]
+        first, plus = np.flatnonzero(start), (low & 1).astype(bool)
+        # a run's +1s follow its -1s: they begin where a +1 opens the run or follows a -1
+        up = np.flatnonzero(plus & (start | np.r_[True, ~plus[:-1]]))
+        ends = np.r_[first[1:], rows.size]
+        net = first - ends
+        has = plus[ends - 1]  # the runs holding a +1, one up each
+        net[has] += 2 * (ends[has] - up)
         if (bad := np.flatnonzero((net != 0) & (net != 1))).size:
             at, count = first[bad[0]], net[bad[0]]
             raise StreamDataError(f"row {int(rows[at])}: item {int(items[at])} has net count {int(count)}")
         keep = first[net == 1]
         rows, items = rows[keep], items[keep].astype(np.int64)
-        del low, first, net, keep  # only the net items wait on the yields
+        del low, start, first, plus, up, ends, net, has, keep  # only the net items wait on the yields
         starts = np.flatnonzero(np.r_[bool(rows.size), rows[1:] != rows[:-1]])  # none if all cancel
         if index is not None and rows.size:
             rank = rows.astype(np.int64) - j  # rows j .. rows[-1] make up the indexed block

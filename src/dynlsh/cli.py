@@ -50,6 +50,13 @@ def _seed_value(text: str) -> int:
     return value
 
 
+def _threshold_value(text: str) -> float:
+    value = float(text)
+    if not value >= 0:  # NaN too: estimates are never negative, so nothing would be kept
+        raise ValueError(f"threshold must be >= 0, got {text}")
+    return value
+
+
 def _colon_lists(text: str, types: tuple[type, ...]) -> tuple[tuple, ...]:
     """Comma-separated colon lists, each of len(types) fields read by types in turn."""
     out = []
@@ -196,12 +203,13 @@ def _cmd_lsh(args: argparse.Namespace) -> int:
     for net in _replay(n, updates, index):  # each replay block is indexed as it is cut
         pass
     updates = net = None  # the sorted stream, and a view of its last block
-    pairs = index.candidates()
-    summary = f"{len(pairs)} candidate pairs"
-    if args.threshold is not None:
+    if args.threshold is None:
+        pairs = index.candidates()
+        summary = f"{len(pairs)} candidate pairs"
+    else:  # only the kept pairs are built
         estimator = DistanceEstimator(jaccard(randomness.d), randomness)
-        pairs = index.verify(pairs, estimator, args.threshold)
-        summary = f"{len(pairs)} kept of {summary}"
+        pairs, scored = index.search(estimator, args.threshold)
+        summary = f"{len(pairs)} kept of {scored} candidate pairs"
     write_csv(CandidatePair, pairs, args.out or sys.stdout, missing="")
     print(summary, file=sys.stderr)
     return 0
@@ -315,7 +323,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=1, help="independent repetitions")
     p.add_argument(
         "--threshold",
-        type=float,
+        type=_threshold_value,
         default=None,
         help="verify candidates and keep those with estimated distance <= THRESHOLD",
     )

@@ -34,7 +34,7 @@ DEFAULT_PAIR_CAP = 10_000
 # verify's chunk budget: at most this many dense scratch cells (one levels x c^2
 # row per distinct id_a), and a sixteenth of it in side b's entries plus 16 per
 # count cell (pairs x levels), so every work array stays bounded
-_VERIFY_CHUNK_CELLS = 1 << 20
+_VERIFY_CHUNK_CELLS = 1 << 21
 
 SetId = int | str
 
@@ -330,28 +330,51 @@ class LshIndex:
         a bucket's pairs in combinations order over its sorted ids, and
         each pair is reported once, tagged with its first colliding table.
         Buckets whose pair expansion exceeds pair_cap contribute only the
-        first pair_cap pairs and raise a warning.  The scan is one sort of
-        all record rows by (level, repetition, signatures, id rank), packed
-        into as few non-negative int64 words as the columns' bit widths
-        allow.  A full key is unique (one row per id and table), so one
-        word needs no stable sort, and several are lexsorted.  All buckets
-        then expand together, with no loop over bucket sizes: each row of
-        a bucket (one id and the ids after it) emits the pairs the cap has
-        left it, and two np.repeat calls place every pair.  A second such
-        sort, of (pair, position) keys, finds each pair's first sighting.
-        The pairs are built with the cyclic garbage collector paused: they
-        refer only to ids, ints and None, so they cannot form a cycle, and
-        a collection during the burst could free nothing that reference
-        counting does not.  The collector is left enabled or disabled as
-        the caller had it, also when an exception escapes.
+        first pair_cap pairs and raise a warning.  The pairs come from the
+        one scan search() also takes them from (see _scan).  They are
+        built with the cyclic garbage collector paused: they refer only to
+        ids, ints and None, so they cannot form a cycle, and a collection
+        during the burst could free nothing that reference counting does
+        not.  The collector is left enabled or disabled as the caller had
+        it, also when an exception escapes.
+        """
+        names, members, level, rep = self._scan()
+        columns = (*names[members].tolist(), level.tolist(), rep.tolist(), repeat(None))
+        # the pairs form no cycle, so the collector is paused while they are
+        # allocated rather than scanning every tracked object in the process
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return list(map(tuple.__new__, repeat(CandidatePair), zip(*columns)))
+        finally:
+            if enabled:
+                gc.enable()
+
+    def _scan(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """candidates() as arrays: ids by rank, each pair's two ranks, level and repetition.
+
+        A rank is an id's place in sorted order, so names[rank] is the id,
+        and a pair's ranks (first row, then second) are its canonical
+        id_a < id_b.  Pairs are in candidates() order, and pair_cap warns
+        as candidates() documents, at the caller of candidates() or
+        search().  The scan is one sort of all record rows by (level,
+        repetition, signatures, id rank), packed into as few non-negative
+        int64 words as the columns' bit widths allow.  A full key is
+        unique (one row per id and table), so one word needs no stable
+        sort, and several are lexsorted.  All buckets then expand
+        together, with no loop over bucket sizes: each row of a bucket (one
+        id and the ids after it) emits the pairs the cap has left it, and
+        two np.repeat calls place every pair.  A second such sort, of
+        (pair, position) keys, finds each pair's first sighting.
         """
         ids = list(self._entries)
         by_rank = sorted(range(len(ids)), key=ids.__getitem__)
+        names = np.fromiter(ids, object, len(ids))[by_rank]
         rank = np.argsort(by_rank)  # the inverse permutation: each id's rank
         records, l, cap = self._entries.values(), self.cfg.repetitions_l, self.pair_cap
         level = np.repeat(np.fromiter(chain.from_iterable(e[4] for e in records), np.int64), l)
         if not level.size:
-            return []
+            return names, np.empty((2, 0), np.int64), level, level
         rank = np.repeat(rank, [e[5].shape[0] for e in records])
         sigs = np.concatenate([e[5] for e in records])  # buckets, never negative
         rep = np.arange(level.size) % l  # a level's l rows: t = 0..l-1
@@ -372,7 +395,7 @@ class LshIndex:
         at = order[starts[over]]
         for lvl, t, total in zip(level[at].tolist(), rep[at].tolist(), totals[over].tolist()):
             message = f"bucket at level {lvl} repetition {t} expands to {total} pairs"
-            warnings.warn(f"{message}; emitting the first {cap}", RuntimeWarning, stacklevel=2)
+            warnings.warn(f"{message}; emitting the first {cap}", RuntimeWarning, stacklevel=3)
         # a bucket of k sorted ids has rows i = 0 .. k-2: row i pairs id i with
         # ids i+1 .. k-1, after i(2k-i-1)/2 pairs in earlier rows, and the cap
         # may end the bucket mid-row
@@ -394,18 +417,7 @@ class LshIndex:
         kept = np.sort(kept[new])
         seen_at = order[starts[bucket[kept]]]
         # take copies the 2-D column gather faster than members[:, kept] does
-        named = np.fromiter(ids, object, len(ids))[by_rank][members.take(kept, axis=1)]
-        del row, second, bucket, members, code, new, kept, position  # not kept through the burst
-        columns = (*named.tolist(), level[seen_at].tolist(), rep[seen_at].tolist(), repeat(None))
-        # the pairs form no cycle, so the collector is paused while they are
-        # allocated rather than scanning every tracked object in the process
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            return list(map(tuple.__new__, repeat(CandidatePair), zip(*columns)))
-        finally:
-            if enabled:
-                gc.enable()
+        return names, members.take(kept, axis=1), level[seen_at], rep[seen_at]
 
     def verify(
         self,
@@ -421,31 +433,11 @@ class LshIndex:
         rational weights and exactly one randomness slot, this index's.
         Before any pair is scored, a threshold that is not >= 0 (NaN or
         negative; estimates are never negative) raises ValueError, and
-        pairs naming an unindexed id raise KeyError.
-
-        All pairs are scored in one batched pass.  A pair's estimate needs
-        only the per-row nonzero counts of A + B and A - B and |A| + |B|,
-        and by linearity those counts follow from the two sparse supports:
-        a position in both supports drops out of A - B when the counters
-        are equal and out of A + B when they are opposite.  These counts
-        are symmetric in the two sets, so verify orients each pair to read
-        back the set with fewer stored entries (side b) from the other's
-        (side a), sorts the pairs stably by side a and walks them in
-        chunks.  Per chunk it scatters each distinct side a's stored
-        counters once into its own zeroed dense scratch row (one scratch
-        per call, re-zeroed where written), reads the rows back at the
-        stored positions of every pair's side b, counts shared, equal and
-        opposite positions per pair and row, and writes the distances back
-        in input order.
+        pairs naming an unindexed id raise KeyError.  Each distinct id gets
+        a row, in order of first appearance, and all pairs are scored in
+        one batched pass (see _distances).
         """
-        if not threshold >= 0:
-            raise ValueError(f"verify threshold must be >= 0, got {threshold!r}")
-        estimator.require_metric()
-        if estimator.repetitions != 1 or estimator.randomness[0] != self.randomness:
-            raise ConfigMismatchError(
-                "verify needs an estimator with one randomness slot equal to the "
-                f"index's; got {estimator.repetitions} slot(s)"
-            )
+        self._check_scoring(estimator, threshold)
         pairs = list(pairs)
         row_of: dict[SetId, int] = {}
         n = len(pairs)
@@ -456,7 +448,68 @@ class LshIndex:
                 raise KeyError(f"pair references unindexed id {set_id!r}")
         if not n:
             return []
-        position, value, cuts, card, *_ = zip(*(self._entries[set_id] for set_id in row_of))
+        dist = self._distances(rows_a, rows_b, [self._entries[set_id] for set_id in row_of], estimator)
+        keep = np.flatnonzero(dist <= threshold)
+        return [
+            pairs[j]._replace(verified_distance=d)
+            for j, d in zip(keep.tolist(), dist[keep].tolist())
+        ]
+
+    def search(self, estimator: DistanceEstimator, threshold: float) -> tuple[list[CandidatePair], int]:
+        """verify(candidates(), estimator, threshold), and how many candidates it scored.
+
+        The kept pairs equal verify's bit for bit and in candidates()
+        order, and pair_cap warns as candidates() does.  The threshold and
+        the estimator are checked as verify checks them, before the scan.
+        No candidate is built as an object: the scan's ranks are rows into
+        the entries in id order, so they go straight to verify's batched
+        pass, and only a kept pair becomes a CandidatePair.
+        """
+        self._check_scoring(estimator, threshold)
+        names, members, level, rep = self._scan()
+        if not level.size:
+            return [], 0
+        entries = [self._entries[set_id] for set_id in names.tolist()]
+        dist = self._distances(members[0], members[1], entries, estimator)
+        keep = np.flatnonzero(dist <= threshold)
+        columns = (*names[members.take(keep, axis=1)].tolist(), level[keep].tolist(), rep[keep].tolist())
+        return list(map(CandidatePair, *columns, dist[keep].tolist())), level.size
+
+    def _check_scoring(self, estimator: DistanceEstimator, threshold: float) -> None:
+        """Refuse a threshold that is not >= 0 and an estimator verify cannot score with."""
+        if not threshold >= 0:
+            raise ValueError(f"verify threshold must be >= 0, got {threshold!r}")
+        estimator.require_metric()
+        if estimator.repetitions != 1 or estimator.randomness[0] != self.randomness:
+            raise ConfigMismatchError(
+                "verify needs an estimator with one randomness slot equal to the "
+                f"index's; got {estimator.repetitions} slot(s)"
+            )
+
+    def _distances(
+        self,
+        rows_a: np.ndarray,
+        rows_b: np.ndarray,
+        entries: Sequence[tuple],
+        estimator: DistanceEstimator,
+    ) -> np.ndarray:
+        """The pairs' distances, in input order: pair j is rows rows_a[j] and rows_b[j] of entries.
+
+        A pair's estimate needs only the per-row nonzero counts of A + B
+        and A - B and |A| + |B|, and by linearity those counts follow from
+        the two sparse supports: a position in both supports drops out of
+        A - B when the counters are equal and out of A + B when they are
+        opposite.  These counts are symmetric in the two sets, so each
+        pair is oriented to read back the set with fewer stored entries
+        (side b) from the other's (side a); the pairs are sorted stably by
+        side a and walked in chunks.  Per chunk each distinct side a's
+        stored counters are scattered once into its own zeroed dense
+        scratch row (one scratch per call, re-zeroed where written), read
+        back at the stored positions of every pair's side b, and shared,
+        equal and opposite positions are counted per pair and row.
+        """
+        n = rows_a.size
+        position, value, cuts, card, *_ = zip(*entries)
         cuts = np.stack(cuts)
         nz, length, card = np.diff(cuts, axis=1), cuts[:, -1], np.array(card, np.int64)
         levels, bits = self.randomness.num_levels, self.randomness.bucket_bits
@@ -496,7 +549,7 @@ class LshIndex:
             scratch[key_a] = 0  # zeroed again for the next chunk
             shared = np.flatnonzero(value_a != 0)  # a bool scan is faster than an int one
             value_a, value_b = value_a[shared], np.concatenate([value[r] for r in b_list])[shared]
-            pair = np.cumsum(length_b).searchsorted(shared, "right")
+            pair = np.repeat(np.arange(a.size), length_b)[shared]  # each shared entry's pair
             cells = pair * levels + (position_b[shared] >> bits)
             size = a.size * levels
             common = np.bincount(cells, minlength=size)
@@ -509,11 +562,7 @@ class LshIndex:
                 card[a] + card[b],
             )
             start = stop
-        keep = np.flatnonzero(dist <= threshold)
-        return [
-            pairs[j]._replace(verified_distance=d)
-            for j, d in zip(keep.tolist(), dist[keep].tolist())
-        ]
+        return dist
 
 
 def _pack_words(columns: Sequence[tuple[np.ndarray, int]]) -> list[np.ndarray]:

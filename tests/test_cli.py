@@ -1,12 +1,22 @@
 """End-to-end runs of the console entry point on temporary files."""
 
-import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from dynlsh import PlantedPair, SketchRandomness, generate, read_manifest, write_csv, write_stream
+from dynlsh import (
+    LevelSketch,
+    LshConfig,
+    LshIndex,
+    PlantedPair,
+    SketchRandomness,
+    generate,
+    read_manifest,
+    read_sets,
+    write_csv,
+    write_stream,
+)
 from dynlsh.cli import main
 
 
@@ -301,7 +311,14 @@ class TestLsh:
         lines = target.read_text().splitlines()
         kept = [line for line in lines[1:] if line]
         summary = capsys.readouterr().err.strip()
-        assert re.fullmatch(rf"{len(kept)} kept of \d+ candidate pairs", summary), summary
+        d, sets = read_sets(tiny_stream)
+        randomness = SketchRandomness(d, 64, 6)
+        index = LshIndex(LshConfig(r1=0.5, r2=0.1), randomness)  # the lsh defaults
+        for j, items in enumerate(sets):
+            sketch = LevelSketch(randomness)
+            sketch.update_many(items, 1)
+            index.insert(j, sketch)
+        assert summary == f"{len(kept)} kept of {len(index.candidates())} candidate pairs"
         assert kept, "the identical pair must survive verification"
         for line in kept:
             cells = line.split(",")
@@ -309,13 +326,17 @@ class TestLsh:
             assert float(cells[4]) <= 0.5
 
     @pytest.mark.parametrize("threshold", ["nan", "-1"])
-    def test_impossible_threshold_exits_2_without_output(self, tiny_stream, tmp_path, capsys,
-                                                         threshold):
+    def test_impossible_threshold_exits_2_without_output(self, tmp_path, capsys, threshold):
+        """argparse refuses the value before the stream is read: a missing
+        stream would otherwise end the job with its own error."""
         target = tmp_path / "cand.csv"
-        rc = run(["lsh", "--stream", tiny_stream, "--buckets", 64, "--seed", 6,
-                  "--threshold", threshold, "--out", target])
-        assert rc == 2
-        assert capsys.readouterr().err.startswith("error: verify threshold must be >= 0")
+        with pytest.raises(SystemExit) as exc:
+            run(["lsh", "--stream", tmp_path / "missing.stream", "--buckets", 64, "--seed", 6,
+                 "--threshold", threshold, "--out", target])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert f"argument --threshold: invalid _threshold_value value: '{threshold}'" in err
         assert not target.exists()
 
     def test_missing_stream_exits_2(self, tmp_path, capsys):
@@ -362,14 +383,22 @@ class TestParser:
             (["deviation", "--split", "nan"], "split must lie in [0, 1]"),
             (["deviation", "--split", 2], "split must lie in [0, 1]"),
             (["deviation", "--low-sample", -5], "low_sample must be non-negative"),
+            (["lsh", "--threshold", "nan"], "argument --threshold: invalid _threshold_value value"),
+            (["lsh", "--threshold", -1], "argument --threshold: invalid _threshold_value value"),
         ],
     )
     def test_invalid_option_value_exits_2(self, tiny_stream, tiny_manifest, capsys, argv, message):
+        """The library's checks end the job with an `error:` line; a value
+        the option's own type refuses ends it in argparse, after its usage."""
         manifest = ["--manifest", tiny_manifest] if argv[0] == "deviation" else []
-        rc = run([argv[0], "--stream", tiny_stream, *manifest, *argv[1:]])
+        try:
+            rc = run([argv[0], "--stream", tiny_stream, *manifest, *argv[1:]])
+        except SystemExit as exc:
+            rc = exc.code
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and message in err
+        assert err.startswith("usage: " if message.startswith("argument ") else "error: ")
+        assert message in err
 
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):

@@ -1257,8 +1257,10 @@ class TestBatchedVerify:
             want = estimator.estimate_distance(a, b)
             assert p.verified_distance.hex() == want.hex() == estimator.estimate_distance(b, a).hex()
 
-    def test_working_memory_stays_bounded(self):
-        """31,200 pairs of width-69,632 sketches: verify's peak stays under 4 MiB.
+    @pytest.mark.parametrize("cells", [1 << 20, dynlsh.lsh._VERIFY_CHUNK_CELLS])
+    def test_working_memory_stays_bounded(self, cells):
+        """31,200 pairs of width-69,632 sketches: verify's peak stays under
+        4 MiB per 2^20 cells of chunk budget (the default's, and 2^20's).
 
         The dense scratch row is as wide as a whole sketch, so a chunk size
         that ignored the width would read tens of MiB here.
@@ -1271,18 +1273,85 @@ class TestBatchedVerify:
         estimator = DistanceEstimator(jaccard(2**16), rnd)
         tracemalloc.start()
         try:
-            kept = index.verify(pairs, estimator, 0.0)  # every pair is at distance 1.0
+            with mock.patch.object(dynlsh.lsh, "_VERIFY_CHUNK_CELLS", cells):
+                kept = index.verify(pairs, estimator, 0.0)  # every pair is at distance 1.0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert kept == []
-        assert peak < 4 * 2**20
+        assert peak < 4 * cells
 
     def test_crafted_counters_leave_no_level_eligible(self):
         rnd = SketchRandomness(1000, 4, 1)
         sk = _crafted(rnd, np.ones((rnd.num_levels, 4)), 0)
         assert _no_level_eligible(sk)
         assert _no_level_eligible(merge(sk, sk, 1))
+
+
+def _warned(call):
+    """call()'s result, and each warning's category, text and file."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = call()
+    return result, [(w.category, str(w.message), w.filename) for w in caught]
+
+
+class TestSearch:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 2), st.integers(1, 4)),
+        pair_cap=st.sampled_from([1, 2, 10**6]),
+        str_ids=st.booleans(),
+        ops=st.lists(st.tuples(st.integers(0, 9), st.one_of(_SHARED_SETS, _POSTING_SETS)), max_size=10),
+        threshold=st.sampled_from([0.0, 0.6, math.inf]),
+    )
+    @example(shape=(1, 1), pair_cap=1, str_ids=False, ops=[], threshold=math.inf)
+    @example(
+        shape=(1, 2),
+        pair_cap=1,
+        str_ids=True,
+        ops=[(j, ([(i, 1) for i in range(0, 240, 3)], False)) for j in range(3)],
+        threshold=0.0,
+    )
+    def test_search_equals_verify_of_candidates(self, shape, pair_cap, str_ids, ops, threshold):
+        """The kept pairs field for field (types and distance bits too) and
+        in order, the number of candidates, and the same pair_cap warnings,
+        each pointing at the caller, as verify(candidates(), ...)."""
+        bands, reps = shape
+        cfg = LshConfig(r1=0.5, r2=0.125, bands_r=bands, repetitions_l=reps, sampling_p=0.3)
+        index = LshIndex(cfg, _POSTING_RND, pair_cap=pair_cap)
+        for set_id, spec in ops:
+            index.insert(f"id-{set_id}" if str_ids else set_id, _posting_sketch(spec))
+        estimator = DistanceEstimator(jaccard(512), _POSTING_RND)
+        pairs, warned = _warned(index.candidates)
+        want = index.verify(pairs, estimator, threshold)
+        (got, scored), got_warned = _warned(lambda: index.search(estimator, threshold))
+        assert (got, scored, got_warned) == (want, len(pairs), warned)
+        assert [[type(v) for v in p] for p in got] == [[type(v) for v in p] for p in want]
+        assert [p.verified_distance.hex() for p in got] == [p.verified_distance.hex() for p in want]
+        assert {(category, where) for category, _, where in warned} <= {(RuntimeWarning, __file__)}
+
+    def test_threshold_and_estimator_are_checked_before_the_scan(self, small_corpus):
+        """Mixed int and str ids make the scan raise TypeError, so each
+        refusal below comes before it."""
+        cfg, rnd, items = small_corpus
+        index = LshIndex(cfg, rnd)
+        index.insert(1, build(rnd, items))
+        index.insert("a", build(rnd, items))
+        estimator = DistanceEstimator(jaccard(4096), rnd)
+        with pytest.raises(TypeError):
+            index.search(estimator, 1.0)
+        for threshold in (math.nan, -1.0):
+            with pytest.raises(ValueError, match="threshold must be >= 0"):
+                index.search(estimator, threshold)
+        with pytest.raises(ValueError, match="not metric"):
+            index.search(DistanceEstimator(sorensen_dice(4096), rnd), 1.0)
+        slots = [rnd, rnd.spawn(1), rnd.spawn(2)]
+        with pytest.raises(ConfigMismatchError, match="one randomness slot.*got 3"):
+            index.search(DistanceEstimator(jaccard(4096), slots), 1.0)
+        foreign = SketchRandomness(4096, 256, 1)
+        with pytest.raises(ConfigMismatchError, match="one randomness slot"):
+            index.search(DistanceEstimator(jaccard(4096), foreign), 1.0)
 
 
 class TestSensitivityReport:
