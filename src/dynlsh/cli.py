@@ -46,14 +46,14 @@ from .similarity import jaccard
 def _seed_value(text: str) -> int:
     value = int(text)
     if not 0 <= value < 2**64:
-        raise ValueError(f"seed must fit in 64 bits, got {text}")
+        raise argparse.ArgumentTypeError(f"seed must fit in 64 bits, got {text}")
     return value
 
 
 def _threshold_value(text: str) -> float:
     value = float(text)
     if not value >= 0:  # NaN too: estimates are never negative, so nothing would be kept
-        raise ValueError(f"threshold must be >= 0, got {text}")
+        raise argparse.ArgumentTypeError(f"threshold must be >= 0, got {text}")
     return value
 
 
@@ -63,7 +63,7 @@ def _colon_lists(text: str, types: tuple[type, ...]) -> tuple[tuple, ...]:
     for part in text.split(","):
         fields = part.split(":")
         if len(fields) != len(types):
-            raise ValueError(f"expected {len(types)} ':'-separated fields, got {part!r}")
+            raise argparse.ArgumentTypeError(f"expected {len(types)} ':'-separated fields, got {part!r}")
         out.append(tuple(kind(field) for kind, field in zip(types, fields)))
     return tuple(out)
 

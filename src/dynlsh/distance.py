@@ -14,9 +14,9 @@ and for x < y the complement sets take over:
 
 where |~A | ~B| = d - |A & B| = d - (|A| + |B| - |A | B|) comes from the
 same two merges (complement symmetric differences coincide with the
-original ones).  The distance is (z' - z)*|A ^ B| / denominator, and a root
-similarity raises it to alpha.  Estimates sharpen by taking the median over
-independently randomized sketch repetitions.
+original ones).  The distance is (z' - z)*|A ^ B| / denominator.  Estimates
+sharpen by taking the median over independently randomized sketch
+repetitions.
 
 Both l0 estimates read only the per-row nonzero counts of the two merges,
 so a pair's distance is a function of those counts and |A| + |B|;
@@ -36,17 +36,12 @@ import numpy as np
 
 from .errors import ConfigMismatchError
 from .hashing import SketchRandomness
-from .similarity import (
-    RationalSimilarity,
-    RootSimilarity,
-    is_metric,
-    is_root_lshable,
-)
+from .similarity import RationalSimilarity, is_metric
 from .sketch import LevelSketch, l0_from_row_counts
 
 
 class DistanceEstimator:
-    """Estimates rational (or root) distances between sketched sets.
+    """Estimates rational distances between sketched sets.
 
     Construct with the similarity weights and either one SketchRandomness
     or a sequence of them; the sequence length is the repetition count
@@ -59,17 +54,15 @@ class DistanceEstimator:
     sketch per slot, inverts all slots' counts in one l0_from_row_counts
     call and returns the median shot, or the one shot of a single slot.
     Shots are unclamped; only the additive
-    similarity path clamps (below at 0) for reporting, and the root path
-    clamps each shot at 0 before raising it to alpha.
+    similarity path clamps (below at 0) for reporting.
     """
 
     def __init__(
         self,
-        params: RationalSimilarity | RootSimilarity,
+        params: RationalSimilarity,
         randomness: SketchRandomness | Sequence[SketchRandomness],
     ) -> None:
         self.params = params
-        base = params.base if isinstance(params, RootSimilarity) else params
         if isinstance(randomness, SketchRandomness):
             randomness = (randomness,)
         slots = tuple(randomness)
@@ -80,19 +73,15 @@ class DistanceEstimator:
         for r in slots:
             if (r.d, r.c_squared) != (slots[0].d, slots[0].c_squared):
                 raise ConfigMismatchError("all randomness slots must share d and c_squared")
-            if r.d != base.d:
+            if r.d != params.d:
                 raise ConfigMismatchError(
-                    f"randomness universe {r.d} does not match params.d {base.d}"
+                    f"randomness universe {r.d} does not match params.d {params.d}"
                 )
         self.randomness = slots
 
     @property
     def repetitions(self) -> int:
         return len(self.randomness)
-
-    def _base(self) -> RationalSimilarity:
-        p = self.params
-        return p.base if isinstance(p, RootSimilarity) else p
 
     def _slots(self, side: LevelSketch | Sequence[LevelSketch]) -> tuple[LevelSketch, ...]:
         if isinstance(side, LevelSketch):
@@ -108,10 +97,8 @@ class DistanceEstimator:
         return sketches
 
     def require_metric(self) -> None:
-        """Raise ValueError unless the weights are rational and metric."""
-        if isinstance(self.params, RootSimilarity):
-            raise ValueError("use estimate_root_distance for root similarities")
-        if not is_metric(self._base()):
+        """Raise ValueError unless the weights are metric."""
+        if not is_metric(self.params):
             raise ValueError(
                 "weights are not metric (need z' >= max(x, y, z)); "
                 "the additive similarity path remains available at the "
@@ -141,7 +128,7 @@ class DistanceEstimator:
         Python floats for one pair, float64 arrays for many: the same float
         operations in the same order, so a pair scores the same bits either way.
         """
-        p = self._base()
+        p = self.params
         if p.z_prime == 0.0:
             return sym * 0.0  # 0.0 or zeros, like sym: x = y = z = 0, so similarity is 1
         # normalize weights by z' so scaled parameterizations reuse the
@@ -193,25 +180,6 @@ class DistanceEstimator:
         self.require_metric()
         return statistics.median(self._shots(a, b))
 
-    def estimate_root_distance(
-        self,
-        a: LevelSketch | Sequence[LevelSketch],
-        b: LevelSketch | Sequence[LevelSketch],
-    ) -> float:
-        """Estimate (1 - S(A, B))^alpha for a root similarity.
-
-        Each slot's shot is the rational distance estimate, clamped below
-        at 0 and raised to alpha; the median is taken over the shots.
-        """
-        if not isinstance(self.params, RootSimilarity):
-            raise ValueError("estimate_root_distance needs RootSimilarity params")
-        if not is_root_lshable(self.params):
-            raise ValueError(
-                "root similarity is not LSH-able (need z' >= ((alpha+1)/2)*max(x, y))"
-            )
-        alpha = self.params.alpha
-        return statistics.median([max(s, 0.0) ** alpha for s in self._shots(a, b)])
-
     def estimate_similarity_additive(
         self,
         a: LevelSketch | Sequence[LevelSketch],
@@ -223,7 +191,5 @@ class DistanceEstimator:
         the decomposition stays computable (additively approximable) for
         weights like Sorensen-Dice, just without the metric guarantee.
         """
-        if isinstance(self.params, RootSimilarity):
-            raise ValueError("additive similarity applies to rational params only")
         return max(0.0, 1.0 - statistics.median(self._shots(a, b)))
 

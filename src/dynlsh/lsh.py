@@ -7,8 +7,9 @@ level the index takes min-hash signatures of the nonzero bucket pattern,
 concatenates r of them per repetition (AND), and keeps l independent
 repetitions (OR).  Pairs sharing a (level, repetition, signature) bucket,
 found by one sort over all sets' signature rows, become candidates with
-probability 1 - (1 - s^r)^l for per-signature match probability s; a
-verification pass can then re-check candidates against a distance estimate.
+probability 1 - (1 - s^r)^l for per-signature match probability s.
+LshIndex.search scores the same candidates against a distance estimate in
+one batched pass and keeps those within a threshold.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from itertools import chain, repeat
 from operator import neg
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .sketch import LevelSketch, _narrowest_signed
 
 DEFAULT_PAIR_CAP = 10_000
 
-# verify's chunk budget: at most this many dense scratch cells (one levels x c^2
+# _distances' chunk budget: at most this many dense scratch cells (one levels x c^2
 # row per distinct id_a), and a sixteenth of it in side b's entries plus 16 per
 # count cell (pairs x levels), so every work array stays bounded
 _VERIFY_CHUNK_CELLS = 1 << 21
@@ -87,7 +88,7 @@ class CandidatePair(NamedTuple):
     """An unordered candidate pair, canonicalized so id_a < id_b.
 
     level and repetition record the first table in scan order where the
-    two sets shared a signature; verified_distance is filled by verify().
+    two sets shared a signature; verified_distance is filled by search().
     A tuple: pairs compare, order, hash and unpack as their five fields.
     """
 
@@ -419,53 +420,28 @@ class LshIndex:
         # take copies the 2-D column gather faster than members[:, kept] does
         return names, members.take(kept, axis=1), level[seen_at], rep[seen_at]
 
-    def verify(
-        self,
-        pairs: Iterable[CandidatePair],
-        estimator: DistanceEstimator,
-        threshold: float,
-    ) -> list[CandidatePair]:
-        """Keep pairs whose estimated distance is at most threshold.
-
-        Each surviving pair, in input order, carries in verified_distance
-        the value estimator.estimate_distance gives the two sketches as
-        they were inserted, bit for bit.  The estimator needs metric
-        rational weights and exactly one randomness slot, this index's.
-        Before any pair is scored, a threshold that is not >= 0 (NaN or
-        negative; estimates are never negative) raises ValueError, and
-        pairs naming an unindexed id raise KeyError.  Each distinct id gets
-        a row, in order of first appearance, and all pairs are scored in
-        one batched pass (see _distances).
-        """
-        self._check_scoring(estimator, threshold)
-        pairs = list(pairs)
-        row_of: dict[SetId, int] = {}
-        n = len(pairs)
-        rows_a = np.fromiter((row_of.setdefault(p.id_a, len(row_of)) for p in pairs), np.int64, n)
-        rows_b = np.fromiter((row_of.setdefault(p.id_b, len(row_of)) for p in pairs), np.int64, n)
-        for set_id in row_of:
-            if set_id not in self._entries:
-                raise KeyError(f"pair references unindexed id {set_id!r}")
-        if not n:
-            return []
-        dist = self._distances(rows_a, rows_b, [self._entries[set_id] for set_id in row_of], estimator)
-        keep = np.flatnonzero(dist <= threshold)
-        return [
-            pairs[j]._replace(verified_distance=d)
-            for j, d in zip(keep.tolist(), dist[keep].tolist())
-        ]
-
     def search(self, estimator: DistanceEstimator, threshold: float) -> tuple[list[CandidatePair], int]:
-        """verify(candidates(), estimator, threshold), and how many candidates it scored.
+        """candidates() within threshold by estimated distance, and how many were scored.
 
-        The kept pairs equal verify's bit for bit and in candidates()
-        order, and pair_cap warns as candidates() does.  The threshold and
-        the estimator are checked as verify checks them, before the scan.
-        No candidate is built as an object: the scan's ranks are rows into
-        the entries in id order, so they go straight to verify's batched
-        pass, and only a kept pair becomes a CandidatePair.
+        Each kept pair, in candidates() order, carries in verified_distance
+        the value estimator.estimate_distance gives the two sketches as
+        they were inserted, bit for bit, and pair_cap warns as candidates()
+        does.  Before the scan, a threshold that is not >= 0 (NaN or
+        negative; estimates are never negative) and non-metric weights
+        raise ValueError, and an estimator without exactly one randomness
+        slot, this index's, raises ConfigMismatchError.  No candidate is
+        built as an object: the scan's ranks are rows into the entries in
+        id order, so they go straight to the batched pass (see _distances),
+        and only a kept pair becomes a CandidatePair.
         """
-        self._check_scoring(estimator, threshold)
+        if not threshold >= 0:
+            raise ValueError(f"search threshold must be >= 0, got {threshold!r}")
+        estimator.require_metric()
+        if estimator.repetitions != 1 or estimator.randomness[0] != self.randomness:
+            raise ConfigMismatchError(
+                "search needs an estimator with one randomness slot equal to the "
+                f"index's; got {estimator.repetitions} slot(s)"
+            )
         names, members, level, rep = self._scan()
         if not level.size:
             return [], 0
@@ -474,17 +450,6 @@ class LshIndex:
         keep = np.flatnonzero(dist <= threshold)
         columns = (*names[members.take(keep, axis=1)].tolist(), level[keep].tolist(), rep[keep].tolist())
         return list(map(CandidatePair, *columns, dist[keep].tolist())), level.size
-
-    def _check_scoring(self, estimator: DistanceEstimator, threshold: float) -> None:
-        """Refuse a threshold that is not >= 0 and an estimator verify cannot score with."""
-        if not threshold >= 0:
-            raise ValueError(f"verify threshold must be >= 0, got {threshold!r}")
-        estimator.require_metric()
-        if estimator.repetitions != 1 or estimator.randomness[0] != self.randomness:
-            raise ConfigMismatchError(
-                "verify needs an estimator with one randomness slot equal to the "
-                f"index's; got {estimator.repetitions} slot(s)"
-            )
 
     def _distances(
         self,

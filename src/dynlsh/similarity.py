@@ -10,10 +10,10 @@ and is defined as 1 when the denominator vanishes.  Jaccard is (1, 0, 0, 1),
 Hamming (1, 1, 0, 1), Anderberg (1, 0, 0, 2), Rogers-Tanimoto (1, 1, 0, 2),
 Sorensen-Dice (2, 0, 0, 1).  Weights only matter up to a positive scalar.
 
-This module evaluates the definitions exactly and provides the two structural
-predicates the sketch layer relies on: whether 1 - S is a metric, and whether
-the root transform 1 - (1 - S)^alpha admits locality-sensitive hashing.  It
-is the ground-truth oracle the estimator tests compare against.
+This module evaluates the definitions exactly and provides the structural
+predicate the sketch layer relies on: whether 1 - S is a metric, which is
+exactly when S admits locality-sensitive hashing.  It is the ground-truth
+oracle the estimator tests compare against.
 """
 
 from __future__ import annotations
@@ -56,18 +56,6 @@ class RationalSimilarity:
         if not c > 0.0:
             raise ValueError(f"scale factor must be positive, got {c!r}")
         return RationalSimilarity(c * self.x, c * self.y, c * self.z, c * self.z_prime, self.d)
-
-
-@dataclass(frozen=True)
-class RootSimilarity:
-    """Root transform 1 - (1 - S)^alpha of a rational similarity, 0 < alpha <= 1."""
-
-    base: RationalSimilarity
-    alpha: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.alpha <= 1.0):
-            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha!r}")
 
 
 def jaccard(d: int) -> RationalSimilarity:
@@ -131,20 +119,3 @@ def is_metric(params: RationalSimilarity) -> bool:
     """True iff 1 - S is a metric, i.e. z' >= max(x, y, z)."""
     return params.z_prime >= max(params.x, params.y, params.z)
 
-
-def is_root_lshable(root: RootSimilarity) -> bool:
-    """True iff 1 - (1 - S)^alpha admits an LSH family.
-
-    Requires z' >= ((alpha + 1) / 2) * max(x, y) together with z' >= z (the
-    latter already holds by construction but is restated for clarity).
-    """
-    p = root.base
-    return (
-        p.z_prime >= 0.5 * (root.alpha + 1.0) * max(p.x, p.y)
-        and p.z_prime >= p.z
-    )
-
-
-def exact_root_distance(root: RootSimilarity, a: ItemSet, b: ItemSet) -> float:
-    """(1 - S(A, B))^alpha, the distance of the root similarity."""
-    return exact_distance(root.base, a, b) ** root.alpha

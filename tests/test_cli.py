@@ -336,7 +336,7 @@ class TestLsh:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage: ")
-        assert f"argument --threshold: invalid _threshold_value value: '{threshold}'" in err
+        assert f"argument --threshold: threshold must be >= 0, got {threshold}" in err
         assert not target.exists()
 
     def test_missing_stream_exits_2(self, tmp_path, capsys):
@@ -383,14 +383,17 @@ class TestParser:
             (["deviation", "--split", "nan"], "split must lie in [0, 1]"),
             (["deviation", "--split", 2], "split must lie in [0, 1]"),
             (["deviation", "--low-sample", -5], "low_sample must be non-negative"),
-            (["lsh", "--threshold", "nan"], "argument --threshold: invalid _threshold_value value"),
-            (["lsh", "--threshold", -1], "argument --threshold: invalid _threshold_value value"),
+            (["lsh", "--threshold", "nan"], "argument --threshold: threshold must be >= 0, got nan"),
+            (["lsh", "--threshold", -1], "argument --threshold: threshold must be >= 0, got -1"),
+            (["lsh", "--seed", -1], "argument --seed: seed must fit in 64 bits, got -1"),
+            (["scurve", "--grid", "1:2:0.5"], "argument --grid: expected 4 ':'-separated fields"),
+            (["generate", "--ranges", "0.9"], "argument --ranges: expected 2 ':'-separated fields"),
         ],
     )
     def test_invalid_option_value_exits_2(self, tiny_stream, tiny_manifest, capsys, argv, message):
         """The library's checks end the job with an `error:` line; a value
         the option's own type refuses ends it in argparse, after its usage."""
-        manifest = ["--manifest", tiny_manifest] if argv[0] == "deviation" else []
+        manifest = ["--manifest", tiny_manifest] if argv[0] in ("deviation", "scurve") else []
         try:
             rc = run([argv[0], "--stream", tiny_stream, *manifest, *argv[1:]])
         except SystemExit as exc:

@@ -13,10 +13,8 @@ from dynlsh import (
     DistanceEstimator,
     LevelSketch,
     RationalSimilarity,
-    RootSimilarity,
     SketchRandomness,
     exact_distance,
-    exact_root_distance,
     exact_similarity,
     hamming,
     jaccard,
@@ -127,17 +125,12 @@ class TestEstimateDistance:
         B = np.concatenate([A[:300], rng.choice(d, size=150, replace=False)])
         a = [build(r, A) for r in slots]
         b = [build(r, np.unique(B)) for r in slots]
-        root = RootSimilarity(jaccard(d), 0.5)
-        for params, method in (
-            (jaccard(d), "estimate_distance"),
-            (hamming(d), "estimate_distance"),
-            (root, "estimate_root_distance"),
-        ):
+        for params in (jaccard(d), hamming(d)):
             singles = [
-                getattr(DistanceEstimator(params, r), method)(x, y) for r, x, y in zip(slots, a, b)
+                DistanceEstimator(params, r).estimate_distance(x, y) for r, x, y in zip(slots, a, b)
             ]
             assert len(set(singles)) > 1  # the slots disagree, so the median picks one
-            got = getattr(DistanceEstimator(params, slots), method)(a, b)
+            got = DistanceEstimator(params, slots).estimate_distance(a, b)
             assert got.hex() == statistics.median(singles).hex()
 
     def test_identical_sets_give_exact_zero(self):
@@ -146,6 +139,28 @@ class TestEstimateDistance:
         a = [build(r, [5, 6, 700]) for r in slots]
         b = [build(r, [5, 6, 700]) for r in slots]
         assert est.estimate_distance(a, b) == 0.0
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            (1.0, 1.0, 0.0, 1.0),
+            (1.0, 0.0, 0.0, 2.0),
+            (1.0, 1.0, 0.0, 2.0),
+            (1.0, 2.0, 0.0, 2.0),
+            (1.0, 0.5, 0.75, 1.0),
+        ],
+        ids=["hamming", "anderberg", "rogers-tanimoto", "complement-route", "mixed"],
+    )
+    def test_identical_sets_give_exact_zero_under_any_metric_weights(self, weights):
+        """Identical sketches leave no symmetric difference, so every metric
+        weighting, the complement route (y > x) too, reads exactly 0 and its
+        additive similarity exactly 1."""
+        slots = make_slots(4096, 128, 3)
+        est = DistanceEstimator(RationalSimilarity(*weights, 4096), slots)
+        a = [build(r, [5, 6, 700, 4000]) for r in slots]
+        b = [build(r, [5, 6, 700, 4000]) for r in slots]
+        assert est.estimate_distance(a, b) == 0.0
+        assert est.estimate_similarity_additive(a, b) == 1.0
 
     def test_symmetry_is_bit_exact(self):
         rng = np.random.default_rng(75001)
@@ -162,13 +177,6 @@ class TestEstimateDistance:
         est = DistanceEstimator(sorensen_dice(1024), slots)
         pair = [build(r, [1]) for r in slots]
         with pytest.raises(ValueError, match="metric"):
-            est.estimate_distance(pair, pair)
-
-    def test_root_params_rejected_on_plain_path(self):
-        slots = make_slots(1024, 64, 6)
-        est = DistanceEstimator(RootSimilarity(jaccard(1024), 0.5), slots)
-        pair = [build(r, [1]) for r in slots]
-        with pytest.raises(ValueError, match="root"):
             est.estimate_distance(pair, pair)
 
     def test_scale_invariance_is_bit_identical(self):
@@ -258,7 +266,7 @@ def from_counters(randomness, counters, cardinality):
 
 
 def batch_estimate(est, a, b):
-    """One slot's estimate of (a, b) through distances_from_counts, the path verify takes."""
+    """One slot's estimate of (a, b) through distances_from_counts, the path LshIndex.search takes."""
     sym = (a.buckets != b.buckets).sum(axis=1)
     union = (a.buckets != -b.buckets).sum(axis=1)
     card = np.array([a.cardinality + b.cardinality])
@@ -310,14 +318,11 @@ class TestOneSlotQuery:
         rnd, pairs = live_pairs
         params = RationalSimilarity(*weights, rnd.d)
         est = DistanceEstimator(params, rnd)
-        rooted = DistanceEstimator(RootSimilarity(params, 0.5), rnd)
         for name, (a, b) in pairs.items():
             want = batch_estimate(est, a, b)
             assert _distance_reference(params, a, b).hex() == want.hex(), name
-            assert batch_estimate(rooted, a, b).hex() == want.hex(), name
             assert est.estimate_distance(a, b).hex() == want.hex(), name
             assert est.estimate_similarity_additive(a, b).hex() == max(0.0, 1.0 - want).hex(), name
-            assert rooted.estimate_root_distance(a, b).hex() == (max(want, 0.0) ** 0.5).hex(), name
             if name in ("empty", "identical"):
                 assert est.estimate_distance(a, b).hex() == (0.0).hex()
 
@@ -335,58 +340,6 @@ class TestOneSlotQuery:
             assert est.estimate_distance(a, b).hex() == statistics.median(shots).hex()
 
 
-class TestRootDistance:
-    def test_rational_params_rejected(self):
-        slots = make_slots(1024, 64, 8)
-        est = DistanceEstimator(jaccard(1024), slots)
-        pair = [build(r, [1]) for r in slots]
-        with pytest.raises(ValueError, match="RootSimilarity"):
-            est.estimate_root_distance(pair, pair)
-
-    def test_unhashable_root_rejected(self):
-        slots = make_slots(1024, 64, 9)
-        est = DistanceEstimator(RootSimilarity(sorensen_dice(1024), 1.0), slots)
-        pair = [build(r, [1]) for r in slots]
-        with pytest.raises(ValueError, match="LSH"):
-            est.estimate_root_distance(pair, pair)
-
-    def test_identical_sets_give_exact_zero(self):
-        slots = make_slots(4096, 128, 10)
-        est = DistanceEstimator(RootSimilarity(jaccard(4096), 0.5), slots)
-        a = [build(r, [4, 9]) for r in slots]
-        b = [build(r, [4, 9]) for r in slots]
-        assert est.estimate_root_distance(a, b) == 0.0
-
-    def test_alpha_one_equals_plain_distance(self):
-        rng = np.random.default_rng(75003)
-        slots = make_slots(4096, 128, 11, repetitions=3)
-        plain = DistanceEstimator(jaccard(4096), slots)
-        rooted = DistanceEstimator(RootSimilarity(jaccard(4096), 1.0), slots)
-        for _ in range(20):
-            A = rng.choice(4096, size=rng.integers(50, 400), replace=False)
-            B = rng.choice(4096, size=rng.integers(50, 400), replace=False)
-            a = [build(r, A) for r in slots]
-            b = [build(r, B) for r in slots]
-            assert rooted.estimate_root_distance(a, b) == plain.estimate_distance(a, b)
-
-    def test_planted_square_root_distance(self):
-        """Base distance 0.25 at alpha 0.5 estimates near sqrt(0.25)."""
-        d, c2, m = 2**20, 1024, 4096
-        rng = np.random.default_rng(74600)
-        A, B = planted_pair(rng, d, m, 0.75)
-        root = RootSimilarity(jaccard(d), 0.5)
-        exact = exact_root_distance(root, set(A.tolist()), set(B.tolist()))
-        assert_allclose(exact, 0.5, atol=1e-3)
-        hits = 0
-        for s in range(40):
-            slots = make_slots(d, c2, 74700 + s)
-            est = DistanceEstimator(root, slots)
-            value = est.estimate_root_distance([build(r, A) for r in slots],
-                                               [build(r, B) for r in slots])
-            hits += 0.4 <= value <= 0.6
-        assert hits == 40
-
-
 class TestAdditiveSimilarity:
     def test_identical_sets_give_exact_one(self):
         slots = make_slots(4096, 128, 12)
@@ -394,13 +347,6 @@ class TestAdditiveSimilarity:
         a = [build(r, [44, 90]) for r in slots]
         b = [build(r, [44, 90]) for r in slots]
         assert est.estimate_similarity_additive(a, b) == 1.0
-
-    def test_root_params_rejected(self):
-        slots = make_slots(1024, 64, 13)
-        est = DistanceEstimator(RootSimilarity(jaccard(1024), 0.5), slots)
-        pair = [build(r, [1]) for r in slots]
-        with pytest.raises(ValueError):
-            est.estimate_similarity_additive(pair, pair)
 
     def test_non_metric_weights_are_allowed_here(self):
         slots = make_slots(1024, 64, 14)

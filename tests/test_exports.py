@@ -7,16 +7,15 @@ EXPECTED_ALL = [
     "BenchCorpus", "CandidatePair", "ConfigMismatchError", "CounterOverflowError",
     "DEFAULT_GRID", "DEFAULT_PLANTED_RANGES", "DeviationRow", "DistanceEstimator",
     "GeneratedCorpus", "GenerationError", "HashSpec", "ItemRangeError", "LevelSketch",
-    "LshConfig", "LshIndex", "PlantedPair", "RationalSimilarity", "RootSimilarity",
-    "SIMILARITY_HISTOGRAM", "ScurveRow", "SketchRandomness", "StreamDataError",
-    "StreamParseError", "TimingRow", "alpha_level", "amplification_probability", "anderberg",
-    "candidate_levels", "deviation_report", "exact_distance", "exact_root_distance",
-    "exact_similarity", "flip_probabilities", "generate", "generate_distribution", "hamming",
-    "ingest", "is_metric", "is_root_lshable", "jaccard", "l0_estimate", "level_grid", "merge",
-    "minhash_positions", "pair_counts", "planted_partner", "random_hash_spec", "read_manifest",
-    "read_sets", "rogers_tanimoto", "sample_level", "scurve_report", "sensitivity_report",
-    "similarity_from_level", "sketch_from_bytes", "sketch_to_bytes", "sorensen_dice",
-    "timing_report", "write_csv", "write_stream",
+    "LshConfig", "LshIndex", "PlantedPair", "RationalSimilarity", "SIMILARITY_HISTOGRAM",
+    "ScurveRow", "SketchRandomness", "StreamDataError", "StreamParseError", "TimingRow",
+    "alpha_level", "amplification_probability", "anderberg", "candidate_levels",
+    "deviation_report", "exact_distance", "exact_similarity", "flip_probabilities", "generate",
+    "generate_distribution", "hamming", "ingest", "is_metric", "jaccard", "l0_estimate",
+    "level_grid", "merge", "minhash_positions", "pair_counts", "planted_partner",
+    "random_hash_spec", "read_manifest", "read_sets", "rogers_tanimoto", "sample_level",
+    "scurve_report", "sensitivity_report", "similarity_from_level", "sketch_from_bytes",
+    "sketch_to_bytes", "sorensen_dice", "timing_report", "write_csv", "write_stream",
 ]
 
 

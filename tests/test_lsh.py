@@ -26,7 +26,6 @@ from dynlsh import (
     LshConfig,
     LshIndex,
     RationalSimilarity,
-    RootSimilarity,
     SketchRandomness,
     amplification_probability,
     candidate_levels,
@@ -1019,60 +1018,73 @@ class TestVerify:
         return index, DistanceEstimator(jaccard(2**16), rnd)
 
     def test_threshold_separates_planted_pairs(self, planted_index):
+        """All three pairs are candidates; only the similar one is kept."""
         index, estimator = planted_index
-        queries = [CandidatePair("hi_a", "hi_b", 0, 0), CandidatePair("hi_a", "lo", 0, 0)]
-        kept = index.verify(queries, estimator, 0.5)
+        kept, scored = index.search(estimator, 0.5)
+        assert scored == 3
         assert [(p.id_a, p.id_b) for p in kept] == [("hi_a", "hi_b")]
         assert kept[0].verified_distance <= 0.5
 
     def test_unit_threshold_keeps_everything(self, planted_index):
         index, estimator = planted_index
-        queries = [CandidatePair("hi_a", "lo", 0, 0)]
-        kept = index.verify(queries, estimator, 1.0)
-        assert len(kept) == 1
-        assert kept[0].verified_distance is not None
+        kept, scored = index.search(estimator, 1.0)
+        assert len(kept) == scored == 3
+        assert all(p.verified_distance is not None for p in kept)
 
     def test_zero_threshold_keeps_only_identical(self, planted_index, planted_items):
         index, estimator = planted_index
         index.insert("hi_a_twin", build(index.randomness, planted_items["hi_a"]))
-        queries = [
-            CandidatePair("hi_a", "hi_a_twin", 0, 0),
-            CandidatePair("hi_a", "hi_b", 0, 0),
-        ]
-        kept = index.verify(queries, estimator, 0.0)
+        kept, scored = index.search(estimator, 0.0)
+        assert scored == 6
         assert [(p.id_a, p.id_b) for p in kept] == [("hi_a", "hi_a_twin")]
         assert kept[0].verified_distance == 0.0
 
-    def test_unindexed_ids_raise(self, planted_index):
+    def test_removed_ids_are_never_scored(self, planted_index):
+        """search scores only what is indexed: a removed id leaves no
+        candidate behind, and an id never inserted cannot be removed."""
         index, estimator = planted_index
+        index.remove("lo")
         with pytest.raises(KeyError):
-            index.verify([CandidatePair("hi_a", "ghost", 0, 0)], estimator, 1.0)
+            index.remove("ghost")
+        kept, scored = index.search(estimator, 1.0)
+        assert scored == 1
+        assert [(p.id_a, p.id_b) for p in kept] == [("hi_a", "hi_b")]
+
+    def test_a_pair_on_the_threshold_is_kept(self, planted_index):
+        """The threshold is inclusive: each pair's own distance keeps it and
+        every pair no farther, in candidates() order."""
+        index, estimator = planted_index
+        every, _ = index.search(estimator, math.inf)
+        assert len({p.verified_distance for p in every}) == 3
+        for pair in every:
+            kept, scored = index.search(estimator, pair.verified_distance)
+            assert scored == 3
+            assert kept == [p for p in every if p.verified_distance <= pair.verified_distance]
+            assert pair in kept
 
     def test_impossible_threshold_raises_before_any_pair_is_scored(self, planted_index):
         """Estimates are never negative, so a NaN or negative threshold
-        would silently keep nothing; it raises even ahead of the id check."""
+        would silently keep nothing; it raises instead."""
         index, estimator = planted_index
         for threshold in (math.nan, -1.0, -math.inf):
             with pytest.raises(ValueError, match="threshold must be >= 0"):
-                index.verify([CandidatePair("hi_a", "ghost", 0, 0)], estimator, threshold)
-            with pytest.raises(ValueError, match="threshold must be >= 0"):
-                index.verify([], estimator, threshold)
-        queries = [CandidatePair("hi_a", "hi_b", 0, 0), CandidatePair("hi_a", "lo", 0, 0)]
-        assert len(index.verify(queries, estimator, math.inf)) == 2
+                index.search(estimator, threshold)
+        kept, scored = index.search(estimator, math.inf)
+        assert len(kept) == scored == 3
 
     def test_estimator_checked_up_front_even_without_pairs(self, planted_index):
         index, _ = planted_index
         rnd = index.randomness
-        with pytest.raises(ValueError, match="root"):
-            index.verify([], DistanceEstimator(RootSimilarity(jaccard(2**16), 0.5), rnd), 1.0)
+        empty = LshIndex(index.cfg, rnd)
+        assert empty.search(DistanceEstimator(jaccard(2**16), rnd), 1.0) == ([], 0)
         with pytest.raises(ValueError, match="not metric"):
-            index.verify([], DistanceEstimator(sorensen_dice(2**16), rnd), 1.0)
+            empty.search(DistanceEstimator(sorensen_dice(2**16), rnd), 1.0)
         slots = [rnd, rnd.spawn(1), rnd.spawn(2)]
         with pytest.raises(ConfigMismatchError, match="one randomness slot.*got 3"):
-            index.verify([], DistanceEstimator(jaccard(2**16), slots), 1.0)
+            empty.search(DistanceEstimator(jaccard(2**16), slots), 1.0)
         foreign = SketchRandomness(2**16, 1024, 1)
         with pytest.raises(ConfigMismatchError, match="one randomness slot"):
-            index.verify([], DistanceEstimator(jaccard(2**16), foreign), 1.0)
+            empty.search(DistanceEstimator(jaccard(2**16), foreign), 1.0)
 
     def test_the_index_keeps_its_own_copy(self, planted_items):
         """Mutating or dropping a sketch after insert changes nothing indexed;
@@ -1084,10 +1096,9 @@ class TestVerify:
         index = LshIndex(cfg, rnd)
         for set_id, sketch in sketches.items():
             index.insert(set_id, sketch)
-        queries = [CandidatePair(a, b, 0, 0) for a, b in itertools.combinations(sorted(sketches), 2)]
-        want = [estimator.estimate_distance(sketches[p.id_a], sketches[p.id_b]) for p in queries]
         before, postings = index.candidates(), _all_postings(index)
         assert before
+        want = [estimator.estimate_distance(sketches[p.id_a], sketches[p.id_b]) for p in before]
 
         changed = sketches["hi_a"]
         changed.update_many(planted_items["lo"], 1)
@@ -1098,14 +1109,15 @@ class TestVerify:
 
         assert index.candidates() == before
         assert _all_postings(index) == postings
-        kept = index.verify(queries, estimator, math.inf)
+        kept, _ = index.search(estimator, math.inf)
+        assert [p._replace(verified_distance=None) for p in kept] == before
         assert [p.verified_distance.hex() for p in kept] == [w.hex() for w in want]
         assert min(want) > 0.0
 
         index.insert("hi_a", changed)  # re-inserting updates the index
         assert _postings(index, "hi_a") == _postings(index, "lo")
-        [kept] = index.verify([CandidatePair("hi_a", "lo", 0, 0)], estimator, math.inf)
-        assert kept.verified_distance == 0.0
+        [kept], _ = index.search(estimator, 0.0)
+        assert (kept.id_a, kept.id_b, kept.verified_distance) == ("hi_a", "lo", 0.0)
 
 
 def _crafted(rnd, counters, cardinality):
@@ -1179,6 +1191,13 @@ def verify_cases(draw):
     )
 
 
+def _distances(index, pairs, estimator):
+    """LshIndex._distances of (id_a, id_b) pairs, each indexed id one row in insertion order."""
+    row = {set_id: j for j, set_id in enumerate(index._entries)}
+    rows_a, rows_b = (np.array([row[p[side]] for p in pairs], np.int64) for side in (0, 1))
+    return index._distances(rows_a, rows_b, list(index._entries.values()), estimator)
+
+
 class TestBatchedVerify:
     @settings(max_examples=60, deadline=None)
     @given(case=verify_cases(), chunk=st.sampled_from([1, 7, 100, 1 << 16]))
@@ -1192,18 +1211,12 @@ class TestBatchedVerify:
         want = [estimator.estimate_distance(sketches[p.id_a], sketches[p.id_b]) for p in pairs]
         cells = chunk * rnd.num_levels * rnd.c_squared  # chunk pairs per chunk
         with mock.patch.object(dynlsh.lsh, "_VERIFY_CHUNK_CELLS", cells):
-            kept = index.verify(pairs, estimator, math.inf)
-            assert [(p.id_a, p.id_b) for p in kept] == [(p.id_a, p.id_b) for p in pairs]
-            assert [p.verified_distance.hex() for p in kept] == [w.hex() for w in want]
-            threshold = sorted(want)[len(want) // 2]  # ties sit exactly on it
-            kept = index.verify(pairs, estimator, threshold)
-        assert [(p.id_a, p.id_b) for p in kept] == [
-            (p.id_a, p.id_b) for p, w in zip(pairs, want) if w <= threshold
-        ]
+            got = _distances(index, pairs, estimator)
+        assert [d.hex() for d in got.tolist()] == [w.hex() for w in want]
 
     @pytest.mark.parametrize("widths", [1, 4])
-    def test_kept_pairs_follow_input_order(self, widths):
-        """verify groups pairs by id_a, then writes every distance back in input order.
+    def test_distances_follow_input_order(self, widths):
+        """_distances groups pairs by id_a, then writes every distance back in input order.
 
         The pairs are shuffled and hold reversed, duplicate and self pairs
         over str ids.  One sketch width of cells leaves one distinct id_a
@@ -1227,16 +1240,13 @@ class TestBatchedVerify:
         want = [estimator.estimate_distance(sketches[p.id_a], sketches[p.id_b]) for p in pairs]
         cells = widths * rnd.num_levels * rnd.c_squared
         assert 3 * len(names) * 16 * rnd.num_levels > cells // 16  # a run overflows a chunk
-        threshold = sorted(want)[len(want) // 2]
         with mock.patch.object(dynlsh.lsh, "_VERIFY_CHUNK_CELLS", cells):
-            for limit in (math.inf, threshold):
-                kept = index.verify(pairs, estimator, limit)
-                expect = [(p.id_a, p.id_b, w.hex()) for p, w in zip(pairs, want) if w <= limit]
-                assert [(p.id_a, p.id_b, p.verified_distance.hex()) for p in kept] == expect
+            got = _distances(index, pairs, estimator)
+        assert [d.hex() for d in got.tolist()] == [w.hex() for w in want]
 
     def test_either_side_may_be_read_back(self):
         """Pairs of a large and a small set, in both orders, score as both
-        per-pair estimates do, bit for bit, and keep their place and ids."""
+        per-pair estimates do, bit for bit, each in its own place."""
         rnd = SketchRandomness(2**14, 256, 31)
         rng = np.random.default_rng(31)
         large = rng.choice(2**14, size=2000, replace=False)
@@ -1248,18 +1258,15 @@ class TestBatchedVerify:
             index.insert(name, sketch)
         names = [("big", "small"), ("small", "big"), ("tiny", "wide"), ("wide", "tiny"),
                  ("big", "wide"), ("small", "tiny"), ("tiny", "big"), ("wide", "small")]
-        pairs = [CandidatePair(a, b, 0, j) for j, (a, b) in enumerate(names)]
         estimator = DistanceEstimator(jaccard(2**14), rnd)
-        kept = index.verify(pairs, estimator, 1.0)
-        assert [p._replace(verified_distance=None) for p in kept] == pairs
-        for p in kept:
-            a, b = sketches[p.id_a], sketches[p.id_b]
+        for (a, b), got in zip(names, _distances(index, names, estimator).tolist()):
+            a, b = sketches[a], sketches[b]
             want = estimator.estimate_distance(a, b)
-            assert p.verified_distance.hex() == want.hex() == estimator.estimate_distance(b, a).hex()
+            assert got.hex() == want.hex() == estimator.estimate_distance(b, a).hex()
 
     @pytest.mark.parametrize("cells", [1 << 20, dynlsh.lsh._VERIFY_CHUNK_CELLS])
     def test_working_memory_stays_bounded(self, cells):
-        """31,200 pairs of width-69,632 sketches: verify's peak stays under
+        """31,200 pairs of width-69,632 sketches: _distances' peak stays under
         4 MiB per 2^20 cells of chunk budget (the default's, and 2^20's).
 
         The dense scratch row is as wide as a whole sketch, so a chunk size
@@ -1274,11 +1281,11 @@ class TestBatchedVerify:
         tracemalloc.start()
         try:
             with mock.patch.object(dynlsh.lsh, "_VERIFY_CHUNK_CELLS", cells):
-                kept = index.verify(pairs, estimator, 0.0)  # every pair is at distance 1.0
+                got = _distances(index, pairs, estimator)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert kept == []
+        assert (got == 1.0).all()  # disjoint singletons
         assert peak < 4 * cells
 
     def test_crafted_counters_leave_no_level_eligible(self):
@@ -1313,18 +1320,25 @@ class TestSearch:
         ops=[(j, ([(i, 1) for i in range(0, 240, 3)], False)) for j in range(3)],
         threshold=0.0,
     )
-    def test_search_equals_verify_of_candidates(self, shape, pair_cap, str_ids, ops, threshold):
+    def test_search_equals_per_pair_estimates_of_candidates(
+        self, shape, pair_cap, str_ids, ops, threshold
+    ):
         """The kept pairs field for field (types and distance bits too) and
         in order, the number of candidates, and the same pair_cap warnings,
-        each pointing at the caller, as verify(candidates(), ...)."""
+        each pointing at the caller, as candidates() scored one pair at a
+        time by estimate_distance on the inserted sketches."""
         bands, reps = shape
         cfg = LshConfig(r1=0.5, r2=0.125, bands_r=bands, repetitions_l=reps, sampling_p=0.3)
         index = LshIndex(cfg, _POSTING_RND, pair_cap=pair_cap)
+        sketches = {}
         for set_id, spec in ops:
-            index.insert(f"id-{set_id}" if str_ids else set_id, _posting_sketch(spec))
+            set_id = f"id-{set_id}" if str_ids else set_id
+            sketches[set_id] = _posting_sketch(spec)
+            index.insert(set_id, sketches[set_id])
         estimator = DistanceEstimator(jaccard(512), _POSTING_RND)
         pairs, warned = _warned(index.candidates)
-        want = index.verify(pairs, estimator, threshold)
+        distance = [estimator.estimate_distance(sketches[p.id_a], sketches[p.id_b]) for p in pairs]
+        want = [p._replace(verified_distance=d) for p, d in zip(pairs, distance) if d <= threshold]
         (got, scored), got_warned = _warned(lambda: index.search(estimator, threshold))
         assert (got, scored, got_warned) == (want, len(pairs), warned)
         assert [[type(v) for v in p] for p in got] == [[type(v) for v in p] for p in want]

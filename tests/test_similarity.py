@@ -1,4 +1,4 @@
-"""Exact similarity values, metric structure, and the root transform.
+"""Exact similarity values and metric structure.
 
 The reference oracle here is an independent Fraction-based evaluation of
 the defining ratio, so agreement is agreement between two separately
@@ -17,14 +17,11 @@ from numpy.testing import assert_allclose
 from dynlsh import (
     ItemRangeError,
     RationalSimilarity,
-    RootSimilarity,
     anderberg,
     exact_distance,
-    exact_root_distance,
     exact_similarity,
     hamming,
     is_metric,
-    is_root_lshable,
     jaccard,
     pair_counts,
     rogers_tanimoto,
@@ -126,13 +123,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             jaccard(4).scaled(0.0)
 
-    def test_root_alpha_range(self):
-        with pytest.raises(ValueError):
-            RootSimilarity(jaccard(4), 0.0)
-        with pytest.raises(ValueError):
-            RootSimilarity(jaccard(4), 1.5)
-        RootSimilarity(jaccard(4), 1.0)  # boundary is allowed
-
 
 class TestAgainstOracle:
     def test_random_pairs_match_fraction_oracle(self):
@@ -223,6 +213,26 @@ class TestMetricStructure:
         slack = mat[:, :, None] + mat[None, :, :] - mat[:, None, :]
         assert slack.min() > -1e-12
 
+    @pytest.mark.parametrize(
+        "weights, metric",
+        [
+            ((1.0, 0.0, 0.0, 1.5), True),
+            ((1.0, 2.0, 0.0, 2.0), True),  # y at z', the complement side's boundary
+            ((1.0, 0.5, 0.75, 1.0), True),
+            ((2.0, 1.0, 0.0, 1.5), False),  # x above z'
+            ((0.5, 2.0, 0.25, 1.0), False),  # y above z'
+            ((1.0, 0.0, 0.0, 0.9), False),  # x just above z'
+        ],
+    )
+    def test_is_metric_iff_triangle_holds(self, weights, metric):
+        """1 - S is a metric exactly when z' >= max(x, y, z): beyond the five
+        named families, the brute-force triangle check agrees with is_metric."""
+        params = RationalSimilarity(*weights, 5)
+        assert is_metric(params) == metric
+        mat = distance_matrix(params, 5)
+        slack = mat[:, :, None] + mat[None, :, :] - mat[:, None, :]
+        assert (slack.min() > -1e-12) == metric
+
     def test_sorensen_dice_violates_triangle(self):
         mat = distance_matrix(sorensen_dice(5), 5)
         slack = mat[:, :, None] + mat[None, :, :] - mat[:, None, :]
@@ -236,47 +246,3 @@ class TestMetricStructure:
         d_ac = exact_distance(params, {1}, {2})
         assert_allclose([d_ab, d_bc, d_ac], [1 / 3, 1 / 3, 1.0], rtol=1e-12)
         assert d_ab + d_bc < d_ac
-
-
-class TestRootTransform:
-    def test_root_distance_is_power_of_base_distance(self):
-        root = RootSimilarity(jaccard(10), 0.5)
-        value = exact_root_distance(root, {1, 2, 3}, {2, 3, 4})
-        assert_allclose(value, np.sqrt(0.5), rtol=1e-15)
-
-    def test_alpha_one_matches_plain_distance(self):
-        rng = np.random.default_rng(71003)
-        root = RootSimilarity(rogers_tanimoto(12), 1.0)
-        for _ in range(50):
-            a = set(map(int, rng.choice(12, size=rng.integers(0, 13), replace=False)))
-            b = set(map(int, rng.choice(12, size=rng.integers(0, 13), replace=False)))
-            assert exact_root_distance(root, a, b) == exact_distance(root.base, a, b)
-
-    def test_identical_sets_have_zero_root_distance(self):
-        root = RootSimilarity(jaccard(6), 0.25)
-        assert exact_root_distance(root, {2, 4}, {2, 4}) == 0.0
-
-    def test_is_root_lshable_table(self):
-        # z' must dominate both z and ((alpha + 1) / 2) * max(x, y)
-        assert is_root_lshable(RootSimilarity(jaccard(4), 1.0))
-        assert is_root_lshable(RootSimilarity(jaccard(4), 0.5))
-        assert is_root_lshable(RootSimilarity(rogers_tanimoto(4), 1.0))
-        assert is_root_lshable(RootSimilarity(anderberg(4), 1.0))
-        assert is_root_lshable(RootSimilarity(hamming(4), 1.0))
-        assert not is_root_lshable(RootSimilarity(sorensen_dice(4), 1.0))
-
-    def test_dice_stays_unhashable_even_near_alpha_zero(self):
-        # the requirement tends to z' >= max(x, y) / 2 = 1 and the strict
-        # inequality never turns true on the way down
-        assert not is_root_lshable(RootSimilarity(sorensen_dice(4), 0.001))
-
-    def test_root_triangle_inequality_small_universe(self):
-        root = RootSimilarity(jaccard(4), 0.5)
-        subsets = [frozenset(c) for r in range(5) for c in combinations(range(4), r)]
-        for a in subsets:
-            for b in subsets:
-                for c in subsets:
-                    ab = exact_root_distance(root, a, b)
-                    bc = exact_root_distance(root, b, c)
-                    ac = exact_root_distance(root, a, c)
-                    assert ab + bc >= ac - 1e-12

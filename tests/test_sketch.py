@@ -879,8 +879,7 @@ class TestNarrowCounters:
             index = LshIndex(cfg, rnd)
             for i, sk in enumerate(group):
                 index.insert(i, sk)
-            pairs = index.candidates()
-            found.append((pairs, index.verify(pairs, estimator, 0.5)))
+            found.append((index.candidates(), index.search(estimator, 0.5)))
         assert found[0][0]
         assert found[0] == found[1] == found[2] == found[3]
 
