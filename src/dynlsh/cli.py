@@ -43,15 +43,26 @@ from .lsh import CandidatePair, LshConfig, LshIndex
 from .similarity import jaccard
 
 
+_TYPE_NAMES = {int: "an integer", float: "a number"}
+
+
+def _converted(kind: type, text: str, what: str) -> int | float:
+    """kind(text), or an argparse error that names what and the type it must be."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{what} must be {_TYPE_NAMES[kind]}, got {text!r}") from None
+
+
 def _seed_value(text: str) -> int:
-    value = int(text)
+    value = _converted(int, text, "seed")
     if not 0 <= value < 2**64:
         raise argparse.ArgumentTypeError(f"seed must fit in 64 bits, got {text}")
     return value
 
 
 def _threshold_value(text: str) -> float:
-    value = float(text)
+    value = _converted(float, text, "threshold")
     if not value >= 0:  # NaN too: estimates are never negative, so nothing would be kept
         raise argparse.ArgumentTypeError(f"threshold must be >= 0, got {text}")
     return value
@@ -64,7 +75,10 @@ def _colon_lists(text: str, types: tuple[type, ...]) -> tuple[tuple, ...]:
         fields = part.split(":")
         if len(fields) != len(types):
             raise argparse.ArgumentTypeError(f"expected {len(types)} ':'-separated fields, got {part!r}")
-        out.append(tuple(kind(field) for kind, field in zip(types, fields)))
+        out.append(tuple(
+            _converted(kind, field, f"field {k} of {part!r}")
+            for k, (kind, field) in enumerate(zip(types, fields), 1)
+        ))
     return tuple(out)
 
 

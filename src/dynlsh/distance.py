@@ -37,7 +37,7 @@ import numpy as np
 from .errors import ConfigMismatchError
 from .hashing import SketchRandomness
 from .similarity import RationalSimilarity, is_metric
-from .sketch import LevelSketch, l0_from_row_counts
+from .sketch import LevelSketch, _narrowest_signed, l0_from_row_counts
 
 
 class DistanceEstimator:
@@ -78,6 +78,9 @@ class DistanceEstimator:
                     f"randomness universe {r.d} does not match params.d {params.d}"
                 )
         self.randomness = slots
+        # _shots' row sums: exact, as a row has c_squared counters, and narrow
+        # sums skip most of the cost of a bool-to-int64 cast
+        self._row_count_dtype = _narrowest_signed(slots[0].c_squared, np.dtype(np.int16))
 
     @property
     def repetitions(self) -> int:
@@ -92,7 +95,7 @@ class DistanceEstimator:
                 f"expected {self.repetitions} sketches, got {len(sketches)}"
             )
         for sk, rnd in zip(sketches, self.randomness):
-            if sk.randomness != rnd:
+            if sk.randomness is not rnd and sk.randomness != rnd:
                 raise ConfigMismatchError("sketch randomness does not match estimator slot")
         return sketches
 
@@ -155,12 +158,12 @@ class DistanceEstimator:
         pairs = tuple(zip(self._slots(a), self._slots(b)))
         r = len(pairs)
         counts = np.empty((2 * r, self.randomness[0].num_levels), np.int64)
+        acc = self._row_count_dtype
         for i, (x, y) in enumerate(pairs):
-            # a bool sum counts like count_nonzero without its Python wrapper; -y is
-            # exact in y's dtype, as no counter reaches its dtype's minimum in any tier
+            # -y is exact in y's dtype, as no counter reaches its dtype's minimum in any tier
             xb, yb = x.buckets, y.buckets
-            np.not_equal(xb, yb).sum(axis=1, out=counts[i])
-            np.not_equal(xb, -yb).sum(axis=1, out=counts[r + i])
+            counts[i] = np.not_equal(xb, yb).sum(axis=1, dtype=acc)
+            counts[r + i] = np.not_equal(xb, -yb).sum(axis=1, dtype=acc)
         estimates = l0_from_row_counts(counts, self.randomness[0].c_squared).tolist()
         return [
             self._distance(sym, union, x.cardinality + y.cardinality)

@@ -7,6 +7,7 @@ identical sketches bit for bit across runs and processes.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -35,6 +36,12 @@ def _frozen_scalar(value: int, dtype: type = np.uint64) -> np.ndarray:
     out.flags.writeable = False
     return out
 
+
+# np.count_nonzero under numpy's __array_function__ dispatcher, which costs about
+# as much again as the count of 64 elements; inspect.unwrap follows the
+# __wrapped__ attribute the dispatcher sets, and returns the public function
+# itself where there is none
+_count_nonzero = inspect.unwrap(np.count_nonzero)
 
 # the splitmix64 finalizer's shifts and multipliers, as _mix64_inplace applies them
 _MIX_SHIFTS = tuple(_frozen_scalar(k) for k in (30, 27, 31))
@@ -241,7 +248,7 @@ class SketchRandomness:
         A negative item wraps to at least 2^63 >= d, so one comparison
         checks both ends.
         """
-        if np.count_nonzero(keys >= self._item_bound):
+        if _count_nonzero(keys >= self._item_bound):
             raise ItemRangeError(f"items outside universe [0, {self.d})")
 
     def levels_of(self, items: np.ndarray) -> np.ndarray:

@@ -218,7 +218,7 @@ class LshIndex:
         One scan finds the nonzero counters, indexed as insert_many indexes
         a block of one set.
         """
-        if sketch.randomness != self.randomness:
+        if sketch.randomness is not self._randomness and sketch.randomness != self._randomness:
             raise ConfigMismatchError("sketch randomness does not match the index")
         flat = sketch.buckets.reshape(-1)
         nonzero = (flat != 0).nonzero()[0]

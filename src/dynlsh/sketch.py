@@ -21,7 +21,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ConfigMismatchError, CounterOverflowError
-from .hashing import SketchRandomness, _frozen_scalar, deepest_level
+from .hashing import SketchRandomness, _count_nonzero, _frozen_scalar, deepest_level
 from .similarity import RationalSimilarity, _similarity_from_counts
 
 # the signed dtypes _narrowest_signed chooses from, narrowest first, to their largest values
@@ -175,17 +175,18 @@ class LevelSketch:
             keys, signs = np.empty(end, np.uint64), np.empty(end, np.int8)
             if start:
                 keys[:start], signs[:start] = self._queued_keys[:start], self._queued_values[:start]
-        # a copy, as the caller may change its arrays after the call
+        # a copy, as the caller may change its arrays after the call; 1-D input,
+        # strided or not, is copied as it is, with no ravel call (that copies a strided view)
         batch = keys[start:end]
-        batch[...] = arr.ravel()
+        batch[...] = arr if arr.ndim == 1 else arr.ravel()
         self.randomness.check_keys(batch)
         if vals.shape != arr.shape:
             vals = np.broadcast_to(vals, arr.shape)
-        plus, minus = np.count_nonzero(vals == _ONE), np.count_nonzero(vals == _MINUS_ONE)
+        plus, minus = _count_nonzero(vals == _ONE), _count_nonzero(vals == _MINUS_ONE)
         if plus + minus != n:
             raise ValueError("update values must be +1 or -1")
-        signs[start:end] = vals.ravel()
-        self._cardinality += int(plus - minus)  # count_nonzero gives np.intp
+        signs[start:end] = vals if vals.ndim == 1 else vals.ravel()
+        self._cardinality += int(plus - minus)  # the counts are numpy integers, not Python ints
         self._bound += n
         if waits:
             self._queued = end

@@ -388,6 +388,13 @@ class TestParser:
             (["lsh", "--seed", -1], "argument --seed: seed must fit in 64 bits, got -1"),
             (["scurve", "--grid", "1:2:0.5"], "argument --grid: expected 4 ':'-separated fields"),
             (["generate", "--ranges", "0.9"], "argument --ranges: expected 2 ':'-separated fields"),
+            (["lsh", "--seed", "x"], "argument --seed: seed must be an integer, got 'x'"),
+            (["lsh", "--threshold", "abc"], "argument --threshold: threshold must be a number, got 'abc'"),
+            (
+                ["scurve", "--grid", "1:x:0.5:4"],
+                "argument --grid: field 2 of '1:x:0.5:4' must be an integer, got 'x'",
+            ),
+            (["deviation", "--grid", "128:y"], "argument --grid: field 2 of '128:y' must be a number, got 'y'"),
         ],
     )
     def test_invalid_option_value_exits_2(self, tiny_stream, tiny_manifest, capsys, argv, message):

@@ -326,6 +326,24 @@ class TestOneSlotQuery:
             if name in ("empty", "identical"):
                 assert est.estimate_distance(a, b).hex() == (0.0).hex()
 
+    @pytest.mark.parametrize("bits", [14, 15])
+    def test_full_rows_count_exactly_at_the_accumulator_edge(self, bits):
+        """The deepest row holds c^2 nonzero counters that differ in every
+        bucket and are never opposite, so both merges count c^2 there:
+        int16 holds 2^14, and at 2^15 an int16 row sum would wrap."""
+        rnd = SketchRandomness(2**16, 2**bits, 76300)
+        rng = np.random.default_rng(76300 + bits)
+        shape = (rnd.num_levels, rnd.c_squared)
+        x = rng.integers(1, 4, shape) * (rng.random(shape) < 0.2)
+        y = rng.integers(1, 4, shape) * (rng.random(shape) < 0.2)
+        x[-1] = rng.integers(1, 4, rnd.c_squared)
+        y[-1] = x[-1] + rng.integers(1, 4, rnd.c_squared)
+        a, b = from_counters(rnd, x, int(x.sum())), from_counters(rnd, y, int(y.sum()))
+        assert (x != y).sum(axis=1)[-1] == (x != -y).sum(axis=1)[-1] == rnd.c_squared
+        est = DistanceEstimator(jaccard(rnd.d), rnd)
+        for p, q in ((a, b), (b, a)):
+            assert est.estimate_distance(p, q).hex() == batch_estimate(est, p, q).hex()
+
     def test_three_slots_take_the_median_of_their_shots(self):
         rng = np.random.default_rng(76200)
         d = 2**14

@@ -1,5 +1,7 @@
 """Hash family behavior: multiply-shift values, level split, min-hash law."""
 
+import importlib.util
+import inspect
 import sys
 import threading
 
@@ -15,7 +17,8 @@ from dynlsh import (
     minhash_positions,
     random_hash_spec,
 )
-from dynlsh.hashing import _mix64_inplace
+import dynlsh.hashing
+from dynlsh.hashing import _count_nonzero, _mix64_inplace
 from oracles import hash_array, hash_key, lsb, minhash_signature, mixed_hash_array
 
 
@@ -97,6 +100,36 @@ class TestMix:
         occupied = len(np.unique(rnd.buckets_of(3, keys)))
         # 1024 * (1 - (1 - 1/1024)^4096) is about 1005
         assert occupied > 900
+
+
+class TestCountBinding:
+    """_count_nonzero is np.count_nonzero without numpy's dispatcher."""
+
+    @pytest.mark.parametrize("shape", [(), (0,), (1,), (64,), (3, 5), (2, 0, 4), (2, 3, 4)])
+    def test_agrees_with_the_public_count(self, shape):
+        rng = np.random.default_rng(72040)
+        for share in (0.0, 0.5, 1.0):
+            mask = rng.random(shape) < share
+            assert _count_nonzero(mask) == np.count_nonzero(mask)
+
+    def test_binds_the_public_function_where_nothing_is_wrapped(self, monkeypatch):
+        """inspect.unwrap stops at a function without __wrapped__; loading
+        hashing.py afresh under such a count binds that function itself."""
+        assert dynlsh.hashing._count_nonzero is inspect.unwrap(np.count_nonzero)
+
+        def plain(a, axis=None, *, keepdims=False):
+            return int(np.asarray(a, dtype=bool).sum())
+
+        monkeypatch.setattr(np, "count_nonzero", plain)
+        spec = importlib.util.spec_from_file_location("dynlsh._hashing_fresh", dynlsh.hashing.__file__)
+        fresh = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, fresh)
+        spec.loader.exec_module(fresh)
+        assert fresh._count_nonzero is plain
+        rnd = fresh.SketchRandomness(1024, 64, 72041)
+        rnd.check_keys(np.array([0, 1023], np.uint64))
+        with pytest.raises(ItemRangeError):
+            rnd.check_keys(np.array([0, 1024], np.uint64))
 
 
 class TestLsb:

@@ -428,24 +428,40 @@ class TestUpdateQueue:
         assert sk != want
 
     def test_queued_batches_are_copies(self, randomness):
+        """Contiguous, strided, 2-D and 0-d batches queue as copies: writing
+        to the caller's arrays after the call changes nothing."""
         items = np.array([3, 77, 500], dtype=np.uint64)  # already the keys' dtype, yet copied
         values = np.array([1, 1, -1])
         grid = np.array([[5, 6], [7, 8]])
         grid_values = np.array([[1, -1], [1, 1]])
+        spread = np.arange(100, 120)  # every other item and value, as 1-D strided views
+        spread_values = np.tile([1, 1, -1, -1, 1], 4)
+        point, point_value = np.array(600), np.array(-1)
         sk = LevelSketch(randomness)
         sk.update_many(items, values)
         sk.update_many(grid, grid_values)
+        sk.update_many(spread[::2], spread_values[::2])
+        sk.update_many(point, point_value)
+        sk.update_many(np.array(601), 1)
         sk.update_many([9], 1)
-        assert sk._queued == 8  # the 2-D batch waits beside the 1-D ones
+        assert sk._queued == 20  # the 2-D, strided and 0-d batches wait beside the others
         want = read_after_each(
-            randomness, [(items.copy(), values.copy()), (grid.copy(), grid_values.copy()), ([9], 1)]
+            randomness,
+            [
+                (items.tolist(), values.tolist()),
+                (grid.ravel().tolist(), grid_values.ravel().tolist()),
+                (spread[::2].tolist(), spread_values[::2].tolist()),
+                ([600], [-1]),
+                ([601], 1),
+                ([9], 1),
+            ],
         )
-        items[:] = 0
-        values[:] = -1
-        grid[:] = 0
-        grid_values[:] = -1
+        for arr in (items, grid, spread, point):
+            arr[...] = 0
+        for arr in (values, grid_values, spread_values, point_value):
+            arr[...] = -1
         assert sk == want
-        assert sk.cardinality == want.cardinality == 4
+        assert sk.cardinality == want.cardinality == 1 + 2 + 2 - 1 + 1 + 1
 
     def test_rejected_batch_after_queued_ones_changes_nothing(self, randomness):
         accepted = [([1, 2, 3], np.array([1, -1, 1])), (np.array([[4, 5]]), -1)]
@@ -512,6 +528,10 @@ class TestUpdateQueue:
             (np.array([5, 2**64 - 1], np.uint64), 1, ItemRangeError),
             (np.r_[items[:-1], 1024].reshape(1, -1), 1, ItemRangeError),  # a 2-D batch
             (items.reshape(1, -1), np.r_[values, 1], ValueError),
+            (np.repeat(np.r_[items[:-1], 1024], 2)[::2], values, ItemRangeError),  # strided views
+            (np.repeat(items, 2)[::2], np.repeat(np.r_[values[:-1], 0], 2)[::2], ValueError),
+            (np.array(1024), np.array(1), ItemRangeError),  # 0-d batches
+            (np.array(5), np.array(0), ValueError),
             (items.astype(np.float64), values, TypeError),
         ):
             with pytest.raises(error):
