@@ -24,13 +24,10 @@ from .bench import (
     PlantedPair,
     ScurveRow,
     TimingRow,
-    _read_stream,
-    _replay,
     deviation_report,
     generate,
     generate_distribution,
     read_manifest,
-    read_sets,
     scurve_report,
     timing_report,
     write_csv,
@@ -41,6 +38,7 @@ from .errors import GenerationError
 from .hashing import SketchRandomness
 from .lsh import CandidatePair, LshConfig, LshIndex
 from .similarity import jaccard
+from .stream import read_sets, read_stream, replay
 
 
 _TYPE_NAMES = {int: "an integer", float: "a number"}
@@ -148,9 +146,9 @@ class CardinalityRow:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    n, d, updates = _read_stream(args.stream)
+    n, d, updates = read_stream(args.stream)
     SketchRandomness(d, args.buckets, args.seed)  # --buckets and --seed are still validated
-    cards = [net.size for net in _replay(n, updates)]  # a row's cardinality is its net set's size
+    cards = [net.size for net in replay(n, updates)]  # a row's cardinality is its net set's size
     lo, hi = min(cards, default=0), max(cards, default=0)
     print(
         f"ingested {len(cards)} rows over universe {d}; "
@@ -203,7 +201,7 @@ def _cmd_timing(args: argparse.Namespace) -> int:
 
 
 def _cmd_lsh(args: argparse.Namespace) -> int:
-    n, d, updates = _read_stream(args.stream)
+    n, d, updates = read_stream(args.stream)
     randomness = SketchRandomness(d, args.buckets, args.seed)
     cfg = LshConfig(
         r1=args.r1,
@@ -214,7 +212,7 @@ def _cmd_lsh(args: argparse.Namespace) -> int:
         repetitions_l=args.reps,
     )
     index = LshIndex(cfg, randomness)
-    for net in _replay(n, updates, index):  # each replay block is indexed as it is cut
+    for net in replay(n, updates, index):  # each replay block is indexed as it is cut
         pass
     updates = net = None  # the sorted stream, and a view of its last block
     if args.threshold is None:

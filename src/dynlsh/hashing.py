@@ -99,26 +99,6 @@ def _mix64_inplace(z: np.ndarray, top_bits: int = WORD_BITS) -> np.ndarray:
     return z
 
 
-def minhash_positions(positions: np.ndarray, specs: Sequence[HashSpec]) -> np.ndarray:
-    """Min-hash of one position set under many specs at once.
-
-    The specs must share output_bits.  Returns int64 minimizing positions,
-    one per spec, all -1 for an empty position set; ties break toward the
-    first position given, the lowest when sorted.  Sketch rows go through
-    SketchRandomness.minhash_rows instead.
-    """
-    if len({s.output_bits for s in specs}) != 1:
-        raise ValueError("all specs must share output_bits")
-    (a, b), shift = _spec_arrays(specs), WORD_BITS - specs[0].output_bits
-    pos = np.asarray(positions, dtype=np.uint64)
-    if pos.size == 0:
-        return np.full(a.size, -1, dtype=np.int64)
-    values = a[:, None] * pos + b[:, None]
-    if shift:
-        values >>= np.uint64(shift)
-    return pos[np.argmin(values, axis=1)].astype(np.int64)
-
-
 def random_hash_spec(rng: np.random.Generator, output_bits: int) -> HashSpec:
     """Draw a fresh spec; the multiplier is forced odd."""
     a = int.from_bytes(rng.bytes(8), "little") | 1
@@ -319,8 +299,8 @@ class SketchRandomness:
         holds the rows back to back.  Entry [i, t * bands + q] of the
         returned len(levels) x (repetitions * bands) array is the bucket of
         row i whose affine image under minhash_spec(levels[i], t, q) is
-        least, as minhash_positions finds it, and -1 throughout for an empty
-        row.  The dtype is the signed twin of the table's (int32 or int64).
+        least, and -1 throughout for an empty row.  The dtype is the signed
+        twin of the table's (int32 or int64).
 
         The table row of a flat position holds, per slot, the bucket's rank
         among all c_squared buckets under the slot's map (a bijection for

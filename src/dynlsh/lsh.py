@@ -215,14 +215,14 @@ class LshIndex:
     def insert(self, set_id: SetId, sketch: LevelSketch) -> None:
         """Index a sparse copy of the sketch under set_id, replacing any previous one.
 
-        One scan finds the nonzero counters, indexed as insert_many indexes
-        a block of one set.
+        One scan finds the nonzero counters, and insert_many indexes them
+        as a block of one set.
         """
         if sketch.randomness is not self._randomness and sketch.randomness != self._randomness:
             raise ConfigMismatchError("sketch randomness does not match the index")
         flat = sketch.buckets.reshape(-1)
         nonzero = (flat != 0).nonzero()[0]
-        self._insert_block((set_id,), nonzero, flat.take(nonzero), (nonzero.size,), (sketch.cardinality,))
+        self.insert_many((set_id,), nonzero, flat.take(nonzero), (nonzero.size,), (sketch.cardinality,))
 
     def insert_many(
         self,
@@ -250,18 +250,6 @@ class LshIndex:
                 f"a block of {n} ids needs as many sizes and cardinalities, and "
                 f"sizes summing to its {positions.size} positions and {values.size} values"
             )
-        self._insert_block(ids, positions, values, sizes, cardinalities)
-
-    def _insert_block(
-        self,
-        ids: Sequence[SetId],
-        positions: np.ndarray,
-        values: np.ndarray,
-        sizes: Sequence[int],
-        cardinalities: Sequence[int],
-    ) -> None:
-        """insert_many on arguments known to match."""
-        n = len(ids)
         # bounds: each set's row cuts into the block; own: into its own entries, as new arrays
         if n == 1:  # a lone set's positions are its own search keys
             own = [positions.searchsorted(self._row_starts)]

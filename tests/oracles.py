@@ -4,14 +4,16 @@ The hash twins work on Python ints, one key at a time, with none of the
 package's numpy code, so a test that compares the two checks the package
 against an independent statement of the same maths.  sample_distinct is
 the generator's draw in its earlier np.unique and np.isin form.
-banding_collides and similarity_at_level are baselines the acceptance
-criteria measure against: min-hash banding over raw item ids, with no
-sketch in between, and the similarity readout of one sketch row.
+minhash_positions min-hashes a raw position set under HashSpecs, the
+minimum the package's packed rank tables must find.  banding_collides and
+similarity_at_level are baselines the acceptance criteria measure against:
+min-hash banding over raw item ids, with no sketch in between, and the
+similarity readout of one sketch row.
 """
 
 import numpy as np
 
-from dynlsh import minhash_positions, random_hash_spec
+from dynlsh import random_hash_spec
 
 _MASK64 = (1 << 64) - 1
 
@@ -56,6 +58,23 @@ def minhash_signature(buckets, spec):
     if not positions:
         return None
     return min(positions, key=lambda p: hash_key(spec, p))
+
+
+def minhash_positions(positions, specs):
+    """Min-hash of one position set under many specs at once.
+
+    The specs must share output_bits.  Returns int64 minimizing positions,
+    one per spec, all -1 for an empty position set; ties break toward the
+    first position given, the lowest when sorted.
+    """
+    if len({s.output_bits for s in specs}) != 1:
+        raise ValueError("all specs must share output_bits")
+    a, b = (np.array([getattr(s, f) for s in specs], dtype=np.uint64) for f in "ab")
+    pos = np.asarray(positions, dtype=np.uint64)
+    if pos.size == 0:
+        return np.full(a.size, -1, dtype=np.int64)
+    values = (a[:, None] * pos + b[:, None]) >> np.uint64(64 - specs[0].output_bits)
+    return pos[np.argmin(values, axis=1)].astype(np.int64)
 
 
 def banding_collides(a_items, b_items, r, l, master_seed):

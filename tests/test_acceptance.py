@@ -26,7 +26,6 @@ from dynlsh import (
     is_metric,
     jaccard,
     l0_estimate,
-    minhash_positions,
     random_hash_spec,
     sample_level,
     scurve_report,
@@ -34,7 +33,7 @@ from dynlsh import (
     similarity_from_level,
     timing_report,
 )
-from oracles import banding_collides, similarity_at_level
+from oracles import banding_collides, minhash_positions, similarity_at_level
 
 
 def check(num, name, ok, detail=""):

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import dynlsh.bench
+import dynlsh.stream
 import oracles
 
 from dynlsh import (
@@ -295,9 +296,9 @@ class TestStreamWriter:
     @example([(0, 0, -1), (9, 9, 1), (10, 10, -1), (2**24 - 1, 10**18 - 1, 1)])
     def test_a_block_reads_back_through_the_canonical_parse(self, updates):
         rows, items, values = (np.array(column, dtype=np.int64) for column in zip(*updates))
-        text = dynlsh.bench._update_lines(rows, items, values)
+        text = dynlsh.stream._update_lines(rows, items, values)
         assert text == "".join(f"{j} {i} {v}\n" for j, i, v in updates)
-        back = dynlsh.bench._parse_canonical(text, 2**24, 10**18)
+        back = dynlsh.stream._parse_canonical(text, 2**24, 10**18)
         assert back is not None
         for got, want in zip(back, (rows, items, values)):
             assert np.array_equal(got, want)
@@ -464,13 +465,13 @@ class TestIngestParsing:
 
     def test_row_count_at_the_limit_is_parsed_lazily(self):
         """The replay holds nothing per declared row, so n = 2^24 costs what its body costs."""
-        n = dynlsh.bench._MAX_ROWS
+        n = dynlsh.stream._MAX_ROWS
 
         def first_rows(text):
             tracemalloc.start()
             try:
                 declared, _, updates = _stream(text)
-                rows = dynlsh.bench._replay(declared, updates)
+                rows = dynlsh.stream.replay(declared, updates)
                 return [net.tolist() for net in itertools.islice(rows, 3)]
             finally:
                 peak = tracemalloc.get_traced_memory()[1]
@@ -579,16 +580,16 @@ class _Unseekable:
 
 
 def _stream(text):
-    """(n, d, updates) of a stream's text, as _read_stream gives them."""
-    return dynlsh.bench._read_stream(io.StringIO(text))
+    """(n, d, updates) of a stream's text, as read_stream gives them."""
+    return dynlsh.stream.read_stream(io.StringIO(text))
 
 
 def _line_loop(fh):
     """(d, per-row net set lists) of a whole stream by the header parse, the line loop and a count."""
     lines = iter(fh)
-    n, d = dynlsh.bench._parse_header(next(lines, ""))
+    n, d = dynlsh.stream._parse_header(next(lines, ""))
     counts = [{} for _ in range(n)]
-    for j, i, v in dynlsh.bench._parse_lines(lines, n, d, 2).T.tolist():
+    for j, i, v in dynlsh.stream._parse_lines(lines, n, d, 2).T.tolist():
         counts[j][i] = counts[j].get(i, 0) + v
     for j, count in enumerate(counts):
         for i in sorted(count):
@@ -621,7 +622,7 @@ class TestVectorizedIngest:
     @given(
         text=faulty_streams(),
         source=st.sampled_from(["\n", "\r", "\r\n", "", None, "path", "pipe"]),
-        chunk_rows=st.sampled_from([3, dynlsh.bench._PARSE_CHUNK_ROWS]),
+        chunk_rows=st.sampled_from([3, dynlsh.stream._PARSE_CHUNK_ROWS]),
     )
     @example(text="1 10\n0 1_0 1\n", source="\n", chunk_rows=3)
     @example(text="2 10\r0 1 1\n1 2 1\n", source="\r", chunk_rows=3)
@@ -654,15 +655,15 @@ class TestVectorizedIngest:
     @example(text="2 10\n1  2 1\n0 3\n", source="path", chunk_rows=3)
     @example(text="2 10\n1  2 1\n", source="pipe", chunk_rows=3)
     def test_fast_parse_answers_as_the_line_loop(self, text, source, chunk_rows):
-        with mock.patch.object(dynlsh.bench, "_PARSE_CHUNK_ROWS", chunk_rows):
+        with mock.patch.object(dynlsh.stream, "_PARSE_CHUNK_ROWS", chunk_rows):
             if source == "path":
                 with tempfile.TemporaryDirectory() as tmp:
                     path = Path(tmp) / "s.stream"
                     path.write_text(text, encoding="utf-8", newline="")
                     opened = lambda: open(path, encoding="ascii", errors="surrogateescape", newline="")
                     # blocks of 1, 3 and 7 characters cut lines, "\r\n" and tokens
-                    for block_chars in (1, 3, 7, dynlsh.bench._READ_BLOCK_CHARS):
-                        with mock.patch.object(dynlsh.bench, "_READ_BLOCK_CHARS", block_chars):
+                    for block_chars in (1, 3, 7, dynlsh.stream._READ_BLOCK_CHARS):
+                        with mock.patch.object(dynlsh.stream, "_READ_BLOCK_CHARS", block_chars):
                             self._check(lambda: path, opened)
             elif source == "pipe":
                 self._check(lambda: _Unseekable(io.StringIO(text)), lambda: io.StringIO(text))
@@ -690,8 +691,8 @@ class TestVectorizedIngest:
     def test_the_canonical_parse_passes_any_other_separator_on(self, body):
         """A tab, a carriage return, a blank line or a double space leaves a
         block to the line loop, even where the separators count three a line."""
-        assert dynlsh.bench._parse_canonical("0 1 1\n" + body, 2, 10) is None
-        assert dynlsh.bench._parse_canonical("0 1 1\n1 2 -1\n", 2, 10) is not None
+        assert dynlsh.stream._parse_canonical("0 1 1\n" + body, 2, 10) is None
+        assert dynlsh.stream._parse_canonical("0 1 1\n1 2 -1\n", 2, 10) is not None
 
     @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
     def test_file_blocks_end_at_line_ends(self, tmp_path, end):
@@ -699,10 +700,10 @@ class TestVectorizedIngest:
         body = "".join(f"0 {i} 1{end}" for i in range(200))
         path = tmp_path / "s.stream"
         path.write_text(f"1 200{end}{body}", newline="")
-        parse = dynlsh.bench._parse_canonical
+        parse = dynlsh.stream._parse_canonical
         with (
-            mock.patch.object(dynlsh.bench, "_READ_BLOCK_CHARS", 16),
-            mock.patch.object(dynlsh.bench, "_parse_canonical", wraps=parse) as canonical,
+            mock.patch.object(dynlsh.stream, "_READ_BLOCK_CHARS", 16),
+            mock.patch.object(dynlsh.stream, "_parse_canonical", wraps=parse) as canonical,
         ):
             _, sets = read_sets(path)
         assert sets[0].tolist() == list(range(200))
@@ -730,9 +731,9 @@ class TestVectorizedIngest:
         want = read_sets(path)[1]
         text = path.read_text()
         with (
-            mock.patch.object(dynlsh.bench, "_parse_lines", side_effect=AssertionError("loop used")),
-            mock.patch.object(dynlsh.bench, "_READ_BLOCK_CHARS", 100),  # many blocks
-            mock.patch.object(dynlsh.bench, "_PARSE_CHUNK_ROWS", 7),  # and many chunks
+            mock.patch.object(dynlsh.stream, "_parse_lines", side_effect=AssertionError("loop used")),
+            mock.patch.object(dynlsh.stream, "_READ_BLOCK_CHARS", 100),  # many blocks
+            mock.patch.object(dynlsh.stream, "_PARSE_CHUNK_ROWS", 7),  # and many chunks
         ):
             for source in (path, io.StringIO(text), _Unseekable(io.StringIO(text))):
                 d, sets = read_sets(source)
@@ -753,7 +754,7 @@ class TestVectorizedIngest:
         with pytest.raises(StreamParseError) as want:
             _line_loop(io.StringIO(text))
         source = _Unseekable(io.StringIO(text))
-        with mock.patch.object(dynlsh.bench, "_PARSE_CHUNK_ROWS", 4):
+        with mock.patch.object(dynlsh.stream, "_PARSE_CHUNK_ROWS", 4):
             with pytest.raises(StreamParseError) as got:
                 read_sets(source)
         assert (str(got.value), got.value.line_number) == (str(want.value), 11)
@@ -812,7 +813,7 @@ class TestVectorizedIngest:
         def loop():
             with open(path, encoding="ascii", newline="") as fh:
                 lines = iter(fh)
-                n, _ = dynlsh.bench._parse_header(next(lines))
+                n, _ = dynlsh.stream._parse_header(next(lines))
                 items, values = [[] for _ in range(n)], [[] for _ in range(n)]
                 for line in lines:
                     j, i, v = map(int, line.split())
@@ -860,7 +861,7 @@ class TestColumnarReplay:
         with pytest.raises(StreamDataError) as want:
             _line_loop(io.StringIO(text))
         assert str(want.value) == message
-        with mock.patch.object(dynlsh.bench, "_REPLAY_BLOCK", block):
+        with mock.patch.object(dynlsh.stream, "_REPLAY_BLOCK", block):
             with pytest.raises(StreamDataError, match=f"^{message}$"):
                 read_sets(io.StringIO(text))
 
@@ -878,11 +879,11 @@ class TestColumnarReplay:
             used += size
         index = LshIndex(LshConfig(r1=0.5, r2=0.1), dynlsh.SketchRandomness(40, 16, 0))
         spy = mock.patch.object(LshIndex, "insert_many", autospec=True, side_effect=LshIndex.insert_many)
-        with mock.patch.object(dynlsh.bench, "_REPLAY_BLOCK", block), mock.patch.object(
+        with mock.patch.object(dynlsh.stream, "_REPLAY_BLOCK", block), mock.patch.object(
             dynlsh.SketchRandomness, "cells_of", autospec=True, side_effect=dynlsh.SketchRandomness.cells_of
         ) as cells_of, spy as insert_many:
             n, _, updates = _stream(text)
-            assert len(list(dynlsh.bench._replay(n, updates, index))) == 30
+            assert len(list(dynlsh.stream.replay(n, updates, index))) == 30
         assert [call.args[1].size for call in cells_of.call_args_list] == want
         assert [len(call.args[1]) for call in insert_many.call_args_list] == [net // 5 for net in want]
         assert list(index._entries) == list(range(30))
@@ -898,11 +899,11 @@ class TestColumnarReplay:
         def replay():
             n, _, updates = _stream(text)
             index = LshIndex(LshConfig(r1=0.5, r2=0.1), randomness)
-            return list(dynlsh.bench._replay(n, updates, index)), index
+            return list(dynlsh.stream.replay(n, updates, index)), index
 
-        with mock.patch.object(dynlsh.bench, "_REPLAY_BLOCK", 7):
+        with mock.patch.object(dynlsh.stream, "_REPLAY_BLOCK", 7):
             packed, packed_index = replay()
-            with mock.patch.object(dynlsh.bench, "_KEY_BITS", 0), mock.patch.object(
+            with mock.patch.object(dynlsh.stream, "_KEY_BITS", 0), mock.patch.object(
                 np, "lexsort", wraps=np.lexsort
             ) as lexsort:
                 sorted_by_columns, lexsorted_index = replay()
@@ -937,7 +938,7 @@ class TestColumnarReplay:
         index = LshIndex(LshConfig(r1=0.5, r2=0.1), randomness)
         with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
             n, _, updates = _stream(text)
-            rows = list(dynlsh.bench._replay(n, updates, index))
+            rows = list(dynlsh.stream.replay(n, updates, index))
         assert lexsort.call_count == 1
         want = [items, sorted(items[1:] + [5]), items[2:]]
         assert _outcome(lambda: (d, rows)) == (d, want)

@@ -14,12 +14,11 @@ from dynlsh import (
     ItemRangeError,
     LevelSketch,
     SketchRandomness,
-    minhash_positions,
     random_hash_spec,
 )
 import dynlsh.hashing
 from dynlsh.hashing import _count_nonzero, _mix64_inplace
-from oracles import hash_array, hash_key, lsb, minhash_signature, mixed_hash_array
+from oracles import hash_array, hash_key, lsb, minhash_positions, minhash_signature, mixed_hash_array
 
 
 class TestHashSpec:

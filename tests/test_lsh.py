@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dynlsh.bench
+import dynlsh.stream
 import dynlsh.lsh
 from dynlsh import (
     CandidatePair,
@@ -573,8 +574,8 @@ def replayed_rows(draw):
 def _replayed_index(cfg, rnd, text):
     """An index of every row of a stream, built by the replay's insert_many blocks."""
     index = LshIndex(cfg, rnd)
-    n, _, updates = dynlsh.bench._read_stream(io.StringIO(text))
-    for _ in dynlsh.bench._replay(n, updates, index):
+    n, _, updates = dynlsh.stream.read_stream(io.StringIO(text))
+    for _ in dynlsh.stream.replay(n, updates, index):
         pass
     return index
 
@@ -605,7 +606,7 @@ class TestSparseInsert:
             if updates:
                 sketch.update_many(*np.array(updates, np.int64).T)
             dense.insert(j, sketch)
-        with mock.patch.object(dynlsh.bench, "_REPLAY_BLOCK", block):
+        with mock.patch.object(dynlsh.stream, "_REPLAY_BLOCK", block):
             sparse = _replayed_index(cfg, rnd, text)
         _assert_same_entries(sparse, dense)
 
