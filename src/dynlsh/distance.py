@@ -21,9 +21,9 @@ repetitions.
 Both l0 estimates read only the per-row nonzero counts of the two merges,
 so a pair's distance is a function of those counts and |A| + |B|;
 DistanceEstimator.distances_from_counts evaluates it for many pairs at
-once, and each estimate inverts all of its slots' counts in one
-l0_from_row_counts call; both then apply the one formula,
-DistanceEstimator._distance.  The counts need no merged sketch: A - B is
+once through l0_from_row_counts, and each estimate inverts its slots'
+counts one sketch at a time through _l0_from_counts, with the same bits;
+both then apply the one formula, DistanceEstimator._distance.  The counts need no merged sketch: A - B is
 nonzero where the counters differ and A + B where they are not opposite.
 """
 
@@ -37,7 +37,7 @@ import numpy as np
 from .errors import ConfigMismatchError
 from .hashing import SketchRandomness
 from .similarity import RationalSimilarity, is_metric
-from .sketch import LevelSketch, _narrowest_signed, l0_from_row_counts
+from .sketch import LevelSketch, _l0_from_counts, _narrowest_signed, l0_from_row_counts
 
 
 class DistanceEstimator:
@@ -51,8 +51,8 @@ class DistanceEstimator:
     sequence of sketches aligned with the randomness slots.
 
     Every estimate counts per-row nonzeros of one sum and one difference
-    sketch per slot, inverts all slots' counts in one l0_from_row_counts
-    call and returns the median shot, or the one shot of a single slot.
+    sketch per slot, inverts each count row with _l0_from_counts and
+    returns the median shot, or the one shot of a single slot.
     Shots are unclamped; only the additive
     similarity path clamps (below at 0) for reporting.
     """
@@ -152,23 +152,18 @@ class DistanceEstimator:
         a: LevelSketch | Sequence[LevelSketch],
         b: LevelSketch | Sequence[LevelSketch],
     ) -> list[float]:
-        """Every slot's unclamped distance estimate: one l0_from_row_counts call
-        over all slots' difference counts, then their sum counts, and _distance
-        on Python floats per slot."""
-        pairs = tuple(zip(self._slots(a), self._slots(b)))
-        r = len(pairs)
-        counts = np.empty((2 * r, self.randomness[0].num_levels), np.int64)
-        acc = self._row_count_dtype
-        for i, (x, y) in enumerate(pairs):
+        """Every slot's unclamped distance estimate, for a query's few rows:
+        _l0_from_counts on each slot's difference and sum counts as Python
+        ints, and _distance on Python floats."""
+        acc, c_squared = self._row_count_dtype, self.randomness[0].c_squared
+        shots = []
+        for x, y in zip(self._slots(a), self._slots(b)):
             # -y is exact in y's dtype, as no counter reaches its dtype's minimum in any tier
             xb, yb = x.buckets, y.buckets
-            counts[i] = np.not_equal(xb, yb).sum(axis=1, dtype=acc)
-            counts[r + i] = np.not_equal(xb, -yb).sum(axis=1, dtype=acc)
-        estimates = l0_from_row_counts(counts, self.randomness[0].c_squared).tolist()
-        return [
-            self._distance(sym, union, x.cardinality + y.cardinality)
-            for sym, union, (x, y) in zip(estimates, estimates[r:], pairs)
-        ]
+            sym = _l0_from_counts(np.not_equal(xb, yb).sum(axis=1, dtype=acc).tolist(), c_squared)
+            union = _l0_from_counts(np.not_equal(xb, -yb).sum(axis=1, dtype=acc).tolist(), c_squared)
+            shots.append(self._distance(sym, union, x.cardinality + y.cardinality))
+        return shots
 
     def estimate_distance(
         self,

@@ -343,21 +343,38 @@ def l0_estimate(sketch: LevelSketch) -> float:
     scales by 2^k (the tail retention probability is exactly 2^-k).
     Returns 0.0 for the all-zero sketch.  On difference sketches opposite
     counts may cancel inside one bucket; that residual bias shrinks with
-    c^2 and is accepted.
+    c^2 and is accepted.  Reads one sketch, so it takes _l0_from_counts.
     """
-    nz = np.count_nonzero(sketch.buckets, axis=1)
-    return float(l0_from_row_counts(nz[None, :], sketch.c_squared)[0])
+    return _l0_from_counts(np.count_nonzero(sketch.buckets, axis=1).tolist(), sketch.c_squared)
+
+
+def _l0_from_counts(counts: list[int], c_squared: int) -> float:
+    """l0_estimate of one sketch from its per-row nonzero counts as Python ints.
+
+    The readout of a live query's few rows: a Python scan picks the level
+    and numpy's 1-D sum adds the tail's terms, so the bits equal that
+    sketch's row of l0_from_row_counts without its fixed cost.
+    """
+    if not any(counts):
+        return 0.0
+    half, k = c_squared // 2, len(counts) - 1
+    while k >= 0 and counts[k] <= half:
+        k -= 1  # k ends at the deepest row over c^2 / 2, or -1
+    level = min(k + 1, len(counts) - 1)
+    tail = _occupancy_terms(c_squared)[counts[level:]].sum()
+    return math.ldexp(float(tail) / math.log1p(-1.0 / c_squared), level)
 
 
 def l0_from_row_counts(nz: np.ndarray, c_squared: int) -> np.ndarray:
     """l0_estimate of many sketches at once, from their per-row nonzero counts.
 
-    nz is an (n, num_levels) integer array, one sketch per row; returns n
-    float64 estimates.  Sketches are grouped by their chosen level k, so
-    each tail sum is a reduction over contiguous rows of one length and
-    every estimate carries the same float operations, in the same order,
-    as it would alone; the exact power-of-two scaling by 2^k is one ldexp
-    after the groups.
+    The readout of LshIndex.search's chunks of pairs, through
+    distances_from_counts.  nz is an (n, num_levels) integer array, one
+    sketch per row; returns n float64 estimates.  Sketches are grouped by
+    their chosen level k, so each tail sum is a reduction over contiguous
+    rows of one length and every estimate carries the same float
+    operations, in the same order, as it would alone; the exact
+    power-of-two scaling by 2^k is one ldexp after the groups.
     """
     nz = np.asarray(nz, dtype=np.int64)
     suffix_max = np.maximum.accumulate(nz[:, ::-1], axis=1)[:, ::-1]

@@ -6,12 +6,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 import dynlsh.sketch
-from dynlsh.sketch import l0_from_row_counts
+from dynlsh.sketch import _l0_from_counts, l0_from_row_counts
 from oracles import hash_key, lsb, mixed_hash_array
 
 from dynlsh import (
@@ -1093,6 +1093,20 @@ class TestSampleLevel:
             sample_level(RationalSimilarity(0.0, 0.0, 0.0, 0.0, 16), 0.5, 0.1, 0.4, 8)
 
 
+@st.composite
+def _count_rows(draw):
+    """(rows, c^2): up to 4 count rows of one length 1..64, c^2 in 2..2^14, counts in
+    [0, c^2]; each row keeps its counts at most c^2 / 2 from a drawn depth on."""
+    levels, c2 = draw(st.integers(1, 64)), draw(st.integers(2, 2**14))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        depth = draw(st.integers(0, levels))
+        over = draw(st.lists(st.integers(0, c2), min_size=depth, max_size=depth))
+        under = st.lists(st.integers(0, c2 // 2), min_size=levels - depth, max_size=levels - depth)
+        rows.append(over + draw(under))
+    return rows, c2
+
+
 class TestL0Estimate:
     def test_empty_sketch_estimates_zero(self, randomness):
         assert l0_estimate(LevelSketch(randomness)) == 0.0
@@ -1190,6 +1204,20 @@ class TestL0Estimate:
         alone = [float(l0_from_row_counts(row[None, :], c2)[0]) for row in mixed]
         assert [v.hex() for v in together] == [v.hex() for v in alone]
         assert l0_from_row_counts(np.zeros((0, levels), np.int64), c2).shape == (0,)
+
+    @given(_count_rows())
+    @settings(max_examples=300, deadline=None)
+    @example(([[0] * 21], 256))  # all zero
+    @example(([[129] * 21, [256] * 21], 256))  # every row over c^2 / 2
+    @example(([[2]], 2))
+    @example(([[0] * 20 + [129], [128] * 20 + [256]], 256))  # only the deepest row over
+    @example(([[5] * 10 + [129] + [0] * 10, [256] + [0] * 20], 256))  # zeros after the last one over
+    def test_one_sketch_readout_equals_its_row_of_the_batch(self, case):
+        """_l0_from_counts on one sketch's counts gives the bits of that sketch's
+        row of l0_from_row_counts, signed zeros included."""
+        rows, c2 = case
+        want = [v.hex() for v in l0_from_row_counts(np.array(rows), c2).tolist()]
+        assert [_l0_from_counts(row, c2).hex() for row in rows] == want
 
     def test_occupancy_terms_gather_equals_the_expression_bit_for_bit(self):
         """The cached table gathers the terms the per-row expression computes,
