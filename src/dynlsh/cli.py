@@ -33,7 +33,6 @@ from .bench import (
     write_csv,
     write_stream,
 )
-from .distance import DistanceEstimator
 from .errors import GenerationError
 from .hashing import SketchRandomness
 from .lsh import CandidatePair, LshConfig, LshIndex
@@ -219,8 +218,7 @@ def _cmd_lsh(args: argparse.Namespace) -> int:
         pairs = index.candidates()
         summary = f"{len(pairs)} candidate pairs"
     else:  # only the kept pairs are built
-        estimator = DistanceEstimator(jaccard(randomness.d), randomness)
-        pairs, scored = index.search(estimator, args.threshold)
+        pairs, scored = index.search(jaccard(randomness.d), args.threshold)
         summary = f"{len(pairs)} kept of {scored} candidate pairs"
     write_csv(CandidatePair, pairs, args.out or sys.stdout, missing="")
     print(summary, file=sys.stderr)

@@ -18,16 +18,17 @@ import gc
 import math
 import warnings
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import neg
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .distance import DistanceEstimator
 from .errors import ConfigMismatchError
 from .hashing import SketchRandomness, deepest_level
+from .similarity import RationalSimilarity
 from .sketch import LevelSketch, _narrowest_signed
 
 DEFAULT_PAIR_CAP = 10_000
@@ -168,7 +169,9 @@ class LshIndex:
         randomness: SketchRandomness,
         pair_cap: int = DEFAULT_PAIR_CAP,
     ) -> None:
-        self.pair_cap = pair_cap
+        if not isinstance(pair_cap, int) or isinstance(pair_cap, bool) or not 1 <= pair_cap < 2**63:
+            raise ValueError(f"pair_cap must be an integer in [1, 2**63), got {pair_cap!r}")
+        self._pair_cap = pair_cap
         self._cfg = cfg
         self._randomness = randomness
         self._grid = level_grid(cfg.r1, randomness.d)
@@ -198,13 +201,8 @@ class LshIndex:
 
     @property
     def pair_cap(self) -> int:
+        """The most pairs a bucket emits, fixed at construction."""
         return self._pair_cap
-
-    @pair_cap.setter
-    def pair_cap(self, pair_cap: int) -> None:
-        if not isinstance(pair_cap, int) or isinstance(pair_cap, bool) or not 1 <= pair_cap < 2**63:
-            raise ValueError(f"pair_cap must be an integer in [1, 2**63), got {pair_cap!r}")
-        self._pair_cap = pair_cap
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -213,16 +211,13 @@ class LshIndex:
         return set_id in self._entries
 
     def insert(self, set_id: SetId, sketch: LevelSketch) -> None:
-        """Index a sparse copy of the sketch under set_id, replacing any previous one.
-
-        One scan finds the nonzero counters, and insert_many indexes them
-        as a block of one set.
-        """
+        """Index a sparse copy of the sketch under set_id, replacing any previous one."""
         if sketch.randomness is not self._randomness and sketch.randomness != self._randomness:
             raise ConfigMismatchError("sketch randomness does not match the index")
         flat = sketch.buckets.reshape(-1)
-        nonzero = (flat != 0).nonzero()[0]
-        self.insert_many((set_id,), nonzero, flat.take(nonzero), (nonzero.size,), (sketch.cardinality,))
+        nonzero = (flat != 0).nonzero()[0]  # one scan: a valid block of one set, posted unchecked
+        own = nonzero.searchsorted(self._row_starts)  # a lone set's positions are its own search keys
+        self._post((set_id,), nonzero, flat.take(nonzero), (sketch.cardinality,), [own.tolist()], [own])
 
     def insert_many(
         self,
@@ -238,9 +233,11 @@ class LshIndex:
         sizes[i] entries of positions and values, back to back after set
         i - 1's, are its sketch's nonzero counters: their sorted flat
         positions (level * c_squared + bucket) and their values.  Sizes or
-        cardinalities that do not match the ids and entries raise
-        ValueError.  One searchsorted finds every set's row cuts, and one
-        SketchRandomness.minhash_rows call min-hashes every admissible
+        cardinalities that do not match the ids and entries, and the first
+        set whose positions do not increase strictly in [0, levels *
+        c_squared) or whose values include a zero, raise ValueError and
+        change nothing.  One searchsorted finds every set's row cuts, and
+        one SketchRandomness.minhash_rows call min-hashes every admissible
         nonempty row of the block.  Each entry stores its own copies, so
         remove() frees them.
         """
@@ -250,14 +247,33 @@ class LshIndex:
                 f"a block of {n} ids needs as many sizes and cardinalities, and "
                 f"sizes summing to its {positions.size} positions and {values.size} values"
             )
-        # bounds: each set's row cuts into the block; own: into its own entries, as new arrays
-        if n == 1:  # a lone set's positions are its own search keys
-            own = [positions.searchsorted(self._row_starts)]
-            bounds = [own[0].tolist()]
-        else:  # set i's positions shifted by i * width, so the block sorts as one
-            shift = np.arange(0, n * self._row_starts[-1], self._row_starts[-1])
-            cuts = (positions + shift.repeat(sizes)).searchsorted(np.add.outer(shift, self._row_starts))
-            bounds, own = cuts.tolist(), map(np.array, cuts - cuts[:, :1])
+        # set i's positions shifted by i * width: a valid block's keys rise strictly and cut at its sizes
+        width = int(self._row_starts[-1])
+        shift = np.arange(0, n * width, width)
+        keys = positions + shift.repeat(sizes)
+        cuts = keys.searchsorted(np.add.outer(shift, self._row_starts))
+        ends = np.cumsum(sizes)
+        at_sizes = not cuts[:1, 0].any() and (cuts[:, -1] == ends).all()
+        if (keys[1:] <= keys[:-1]).any() or not at_sizes or not values.all():  # name the first broken set
+            for set_id, p, v in zip(ids, np.split(positions, ends[:-1]), np.split(values, ends[:-1])):
+                if p.size and not 0 <= p.min() <= p.max() < width:
+                    raise ValueError(f"set {set_id!r}: positions must lie in [0, {width})")
+                if (p[1:] <= p[:-1]).any():
+                    raise ValueError(f"set {set_id!r}: positions must be strictly increasing")
+                if not v.all():
+                    raise ValueError(f"set {set_id!r}: values must be nonzero")
+        self._post(ids, positions, values, cardinalities, cuts.tolist(), map(np.array, cuts - cuts[:, :1]))
+
+    def _post(
+        self,
+        ids: Sequence[SetId],
+        positions: np.ndarray,
+        values: np.ndarray,
+        cardinalities: Sequence[int],
+        bounds: Sequence[list[int]],
+        own: Iterable[np.ndarray],
+    ) -> None:
+        """insert_many on a valid block: each set's row cuts into it (bounds) and its own (own)."""
         cfg, grid, l, r = self.cfg, self.grid, self.cfg.repetitions_l, self.cfg.bands_r
         # per set its levels; per admissible nonempty row its level, start and
         # offset in flat; where each nonempty set starts
@@ -284,11 +300,11 @@ class LshIndex:
             top, bottom = np.maximum.reduceat(values, nonempty), np.minimum.reduceat(values, nonempty)
             peaks = map(max, top.tolist(), map(neg, bottom.tolist()))
         dtype = self._position_dtype
-        if n == 1:  # insert's path: a lone set's arrays need no slicing
+        if len(ids) == 1:  # a lone set's arrays need no slicing
             self._entries[ids[0]] = (
                 positions.astype(dtype),
                 values.astype(_narrowest_signed(next(peaks, 0))),
-                own[0],
+                next(iter(own)),
                 cardinalities[0],
                 posted[0],
                 sigs.astype(dtype),
@@ -408,28 +424,24 @@ class LshIndex:
         # take copies the 2-D column gather faster than members[:, kept] does
         return names, members.take(kept, axis=1), level[seen_at], rep[seen_at]
 
-    def search(self, estimator: DistanceEstimator, threshold: float) -> tuple[list[CandidatePair], int]:
+    def search(self, similarity: RationalSimilarity, threshold: float) -> tuple[list[CandidatePair], int]:
         """candidates() within threshold by estimated distance, and how many were scored.
 
         Each kept pair, in candidates() order, carries in verified_distance
-        the value estimator.estimate_distance gives the two sketches as
-        they were inserted, bit for bit, and pair_cap warns as candidates()
-        does.  Before the scan, a threshold that is not >= 0 (NaN or
-        negative; estimates are never negative) and non-metric weights
-        raise ValueError, and an estimator without exactly one randomness
-        slot, this index's, raises ConfigMismatchError.  No candidate is
-        built as an object: the scan's ranks are rows into the entries in
-        id order, so they go straight to the batched pass (see _distances),
-        and only a kept pair becomes a CandidatePair.
+        what DistanceEstimator(similarity, self.randomness) estimates for
+        the two sketches as inserted, bit for bit; pair_cap warns as in
+        candidates().  Before the scan, a threshold that is not >= 0 (NaN or
+        negative; estimates never are) and non-metric weights raise
+        ValueError, and a similarity over another universe raises
+        ConfigMismatchError.  No candidate is built as an object: the
+        scan's ranks are rows into the entries in id order, so they go
+        straight to the batched pass (see _distances); only a kept pair
+        becomes a CandidatePair.
         """
         if not threshold >= 0:
             raise ValueError(f"search threshold must be >= 0, got {threshold!r}")
+        estimator = DistanceEstimator(similarity, self.randomness)
         estimator.require_metric()
-        if estimator.repetitions != 1 or estimator.randomness[0] != self.randomness:
-            raise ConfigMismatchError(
-                "search needs an estimator with one randomness slot equal to the "
-                f"index's; got {estimator.repetitions} slot(s)"
-            )
         names, members, level, rep = self._scan()
         if not level.size:
             return [], 0
@@ -544,36 +556,3 @@ def _sorting_order(words: Sequence[np.ndarray]) -> np.ndarray:
     """
     return np.argsort(words[0]) if len(words) == 1 else np.lexsort(words[::-1])
 
-
-def sensitivity_report(
-    sketches: Mapping[SetId, LevelSketch],
-    exact_similarities: Mapping[tuple[SetId, SetId], float],
-    cfg: LshConfig,
-    randomness: SketchRandomness,
-) -> tuple[float, float]:
-    """Empirical (p_high, p_low) of single-signature collisions.
-
-    Builds a throwaway index at r = l = 1 and measures the fraction of
-    labeled pairs that came out candidates, separately for pairs with
-    similarity >= r1 (p_high) and <= r2 (p_low).  Sections with no labeled
-    pairs report nan.  The internal index is sized so candidate
-    enumeration never truncates; the frequencies are exact for the corpus.
-    """
-    single = replace(cfg, bands_r=1, repetitions_l=1)
-    n = len(sketches)
-    index = LshIndex(single, randomness, pair_cap=max(1, n * (n - 1) // 2))
-    for set_id, sketch in sketches.items():
-        index.insert(set_id, sketch)
-    hits = {(p.id_a, p.id_b) for p in index.candidates()}  # canonical: id_a < id_b
-    high_total = high_hit = low_total = low_hit = 0
-    for pair, sim in exact_similarities.items():
-        key = pair if pair[0] < pair[1] else (pair[1], pair[0])
-        if sim >= cfg.r1:
-            high_total += 1
-            high_hit += key in hits
-        elif sim <= cfg.r2:
-            low_total += 1
-            low_hit += key in hits
-    p_high = high_hit / high_total if high_total else float("nan")
-    p_low = low_hit / low_total if low_total else float("nan")
-    return p_high, p_low

@@ -17,6 +17,7 @@ from dynlsh import (
     DistanceEstimator,
     LevelSketch,
     LshConfig,
+    LshIndex,
     RationalSimilarity,
     SketchRandomness,
     amplification_probability,
@@ -29,7 +30,6 @@ from dynlsh import (
     random_hash_spec,
     sample_level,
     scurve_report,
-    sensitivity_report,
     similarity_from_level,
     timing_report,
 )
@@ -239,14 +239,19 @@ class TestAcceptance:
             a, b, sim = planted(rng, d, m, 0.6 if p < 128 else 0.05)
             sets[2 * p], sets[2 * p + 1] = a, b
             exact[(2 * p, 2 * p + 1)] = sim
-        cfg = LshConfig(r1=0.5, r2=0.1, epsilon=0.5, delta=0.1)
+        cfg = LshConfig(r1=0.5, r2=0.1, epsilon=0.5, delta=0.1)  # r = l = 1: one signature
+        high = [pair for pair, sim in exact.items() if sim >= cfg.r1]
+        low = [pair for pair, sim in exact.items() if sim <= cfg.r2]
         p_high, p_low = [], []
         for s in range(20):
             randomness = SketchRandomness(d, 1024, 91000 + s)
-            sketches = {j: build(randomness, items) for j, items in sets.items()}
-            hi, lo = sensitivity_report(sketches, exact, cfg, randomness)
-            p_high.append(hi)
-            p_low.append(lo)
+            # a cap of every pair of the corpus never truncates a bucket
+            index = LshIndex(cfg, randomness, pair_cap=len(sets) * (len(sets) - 1) // 2)
+            for j, items in sets.items():
+                index.insert(j, build(randomness, items))
+            hits = {(p.id_a, p.id_b) for p in index.candidates()}  # planted pairs are (2p, 2p + 1)
+            p_high.append(np.mean([pair in hits for pair in high]))
+            p_low.append(np.mean([pair in hits for pair in low]))
         hi, lo = float(np.mean(p_high)), float(np.mean(p_low))
         check(9, "sensitivity separation", hi >= 0.25 and lo <= hi - 0.1,
               f"p_high {hi:.4f}, p_low {lo:.4f}")

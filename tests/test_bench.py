@@ -391,6 +391,14 @@ class TestManifestFile:
         assert info.value.line_number == 3
 
 
+    def test_blank_lines_are_skipped_and_keep_the_line_count(self):
+        """A blank line between rows is skipped, and a later bad row's error names its true line."""
+        text = "id_a,id_b,target_low,target_high,exact_similarity\n0,1,0.0,1.0,1.0\n\n2,3,0.2,0.4,0.3\n"
+        assert [(p.id_a, p.id_b) for p in read_manifest(io.StringIO(text))] == [(0, 1), (2, 3)]
+        with pytest.raises(StreamParseError, match="expected 5 fields") as info:
+            read_manifest(io.StringIO(text + "\n4,5,0.1\n"))
+        assert info.value.line_number == 6
+
     @pytest.mark.parametrize(
         ("row", "message"),
         [("4,4,0.1,0.2,0.3", "two different rows"), ("0,60,0.9,0.1,0.5", "target_low exceeds target_high")],

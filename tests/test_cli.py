@@ -71,6 +71,12 @@ class TestGenerate:
         assert "for 16 rows" in capsys.readouterr().out
         assert len(read_manifest(tmp_path / "dist.manifest.csv")) == 8
 
+    def test_distribution_without_pairs_exits_2(self, tmp_path, capsys):
+        rc = run(["generate", "--distribution", "--pairs", 0, "--cols", 2000, "--out", tmp_path / "none"])
+        assert rc == 2
+        assert capsys.readouterr().err.strip() == "error: need at least one pair, got 0"
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_out_is_a_clean_error(self, capsys):
         rc = run(["generate", "--rows", 5, "--cols", 100])
         assert rc == 2

@@ -116,6 +116,14 @@ class TestEstimateDistance:
                     want = _distance_reference(params, a, b)
                     assert est.estimate_distance(a, b).hex() == want.hex()
 
+    def test_all_zero_weights_give_distance_zero(self):
+        """x = y = z = z' = 0 makes every similarity 1, so every estimate is 0.0."""
+        d = 2**12
+        rnd = SketchRandomness(d, 64, 75150)
+        est = DistanceEstimator(RationalSimilarity(0.0, 0.0, 0.0, 0.0, d), rnd)
+        a, b = build(rnd, range(0, 400)), build(rnd, range(300, 3000))
+        assert [est.estimate_distance(x, y) for x in (a, b) for y in (a, b)] == [0.0] * 4
+
     def test_many_slots_give_the_median_of_the_single_slot_estimates(self):
         """Nine slots scored in one pass equal the median of nine one-slot estimators, bit for bit."""
         rng = np.random.default_rng(75200)

@@ -14,7 +14,7 @@ EXPECTED_ALL = [
     "generate_distribution", "hamming", "ingest", "is_metric", "jaccard", "l0_estimate",
     "level_grid", "merge", "pair_counts", "planted_partner",
     "random_hash_spec", "read_manifest", "read_sets", "rogers_tanimoto", "sample_level",
-    "scurve_report", "sensitivity_report", "similarity_from_level", "sketch_from_bytes",
+    "scurve_report", "similarity_from_level", "sketch_from_bytes",
     "sketch_to_bytes", "sorensen_dice", "timing_report", "write_csv", "write_stream",
 ]
 

@@ -34,7 +34,6 @@ from dynlsh import (
     jaccard,
     level_grid,
     merge,
-    sensitivity_report,
     sketch_from_bytes,
     sketch_to_bytes,
     sorensen_dice,
@@ -253,18 +252,12 @@ class TestLshIndex:
         with pytest.raises(ValueError, match="pair_cap must be an integer"):
             LshIndex(cfg, rnd, pair_cap=pair_cap)
 
-    @pytest.mark.parametrize("pair_cap", [10**20, 2.5])
-    def test_pair_cap_assignment_is_validated(self, small_corpus, pair_cap):
-        """A cap assigned after construction meets the constructor's check,
-        instead of failing in candidates() with an OverflowError or a
-        casting TypeError, and leaves the old cap in place."""
+    def test_pair_cap_is_fixed_at_construction(self, small_corpus):
+        """Assigning a cap raises AttributeError and leaves the index's cap in place."""
         cfg, rnd, items = small_corpus
         index = LshIndex(cfg, rnd, pair_cap=3)
-        with pytest.raises(ValueError) as assigned:
-            index.pair_cap = pair_cap
-        with pytest.raises(ValueError) as constructed:
-            LshIndex(cfg, rnd, pair_cap=pair_cap)
-        assert str(assigned.value) == str(constructed.value)
+        with pytest.raises(AttributeError):
+            index.pair_cap = 5
         assert index.pair_cap == 3
         for name in ("x", "y"):
             index.insert(name, build(rnd, items))
@@ -680,6 +673,45 @@ class TestSparseInsert:
             index.insert_many([0, 1], positions, values[:-1], sizes, cards)
         assert len(index) == 0
 
+    @pytest.mark.parametrize(
+        "broken, message",
+        [
+            ("swapped", "positions must be strictly increasing"),
+            ("zero", "values must be nonzero"),
+            ("past", r"positions must lie in \[0, 704\)"),
+            ("negative", r"positions must lie in \[0, 704\)"),
+        ],
+    )
+    @pytest.mark.parametrize("alone", [False, True])
+    def test_a_block_that_breaks_a_rule_is_refused(self, broken, message, alone):
+        """Set b's counters out of order, with a zero, or outside [0, levels *
+        c^2) raise ValueError naming b, and the index keeps what it had: a
+        block that replaces a, or b alone, leaves both as they were.
+        Unchecked, out-of-order positions lost b's pair and a zero scored it
+        1.0."""
+        rnd = SketchRandomness(1000, 64, 3)
+        assert rnd.num_levels * rnd.c_squared == 704
+        cfg = LshConfig(r1=0.5, r2=0.1, sampling_p=0.5)
+        items = np.random.default_rng(3).choice(1000, size=300, replace=False)
+        a, b = build(rnd, items), build(rnd, items[:270])
+        index, want = LshIndex(cfg, rnd), LshIndex(cfg, rnd)
+        for kept in (index, want):
+            kept.insert("a", b)
+            kept.insert("b", a)
+        positions, values, sizes, cards = _block_of([b] if alone else [a, b])
+        at = 0 if alone else sizes[0]  # b's first entry
+        if broken == "swapped":
+            positions[[at, at + 1]] = positions[[at + 1, at]]
+        elif broken == "zero":
+            values[at + 1] = 0
+        elif broken == "past":
+            positions[-1] = 704
+        else:
+            positions[at] = -1
+        with pytest.raises(ValueError, match=f"set 'b': {message}"):
+            index.insert_many(["b"] if alone else ["a", "b"], positions, values, sizes, cards)
+        _assert_same_entries(index, want)
+
     def test_stored_arrays_own_their_memory(self):
         """No entry is a view into its block, so remove() frees what it held."""
         rnd = SketchRandomness(2**16, 1024, 43)
@@ -725,7 +757,9 @@ class TestCandidateOrder:
         with pytest.warns(RuntimeWarning, match="expands to 6 pairs; emitting the first 2"):
             pairs = index.candidates()
         assert pairs == [CandidatePair("a", "b", *first), CandidatePair("a", "c", *first)]
-        index.pair_cap = 6
+        index = LshIndex(cfg, rnd, pair_cap=6)
+        for name in ("d", "b", "c", "a"):
+            index.insert(name, build(rnd, items))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             pairs = index.candidates()
@@ -1016,26 +1050,26 @@ class TestVerify:
         index = LshIndex(cfg, rnd)
         for set_id, items in planted_items.items():
             index.insert(set_id, build(rnd, items))
-        return index, DistanceEstimator(jaccard(2**16), rnd)
+        return index, jaccard(2**16)
 
     def test_threshold_separates_planted_pairs(self, planted_index):
         """All three pairs are candidates; only the similar one is kept."""
-        index, estimator = planted_index
-        kept, scored = index.search(estimator, 0.5)
+        index, similarity = planted_index
+        kept, scored = index.search(similarity, 0.5)
         assert scored == 3
         assert [(p.id_a, p.id_b) for p in kept] == [("hi_a", "hi_b")]
         assert kept[0].verified_distance <= 0.5
 
     def test_unit_threshold_keeps_everything(self, planted_index):
-        index, estimator = planted_index
-        kept, scored = index.search(estimator, 1.0)
+        index, similarity = planted_index
+        kept, scored = index.search(similarity, 1.0)
         assert len(kept) == scored == 3
         assert all(p.verified_distance is not None for p in kept)
 
     def test_zero_threshold_keeps_only_identical(self, planted_index, planted_items):
-        index, estimator = planted_index
+        index, similarity = planted_index
         index.insert("hi_a_twin", build(index.randomness, planted_items["hi_a"]))
-        kept, scored = index.search(estimator, 0.0)
+        kept, scored = index.search(similarity, 0.0)
         assert scored == 6
         assert [(p.id_a, p.id_b) for p in kept] == [("hi_a", "hi_a_twin")]
         assert kept[0].verified_distance == 0.0
@@ -1043,22 +1077,22 @@ class TestVerify:
     def test_removed_ids_are_never_scored(self, planted_index):
         """search scores only what is indexed: a removed id leaves no
         candidate behind, and an id never inserted cannot be removed."""
-        index, estimator = planted_index
+        index, similarity = planted_index
         index.remove("lo")
         with pytest.raises(KeyError):
             index.remove("ghost")
-        kept, scored = index.search(estimator, 1.0)
+        kept, scored = index.search(similarity, 1.0)
         assert scored == 1
         assert [(p.id_a, p.id_b) for p in kept] == [("hi_a", "hi_b")]
 
     def test_a_pair_on_the_threshold_is_kept(self, planted_index):
         """The threshold is inclusive: each pair's own distance keeps it and
         every pair no farther, in candidates() order."""
-        index, estimator = planted_index
-        every, _ = index.search(estimator, math.inf)
+        index, similarity = planted_index
+        every, _ = index.search(similarity, math.inf)
         assert len({p.verified_distance for p in every}) == 3
         for pair in every:
-            kept, scored = index.search(estimator, pair.verified_distance)
+            kept, scored = index.search(similarity, pair.verified_distance)
             assert scored == 3
             assert kept == [p for p in every if p.verified_distance <= pair.verified_distance]
             assert pair in kept
@@ -1066,33 +1100,36 @@ class TestVerify:
     def test_impossible_threshold_raises_before_any_pair_is_scored(self, planted_index):
         """Estimates are never negative, so a NaN or negative threshold
         would silently keep nothing; it raises instead."""
-        index, estimator = planted_index
+        index, similarity = planted_index
         for threshold in (math.nan, -1.0, -math.inf):
             with pytest.raises(ValueError, match="threshold must be >= 0"):
-                index.search(estimator, threshold)
-        kept, scored = index.search(estimator, math.inf)
+                index.search(similarity, threshold)
+        kept, scored = index.search(similarity, math.inf)
         assert len(kept) == scored == 3
+
+    def test_all_zero_weights_keep_every_candidate_at_zero(self, planted_index):
+        """x = y = z = z' = 0 makes every similarity 1: a zero threshold keeps all three pairs."""
+        index, _ = planted_index
+        kept, scored = index.search(RationalSimilarity(0.0, 0.0, 0.0, 0.0, 2**16), 0.0)
+        assert scored == 3
+        assert [p.verified_distance for p in kept] == [0.0] * 3
 
     def test_estimator_checked_up_front_even_without_pairs(self, planted_index):
         index, _ = planted_index
-        rnd = index.randomness
-        empty = LshIndex(index.cfg, rnd)
-        assert empty.search(DistanceEstimator(jaccard(2**16), rnd), 1.0) == ([], 0)
+        empty = LshIndex(index.cfg, index.randomness)
+        assert empty.search(jaccard(2**16), 1.0) == ([], 0)
         with pytest.raises(ValueError, match="not metric"):
-            empty.search(DistanceEstimator(sorensen_dice(2**16), rnd), 1.0)
-        slots = [rnd, rnd.spawn(1), rnd.spawn(2)]
-        with pytest.raises(ConfigMismatchError, match="one randomness slot.*got 3"):
-            empty.search(DistanceEstimator(jaccard(2**16), slots), 1.0)
-        foreign = SketchRandomness(2**16, 1024, 1)
-        with pytest.raises(ConfigMismatchError, match="one randomness slot"):
-            empty.search(DistanceEstimator(jaccard(2**16), foreign), 1.0)
+            empty.search(sorensen_dice(2**16), 1.0)
+        with pytest.raises(ConfigMismatchError, match="universe"):
+            empty.search(jaccard(2**15), 1.0)
 
     def test_the_index_keeps_its_own_copy(self, planted_items):
         """Mutating or dropping a sketch after insert changes nothing indexed;
         only re-inserting it does."""
         cfg = LshConfig(r1=0.5, r2=0.1, sampling_p=0.05)
         rnd = SketchRandomness(2**16, 1024, 76600)
-        estimator = DistanceEstimator(jaccard(2**16), rnd)
+        similarity = jaccard(2**16)
+        estimator = DistanceEstimator(similarity, rnd)
         sketches = {set_id: build(rnd, items) for set_id, items in planted_items.items()}
         index = LshIndex(cfg, rnd)
         for set_id, sketch in sketches.items():
@@ -1110,14 +1147,14 @@ class TestVerify:
 
         assert index.candidates() == before
         assert _all_postings(index) == postings
-        kept, _ = index.search(estimator, math.inf)
+        kept, _ = index.search(similarity, math.inf)
         assert [p._replace(verified_distance=None) for p in kept] == before
         assert [p.verified_distance.hex() for p in kept] == [w.hex() for w in want]
         assert min(want) > 0.0
 
         index.insert("hi_a", changed)  # re-inserting updates the index
         assert _postings(index, "hi_a") == _postings(index, "lo")
-        [kept], _ = index.search(estimator, 0.0)
+        [kept], _ = index.search(similarity, 0.0)
         assert (kept.id_a, kept.id_b, kept.verified_distance) == ("hi_a", "lo", 0.0)
 
 
@@ -1340,7 +1377,7 @@ class TestSearch:
         pairs, warned = _warned(index.candidates)
         distance = [estimator.estimate_distance(sketches[p.id_a], sketches[p.id_b]) for p in pairs]
         want = [p._replace(verified_distance=d) for p, d in zip(pairs, distance) if d <= threshold]
-        (got, scored), got_warned = _warned(lambda: index.search(estimator, threshold))
+        (got, scored), got_warned = _warned(lambda: index.search(jaccard(512), threshold))
         assert (got, scored, got_warned) == (want, len(pairs), warned)
         assert [[type(v) for v in p] for p in got] == [[type(v) for v in p] for p in want]
         assert [p.verified_distance.hex() for p in got] == [p.verified_distance.hex() for p in want]
@@ -1353,59 +1390,15 @@ class TestSearch:
         index = LshIndex(cfg, rnd)
         index.insert(1, build(rnd, items))
         index.insert("a", build(rnd, items))
-        estimator = DistanceEstimator(jaccard(4096), rnd)
         with pytest.raises(TypeError):
-            index.search(estimator, 1.0)
+            index.search(jaccard(4096), 1.0)
         for threshold in (math.nan, -1.0):
             with pytest.raises(ValueError, match="threshold must be >= 0"):
-                index.search(estimator, threshold)
+                index.search(jaccard(4096), threshold)
         with pytest.raises(ValueError, match="not metric"):
-            index.search(DistanceEstimator(sorensen_dice(4096), rnd), 1.0)
-        slots = [rnd, rnd.spawn(1), rnd.spawn(2)]
-        with pytest.raises(ConfigMismatchError, match="one randomness slot.*got 3"):
-            index.search(DistanceEstimator(jaccard(4096), slots), 1.0)
-        foreign = SketchRandomness(4096, 256, 1)
-        with pytest.raises(ConfigMismatchError, match="one randomness slot"):
-            index.search(DistanceEstimator(jaccard(4096), foreign), 1.0)
-
-
-class TestSensitivityReport:
-    def test_identical_pairs_always_collide(self):
-        cfg = LshConfig(r1=0.5, r2=0.1, sampling_p=0.05)
-        rnd = SketchRandomness(4096, 256, 76800)
-        rng = np.random.default_rng(76800)
-        sketches = {}
-        sims = {}
-        for i in range(20):
-            items = rng.choice(4096, size=128, replace=False)
-            sketches[2 * i] = build(rnd, items)
-            sketches[2 * i + 1] = build(rnd, items)
-            sims[(2 * i, 2 * i + 1)] = 1.0
-        p_high, p_low = sensitivity_report(sketches, sims, cfg, rnd)
-        assert p_high == 1.0
-        assert math.isnan(p_low)
-
-    def test_disjoint_pairs_rarely_collide(self):
-        """100 disjoint 128-item pairs at c^2=1024: p_low stays under 0.1."""
-        cfg = LshConfig(r1=0.5, r2=0.1)
-        rnd = SketchRandomness(2**16, 1024, 76001)
-        rng = np.random.default_rng(76001)
-        sketches = {}
-        sims = {}
-        for i in range(100):
-            pool = rng.choice(2**16, size=256, replace=False)
-            sketches[2 * i] = build(rnd, pool[:128])
-            sketches[2 * i + 1] = build(rnd, pool[128:])
-            sims[(2 * i, 2 * i + 1)] = 0.0
-        p_high, p_low = sensitivity_report(sketches, sims, cfg, rnd)
-        assert math.isnan(p_high)
-        assert p_low <= 0.1
-
-    def test_empty_corpus_reports_nan_nan(self):
-        cfg = LshConfig(r1=0.5, r2=0.1)
-        rnd = SketchRandomness(256, 64, 0)
-        p_high, p_low = sensitivity_report({}, {}, cfg, rnd)
-        assert math.isnan(p_high) and math.isnan(p_low)
+            index.search(sorensen_dice(4096), 1.0)
+        with pytest.raises(ConfigMismatchError, match="universe"):
+            index.search(jaccard(8192), 1.0)
 
 
 class TestCandidatePairTuple:

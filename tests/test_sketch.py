@@ -689,6 +689,19 @@ class TestSerialization:
         with pytest.raises(ValueError, match="after the declared payload"):
             sketch_from_bytes(data + b"junk", randomness)
 
+    def test_payload_shorter_than_the_header_rejected(self, randomness):
+        payload = sketch_to_bytes(build(randomness, [1]))[8:48]  # 40 of the header's 41 bytes
+        with pytest.raises(ValueError, match="payload shorter than header"):
+            sketch_from_bytes(struct.pack("<Q", len(payload)) + payload, randomness)
+
+    @pytest.mark.parametrize("change", [-8, 8])
+    def test_counter_block_of_the_wrong_length_rejected(self, randomness, change):
+        payload = sketch_to_bytes(build(randomness, [1]))[8:]
+        payload = payload[:change] if change < 0 else payload + bytes(change)
+        expected = randomness.num_levels * 64 * 8
+        with pytest.raises(ValueError, match=f"counter block is {expected + change} bytes, expected {expected}"):
+            sketch_from_bytes(struct.pack("<Q", len(payload)) + payload, randomness)
+
     def test_unknown_version_rejected(self, randomness):
         data = bytearray(sketch_to_bytes(build(randomness, [1])))
         data[8] = 250
@@ -899,7 +912,7 @@ class TestNarrowCounters:
             index = LshIndex(cfg, rnd)
             for i, sk in enumerate(group):
                 index.insert(i, sk)
-            found.append((index.candidates(), index.search(estimator, 0.5)))
+            found.append((index.candidates(), index.search(jaccard(4096), 0.5)))
         assert found[0][0]
         assert found[0] == found[1] == found[2] == found[3]
 
