@@ -14,23 +14,20 @@ and for x < y the complement sets take over:
 
 where |~A | ~B| = d - |A & B| = d - (|A| + |B| - |A | B|) comes from the
 same two merges (complement symmetric differences coincide with the
-original ones).  The distance is (z' - z)*|A ^ B| / denominator.  Estimates
-sharpen by taking the median over independently randomized sketch
-repetitions.
+original ones).  The distance is (z' - z)*|A ^ B| / denominator.  An
+estimator reads one randomness slot: a wider c^2 buys the accuracy that a
+median of narrower slots with as many counters does not (see README).
 
 Both l0 estimates read only the per-row nonzero counts of the two merges,
 so a pair's distance is a function of those counts and |A| + |B|;
 DistanceEstimator.distances_from_counts evaluates it for many pairs at
-once through l0_from_row_counts, and each estimate inverts its slots'
-counts one sketch at a time through _l0_from_counts, with the same bits;
+once through l0_from_row_counts, and each estimate inverts its two count
+rows one sketch at a time through _l0_from_counts, with the same bits;
 both then apply the one formula, DistanceEstimator._distance.  The counts need no merged sketch: A - B is
 nonzero where the counters differ and A + B where they are not opposite.
 """
 
 from __future__ import annotations
-
-import statistics
-from typing import Sequence
 
 import numpy as np
 
@@ -43,61 +40,26 @@ from .sketch import LevelSketch, _l0_from_counts, _narrowest_signed, l0_from_row
 class DistanceEstimator:
     """Estimates rational distances between sketched sets.
 
-    Construct with the similarity weights and either one SketchRandomness
-    or a sequence of them; the sequence length is the repetition count
-    (odd, for median amplification) and each slot must be an independently
-    seeded randomness over the same (d, c_squared).  Estimate calls then
-    accept a single LevelSketch per side when repetitions == 1, or a
-    sequence of sketches aligned with the randomness slots.
-
-    Every estimate counts per-row nonzeros of one sum and one difference
-    sketch per slot, inverts each count row with _l0_from_counts and
-    returns the median shot, or the one shot of a single slot.
-    Shots are unclamped; only the additive
-    similarity path clamps (below at 0) for reporting.
+    Construct with the similarity weights and the one SketchRandomness the
+    sketches were built from; estimate calls take one LevelSketch per side.
+    Every estimate counts the per-row nonzeros of the sum and difference
+    sketches, inverts each count row with _l0_from_counts and applies
+    _distance.  Estimates are unclamped; only the additive similarity path
+    clamps (below at 0) for reporting.
     """
 
-    def __init__(
-        self,
-        params: RationalSimilarity,
-        randomness: SketchRandomness | Sequence[SketchRandomness],
-    ) -> None:
-        self.params = params
-        if isinstance(randomness, SketchRandomness):
-            randomness = (randomness,)
-        slots = tuple(randomness)
-        if not slots or len(slots) % 2 == 0:
-            raise ValueError(
-                f"need an odd number of randomness slots, got {len(slots)}"
-            )
-        for r in slots:
-            if (r.d, r.c_squared) != (slots[0].d, slots[0].c_squared):
-                raise ConfigMismatchError("all randomness slots must share d and c_squared")
-            if r.d != params.d:
-                raise ConfigMismatchError(
-                    f"randomness universe {r.d} does not match params.d {params.d}"
-                )
-        self.randomness = slots
-        # _shots' row sums: exact, as a row has c_squared counters, and narrow
-        # sums skip most of the cost of a bool-to-int64 cast
-        self._row_count_dtype = _narrowest_signed(slots[0].c_squared, np.dtype(np.int16))
-
-    @property
-    def repetitions(self) -> int:
-        return len(self.randomness)
-
-    def _slots(self, side: LevelSketch | Sequence[LevelSketch]) -> tuple[LevelSketch, ...]:
-        if isinstance(side, LevelSketch):
-            side = (side,)
-        sketches = tuple(side)
-        if len(sketches) != self.repetitions:
+    def __init__(self, params: RationalSimilarity, randomness: SketchRandomness) -> None:
+        if not isinstance(randomness, SketchRandomness):
+            raise TypeError(f"expected one SketchRandomness, got {type(randomness).__name__}")
+        if randomness.d != params.d:
             raise ConfigMismatchError(
-                f"expected {self.repetitions} sketches, got {len(sketches)}"
+                f"randomness universe {randomness.d} does not match params.d {params.d}"
             )
-        for sk, rnd in zip(sketches, self.randomness):
-            if sk.randomness is not rnd and sk.randomness != rnd:
-                raise ConfigMismatchError("sketch randomness does not match estimator slot")
-        return sketches
+        self.params = params
+        self.randomness = randomness
+        # _shot's row sums: exact, as a row has c_squared counters, and narrow
+        # sums skip most of the cost of a bool-to-int64 cast
+        self._row_count_dtype = _narrowest_signed(randomness.c_squared, np.dtype(np.int16))
 
     def require_metric(self) -> None:
         """Raise ValueError unless the weights are metric."""
@@ -111,7 +73,7 @@ class DistanceEstimator:
     def distances_from_counts(
         self, sym_nz: np.ndarray, union_nz: np.ndarray, cardinality_sum: np.ndarray
     ) -> np.ndarray:
-        """Single-slot distance estimates of n pairs from exact counts.
+        """Distance estimates of n pairs from exact counts.
 
         sym_nz and union_nz are (n, num_levels) per-row nonzero counts of
         each pair's difference and sum sketches, cardinality_sum is
@@ -119,8 +81,7 @@ class DistanceEstimator:
         bit-identical to the estimate of that pair alone.
         """
         n = len(sym_nz)
-        c_squared = self.randomness[0].c_squared
-        estimates = l0_from_row_counts(np.concatenate([sym_nz, union_nz]), c_squared)
+        estimates = l0_from_row_counts(np.concatenate([sym_nz, union_nz]), self.randomness.c_squared)
         return self._distance(estimates[:n], estimates[n:], cardinality_sum)
 
     def _distance(
@@ -147,47 +108,40 @@ class DistanceEstimator:
             return 0.0 if denom <= 0.0 else (1.0 - z) * sym / denom
         return np.divide((1.0 - z) * sym, denom, out=np.zeros(len(denom)), where=~(denom <= 0.0))
 
-    def _shots(
-        self,
-        a: LevelSketch | Sequence[LevelSketch],
-        b: LevelSketch | Sequence[LevelSketch],
-    ) -> list[float]:
-        """Every slot's unclamped distance estimate, for a query's few rows:
-        _l0_from_counts on each slot's difference and sum counts as Python
-        ints, and _distance on Python floats."""
-        acc, c_squared = self._row_count_dtype, self.randomness[0].c_squared
-        shots = []
-        for x, y in zip(self._slots(a), self._slots(b)):
-            # -y is exact in y's dtype, as no counter reaches its dtype's minimum in any tier
-            xb, yb = x.buckets, y.buckets
-            sym = _l0_from_counts(np.not_equal(xb, yb).sum(axis=1, dtype=acc).tolist(), c_squared)
-            union = _l0_from_counts(np.not_equal(xb, -yb).sum(axis=1, dtype=acc).tolist(), c_squared)
-            shots.append(self._distance(sym, union, x.cardinality + y.cardinality))
-        return shots
+    def _shot(self, a: LevelSketch, b: LevelSketch) -> float:
+        """The unclamped distance estimate, for a query's few rows:
+        _l0_from_counts on the difference and sum counts as Python ints,
+        and _distance on Python floats."""
+        rnd = self.randomness
+        for sk in (a, b):
+            if not isinstance(sk, LevelSketch):
+                raise TypeError(f"expected one LevelSketch per side, got {type(sk).__name__}")
+            if sk.randomness is not rnd and sk.randomness != rnd:
+                raise ConfigMismatchError("sketch randomness does not match the estimator's")
+        acc, c_squared = self._row_count_dtype, rnd.c_squared
+        # -b is exact in b's dtype, as no counter reaches its dtype's minimum in any tier
+        ab, bb = a.buckets, b.buckets
+        sym = _l0_from_counts(np.not_equal(ab, bb).sum(axis=1, dtype=acc).tolist(), c_squared)
+        union = _l0_from_counts(np.not_equal(ab, -bb).sum(axis=1, dtype=acc).tolist(), c_squared)
+        return self._distance(sym, union, a.cardinality + b.cardinality)
 
-    def estimate_distance(
-        self,
-        a: LevelSketch | Sequence[LevelSketch],
-        b: LevelSketch | Sequence[LevelSketch],
-    ) -> float:
+    def estimate_distance(self, a: LevelSketch, b: LevelSketch) -> float:
         """Estimate 1 - S(A, B); requires metric weights (z' >= max(x, y, z)).
 
         Identical sketches give exactly 0.0: the difference sketch is
         all-zero, so the symmetric-difference estimate is exactly zero.
+        Under set semantics each counter counts items, so a bucket of A - B
+        with as many items only in A as only in B reads 0 and counts as
+        empty: README's l0_estimate(merge(a, b, -1)) reads ~2029, not 2186.
         """
         self.require_metric()
-        return statistics.median(self._shots(a, b))
+        return self._shot(a, b)
 
-    def estimate_similarity_additive(
-        self,
-        a: LevelSketch | Sequence[LevelSketch],
-        b: LevelSketch | Sequence[LevelSketch],
-    ) -> float:
+    def estimate_similarity_additive(self, a: LevelSketch, b: LevelSketch) -> float:
         """1 - estimate_distance, clamped below at 0 for reporting.
 
         Unlike estimate_distance this does not insist on metric weights:
         the decomposition stays computable (additively approximable) for
         weights like Sorensen-Dice, just without the metric guarantee.
         """
-        return max(0.0, 1.0 - statistics.median(self._shots(a, b)))
-
+        return max(0.0, 1.0 - self._shot(a, b))

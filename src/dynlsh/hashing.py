@@ -22,7 +22,6 @@ _MASK64 = (1 << 64) - 1
 _TAG_LEVEL = 0
 _TAG_BUCKET = 1
 _TAG_MINHASH = 2
-_TAG_CHILD = 3
 
 
 def _frozen_scalar(value: int, dtype: type = np.uint64) -> np.ndarray:
@@ -362,8 +361,3 @@ class SketchRandomness:
         ranks = np.arange(width, dtype=dtype) << dtype.type(self.bucket_bits)
         np.put_along_axis(packed, order, ranks | order, axis=1)
         table[level * width : (level + 1) * width] = packed.T
-
-    def spawn(self, index: int) -> "SketchRandomness":
-        """Independent child randomness for repetition `index`."""
-        seed = derived_seed(self.master_seed, _TAG_CHILD, index)
-        return SketchRandomness(self.d, self.c_squared, seed)

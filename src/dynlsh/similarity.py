@@ -18,6 +18,7 @@ oracle the estimator tests compare against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import AbstractSet, Iterable
 
@@ -30,7 +31,7 @@ ItemSet = AbstractSet[int]
 class RationalSimilarity:
     """Weights (x, y, z, z_prime) over a universe of size d.
 
-    Invariants: all weights non-negative, 0 <= z <= z_prime, d >= 1.
+    Invariants: all weights finite and non-negative, 0 <= z <= z_prime, d >= 1.
     """
 
     x: float
@@ -42,8 +43,8 @@ class RationalSimilarity:
     def __post_init__(self) -> None:
         for name in ("x", "y", "z", "z_prime"):
             v = getattr(self, name)
-            if not (v >= 0.0):
-                raise ValueError(f"{name} must be non-negative, got {v!r}")
+            if not 0.0 <= v < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative, got {v!r}")
         if self.z > self.z_prime:
             raise ValueError(
                 f"z must not exceed z_prime, got z={self.z} z_prime={self.z_prime}"
@@ -52,9 +53,9 @@ class RationalSimilarity:
             raise ValueError(f"universe size d must be a positive integer, got {self.d!r}")
 
     def scaled(self, c: float) -> "RationalSimilarity":
-        """The same similarity with all four weights multiplied by c > 0."""
-        if not c > 0.0:
-            raise ValueError(f"scale factor must be positive, got {c!r}")
+        """The same similarity with all four weights multiplied by a finite c > 0."""
+        if not 0.0 < c < math.inf:
+            raise ValueError(f"scale factor c must be finite and positive, got {c!r}")
         return RationalSimilarity(c * self.x, c * self.y, c * self.z, c * self.z_prime, self.d)
 
 

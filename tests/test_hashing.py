@@ -435,13 +435,3 @@ class TestSketchRandomness:
                     assert_array_equal(sig, want[k])
         finally:
             sys.setswitchinterval(interval)
-
-    def test_spawn_changes_every_spec(self):
-        rnd = SketchRandomness(4096, 64, 3)
-        child = rnd.spawn(0)
-        other = rnd.spawn(1)
-        assert child != rnd
-        assert child != other
-        assert child.level_spec != rnd.level_spec
-        assert child.bucket_specs[0] != rnd.bucket_specs[0]
-        assert (child.d, child.c_squared) == (rnd.d, rnd.c_squared)

@@ -5,6 +5,7 @@ the defining ratio, so agreement is agreement between two separately
 written implementations.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -122,6 +123,21 @@ class TestValidation:
     def test_scaled_requires_positive_factor(self):
         with pytest.raises(ValueError):
             jaccard(4).scaled(0.0)
+
+    @pytest.mark.parametrize("field", ["x", "y", "z", "z_prime"])
+    def test_non_finite_weight_rejected_by_name(self, field):
+        """An infinite weight would make estimates nan, and a search drop every pair."""
+        for bad in (math.inf, math.nan):
+            weights = {"x": 1.0, "y": 0.0, "z": 0.0, "z_prime": 1.0, field: bad}
+            with pytest.raises(ValueError, match=f"^{field} must be finite and non-negative"):
+                RationalSimilarity(**weights, d=4)
+
+    def test_scaled_requires_finite_factor(self):
+        for bad in (math.inf, math.nan, -1.0):
+            with pytest.raises(ValueError, match="^scale factor c must be finite and positive"):
+                jaccard(4).scaled(bad)
+        with pytest.raises(ValueError, match="^x must be finite"):
+            sorensen_dice(4).scaled(1e308)  # 2 * 1e308 overflows to inf
 
 
 class TestAgainstOracle:

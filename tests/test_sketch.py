@@ -1016,7 +1016,7 @@ class TestNarrowCounters:
 
     def test_counters_at_the_int16_edge_estimate_like_int64_copies(self, randomness):
         """Counters at +/-(2^15 - 1) in int16, equal, opposite and against
-        zero: -y.buckets in the sum count stays exact, so every shot
+        zero: -y.buckets in the sum count stays exact, so every estimate
         equals that of the int64 copies."""
         rng = np.random.default_rng(72020)
         positions = rng.choice(randomness.num_levels * randomness.c_squared, size=40, replace=False)
@@ -1031,8 +1031,8 @@ class TestNarrowCounters:
         estimator = DistanceEstimator(jaccard(1024), randomness)
         for x, y in ((a, b), (b, a), (b, b)):
             wide_x, wide_y = self.in_tier(x, np.int64), self.in_tier(y, np.int64)
-            assert estimator._shots(x, y) == estimator._shots(wide_x, wide_y)
-            assert estimator._shots(x, wide_y) == estimator._shots(wide_x, y)
+            assert estimator._shot(x, y) == estimator._shot(wide_x, wide_y)
+            assert estimator._shot(x, wide_y) == estimator._shot(wide_x, y)
             assert estimator.estimate_distance(x, y) == estimator.estimate_distance(wide_x, wide_y)
 
 
