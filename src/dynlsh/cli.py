@@ -37,7 +37,7 @@ from .errors import GenerationError
 from .hashing import SketchRandomness
 from .lsh import CandidatePair, LshConfig, LshIndex
 from .similarity import jaccard
-from .stream import read_sets, read_stream, replay
+from .stream import net_blocks, read_sets, read_stream, replay
 
 
 _TYPE_NAMES = {int: "an integer", float: "a number"}
@@ -200,7 +200,7 @@ def _cmd_timing(args: argparse.Namespace) -> int:
 
 
 def _cmd_lsh(args: argparse.Namespace) -> int:
-    n, d, updates = read_stream(args.stream)
+    _, d, updates = read_stream(args.stream)
     randomness = SketchRandomness(d, args.buckets, args.seed)
     cfg = LshConfig(
         r1=args.r1,
@@ -211,9 +211,9 @@ def _cmd_lsh(args: argparse.Namespace) -> int:
         repetitions_l=args.reps,
     )
     index = LshIndex(cfg, randomness)
-    for net in replay(n, updates, index):  # each replay block is indexed as it is cut
-        pass
-    updates = net = None  # the sorted stream, and a view of its last block
+    for rows, items, sizes in net_blocks(updates):  # a row without net items posts nothing
+        index.insert_many(rows, items, sizes)
+    updates = items = None  # the sorted stream, and its last block's net items
     if args.threshold is None:
         pairs = index.candidates()
         summary = f"{len(pairs)} candidate pairs"

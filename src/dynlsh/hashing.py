@@ -270,7 +270,7 @@ class SketchRandomness:
     def cells_of(self, keys: np.ndarray) -> np.ndarray:
         """Flat counter index level * c_squared + bucket per uint64 key, as int64.
 
-        The one map from items to counters, for update_many and the stream replay.
+        The one map from items to counters, for update_many and LshIndex.insert_many.
         """
         levels = self.levels_of(keys)
         flat = self.buckets_of(levels, keys).view(np.int64)

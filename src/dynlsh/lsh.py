@@ -9,7 +9,9 @@ repetitions (OR).  Pairs sharing a (level, repetition, signature) bucket,
 found by one sort over all sets' signature rows, become candidates with
 probability 1 - (1 - s^r)^l for per-signature match probability s.
 LshIndex.search scores the same candidates against a distance estimate in
-one batched pass and keeps those within a threshold.
+one batched pass and keeps those within a threshold.  A set enters as a
+sketch (insert) or in a block of net item sets (insert_many, which the
+stream's block walk feeds), and only its nonzero counters are kept.
 """
 
 from __future__ import annotations
@@ -146,13 +148,12 @@ def candidate_levels(cardinality: int, cfg: LshConfig, grid: Sequence[int]) -> t
 class LshIndex:
     """One record per id: a frozen sparse copy of its set and its signatures.
 
-    insert scans a sketch's counters once, and insert_many takes a block of
-    sets' nonzero counters at once (the stream replay counts them from net
-    items); the nonzero positions, split by row, give each entry (sorted
-    flat positions, their values, the row cuts, the cardinality), and the
-    block's admissible nonempty rows give all their l * r min-hashes in one
-    SketchRandomness.minhash_rows call (one gather from the packed rank
-    table, one reduceat).  No tables
+    insert scans a sketch's counters once, and insert_many counts a block
+    of sets' counters from their net items at once; the nonzero positions,
+    split by row, give each entry (sorted flat positions, their values, the
+    row cuts, the cardinality), and the block's admissible nonempty rows
+    give all their l * r min-hashes in one SketchRandomness.minhash_rows
+    call (one gather from the packed rank table, one reduceat).  No tables
     are kept: candidates() groups the records' signature rows by sorting,
     and remove() is one dict delete.  candidates() ranks all ids with one
     sort, so ids must be mutually orderable: mixing int and str ids raises
@@ -219,50 +220,44 @@ class LshIndex:
         own = nonzero.searchsorted(self._row_starts)  # a lone set's positions are its own search keys
         self._post((set_id,), nonzero, flat.take(nonzero), (sketch.cardinality,), [own.tolist()], [own])
 
-    def insert_many(
-        self,
-        ids: Sequence[SetId],
-        positions: np.ndarray,
-        values: np.ndarray,
-        sizes: Sequence[int],
-        cardinalities: Sequence[int],
-    ) -> None:
-        """Index a block of sets by their nonzero counters, replacing any previous entries.
+    def insert_many(self, ids: Sequence[SetId], items: np.ndarray, sizes: Sequence[int]) -> None:
+        """Index a block of sets by their net items, replacing any previous entries.
 
-        Set ids[i] has exact cardinality cardinalities[i], and its next
-        sizes[i] entries of positions and values, back to back after set
-        i - 1's, are its sketch's nonzero counters: their sorted flat
-        positions (level * c_squared + bucket) and their values.  Sizes or
-        cardinalities that do not match the ids and entries, and the first
-        set whose positions do not increase strictly in [0, levels *
-        c_squared) or whose values include a zero, raise ValueError and
-        change nothing.  One searchsorted finds every set's row cuts, and
-        one SketchRandomness.minhash_rows call min-hashes every admissible
+        Set ids[i] is the next sizes[i] items, back to back after set i - 1's,
+        and its entry is what insert stores for the sketch update_many(items)
+        builds from them.  The items are checked as update_many checks them:
+        a non-integer dtype raises TypeError and an item outside [0, d)
+        ItemRangeError; sizes that do not match the ids, are negative or do
+        not sum to items.size raise ValueError.  A refused block changes
+        nothing.  Each item is hashed once to its flat cell (cells_of), and
+        one sort of set * width + cell, run-length counted, gives every
+        set's sorted nonzero flat positions and their counters.  One
+        searchsorted finds every set's row cuts, and one
+        SketchRandomness.minhash_rows call min-hashes every admissible
         nonempty row of the block.  Each entry stores its own copies, so
         remove() frees them.
         """
+        items = np.ravel(items)
+        if items.dtype.kind not in "iu":
+            raise TypeError(f"items must have an integer dtype, got {items.dtype}")
         n = len(ids)
-        if not (len(sizes) == len(cardinalities) == n and sum(sizes) == positions.size == values.size):
+        if len(sizes) != n or min(sizes, default=0) < 0 or sum(sizes) != items.size:
             raise ValueError(
-                f"a block of {n} ids needs as many sizes and cardinalities, and "
-                f"sizes summing to its {positions.size} positions and {values.size} values"
+                f"a block of {n} ids needs as many non-negative sizes, summing to its {items.size} items"
             )
-        # set i's positions shifted by i * width: a valid block's keys rise strictly and cut at its sizes
+        keys = items.view(np.uint64) if items.dtype in (np.int64, np.uint64) else items.astype(np.uint64)
+        self.randomness.check_keys(keys)
+        # set i's cells shifted by i * width: sorted, each set keeps its span
         width = int(self._row_starts[-1])
-        shift = np.arange(0, n * width, width)
-        keys = positions + shift.repeat(sizes)
-        cuts = keys.searchsorted(np.add.outer(shift, self._row_starts))
-        ends = np.cumsum(sizes)
-        at_sizes = not cuts[:1, 0].any() and (cuts[:, -1] == ends).all()
-        if (keys[1:] <= keys[:-1]).any() or not at_sizes or not values.all():  # name the first broken set
-            for set_id, p, v in zip(ids, np.split(positions, ends[:-1]), np.split(values, ends[:-1])):
-                if p.size and not 0 <= p.min() <= p.max() < width:
-                    raise ValueError(f"set {set_id!r}: positions must lie in [0, {width})")
-                if (p[1:] <= p[:-1]).any():
-                    raise ValueError(f"set {set_id!r}: positions must be strictly increasing")
-                if not v.all():
-                    raise ValueError(f"set {set_id!r}: values must be nonzero")
-        self._post(ids, positions, values, cardinalities, cuts.tolist(), map(np.array, cuts - cuts[:, :1]))
+        rank = np.repeat(np.arange(n), sizes)
+        cells = self.randomness.cells_of(keys)
+        cells += rank * width
+        cells.sort()
+        first = np.flatnonzero(np.r_[bool(cells.size), cells[1:] != cells[:-1]])
+        positions, values = cells[first], np.diff(first, append=cells.size)
+        cuts = positions.searchsorted(np.add.outer(np.arange(n) * width, self._row_starts))
+        positions -= rank[first] * width  # rank ascends, so sorting left each cell's rank in place
+        self._post(ids, positions, values, sizes, cuts.tolist(), map(np.array, cuts - cuts[:, :1]))
 
     def _post(
         self,

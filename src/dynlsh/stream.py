@@ -1,13 +1,14 @@
-"""The update-stream format: its reader, its replay and its line writer.
+"""The update-stream format: its reader, its block walk and its line writer.
 
 A stream is plain text: a header line `n d`, then one signed coordinate
 update `j i v` per line, row j, item i and v in {+1, -1}, deletions
 included.  read_stream parses a stream whole and sorts its updates once;
-replay sums them per (row, item) and yields each row's net set, and with
-an LshIndex it indexes the rows' sketches from their net items: exact,
-since the sketch is linear and every net count is 0 or 1.  read_sets
-does both for the reports, and _update_lines writes the lines that
-bench.write_stream emits.
+net_blocks sums them per (row, item) and yields blocks of the rows that
+have net items, their net sets back to back, which LshIndex.insert_many
+indexes as they come: exact, since the sketch is linear and every net
+count is 0 or 1.  replay views the blocks row by row, empty rows
+included, and read_sets collects that view for the reports;
+_update_lines writes the lines that bench.write_stream emits.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from typing import IO, Iterable, Iterator
 import numpy as np
 
 from .errors import StreamDataError, StreamParseError
-from .hashing import MAX_UNIVERSE, SketchRandomness
-from .lsh import LshIndex
+from .hashing import MAX_UNIVERSE
 
 # Lines per chunk of a stream body read from a handle: each chunk's lines
 # and their joined text are held while they are parsed, and no longer.
@@ -246,22 +246,20 @@ def _parse_lines(lines: Iterable[str], n: int, d: int, first_line: int) -> np.nd
     return np.array([rows, items, values], dtype=np.int64)
 
 
-def replay(n: int, updates: tuple, index: LshIndex | None = None) -> Iterator[np.ndarray]:
-    """Rows 0..n-1 of read_stream's updates, lazily, as their sorted int64 net sets.
+def net_blocks(updates: tuple) -> Iterator[tuple[list[int], np.ndarray, list[int]]]:
+    """read_stream's updates as blocks of net sets: (rows, items, sizes), lazily.
 
     The updates are walked in blocks of at most _REPLAY_BLOCK, cut between
     rows (a longer row is a block of its own), and nothing is held per
     declared row.  Per block the signs of each (row, item) are summed, and
     the first sum outside {0, 1}, in row and then item order, raises
-    StreamDataError; a row's items summing to 1 are its net set.  A row
-    without updates is empty.  With an index, each block's rows, and the
-    empty rows before them, are indexed under their row numbers by one
-    index.insert_many call before their net sets are yielded: _counters
-    gives their sketches' nonzero counters from the net items.
+    StreamDataError; a row's items summing to 1 are its net set.  Each
+    block yields its rows that have net items, ascending, their sorted
+    int64 net sets back to back, and each set's size: what
+    LshIndex.insert_many takes.  A row without net items is in no block.
     """
     keys, lows, shift = updates
-    empty = np.empty(0, np.int64)
-    j = lo = 0
+    lo = 0
     while lo < keys.size:
         hi = min(lo + _REPLAY_BLOCK, keys.size)
         if hi < keys.size:  # a bound of keys' own dtype: a Python int would copy keys to int64
@@ -285,46 +283,30 @@ def replay(n: int, updates: tuple, index: LshIndex | None = None) -> Iterator[np
             raise StreamDataError(f"row {int(rows[at])}: item {int(items[at])} has net count {int(count)}")
         keep = first[net == 1]
         rows, items = rows[keep], items[keep].astype(np.int64)
-        del low, start, first, plus, up, ends, net, has, keep  # only the net items wait on the yields
-        starts = np.flatnonzero(np.r_[bool(rows.size), rows[1:] != rows[:-1]])  # none if all cancel
-        if index is not None and rows.size:
-            rank = rows.astype(np.int64) - j  # rows j .. rows[-1] make up the indexed block
-            count = int(rank[-1]) + 1
-            cardinalities = np.bincount(rank, minlength=count).tolist()
-            positions, values, sizes = _counters(index.randomness, items, rank, count)
-            index.insert_many(range(j, j + count), positions, values, sizes, cardinalities)
-            del rank, positions, values
-        cuts = [*starts.tolist(), rows.size]
-        for row, a, b in zip(rows[starts].tolist(), cuts, cuts[1:]):
-            yield from repeat(empty, row - j)
-            yield items[a:b]
-            j = row + 1
+        del low, start, first, plus, up, ends, net, has, keep  # only the net items wait on the yield
+        if rows.size:  # none if all cancel
+            starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+            yield rows[starts].tolist(), items, np.diff(starts, append=rows.size).tolist()
         del rows, items  # each block's arrays are dropped before the next is cut
         lo = hi
-    if index is not None and j < n:
-        index.insert_many(range(j, n), empty, empty, [0] * (n - j), [0] * (n - j))
-    yield from repeat(empty, n - j)
 
 
-def _counters(
-    randomness: SketchRandomness, items: np.ndarray, rank: np.ndarray, count: int
-) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """A block's row sketches as LshIndex.insert_many takes them: positions, values, sizes.
+def replay(n: int, updates: tuple) -> Iterator[np.ndarray]:
+    """Rows 0..n-1 of read_stream's updates, lazily, as their sorted int64 net sets.
 
-    Row k of the count rows holds the net items whose rank is k, the ranks
-    ascending, and each is hashed once to its flat cell.  The sketch is
-    linear and a valid row's net counts are 0 or 1, so a counter is the
-    number of net items in its cell: one sort of rank * width + cell,
-    run-length counted, gives every row's sorted nonzero flat positions
-    and their values back to back, and how many each row has.
+    net_blocks' blocks, row by row: a row in no block is empty, and nothing
+    is held per declared row.
     """
-    width = randomness.num_levels * randomness.c_squared
-    key = randomness.cells_of(items.view(np.uint64))
-    key += rank * width
-    key.sort()  # rank leads, so each row keeps its span
-    first = np.flatnonzero(np.r_[bool(key.size), key[1:] != key[:-1]])
-    positions = key[first] - rank[first] * width
-    return positions, np.diff(first, append=key.size), np.bincount(rank[first], minlength=count).tolist()
+    empty = np.empty(0, np.int64)
+    j = 0
+    for rows, items, sizes in net_blocks(updates):
+        at = 0
+        for row, size in zip(rows, sizes):
+            yield from repeat(empty, row - j)
+            yield items[at : at + size]
+            at, j = at + size, row + 1
+        del rows, items, sizes  # not held while the next block is cut
+    yield from repeat(empty, n - j)
 
 
 def read_sets(source: str | os.PathLike | IO[str]) -> tuple[int, list[np.ndarray]]:

@@ -492,6 +492,20 @@ class TestIngestParsing:
         with pytest.raises(StreamParseError, match="n <= 2\\^24"):
             _stream(f"{n + 1} 10\n")
 
+    def test_the_block_walk_at_the_row_limit_holds_nothing_per_row(self):
+        """net_blocks over n = 2^24 declared rows and two updates yields the
+        one row with a net item, under 1 MiB: the empty rows are in no block."""
+        n = dynlsh.stream._MAX_ROWS
+        tracemalloc.start()
+        try:
+            _, _, updates = _stream(f"{n} 10\n{n - 1} 7 1\n1 3 1\n1 4 1\n1 4 -1\n")
+            blocks = [(rows, items.tolist(), sizes) for rows, items, sizes in dynlsh.stream.net_blocks(updates)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert blocks == [([1, n - 1], [3, 7], [1, 1])]
+        assert peak < 1 << 20
+
     def test_largest_universe(self):
         d = 2**63
         _, sets = read_sets(io.StringIO(f"2 {d}\n1 {d - 1} 1\n0 0 1\n1 7 1\n"))
@@ -891,7 +905,9 @@ class TestColumnarReplay:
             dynlsh.SketchRandomness, "cells_of", autospec=True, side_effect=dynlsh.SketchRandomness.cells_of
         ) as cells_of, spy as insert_many:
             n, _, updates = _stream(text)
-            assert len(list(dynlsh.stream.replay(n, updates, index))) == 30
+            for rows, items, sizes in dynlsh.stream.net_blocks(updates):
+                index.insert_many(rows, items, sizes)
+            assert len(list(dynlsh.stream.replay(n, updates))) == 30
         assert [call.args[1].size for call in cells_of.call_args_list] == want
         assert [len(call.args[1]) for call in insert_many.call_args_list] == [net // 5 for net in want]
         assert list(index._entries) == list(range(30))
@@ -907,7 +923,9 @@ class TestColumnarReplay:
         def replay():
             n, _, updates = _stream(text)
             index = LshIndex(LshConfig(r1=0.5, r2=0.1), randomness)
-            return list(dynlsh.stream.replay(n, updates, index)), index
+            for rows, items, sizes in dynlsh.stream.net_blocks(updates):
+                index.insert_many(rows, items, sizes)
+            return list(dynlsh.stream.replay(n, updates)), index
 
         with mock.patch.object(dynlsh.stream, "_REPLAY_BLOCK", 7):
             packed, packed_index = replay()
@@ -946,7 +964,9 @@ class TestColumnarReplay:
         index = LshIndex(LshConfig(r1=0.5, r2=0.1), randomness)
         with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
             n, _, updates = _stream(text)
-            rows = list(dynlsh.stream.replay(n, updates, index))
+            for block in dynlsh.stream.net_blocks(updates):
+                index.insert_many(*block)
+            rows = list(dynlsh.stream.replay(n, updates))
         assert lexsort.call_count == 1
         want = [items, sorted(items[1:] + [5]), items[2:]]
         assert _outcome(lambda: (d, rows)) == (d, want)

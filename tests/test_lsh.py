@@ -23,6 +23,7 @@ from dynlsh import (
     CandidatePair,
     ConfigMismatchError,
     DistanceEstimator,
+    ItemRangeError,
     LevelSketch,
     LshConfig,
     LshIndex,
@@ -565,21 +566,29 @@ def replayed_rows(draw):
 
 
 def _replayed_index(cfg, rnd, text):
-    """An index of every row of a stream, built by the replay's insert_many blocks."""
+    """An index of a stream's rows with net items, by insert_many over the block walk."""
     index = LshIndex(cfg, rnd)
-    n, _, updates = dynlsh.stream.read_stream(io.StringIO(text))
-    for _ in dynlsh.stream.replay(n, updates, index):
-        pass
+    _, _, updates = dynlsh.stream.read_stream(io.StringIO(text))
+    for rows, items, sizes in dynlsh.stream.net_blocks(updates):
+        index.insert_many(rows, items, sizes)
     return index
 
 
-def _block_of(sketches):
-    """insert_many's arguments for a block of sketches: their nonzero counters back to back."""
-    flats = [sk.buckets.reshape(-1) for sk in sketches]
-    nonzero = [np.flatnonzero(flat) for flat in flats]
-    values = [flat[nz] for flat, nz in zip(flats, nonzero)]
-    sizes = [nz.size for nz in nonzero]
-    return np.concatenate(nonzero), np.concatenate(values), sizes, [sk.cardinality for sk in sketches]
+def _inserted_index(cfg, rnd, rows):
+    """insert's index of _replay_case's rows that keep an item, each sketch fed every update."""
+    index = LshIndex(cfg, rnd)
+    for j, updates in enumerate(rows):
+        sketch = LevelSketch(rnd)
+        if updates:
+            sketch.update_many(*np.array(updates, np.int64).T)
+        if sketch.cardinality:
+            index.insert(j, sketch)
+    return index
+
+
+def _block_of(sets):
+    """insert_many's items and sizes for a block of item sets: the sets back to back."""
+    return np.concatenate([np.asarray(s, np.int64) for s in sets]), [len(s) for s in sets]
 
 
 class TestSparseInsert:
@@ -589,24 +598,18 @@ class TestSparseInsert:
     @example(case=_replay_case(10**4, 4096, [(set(range(0, 9000, 7)), set(range(1, 400, 3)))]), block=7)
     @example(case=_replay_case(2**20, 16, [(set(), set()), (set(range(5, 2**20, 997)), {4})]), block=1 << 16)
     def test_replayed_rows_index_the_records_insert_does(self, case, block):
-        """insert(sketch) and the stream replay's insert_many blocks give equal _entries records."""
+        """insert(sketch) and insert_many over the block walk give equal _entries records."""
         d, c_squared, text, rows = case
         rnd = SketchRandomness(d, c_squared, 8)
         cfg = LshConfig(r1=0.5, r2=0.1, epsilon=0.9, delta=0.5, bands_r=2, repetitions_l=3)
-        dense = LshIndex(cfg, rnd)
-        for j, updates in enumerate(rows):
-            sketch = LevelSketch(rnd)
-            if updates:
-                sketch.update_many(*np.array(updates, np.int64).T)
-            dense.insert(j, sketch)
         with mock.patch.object(dynlsh.stream, "_REPLAY_BLOCK", block):
             sparse = _replayed_index(cfg, rnd, text)
-        _assert_same_entries(sparse, dense)
+        _assert_same_entries(sparse, _inserted_index(cfg, rnd, rows))
 
     def test_a_churned_stream_indexes_the_records_insert_does(self):
         """Sketches fed every update of a churned stream, cancelled ones
-        included, store the records the replay's net counters store, at the
-        benchmark's index-churn banding shape."""
+        included, store the records insert_many stores from the net items,
+        at the benchmark's index-churn banding shape."""
         corpus = dynlsh.bench.generate(60, 2**12, (0.02, 0.2), every=10, seed=29)
         buf = io.StringIO()
         dynlsh.bench.write_stream(corpus, buf, churn=0.5, seed=29)
@@ -626,90 +629,81 @@ class TestSparseInsert:
     def test_one_block_of_different_windows_indexes_the_records_insert_does(self):
         """Sets of 10 to 5,000 items at sampling_p = 1/32 post at different
         admissible levels, with other rows' entries between them, and one
-        block stores the records one insert per set does."""
+        block of their items, in any integer dtype, stores the records one
+        insert per set does."""
         rnd = SketchRandomness(2**16, 256, 41)
         cfg = LshConfig(r1=0.5, r2=0.1, sampling_p=1 / 32, bands_r=2, repetitions_l=3)
         rng = np.random.default_rng(41)
-        sizes = (10, 5000, 40, 700, 2500, 160, 1300)
-        sketches = [build(rnd, rng.choice(2**16, size=size, replace=False)) for size in sizes]
-        sketches[3].update_many(np.arange(3), -1)  # negative counters too
-        dense, block = LshIndex(cfg, rnd), LshIndex(cfg, rnd)
-        for j, sketch in enumerate(sketches):
-            dense.insert(j, sketch)
-        block.insert_many(range(len(sketches)), *_block_of(sketches))
-        windows = {dense._entries[j][4] for j in range(len(sketches))}
+        sets = [rng.choice(2**16, size=size, replace=False) for size in (10, 5000, 40, 700, 2500, 160, 1300)]
+        dense = LshIndex(cfg, rnd)
+        for j, items in enumerate(sets):
+            dense.insert(j, build(rnd, items))
+        windows = {dense._entries[j][4] for j in range(len(sets))}
         assert len(windows) >= 5 and max(map(len, windows)) > 1
-        _assert_same_entries(block, dense)
+        items, sizes = _block_of(sets)
+        for dtype in (np.int64, np.int32, np.uint64):
+            block = LshIndex(cfg, rnd)
+            block.insert_many(range(len(sets)), items.astype(dtype), sizes)
+            _assert_same_entries(block, dense)
 
     def test_blank_and_cancelled_rows_inside_a_block(self):
         """A row without updates and a row whose updates all cancel, between
-        two kept rows of one replay block, are indexed empty in row order."""
+        two kept rows of one block, are left out of it and of the index; the
+        kept rows hold insert's records."""
         d, c_squared, text, rows = _replay_case(
             10**4, 64, [(set(range(0, 9000, 9)), {1}), (set(), set()), (set(), {2, 3, 4}), ({5, 7}, set())]
         )
         rnd = SketchRandomness(d, c_squared, 12)
         cfg = LshConfig(r1=0.5, r2=0.1, bands_r=2, repetitions_l=3)
-        dense = LshIndex(cfg, rnd)
-        for j, updates in enumerate(rows):
-            sketch = LevelSketch(rnd)
-            if updates:
-                sketch.update_many(*np.array(updates, np.int64).T)
-            dense.insert(j, sketch)
         spy = mock.patch.object(LshIndex, "insert_many", autospec=True, side_effect=LshIndex.insert_many)
         with spy as calls:
             sparse = _replayed_index(cfg, rnd, text)
-        assert [list(call.args[1]) for call in calls.call_args_list] == [[0, 1, 2, 3]]
-        assert [sparse._entries[j][3] for j in range(4)] == [1000, 0, 0, 2]
-        _assert_same_entries(sparse, dense)
-
-    def test_a_block_whose_sizes_do_not_match_is_refused(self):
-        rnd = SketchRandomness(1000, 16, 3)
-        index = LshIndex(LshConfig(r1=0.5, r2=0.1), rnd)
-        positions, values, sizes, cards = _block_of([build(rnd, [1, 2, 3]), build(rnd, [4])])
-        for bad in ((sizes[:1], cards), (sizes, cards[:1]), ([sizes[0], sizes[1] + 1], cards)):
-            with pytest.raises(ValueError, match="a block of 2 ids"):
-                index.insert_many([0, 1], positions, values, *bad)
-        with pytest.raises(ValueError, match="a block of 2 ids"):
-            index.insert_many([0, 1], positions, values[:-1], sizes, cards)
-        assert len(index) == 0
+        assert [list(call.args[1]) for call in calls.call_args_list] == [[0, 3]]
+        assert 1 not in sparse and 2 not in sparse
+        assert [sparse._entries[j][3] for j in (0, 3)] == [1000, 2]
+        _assert_same_entries(sparse, _inserted_index(cfg, rnd, rows))
 
     @pytest.mark.parametrize(
-        "broken, message",
+        "broken, error, message",
         [
-            ("swapped", "positions must be strictly increasing"),
-            ("zero", "values must be nonzero"),
-            ("past", r"positions must lie in \[0, 704\)"),
-            ("negative", r"positions must lie in \[0, 704\)"),
+            ("fewer sizes", ValueError, "a block of"),
+            ("sizes past the items", ValueError, "a block of"),
+            ("negative size", ValueError, "a block of"),
+            ("float items", TypeError, "integer dtype"),
+            ("item d", ItemRangeError, r"outside universe \[0, 1000\)"),
+            ("negative item", ItemRangeError, r"outside universe \[0, 1000\)"),
         ],
     )
     @pytest.mark.parametrize("alone", [False, True])
-    def test_a_block_that_breaks_a_rule_is_refused(self, broken, message, alone):
-        """Set b's counters out of order, with a zero, or outside [0, levels *
-        c^2) raise ValueError naming b, and the index keeps what it had: a
-        block that replaces a, or b alone, leaves both as they were.
-        Unchecked, out-of-order positions lost b's pair and a zero scored it
-        1.0."""
+    def test_a_refused_block_changes_nothing(self, broken, error, message, alone):
+        """Sizes that do not match the ids or the items or are negative, a
+        float dtype and an item outside [0, d) refuse the block, and the
+        index keeps what it had: a block that replaces a and b, or b alone,
+        leaves both as they were."""
         rnd = SketchRandomness(1000, 64, 3)
-        assert rnd.num_levels * rnd.c_squared == 704
         cfg = LshConfig(r1=0.5, r2=0.1, sampling_p=0.5)
-        items = np.random.default_rng(3).choice(1000, size=300, replace=False)
-        a, b = build(rnd, items), build(rnd, items[:270])
+        a = np.random.default_rng(3).choice(1000, size=300, replace=False)
+        b = a[:270]
         index, want = LshIndex(cfg, rnd), LshIndex(cfg, rnd)
         for kept in (index, want):
-            kept.insert("a", b)
-            kept.insert("b", a)
-        positions, values, sizes, cards = _block_of([b] if alone else [a, b])
-        at = 0 if alone else sizes[0]  # b's first entry
-        if broken == "swapped":
-            positions[[at, at + 1]] = positions[[at + 1, at]]
-        elif broken == "zero":
-            values[at + 1] = 0
-        elif broken == "past":
-            positions[-1] = 704
+            kept.insert("a", build(rnd, b))
+            kept.insert("b", build(rnd, a))
+        ids = ["b"] if alone else ["a", "b"]
+        items, sizes = _block_of([b] if alone else [a, b])
+        if broken == "fewer sizes":
+            sizes.pop()
+        elif broken == "sizes past the items":
+            sizes[-1] += 1
+        elif broken == "negative size":  # the sizes still sum to the items
+            ids, sizes = [*ids, "c"], [*sizes[:-1], sizes[-1] + 1, -1]
+        elif broken == "float items":
+            items = items.astype(float)
+        elif broken == "item d":
+            items[-1] = 1000
         else:
-            positions[at] = -1
-        with pytest.raises(ValueError, match=f"set 'b': {message}"):
-            index.insert_many(["b"] if alone else ["a", "b"], positions, values, sizes, cards)
+            items[-1] = -1
+        with pytest.raises(error, match=message):
+            index.insert_many(ids, items, sizes)
         _assert_same_entries(index, want)
 
     def test_stored_arrays_own_their_memory(self):
@@ -717,13 +711,13 @@ class TestSparseInsert:
         rnd = SketchRandomness(2**16, 1024, 43)
         cfg = LshConfig(r1=0.5, r2=0.1, bands_r=3, repetitions_l=8)
         rng = np.random.default_rng(43)
-        sketches = [build(rnd, rng.choice(2**16, size=2000, replace=False)) for _ in range(40)]
-        block = _block_of(sketches)
+        sets = [rng.choice(2**16, size=2000, replace=False) for _ in range(40)]
+        items, sizes = _block_of(sets)
         index = LshIndex(cfg, rnd)
-        index.insert("alone", sketches[0])
+        index.insert("alone", build(rnd, sets[0]))
         tracemalloc.start()
         try:
-            index.insert_many(range(40), *block)
+            index.insert_many(range(40), items, sizes)
             held = tracemalloc.get_traced_memory()[0]
             for j in range(1, 40):
                 index.remove(j)
